@@ -5,7 +5,6 @@ exact or Monte Carlo audits of every claimed bound."""
 from .classify import Classification, classify, embeddability_verdict
 from .embeddings import (EmbedParams, FractionEstimate, PolylineEmbedding,
                          TGPoint, ThickenedGraph, TgAudit, audit_tg,
-                         check_alpha, check_beta, check_gamma,
                          default_strict_params, embedding_from_json,
                          embedding_to_json, estimate_suitable_fraction,
                          mg_positions, place_edges, practical_params,

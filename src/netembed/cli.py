@@ -11,19 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from .errors import ValidationError
-
-
-def _set_threads(n):
-    if n is None:
-        n = os.environ.get("NETEMBED_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
 
 
 def _load_json(path, what):
@@ -294,8 +285,6 @@ def _cmd_pipeline(args):
 
 def _build_parser():
     p = argparse.ArgumentParser(prog="netembed", description=__doc__)
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap worker threads for the numeric backend")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):
@@ -387,7 +376,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    _set_threads(args.threads)
     try:
         return args.fn(args)
     except ValidationError as exc:

@@ -12,12 +12,16 @@ until three avoidance conditions hold against everything placed earlier:
   gamma  outside the beta-balls of the vertices, distinct curves stay at
          least gamma apart.
 
-All predicate comparisons are tolerance inflated (pass needs the constraint
-plus the tolerance), and distance decisions are certified: a cheap
-closed-form Euclidean bound screens each test through the space's norm
-comparison factors, and only the genuinely close cases fall through to the
-exact convex searches.  Floating error can therefore reject a usable
-breakpoint but never accept a bad one.
+One predicate, check_breakpoints, decides the three conditions for a block
+of candidate breakpoints of one edge and returns the first condition each
+fails; placement passes it each draw, re-verification each stored
+breakpoint, and the Monte Carlo estimate its samples in blocks.  Every
+comparison is tolerance inflated (pass needs the constraint plus the
+tolerance), and every distance decision is certified in three steps: the
+Euclidean closed form, screened through the space's l2 comparison factors;
+then an exact convex search, only for the pairs the screen leaves open and
+only for candidates nothing cheaper has rejected.  Floating error can
+therefore reject a usable breakpoint but never accept a bad one.
 """
 
 from __future__ import annotations
@@ -33,10 +37,14 @@ from .gadgets import SubdividedGraph, subdivide
 from .graphs import Graph, bfs_apsp
 from .net_graphs import (NetGraph, net_graph_from_json, net_graph_to_json,
                          rescaled_unit)
-from .spaces import (PARAM_TOL, NormedSpace, Segment, _ternary_batch, norms,
-                     sample_ball_many, segment_ball_clip)
+from .spaces import (PARAM_TOL, NormedSpace, _segment_pairs_distance, norms,
+                     points_segment_distance, sample_ball_many,
+                     segment_ball_clip)
 
 _Z95 = 1.959963984540054
+# Monte Carlo work per predicate call, in candidate-segment and
+# candidate-vertex pairs: bounds the working memory of one call.
+_MC_PAIRS = 4096
 
 
 # --- parameters -------------------------------------------------------------
@@ -122,160 +130,109 @@ def params_from_json(obj: dict) -> EmbedParams:
 
 # --- Euclidean closed forms (screening kernels) -----------------------------
 
-def _l2_point_to_segments(p: np.ndarray, segs: np.ndarray) -> np.ndarray:
-    """Euclidean distance from one point to many segments, (m,2,n) -> (m,)."""
-    a = segs[:, 0, :]
-    d = segs[:, 1, :] - a
-    dd = np.einsum("ij,ij->i", d, d)
-    t = np.clip(np.einsum("ij,ij->i", p - a, d) / np.maximum(dd, 1e-300), 0.0, 1.0)
-    diff = a + t[:, None] * d - p
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("...j,...j->...", x, y)
 
 
-def _l2_points_to_segment(pts: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Euclidean distance from many points to one segment, returns (dist, t)."""
+def _l2_point_segment(p, a, b) -> np.ndarray:
+    """Euclidean distance from p to the segment [a, b], broadcasting over
+    the leading axes."""
     d = b - a
-    dd = float(d @ d)
-    t = np.clip((pts - a) @ d / max(dd, 1e-300), 0.0, 1.0)
-    diff = a + t[:, None] * d - pts
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff)), t
+    t = np.clip(_dot(p - a, d) / np.maximum(_dot(d, d), 1e-300), 0.0, 1.0)
+    diff = a + t[..., None] * d - p
+    return np.sqrt(_dot(diff, diff))
 
 
-def _l2_segment_to_segments(seg: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Euclidean segment-segment distances, seg (2,n) vs others (m,2,n).
+def _l2_segment_segment(a1, b1, a2, b2) -> np.ndarray:
+    """Euclidean distance between [a1, b1] and [a2, b2], broadcasting over
+    the leading axes.
 
     The squared objective is a convex quadratic over the unit box, so the
     minimum is either the clamped stationary point or lies on one of the
     four box edges; all five candidates are evaluated.
     """
-    p0, u = seg[0], seg[1] - seg[0]
-    q0 = others[:, 0, :]
-    v = others[:, 1, :] - q0
-    w0 = p0 - q0
-    a = max(float(u @ u), 1e-300)
-    b = v @ u
-    c = np.maximum(np.einsum("ij,ij->i", v, v), 1e-300)
-    d = w0 @ u
-    e = np.einsum("ij,ij->i", v, w0)
-    denom = a * c - b * b
-    safe = np.maximum(denom, 1e-300)
-    cand_s = [np.clip((b * e - c * d) / safe, 0.0, 1.0)]
-    cand_t = [np.clip((a * e - b * d) / safe, 0.0, 1.0)]
-    for s_fix in (0.0, 1.0):
-        cand_s.append(np.full(q0.shape[0], s_fix))
-        cand_t.append(np.clip((e + b * s_fix) / c, 0.0, 1.0))
-    for t_fix in (0.0, 1.0):
-        cand_t.append(np.full(q0.shape[0], t_fix))
-        cand_s.append(np.clip((b * t_fix - d) / a, 0.0, 1.0))
-    best = None
-    for s, t in zip(cand_s, cand_t):
-        diff = w0 + s[:, None] * u - t[:, None] * v
-        val = np.einsum("ij,ij->i", diff, diff)
-        best = val if best is None else np.minimum(best, val)
+    u, v, w0 = b1 - a1, b2 - a2, a1 - a2
+    a = np.maximum(_dot(u, u), 1e-300)
+    b = _dot(v, u)
+    c = np.maximum(_dot(v, v), 1e-300)
+    d = _dot(w0, u)
+    e = _dot(v, w0)
+    safe = np.maximum(a * c - b * b, 1e-300)
+    zero, one = np.zeros_like(b), np.ones_like(b)
+    best = np.inf
+    for s, t in (((b * e - c * d) / safe, (a * e - b * d) / safe),
+                 (zero, e / c), (one, (e + b) / c),
+                 (-d / a, zero), ((b - d) / a, one)):
+        diff = (w0 + np.clip(s, 0.0, 1.0)[..., None] * u
+                - np.clip(t, 0.0, 1.0)[..., None] * v)
+        best = np.minimum(best, _dot(diff, diff))
     return np.sqrt(best)
 
 
-# --- certified generic kernels ----------------------------------------------
+# --- certified clearance -------------------------------------------------------
 
-def _point_to_segments_min(space: NormedSpace, p: np.ndarray,
-                           segs: np.ndarray, iters: int = 52) -> np.ndarray:
-    """Exact (to PARAM_TOL) norm distance from one point to many segments."""
-    a = segs[:, 0, :]
-    d = segs[:, 1, :] - a
+def _clear(space: NormedSpace, l2: np.ndarray, owner: np.ndarray, m: int,
+           need: float, searches) -> np.ndarray:
+    """Certified clearance of a batch of pairs, decided per candidate.
 
-    def f(t):
-        return norms(space, a + t[:, None] * d - p)
-
-    m = segs.shape[0]
-    _, val = _ternary_batch(f, np.zeros(m), np.ones(m), iters)
-    return val
-
-
-def _segment_to_segments_min(space: NormedSpace, seg: np.ndarray,
-                             others: np.ndarray, iters: int = 52) -> np.ndarray:
-    """Nested ternary search on the jointly convex objective, batched over
-    the second family.  Returns feasible values (upper bounds) within
-    (L1 + L2) * (2/3)^iters of the true minima."""
-    a1, d1 = seg[0], seg[1] - seg[0]
-    oa = others[:, 0, :]
-    od = others[:, 1, :] - oa
-    m = others.shape[0]
-
-    def g(svals):
-        pts = a1 + svals[:, None] * d1
-
-        def f(tvals):
-            return norms(space, oa + tvals[:, None] * od - pts)
-
-        _, val = _ternary_batch(f, np.zeros(m), np.ones(m), iters)
-        return val
-
-    _, val = _ternary_batch(g, np.zeros(m), np.ones(m), iters)
-    return val
+    Pair k has Euclidean distance l2[k] and belongs to candidate owner[k] in
+    range(m).  Returns (m,) bool, True only where every pair of the
+    candidate is at norm distance >= need.  The space's l2 comparison
+    factors settle what they can; each search in turn maps the indices of
+    the open pairs to their searched distances (attained, hence upper
+    bounds) and error bounds, and runs only for candidates that no pair has
+    rejected and no earlier search has settled.  A candidate still open
+    after the last search is rejected.
+    """
+    ok = np.ones(m, dtype=bool)
+    open_ = l2 * space.l2_lower < need
+    if space.l2_upper < math.inf:
+        ok[owner[open_ & (l2 * space.l2_upper < need)]] = False
+    idx = np.flatnonzero(open_ & ok[owner])
+    for search in searches:
+        if idx.size == 0:
+            break
+        vals, err = search(idx)
+        ok[owner[idx[vals < need]]] = False
+        unsure = np.zeros(m, dtype=bool)
+        unsure[owner[idx[vals - err < need]]] = True
+        idx = idx[(ok & unsure)[owner[idx]]]
+    ok[owner[idx]] = False
+    return ok
 
 
-def _is_l2(space: NormedSpace) -> bool:
-    return space.kind == "lp" and space.p == 2.0
+def _points_clear(space: NormedSpace, pts, a, b, need: float) -> np.ndarray:
+    """Per candidate i, True when every point pts[i, j] is at norm distance
+    >= need from the segment [a[i, j], b[i, j]]; the three arrays broadcast
+    to (m, k, dim)."""
+    pts, a, b = np.broadcast_arrays(pts, a, b)
+    m, k, n = pts.shape
+    pts, a, b = (x.reshape(-1, n) for x in (pts, a, b))
+
+    def search(idx):
+        vals, _ = points_segment_distance(space, pts[idx], a[idx], b[idx])
+        return vals, norms(space, b[idx] - a[idx]) * 6 * PARAM_TOL
+
+    return _clear(space, _l2_point_segment(pts, a, b),
+                  np.repeat(np.arange(m), k), m, need, (search,))
 
 
-def _segments_clear(space: NormedSpace, seg: np.ndarray, others: np.ndarray,
-                    threshold: float, tol: float) -> bool:
-    """Certified: True only when every segment in `others` is at norm
-    distance >= threshold + tol from `seg`."""
-    if others.shape[0] == 0:
-        return True
-    l2 = _l2_segment_to_segments(seg, others)
-    if _is_l2(space):
-        return bool(np.all(l2 >= threshold + tol))
-    need = threshold + tol
-    rest = ~(l2 * space.l2_lower >= need) if space.l2_lower > 0 \
-        else np.ones(others.shape[0], dtype=bool)
-    if not np.any(rest):
-        return True
-    if space.l2_upper < math.inf and np.any(l2[rest] * space.l2_upper < need):
-        return False
-    sub = others[rest]
-    lens = norms(space, sub[:, 1, :] - sub[:, 0, :])
-    l_seg = float(norms(space, (seg[1] - seg[0])[None, :])[0])
-    for iters in (22, 52):
-        val = _segment_to_segments_min(space, seg, sub, iters)
-        err = (l_seg + lens) * ((2.0 / 3.0) ** iters + 4 * PARAM_TOL)
-        if np.any(val < need):          # feasible values are upper bounds
-            return False
-        if np.all(val - err >= need):
-            return True
-    return False  # undecided at full precision: reject conservatively
+def _segments_clear(space: NormedSpace, p: np.ndarray, q: np.ndarray,
+                    owner: np.ndarray, m: int, need: float) -> np.ndarray:
+    """Per candidate, True when every segment pair (p[k], q[k]) it owns is
+    at norm distance >= need.  The nested search runs at 22 iterations and
+    again at 52 for candidates that 22 leaves undecided."""
+    def search(iters):
+        def run(idx):
+            vals = _segment_pairs_distance(space, p[idx, 0], p[idx, 1],
+                                           q[idx, 0], q[idx, 1], iters)
+            lens = (norms(space, p[idx, 1] - p[idx, 0])
+                    + norms(space, q[idx, 1] - q[idx, 0]))
+            return vals, lens * ((2.0 / 3.0) ** iters + 4 * PARAM_TOL)
+        return run
 
-
-def _points_clear_of_segment(space: NormedSpace, pts: np.ndarray,
-                             a: np.ndarray, b: np.ndarray,
-                             threshold: float, tol: float) -> bool:
-    """Certified: all points at norm distance >= threshold + tol from [a,b]."""
-    if pts.shape[0] == 0:
-        return True
-    l2, _ = _l2_points_to_segment(pts, a, b)
-    if _is_l2(space):
-        return bool(np.all(l2 >= threshold + tol))
-    need = threshold + tol
-    rest = ~(l2 * space.l2_lower >= need) if space.l2_lower > 0 \
-        else np.ones(pts.shape[0], dtype=bool)
-    if not np.any(rest):
-        return True
-    if space.l2_upper < math.inf and np.any(l2[rest] * space.l2_upper < need):
-        return False
-    # exact distance from each remaining point to the fixed segment
-    d = b - a
-
-    def f(t):
-        return norms(space, a + t[:, None] * d - pts[rest])
-
-    m = int(np.sum(rest))
-    _, vals = _ternary_batch(f, np.zeros(m), np.ones(m))
-    l_seg = float(norms(space, (b - a)[None, :])[0])
-    err = l_seg * 6 * PARAM_TOL
-    if np.any(vals < need):
-        return False
-    return bool(np.all(vals - err >= need))
+    return _clear(space, _l2_segment_segment(p[:, 0], p[:, 1], q[:, 0], q[:, 1]),
+                  owner, m, need, (search(22), search(52)))
 
 
 # --- placement state ---------------------------------------------------------
@@ -314,8 +271,7 @@ class _PlacedState:
         seg_uw = np.stack([u, w])
         seg_wv = np.stack([w, v])
         self.segments.extend([seg_uw, seg_wv])
-        for piece in _clip_curve(self.space, u, v, w, self.beta):
-            self.clipped.append(piece)
+        self.clipped.extend(_clip_curves(self.space, u, v, w[None, :], self.beta)[0])
         du = float(norms(self.space, (w - u)[None, :])[0])
         dv = float(norms(self.space, (w - v)[None, :])[0])
         self.crossings.setdefault(u_idx, []).append(u + (self.beta / du) * (w - u))
@@ -338,104 +294,118 @@ def _subtract_interval(intervals, cut):
     return out
 
 
-def _clip_curve(space: NormedSpace, u: np.ndarray, v: np.ndarray,
-                w: np.ndarray, beta: float) -> list[np.ndarray]:
-    """Pieces of [u,w] and [w,v] outside B(u, beta) and B(v, beta).
+def _clip_curves(space: NormedSpace, u: np.ndarray, v: np.ndarray,
+                 ws: np.ndarray, beta: float):
+    """Pieces of the curves [u, w], [w, v] (w a row of ws) outside B(u, beta)
+    and B(v, beta), as a (k, 2, dim) array, with the row of each piece.
 
-    The beta condition keeps the curve clear of every other vertex's ball,
-    so only the edge's own endpoints can clip it.  Each segment yields at
-    most three pieces.
+    The beta condition keeps each curve clear of every other vertex's ball,
+    so only the edge's own endpoints can clip it.  A segment leaves its own
+    endpoint's ball radially; the opposite ball is cut out exactly only
+    where the Euclidean screen cannot keep the segment clear of it.  Each
+    segment yields at most three pieces.
     """
-    pieces = []
-    for (a, b), own, other in ((np.stack([u, w]), u, v), (np.stack([w, v]), v, u)):
-        length = float(norms(space, (b - a)[None, :])[0])
-        if length < 1e-12:
-            continue
-        intervals = [(0.0, 1.0)]
-        # own-endpoint ball: the segment leaves it radially
-        if np.array_equal(a, own):
-            intervals = _subtract_interval(intervals, (0.0, min(1.0, beta / length)))
-        elif np.array_equal(b, own):
-            intervals = _subtract_interval(intervals, (max(0.0, 1 - beta / length), 1.0))
-        # other-endpoint ball: screen first, clip exactly when it could touch
-        l2, _ = _l2_points_to_segment(other[None, :], a, b)
-        if not (float(l2[0]) * space.l2_lower > beta):
-            cut = segment_ball_clip(space, a, b, other, beta)
+    pieces, rows = [], []
+    for a, b, other, from_own in ((u, ws, v, True), (ws, v, u, False)):
+        a, b = np.broadcast_to(a, ws.shape), np.broadcast_to(b, ws.shape)
+        length = norms(space, b - a)
+        keep = np.flatnonzero(length >= 1e-12)
+        a, b, d = a[keep], b[keep], b[keep] - a[keep]
+        frac = beta / length[keep]
+        t0 = np.minimum(1.0, frac) if from_own else np.zeros_like(frac)
+        t1 = np.ones_like(frac) if from_own else np.maximum(0.0, 1 - frac)
+        reach = ~(_l2_point_segment(other, a, b) * space.l2_lower > beta)
+        whole = ~reach & (t1 - t0 > 1e-12)
+        pieces.append(np.stack([a[whole] + t0[whole, None] * d[whole],
+                                a[whole] + t1[whole, None] * d[whole]], axis=1))
+        rows.append(keep[whole])
+        for i in np.flatnonzero(reach):
+            intervals = [(t0[i], t1[i])]
+            cut = segment_ball_clip(space, a[i], b[i], other, beta)
             if cut is not None:
                 intervals = _subtract_interval(intervals, cut)
-        for (t0, t1) in intervals:
-            if t1 - t0 > 1e-12:
-                pieces.append(np.stack([a + t0 * (b - a), a + t1 * (b - a)]))
-    return pieces
+            for (s0, s1) in intervals:
+                if s1 - s0 > 1e-12:
+                    pieces.append(np.stack([a[i] + s0 * d[i], a[i] + s1 * d[i]])[None])
+                    rows.append(keep[i:i + 1])
+    return np.concatenate(pieces), np.concatenate(rows)
 
 
-# --- the three conditions ----------------------------------------------------
+# --- the predicate -------------------------------------------------------------
 
-def check_alpha(space: NormedSpace, u_idx: int, v_idx: int, u: np.ndarray,
-                v: np.ndarray, w: np.ndarray, state: _PlacedState,
-                params: EmbedParams) -> bool:
-    """Sphere-crossing separation at both endpoints.
+ALPHA, BETA, GAMMA = 1, 2, 3
+CONDITIONS = ("alpha", "beta", "gamma")  # code k names CONDITIONS[k - 1]
 
-    Requires the curve to meet each endpoint ball in a single radial
-    segment (the far segment must stay clear), then compares the crossing
-    point against the cached crossings of previously placed segments.  Only
-    incident segments can cross: every other placed curve passed its beta
-    check and stays at distance > beta from this vertex.
+
+def check_breakpoints(state: _PlacedState, ui: int, vi: int, ws: np.ndarray,
+                      params: EmbedParams) -> np.ndarray:
+    """For each candidate breakpoint w (a row of ws) of the edge (ui, vi),
+    the first condition it fails against the placed state: 0 when suitable,
+    else ALPHA, BETA or GAMMA, tested in that order.
+
+      alpha  the curve meets each endpoint ball in a single radial segment
+             (the far segment stays clear of the ball), and its crossing of
+             the sphere sits alpha away from the placed crossings there.
+             Only incident curves can cross: every other placed curve passed
+             its beta test and stays beta away from this vertex.
+      beta   both segments stay beta away from every other vertex within
+             norm distance 5 of u; farther ones cannot reach a curve of
+             length under 4.
+      gamma  the candidate's pieces outside the beta balls stay gamma away
+             from every placed segment, and its segments stay gamma away
+             from the placed curves' pieces.
+
+    Each condition runs only on the candidates that passed the earlier
+    ones, so a block answers as each candidate would alone.
     """
-    beta, alpha, tol = params.beta, params.alpha, params.tolerance
-    du = float(norms(space, (w - u)[None, :])[0])
-    dv = float(norms(space, (w - v)[None, :])[0])
-    if du <= beta + tol or dv <= beta + tol:
-        return False
-    # the opposite segment must not re-enter the ball
-    if not _points_clear_of_segment(space, u[None, :], w, v, beta, tol):
-        return False
-    if not _points_clear_of_segment(space, v[None, :], u, w, beta, tol):
-        return False
-    for idx, x in ((u_idx, u + (beta / du) * (w - u)),
-                   (v_idx, v + (beta / dv) * (w - v))):
-        placed = state.crossing_array(idx)
-        if placed.shape[0] and float(np.min(norms(space, placed - x))) < alpha + tol:
-            return False
-    return True
+    space, pts = state.space, state.points
+    beta, tol = params.beta, params.tolerance
+    u, v = pts[ui], pts[vi]
+    m, n = ws.shape
+    code = np.zeros(m, dtype=np.int8)
 
+    du, dv = norms(space, ws - u), norms(space, ws - v)
+    code[(du <= beta + tol) | (dv <= beta + tol)] = ALPHA
+    for vertex, end, dist in ((ui, u, du), (vi, v, dv)):
+        placed = state.crossing_array(vertex)
+        live = np.flatnonzero(code == 0)
+        if placed.shape[0] and live.size:
+            x = end + (beta / dist[live])[:, None] * (ws[live] - end)
+            gap = norms(space, (placed[None] - x[:, None]).reshape(-1, n))
+            code[live[gap.reshape(live.size, -1).min(axis=1) < params.alpha + tol]] = ALPHA
+    curve = np.stack([np.broadcast_to(u, ws.shape), ws,
+                      np.broadcast_to(v, ws.shape)], axis=1)     # rows u, w, v
+    live = np.flatnonzero(code == 0)
+    c = curve[live]
+    ok = _points_clear(space, np.stack([u, v]), c[:, [1, 0]], c[:, [2, 1]], beta + tol)
+    code[live[~ok]] = ALPHA
 
-def check_beta(space: NormedSpace, u: np.ndarray, v: np.ndarray,
-               w: np.ndarray, points: np.ndarray, params: EmbedParams,
-               near_mask: np.ndarray) -> bool:
-    """Both segments stay at distance >= beta from every other vertex.
+    near = norms(space, pts - u) <= 5.0
+    near[ui] = near[vi] = False
+    others = pts[near]
+    live = np.flatnonzero(code == 0)
+    if others.shape[0] and live.size:
+        c, k = curve[live], others.shape[0]
+        ok = _points_clear(space, np.concatenate([others, others]),
+                           np.repeat(c[:, :2], k, axis=1), np.repeat(c[:, 1:], k, axis=1),
+                           beta + tol)
+        code[live[~ok]] = BETA
 
-    near_mask preselects vertices within norm distance 5 of u; farther ones
-    cannot interfere with a curve of length under 4.
-    """
-    others = points[near_mask]
-    if others.shape[0] == 0:
-        return True
-    tol = params.tolerance
-    return (_points_clear_of_segment(space, others, u, w, params.beta, tol)
-            and _points_clear_of_segment(space, others, w, v, params.beta, tol))
-
-
-def check_gamma(space: NormedSpace, u: np.ndarray, v: np.ndarray,
-                w: np.ndarray, state: _PlacedState, params: EmbedParams) -> bool:
-    """Clearance between curve interiors.
-
-    The candidate's pieces outside the beta balls must stay gamma away from
-    every placed segment, and the placed curves' clipped pieces must stay
-    gamma away from the whole candidate.
-    """
-    gamma, tol = params.gamma, params.tolerance
-    placed = state.segment_array()
-    if placed.shape[0] == 0:
-        return True
-    for piece in _clip_curve(space, u, v, w, params.beta):
-        if not _segments_clear(space, piece, placed, gamma, tol):
-            return False
-    clipped = state.clipped_array()
-    for seg in (np.stack([u, w]), np.stack([w, v])):
-        if not _segments_clear(space, seg, clipped, gamma, tol):
-            return False
-    return True
+    placed, clipped = state.segment_array(), state.clipped_array()
+    live = np.flatnonzero(code == 0)
+    if placed.shape[0] and live.size:
+        c = curve[live]
+        pieces, rows = _clip_curves(space, u, v, ws[live], beta)
+        segs = np.stack([c[:, :2], c[:, 1:]], axis=1).reshape(-1, 2, n)
+        p = np.concatenate([np.repeat(pieces, placed.shape[0], axis=0),
+                            np.repeat(segs, clipped.shape[0], axis=0)])
+        q = np.concatenate([np.tile(placed, (pieces.shape[0], 1, 1)),
+                            np.tile(clipped, (segs.shape[0], 1, 1))])
+        owner = np.concatenate([np.repeat(rows, placed.shape[0]),
+                                np.repeat(np.arange(live.size), 2 * clipped.shape[0])])
+        ok = _segments_clear(space, p, q, owner, live.size, params.gamma + tol)
+        code[live[~ok]] = GAMMA
+    return code
 
 
 # --- the embedding -----------------------------------------------------------
@@ -540,8 +510,11 @@ def place_edges(space: NormedSpace, ng: NetGraph, params: EmbedParams,
     The net graph is first rescaled to the unit normal form (separation 1,
     edge threshold 3) so the constants in params mean what they should.
     Each edge rejection-samples w in the ball of radius mu around the
-    midpoint until the alpha, beta and gamma checks all pass.
+    midpoint until check_breakpoints accepts it.  space must be the net
+    graph's space, the one the embedding records.
     """
+    if space != ng.space or space.norm_fn is not ng.space.norm_fn:
+        raise ValidationError("place_edges: space differs from the net graph's space")
     if space.dim < 3:
         raise ValidationError("edge placement needs dimension >= 3")
     params.validate(space.dim)
@@ -555,29 +528,19 @@ def place_edges(space: NormedSpace, ng: NetGraph, params: EmbedParams,
     breakpoints = np.empty((len(edges), space.dim))
     attempts = np.zeros(len(edges), dtype=np.int64)
     for j, (ui, vi) in enumerate(edges):
-        u, v = pts[ui], pts[vi]
-        z = 0.5 * (u + v)
-        near = norms(space, pts - u) <= 5.0
-        near[ui] = near[vi] = False
-        tally = {"alpha": 0, "beta": 0, "gamma": 0}
-        placed = False
+        z = 0.5 * (pts[ui] + pts[vi])
+        tally = dict.fromkeys(CONDITIONS, 0)
         for _ in range(params.retry_cap):
-            w = sample_ball_many(space, z, params.mu, 1, rng)[0]
+            w = sample_ball_many(space, z, params.mu, 1, rng)
             attempts[j] += 1
-            if not check_alpha(space, ui, vi, u, v, w, state, params):
-                tally["alpha"] += 1
+            code = check_breakpoints(state, ui, vi, w, params)[0]
+            if code:
+                tally[CONDITIONS[code - 1]] += 1
                 continue
-            if not check_beta(space, u, v, w, pts, params, near):
-                tally["beta"] += 1
-                continue
-            if not check_gamma(space, u, v, w, state, params):
-                tally["gamma"] += 1
-                continue
-            breakpoints[j] = w
-            state.add_edge(ui, vi, u, v, w)
-            placed = True
+            breakpoints[j] = w[0]
+            state.add_edge(ui, vi, pts[ui], pts[vi], w[0])
             break
-        if not placed:
+        else:
             raise PlacementError((ui, vi), int(attempts[j]), tally)
     return PolylineEmbedding(netgraph=ng_unit, params=params,
                              edge_list=tuple(edges), breakpoints=breakpoints,
@@ -585,25 +548,18 @@ def place_edges(space: NormedSpace, ng: NetGraph, params: EmbedParams,
 
 
 def verify_embedding(emb: PolylineEmbedding) -> dict:
-    """Re-run the three conditions for every edge against the prefix placed
-    before it (the construction order), from a freshly built state."""
-    space = emb.space
+    """Re-run the predicate for every edge against the prefix placed before
+    it (the construction order), from a freshly built state.  A failure
+    names the first condition the edge fails."""
     pts = emb.netgraph.points
-    state = _PlacedState(space, pts, emb.params.beta)
+    state = _PlacedState(emb.space, pts, emb.params.beta)
     failures = []
     for j, (ui, vi) in enumerate(emb.edge_list):
-        u, v, w = pts[ui], pts[vi], emb.breakpoints[j]
-        near = norms(space, pts - u) <= 5.0
-        near[ui] = near[vi] = False
-        checks = {
-            "alpha": check_alpha(space, ui, vi, u, v, w, state, emb.params),
-            "beta": check_beta(space, u, v, w, pts, emb.params, near),
-            "gamma": check_gamma(space, u, v, w, state, emb.params),
-        }
-        if not all(checks.values()):
-            failures.append({"edge": [ui, vi],
-                             "failed": [k for k, v_ in checks.items() if not v_]})
-        state.add_edge(ui, vi, u, v, w)
+        w = emb.breakpoints[j]
+        code = check_breakpoints(state, ui, vi, w[None, :], emb.params)[0]
+        if code:
+            failures.append({"edge": [ui, vi], "failed": [CONDITIONS[code - 1]]})
+        state.add_edge(ui, vi, pts[ui], pts[vi], w)
     return {"ok": not failures, "edges_checked": len(emb.edge_list),
             "failures": failures}
 
@@ -756,107 +712,18 @@ def estimate_suitable_fraction(emb: PolylineEmbedding, edge_index: int,
         ui, vi = emb.edge_list[j]
         state.add_edge(ui, vi, pts[ui], pts[vi], emb.breakpoints[j])
     ui, vi = emb.edge_list[edge_index]
-    u, v = pts[ui], pts[vi]
-    z_mid = 0.5 * (u + v)
-    near = norms(space, pts - u) <= 5.0
-    near[ui] = near[vi] = False
-
-    ws = sample_ball_many(space, z_mid, params.mu, samples, rng)
-    if _is_l2(space):
-        good = _suitable_mask_l2(space, ui, vi, u, v, ws, pts, near, state, params)
-        successes = int(np.sum(good))
-    else:
-        successes = 0
-        for w in ws:
-            if (check_alpha(space, ui, vi, u, v, w, state, params)
-                    and check_beta(space, u, v, w, pts, params, near)
-                    and check_gamma(space, u, v, w, state, params)):
-                successes += 1
+    ws = sample_ball_many(space, 0.5 * (pts[ui] + pts[vi]), params.mu, samples, rng)
+    block = max(1, _MC_PAIRS // (2 * (len(state.segments) + len(state.clipped)
+                                      + len(pts))))
+    successes = sum(
+        int(np.count_nonzero(check_breakpoints(state, ui, vi, ws[k:k + block], params) == 0))
+        for k in range(0, samples, block))
     center, half = wilson_interval(successes, samples)
     return FractionEstimate(fraction=successes / samples,
                             ci_low=max(0.0, center - half),
                             ci_high=min(1.0, center + half),
                             half_width=half, samples=samples,
                             successes=successes)
-
-
-def _suitable_mask_l2(space, ui, vi, u, v, ws, pts, near_mask, state, params):
-    """Vectorized three-condition predicate for Euclidean spaces."""
-    m = ws.shape[0]
-    tol = params.tolerance
-    beta, alpha, gamma = params.beta, params.alpha, params.gamma
-    ok = np.ones(m, dtype=bool)
-
-    du = np.linalg.norm(ws - u, axis=1)
-    dv = np.linalg.norm(ws - v, axis=1)
-    ok &= (du > beta + tol) & (dv > beta + tol)
-
-    segs_uw = np.stack([np.broadcast_to(u, ws.shape), ws], axis=1)
-    segs_wv = np.stack([ws, np.broadcast_to(v, ws.shape)], axis=1)
-    # alpha premise: the far segment stays out of each endpoint ball
-    ok &= _l2_point_to_segments(u, segs_wv) >= beta + tol
-    ok &= _l2_point_to_segments(v, segs_uw) >= beta + tol
-    # alpha separation at both spheres
-    for idx, center_pt, dd in ((ui, u, du), (vi, v, dv)):
-        placed = state.crossing_array(idx)
-        if placed.shape[0] == 0:
-            continue
-        x = center_pt + (beta / np.maximum(dd, 1e-300))[:, None] * (ws - center_pt)
-        for cp in placed:
-            ok &= np.linalg.norm(x - cp, axis=1) >= alpha + tol
-    # beta: every other nearby vertex clears both segments
-    for p in pts[near_mask]:
-        ok &= _l2_point_to_segments(p, segs_uw) >= beta + tol
-        ok &= _l2_point_to_segments(p, segs_wv) >= beta + tol
-    # gamma, candidate pieces against placed segments.  Clipping only
-    # happens at the edge's own endpoint balls: samples whose far segment
-    # dips into the opposite ball were already rejected by the alpha
-    # premise above, and the beta condition keeps every other ball clear.
-    placed_segs = state.segment_array()
-    clipped = state.clipped_array()
-    if placed_segs.shape[0] == 0:
-        return ok
-    t_u = np.minimum(1.0, beta / np.maximum(du, 1e-300))
-    t_v = np.minimum(1.0, beta / np.maximum(dv, 1e-300))
-    piece_uw = np.stack([u + t_u[:, None] * (ws - u), ws], axis=1)
-    piece_wv = np.stack([ws, v + t_v[:, None] * (ws - v)], axis=1)
-    for segs in (piece_uw, piece_wv):
-        for k in range(placed_segs.shape[0]):
-            ok &= _l2_seg_to_seg_batch(segs, placed_segs[k]) >= gamma + tol
-    for segs in (segs_uw, segs_wv):
-        for k in range(clipped.shape[0]):
-            ok &= _l2_seg_to_seg_batch(segs, clipped[k]) >= gamma + tol
-    return ok
-
-
-def _l2_seg_to_seg_batch(segs: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each segment in segs (m,2,n) to one fixed
-    segment (2,n)."""
-    p0 = segs[:, 0, :]
-    uvec = segs[:, 1, :] - p0
-    q0, q1 = other[0], other[1]
-    vvec = q1 - q0
-    w0 = p0 - q0
-    a = np.maximum(np.einsum("ij,ij->i", uvec, uvec), 1e-300)
-    b = uvec @ vvec
-    c = max(float(vvec @ vvec), 1e-300)
-    d = np.einsum("ij,ij->i", w0, uvec)
-    e = w0 @ vvec
-    denom = a * c - b * b
-    safe = np.maximum(denom, 1e-300)
-    cand = [(np.clip((b * e - c * d) / safe, 0, 1), np.clip((a * e - b * d) / safe, 0, 1))]
-    for s_fix in (0.0, 1.0):
-        s = np.full(p0.shape[0], s_fix)
-        cand.append((s, np.clip((e + b * s_fix) / c, 0, 1)))
-    for t_fix in (0.0, 1.0):
-        t = np.full(p0.shape[0], t_fix)
-        cand.append((np.clip((b * t_fix - d) / a, 0, 1), t))
-    best = None
-    for s, t in cand:
-        diff = w0 + s[:, None] * uvec - t[:, None] * vvec
-        val = np.einsum("ij,ij->i", diff, diff)
-        best = val if best is None else np.minimum(best, val)
-    return np.sqrt(best)
 
 
 # --- serialization -------------------------------------------------------------

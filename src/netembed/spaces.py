@@ -184,9 +184,11 @@ def _ternary_batch(f, lo: np.ndarray, hi: np.ndarray, iters: int = _TERNARY_ITER
     return mid, f(mid)
 
 
-def points_segment_distance(space: NormedSpace, pts: np.ndarray, a, b,
-                            tol: float = PARAM_TOL):
-    """min_t ||a + t(b-a) - p|| for each row p of pts.  Returns (dist, t)."""
+def points_segment_distance(space: NormedSpace, pts: np.ndarray, a, b):
+    """min_t ||a + t(b-a) - p|| for each row p of pts.  Returns (dist, t).
+
+    a and b are one segment, or one segment per row of pts.
+    """
     pts = np.asarray(pts, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     d = np.asarray(b, dtype=np.float64) - a
@@ -199,31 +201,41 @@ def points_segment_distance(space: NormedSpace, pts: np.ndarray, a, b,
     return val, t
 
 
-def point_segment_distance(space: NormedSpace, p, s: Segment,
-                           tol: float = PARAM_TOL) -> float:
-    """Distance from a point to a segment, exact up to tol in the parameter."""
+def point_segment_distance(space: NormedSpace, p, s: Segment) -> float:
+    """Distance from a point to a segment, exact up to PARAM_TOL in the parameter."""
     p = as_vector(p, space.dim)
-    val, _ = points_segment_distance(space, p[None, :], s.a, s.b, tol)
+    val, _ = points_segment_distance(space, p[None, :], s.a, s.b)
     return float(val[0])
 
 
-def segment_segment_distance(space: NormedSpace, s1: Segment, s2: Segment,
-                             tol: float = PARAM_TOL) -> float:
-    """min over (s, t) in [0,1]^2 of ||s1(s) - s2(t)||.
+def _segment_pairs_distance(space: NormedSpace, a1, b1, a2, b2,
+                            iters: int = _TERNARY_ITERS) -> np.ndarray:
+    """min over (s, t) in [0,1]^2 of ||a1 + s(b1-a1) - a2 - t(b2-a2)||, row
+    by row for segments given as (k, dim) endpoint arrays.
 
     The objective is jointly convex, so the partial minimum over t is convex
-    in s and nested ternary search is exact up to tol.
+    in s and nested ternary search is exact up to (2/3)**iters in each
+    parameter.  The values are attained, hence upper bounds of the minima.
     """
-    a1 = np.asarray(s1.a, dtype=np.float64)
-    d1 = np.asarray(s1.b, dtype=np.float64) - a1
+    d1 = b1 - a1
+    d2 = b2 - a2
+    k = a1.shape[0]
 
     def g(svals):
         pts = a1 + svals[:, None] * d1
-        val, _ = points_segment_distance(space, pts, s2.a, s2.b, tol)
+        _, val = _ternary_batch(lambda t: norms(space, a2 + t[:, None] * d2 - pts),
+                                np.zeros(k), np.ones(k), iters)
         return val
 
-    _, val = _ternary_batch(g, np.zeros(1), np.ones(1))
-    return float(val[0])
+    _, val = _ternary_batch(g, np.zeros(k), np.ones(k), iters)
+    return val
+
+
+def segment_segment_distance(space: NormedSpace, s1: Segment, s2: Segment) -> float:
+    """min over (s, t) in [0,1]^2 of ||s1(s) - s2(t)||, by nested ternary
+    search (see _segment_pairs_distance)."""
+    return float(_segment_pairs_distance(space, s1.a[None, :], s1.b[None, :],
+                                         s2.a[None, :], s2.b[None, :])[0])
 
 
 def sphere_segment_intersections(space: NormedSpace, center, radius: float,
@@ -303,8 +315,7 @@ def segment_ball_clip(space: NormedSpace, a, b, center, radius: float,
 
 
 def sample_ball_many(space: NormedSpace, center, radius: float, count: int,
-                     rng: np.random.Generator, budget_per_point: int = 10_000,
-                     return_stats: bool = False):
+                     rng: np.random.Generator, budget_per_point: int = 10_000):
     """count points uniform (volume) in the ball, by rejection from the
     enclosing box of half-width radius * box_factor."""
     if radius <= 0:
@@ -314,7 +325,6 @@ def sample_ball_many(space: NormedSpace, center, radius: float, count: int,
     out = np.empty((count, space.dim))
     got = 0
     draws = 0
-    accepted = 0
     limit = budget_per_point * count
     while got < count:
         chunk = max(128, 2 * (count - got))
@@ -327,12 +337,9 @@ def sample_ball_many(space: NormedSpace, center, radius: float, count: int,
         cand = center + rng.uniform(-half, half, size=(chunk, space.dim))
         draws += chunk
         keep = cand[norms(space, cand - center) <= radius]
-        accepted += keep.shape[0]
         take = min(count - got, keep.shape[0])
         out[got:got + take] = keep[:take]
         got += take
-    if return_stats:
-        return out, draws, accepted
     return out
 
 

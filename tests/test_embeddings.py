@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from netembed import (EmbedParams, Net, PlacementError, PolylineEmbedding,
                       TGPoint, ThickenedGraph, ValidationError, audit_tg,
-                      bfs_apsp, build_net_graph, check_alpha, check_beta,
-                      check_gamma, default_strict_params, embedding_from_json,
+                      bfs_apsp, build_net_graph, custom_space,
+                      default_strict_params, embedding_from_json,
                       embedding_to_json, estimate_suitable_fraction,
                       from_edges, lp_space, mg_positions, net_graph_from_net,
-                      norm, norms, place_edges, practical_params, subdivide,
+                      norm, norms, parse_space, place_edges, practical_params,
+                      rescaled_unit, sample_ball_many, subdivide,
                       subdivision_tg_points, verify_embedding, wilson_interval)
-from netembed.embeddings import _PlacedState, _clip_curve
+from netembed.embeddings import (ALPHA, BETA, GAMMA, _clip_curves,
+                                 _PlacedState, check_breakpoints)
 
 L23 = lp_space(2, 3)
 
@@ -68,13 +72,16 @@ class TestParams:
             EmbedParams(alpha=1e-3, beta=1e-2, gamma=1e-3, mu=0.0).validate(3)
 
 
+def code_of(state, ui, vi, w, params):
+    """The predicate's answer for a single candidate breakpoint."""
+    return int(check_breakpoints(state, ui, vi, np.asarray(w, float)[None, :], params)[0])
+
+
 class TestChecks:
     def test_alpha_no_placed_edges(self):
         params = practical_params(beta=0.1, seed=0)
-        state = _PlacedState(L23, np.zeros((2, 3)), params.beta)
-        u, v = np.zeros(3), np.array([2.0, 0, 0])
-        w = np.array([1.0, 0.1, 0.0])
-        assert check_alpha(L23, 0, 1, u, v, w, state, params)
+        state = _PlacedState(L23, np.array([[0.0, 0, 0], [2.0, 0, 0]]), params.beta)
+        assert code_of(state, 0, 1, [1.0, 0.1, 0.0], params) == 0
 
     def test_alpha_opposite_directions_clear(self):
         # placed edge leaves the shared vertex along +x, candidate along -x:
@@ -83,53 +90,45 @@ class TestChecks:
         pts = np.array([[0.0, 0, 0], [2.0, 0, 0], [-2.0, 0, 0]])
         state = _PlacedState(L23, pts, params.beta)
         state.add_edge(0, 1, pts[0], pts[1], np.array([1.0, 0.1, 0.0]))
-        w = np.array([-1.0, 0.0, 0.1])
-        assert check_alpha(L23, 0, 2, pts[0], pts[2], w, state, params)
+        assert code_of(state, 0, 2, [-1.0, 0.0, 0.1], params) == 0
 
     def test_alpha_duplicate_segment_fails(self):
+        # the duplicate also fails gamma; alpha is reported, being first
         params = EmbedParams(alpha=0.01, beta=0.1, gamma=0.001, mode="practical")
         pts = np.array([[0.0, 0, 0], [2.0, 0, 0]])
         state = _PlacedState(L23, pts, params.beta)
         w = np.array([1.0, 0.1, 0.0])
         state.add_edge(0, 1, pts[0], pts[1], w)
-        assert not check_alpha(L23, 0, 1, pts[0], pts[1], w, state, params)
+        assert code_of(state, 0, 1, w, params) == ALPHA
 
     def test_beta_far_configuration(self):
         params = practical_params(beta=0.02)
-        u, v = np.zeros(3), np.array([2.0, 0, 0])
-        w = np.array([1.0, 0.2, 0])
-        pts = np.vstack([u, v, [50.0, 50.0, 50.0]])
-        near = norms(L23, pts - u) <= 5.0
-        near[0] = near[1] = False
-        assert check_beta(L23, u, v, w, pts, params, near)
+        pts = np.array([[0.0, 0, 0], [2.0, 0, 0], [50.0, 50.0, 50.0]])
+        state = _PlacedState(L23, pts, params.beta)
+        assert code_of(state, 0, 1, [1.0, 0.2, 0], params) == 0
 
     def test_beta_vertex_on_segment_fails(self):
         params = practical_params(beta=0.02)
-        u, v = np.zeros(3), np.array([2.0, 0, 0])
-        w = np.array([1.0, 0.0, 0])
-        pts = np.vstack([u, v, [0.5, 0.0, 0.0]])  # sits on [u, w]
-        near = np.array([False, False, True])
-        assert not check_beta(L23, u, v, w, pts, params, near)
+        pts = np.array([[0.0, 0, 0], [2.0, 0, 0], [0.5, 0.0, 0.0]])  # on [u, w]
+        state = _PlacedState(L23, pts, params.beta)
+        assert code_of(state, 0, 1, [1.0, 0.0, 0], params) == BETA
 
     def test_beta_margin_just_over(self):
         # vertex at distance beta * 1.01 from the curve passes
         params = practical_params(beta=0.02)
-        u, v = np.zeros(3), np.array([2.0, 0, 0])
         w = np.array([1.0, 0.0, 0])
         y = np.array([0.5, params.beta * 1.01, 0.0])
         # cross-check the distance with a dense grid
         t = np.linspace(0, 1, 200_001)
         gap = float(np.min(np.linalg.norm(t[:, None] * w - y, axis=1)))
         assert gap == pytest.approx(params.beta * 1.01, abs=1e-9)
-        pts = np.vstack([u, v, y])
-        near = np.array([False, False, True])
-        assert check_beta(L23, u, v, w, pts, params, near)
+        state = _PlacedState(L23, np.array([[0.0, 0, 0], [2.0, 0, 0], y]), params.beta)
+        assert code_of(state, 0, 1, w, params) == 0
 
     def test_gamma_no_placed_edges(self):
         params = practical_params(beta=0.02)
-        state = _PlacedState(L23, np.zeros((2, 3)), params.beta)
-        assert check_gamma(L23, np.zeros(3), np.array([2.0, 0, 0]),
-                           np.array([1.0, 0.1, 0]), state, params)
+        state = _PlacedState(L23, np.array([[0.0, 0, 0], [2.0, 0, 0]]), params.beta)
+        assert code_of(state, 0, 1, [1.0, 0.1, 0], params) == 0
 
     def test_gamma_crossing_fails(self):
         params = EmbedParams(alpha=0.002, beta=0.02, gamma=0.2, mode="practical")
@@ -138,8 +137,7 @@ class TestChecks:
         state = _PlacedState(L23, pts, params.beta)
         state.add_edge(0, 1, pts[0], pts[1], np.array([1.0, 0.0, 0.1]))
         # candidate curve passes within ~0.07 of the placed one, under gamma
-        w = np.array([1.0, 0.0, 0.05])
-        assert not check_gamma(L23, pts[2], pts[3], w, state, params)
+        assert code_of(state, 2, 3, [1.0, 0.0, 0.05], params) == GAMMA
 
     def test_gamma_parallel_at_double_clearance(self):
         params = EmbedParams(alpha=0.002, beta=0.02, gamma=0.05, mode="practical")
@@ -154,7 +152,7 @@ class TestChecks:
         cand = np.array([0.0, 0.1, 0]) + t[:, None] * np.array([2.0, 0, 0])
         gap = min(float(np.min(np.linalg.norm(placed - c, axis=1))) for c in cand[::100])
         assert gap == pytest.approx(0.1, abs=1e-9)
-        assert check_gamma(L23, pts[2], pts[3], w, state, params)
+        assert code_of(state, 2, 3, w, params) == 0
 
     def test_clip_produces_at_most_three_pieces(self):
         rng = np.random.default_rng(2)
@@ -162,8 +160,8 @@ class TestChecks:
             u = rng.normal(size=3)
             v = u + np.array([2.0, 0, 0]) + rng.normal(size=3) * 0.1
             w = 0.5 * (u + v) + rng.normal(size=3) * 0.2
-            pieces = _clip_curve(L23, u, v, w, 0.05)
-            assert 1 <= len(pieces) <= 6
+            pieces, rows = _clip_curves(L23, u, v, w[None, :], 0.05)
+            assert 1 <= len(pieces) <= 6 and np.all(rows == 0)
             for piece in pieces:
                 # clipped pieces stay outside both endpoint balls
                 for c in (u, v):
@@ -227,6 +225,23 @@ class TestPlacement:
                           np.random.default_rng([2, 1]), edge_limit=20)
         assert float(emb.attempts.mean()) <= 4.0
         assert verify_embedding(emb)["ok"]
+
+    def test_space_must_match_net_graph(self):
+        # curves certified in one norm but recorded under another would be
+        # re-verified in a norm placement never used
+        with pytest.raises(ValidationError):
+            place_edges(lp_space(math.inf, 3), hand_edge(), practical_params(),
+                        np.random.default_rng(0))
+
+    def test_verify_names_first_failing_condition(self):
+        # a breakpoint inside the beta ball of u fails alpha, tested first
+        emb = PolylineEmbedding(
+            netgraph=hand_edge(), params=practical_params(beta=0.02),
+            edge_list=((0, 1),), breakpoints=np.array([[0.01, 0.0, 0.0]]),
+            attempts=np.array([1]), scale=1.0)
+        rep = verify_embedding(emb)
+        assert not rep["ok"]
+        assert rep["failures"] == [{"edge": [0, 1], "failed": ["alpha"]}]
 
     def test_retry_cap_reports_tally(self):
         # an impossible gamma forces the cap: two edges sharing both
@@ -395,27 +410,126 @@ class TestMonteCarlo:
         # only the beta exclusion applies: at least 3/4 minus noise
         assert est.fraction >= 0.75 - 3 * est.half_width
 
-    def test_fast_and_scalar_paths_agree(self):
-        # the vectorized Euclidean path must match the scalar predicate
-        ng = hand_triangle()
-        emb = place_edges(L23, ng, practical_params(beta=0.05, seed=17),
-                          np.random.default_rng([17, 1]))
-        import netembed.embeddings as E
-        est_fast = estimate_suitable_fraction(emb, 2, 400,
-                                              np.random.default_rng([17, 5]))
-        orig = E._is_l2
-        E._is_l2 = lambda space: False
-        try:
-            est_slow = estimate_suitable_fraction(emb, 2, 400,
-                                                  np.random.default_rng([17, 5]))
-        finally:
-            E._is_l2 = orig
-        assert est_fast.successes == est_slow.successes
-
     def test_bad_edge_index(self, triangle_emb):
         with pytest.raises(ValidationError):
             estimate_suitable_fraction(triangle_emb, 99, 10,
                                        np.random.default_rng(0))
+
+
+L3_CUSTOM = custom_space(3, lambda x: np.sum(np.abs(x) ** 3, axis=1) ** (1 / 3),
+                         box_factor=1.0, vectorized=True)
+
+
+class TestPredicateBlocks:
+    @pytest.mark.parametrize("space", [parse_space("lp:2:3"), parse_space("lp:inf:3"),
+                                       parse_space("l1sum:lp:2:2+lp:1:1"), L3_CUSTOM],
+                             ids=["lp:2:3", "lp:inf:3", "l1sum", "custom"])
+    def test_block_codes_match_single_calls(self, space):
+        # the edge after the first vertex's star, against a prefix that
+        # holds incident and non-incident curves
+        params = practical_params(beta=0.05, seed=3)
+        ng = build_net_graph(space, 1.0, 2.0)
+        ng_unit, _ = rescaled_unit(ng)
+        j = next(k for k, (a, _) in enumerate(ng_unit.graph.edges) if a != 0) + 1
+        emb = place_edges(space, ng, params, np.random.default_rng([3, 1]),
+                          edge_limit=j + 1)
+        pts = emb.netgraph.points
+        state = _PlacedState(space, pts, params.beta)
+        for k in range(j):
+            a, b = emb.edge_list[k]
+            state.add_edge(a, b, pts[a], pts[b], emb.breakpoints[k])
+        ui, vi = emb.edge_list[j]
+        rng = np.random.default_rng(9)
+        others = [k for k in range(len(pts)) if k not in (ui, vi)]
+        far = [k for k in range(j) if ui not in emb.edge_list[k] and vi not in emb.edge_list[k]]
+        ws = np.concatenate([
+            sample_ball_many(space, 0.5 * (pts[ui] + pts[vi]), params.mu, 8, rng),
+            pts[ui] + rng.uniform(-0.03, 0.03, (4, 3)),                    # alpha
+            pts[rng.choice(others, 4)] + rng.uniform(-0.01, 0.01, (4, 3)),  # beta
+            emb.breakpoints[rng.choice(far, 4)] + rng.uniform(-1e-3, 1e-3, (4, 3))])
+        ws = ws[rng.permutation(len(ws))]
+        codes = check_breakpoints(state, ui, vi, ws, params)
+        assert set(codes.tolist()) == {0, ALPHA, BETA, GAMMA}
+        alone = [check_breakpoints(state, ui, vi, w[None, :], params)[0] for w in ws]
+        assert codes.tolist() == alone
+
+
+def _oracle_norm(p, x):
+    """The l_p norm (p = 1 or inf) of the rows of x, written out in numpy."""
+    return np.max(np.abs(x), axis=-1) if p == math.inf else np.sum(np.abs(x), axis=-1)
+
+
+def _dense_curve(u, w, v, k=300):
+    t = np.linspace(0.0, 1.0, k)[:, None]
+    return np.concatenate([u + t * (w - u), w + t * (v - w)])
+
+
+# directions across the candidate curve, which runs roughly along x
+_across = st.floats(0.0, 2 * math.pi).map(lambda a: np.array([0.0, math.cos(a), math.sin(a)]))
+
+
+class TestCertification:
+    """Whenever the predicate accepts, dense sampling of the curves shows the
+    three clearances.  Sampled distances can only overestimate the true
+    minima, so a sample under a threshold proves an uncertified accept.
+
+    The configuration is built around the candidate curve so that each
+    condition sits near its threshold: a vertex about beta from the curve,
+    a straight placed curve about gamma from it, and a placed curve at u
+    whose sphere crossing sits about alpha from the candidate's.  Scales
+    below 1 put a condition over its threshold.
+    """
+
+    PARAMS = EmbedParams(alpha=0.02, beta=0.05, gamma=0.01, mode="practical")
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(p=st.sampled_from([math.inf, 1.0]),
+           w_off=st.lists(st.floats(-0.2, 0.2), min_size=3, max_size=3),
+           y_at=st.integers(30, 570), y_dir=_across, y_scale=st.floats(0.7, 2.0),
+           c_at=st.integers(60, 540), c_dir=_across, c_scale=st.floats(0.7, 2.0),
+           a_dir=_across, a_scale=st.floats(0.7, 3.0))
+    def test_accepted_breakpoints_keep_their_clearances(
+            self, p, w_off, y_at, y_dir, y_scale, c_at, c_dir, c_scale, a_dir,
+            a_scale):
+        prm = self.PARAMS
+        alpha, beta, gamma = prm.alpha, prm.beta, prm.gamma
+        space = lp_space(p, 3)
+        u, v = np.zeros(3), np.array([2.0, 0.0, 0.0])
+        w = np.array([1.0, 0.0, 0.0]) + np.array(w_off)
+        curve = _dense_curve(u, w, v)
+        y = curve[y_at] + beta * y_scale * y_dir / _oracle_norm(p, y_dir)
+        c_off = np.array([0.0, -c_dir[2], c_dir[1]])  # across both curves
+        w2 = curve[c_at] + gamma * c_scale * c_off / _oracle_norm(p, c_off)
+        a2, b2 = w2 - c_dir, w2 + c_dir
+        e = (w - u) / _oracle_norm(p, w - u)
+        w3 = u + 0.5 * (e + (alpha / beta) * a_scale * a_dir / _oracle_norm(p, a_dir))
+        z = u + 2.0 * (w3 - u)
+        pts = np.stack([u, v, y, a2, b2, z])
+        state = _PlacedState(space, pts, beta)
+        state.add_edge(3, 4, a2, b2, w2)
+        state.add_edge(0, 5, u, z, w3)
+        code = int(check_breakpoints(state, 0, 1, w[None, :], prm)[0])
+        event(f"p={p} code={code}")
+        if code:
+            return
+        # alpha: far segments clear of the endpoint balls, crossings apart
+        assert _oracle_norm(p, _dense_curve(w, v, v) - u).min() >= beta
+        assert _oracle_norm(p, _dense_curve(u, w, w) - v).min() >= beta
+        x = u + beta * (w - u) / _oracle_norm(p, w - u)
+        x3 = u + beta * (w3 - u) / _oracle_norm(p, w3 - u)
+        assert _oracle_norm(p, x - x3) >= alpha
+        # beta: every other vertex clear of the whole curve
+        for q in pts[2:]:
+            assert _oracle_norm(p, curve - q).min() >= beta
+        # gamma: pairs with a point outside its own endpoint balls
+        out = (_oracle_norm(p, curve - u) >= beta) & (_oracle_norm(p, curve - v) >= beta)
+        for a, wp, b in ((a2, w2, b2), (u, w3, z)):
+            other = _dense_curve(a, wp, b)
+            other_out = ((_oracle_norm(p, other - a) >= beta)
+                         & (_oracle_norm(p, other - b) >= beta))
+            gaps = _oracle_norm(p, curve[:, None, :] - other[None, :, :])
+            assert gaps[out[:, None] | other_out[None, :]].min() >= gamma
 
 
 class TestSerialization:
