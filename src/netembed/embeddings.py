@@ -272,10 +272,13 @@ class _PlacedState:
         seg_wv = np.stack([w, v])
         self.segments.extend([seg_uw, seg_wv])
         self.clipped.extend(_clip_curves(self.space, u, v, w[None, :], self.beta)[0])
-        du = float(norms(self.space, (w - u)[None, :])[0])
-        dv = float(norms(self.space, (w - v)[None, :])[0])
-        self.crossings.setdefault(u_idx, []).append(u + (self.beta / du) * (w - u))
-        self.crossings.setdefault(v_idx, []).append(v + (self.beta / dv) * (w - v))
+        for idx, end, far in ((u_idx, u, v), (v_idx, v, u)):
+            out = w - end
+            dist = float(norms(self.space, out[None, :])[0])
+            if dist == 0.0:  # w on the endpoint: the curve leaves along [end, far]
+                out = far - end
+                dist = float(norms(self.space, out[None, :])[0])
+            self.crossings.setdefault(idx, []).append(end + (self.beta / dist) * out)
         self._seg_cache = None
         self._clip_cache = None
 
@@ -578,9 +581,18 @@ def mg_positions(emb: PolylineEmbedding, M: int):
     sub = subdivide(g, M)
     pos = np.empty((sub.graph.n, emb.space.dim))
     pos[:g.n] = emb.netgraph.points
+    t = np.arange(1, M) / M
     for j in range(len(emb.edge_list)):
-        for k in range(1, M):
-            pos[sub.interior_id(j, k - 1)] = emb.point_at(j, k / M)
+        # point_at(j, k/M) for every k at once, in the same operation order
+        u, w, v = emb.curve(j)
+        l1 = float(norms(emb.space, (w - u)[None, :])[0])
+        l2 = float(norms(emb.space, (v - w)[None, :])[0])
+        s = t * (l1 + l2)
+        first = s <= l1
+        lo = sub.interior_id(j, 0)
+        out = pos[lo:lo + M - 1]
+        out[first] = u + (s[first] / l1)[:, None] * (w - u)
+        out[~first] = w + ((s[~first] - l1) / l2)[:, None] * (v - w)
     return sub, pos
 
 

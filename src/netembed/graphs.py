@@ -9,7 +9,7 @@ how many pairs it actually checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,7 +26,6 @@ class Graph:
     adj: tuple
     coords: Optional[np.ndarray] = None
     labels: Optional[tuple] = None
-    _csr: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -38,17 +37,6 @@ class Graph:
 
     def degree(self, u: int) -> int:
         return len(self.adj[u])
-
-    def csr(self):
-        if self._csr is None:
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            for u in range(self.n):
-                indptr[u + 1] = indptr[u] + len(self.adj[u])
-            indices = np.empty(indptr[-1], dtype=np.int32)
-            for u in range(self.n):
-                indices[indptr[u]:indptr[u + 1]] = self.adj[u]
-            self._csr = (indptr, indices)
-        return self._csr
 
 
 def from_edges(n: int, edges, coords=None, labels=None) -> Graph:
@@ -76,27 +64,21 @@ def from_edges(n: int, edges, coords=None, labels=None) -> Graph:
 
 def bfs_from(g: Graph, source: int) -> np.ndarray:
     """Hop distances from source; -1 marks unreachable vertices."""
-    indptr, indices = g.csr()
-    dist = np.full(g.n, -1, dtype=np.int32)
+    adj = g.adj
+    dist = [-1] * g.n
     dist[source] = 0
-    frontier = np.array([source], dtype=np.int32)
+    frontier = [source]
     level = 0
-    while frontier.size:
+    while frontier:
         level += 1
-        starts = indptr[frontier]
-        ends = indptr[frontier + 1]
-        total = int(np.sum(ends - starts))
-        if total == 0:
-            break
-        nbr = np.concatenate([indices[s:e] for s, e in zip(starts, ends)]) \
-            if frontier.size > 1 else indices[starts[0]:ends[0]]
-        nbr = nbr[dist[nbr] < 0]
-        if nbr.size == 0:
-            break
-        nbr = np.unique(nbr)
-        dist[nbr] = level
-        frontier = nbr
-    return dist
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = level
+                    nxt.append(v)
+        frontier = nxt
+    return np.array(dist, dtype=np.int32)
 
 
 def bfs_apsp(g: Graph) -> np.ndarray:
@@ -119,22 +101,18 @@ def max_degree(g: Graph) -> int:
 
 
 class FiniteMetric:
-    """A finite metric exposed as lazily computed distance rows."""
+    """A finite metric exposed as distance rows, computed on each request.
+
+    Rows are not kept: the audits read each row once, so keeping the rows
+    of a large graph would only cost memory.
+    """
 
     def __init__(self, size: int, row_fn):
         self.size = size
         self._row_fn = row_fn
-        self._cache: dict[int, np.ndarray] = {}
 
     def row(self, i: int) -> np.ndarray:
-        r = self._cache.get(i)
-        if r is None:
-            r = self._row_fn(i)
-            self._cache[i] = r
-        return r
-
-    def d(self, i: int, j: int) -> float:
-        return float(self.row(i)[j])
+        return self._row_fn(i)
 
     @staticmethod
     def from_graph(g: Graph) -> "FiniteMetric":

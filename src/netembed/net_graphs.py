@@ -74,7 +74,7 @@ def rescaled_unit(ng: NetGraph) -> tuple[NetGraph, float]:
         return ng, 1.0
     net = Net(ng.net.space, ng.net.delta * scale, ng.net.r * scale,
               ng.net.points * scale, 1.0, origin_index=ng.net.origin_index)
-    g = replace(ng.graph, coords=net.points, _csr=None)
+    g = replace(ng.graph, coords=net.points)
     return NetGraph(graph=g, net=net, edge_threshold=3.0), scale
 
 

@@ -91,6 +91,20 @@ class TestSubcommands:
         phi = read(phi_path)
         assert phi["forward_ok"] and phi["inverse_ok"]
 
+    def test_audit_tg_reports_breakpoint_on_an_endpoint(self, workdir, tmp_path):
+        emb_path = tmp_path / "emb.json"
+        assert run_cli("embed", "--graph", str(workdir / "G.json"),
+                       "--mode", "practical", "--seed", "5", "--limit", "3",
+                       "-o", str(emb_path)) == 0
+        emb = read(emb_path)
+        first = emb["edges"][0]
+        first["w"] = emb["net_graph"]["net"]["points"][first["u"]]
+        emb_path.write_text(json.dumps(emb))
+        tg_path = tmp_path / "tg.json"
+        assert run_cli("audit-tg", "--embedding", str(emb_path),
+                       "--samples", "100", "-o", str(tg_path)) == 0
+        assert read(tg_path)["reverified"] is False
+
     def test_classify(self, tmp_path):
         c4 = tmp_path / "c4.json"
         c4.write_text(json.dumps(

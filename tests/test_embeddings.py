@@ -243,6 +243,22 @@ class TestPlacement:
         assert not rep["ok"]
         assert rep["failures"] == [{"edge": [0, 1], "failed": ["alpha"]}]
 
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_verify_reports_breakpoint_on_an_endpoint(self, triangle_emb, at):
+        # a stored breakpoint equal to an endpoint fails alpha; recording its
+        # sphere crossing must not divide by the zero segment length
+        g = triangle_emb.netgraph
+        breakpoints = triangle_emb.breakpoints.copy()
+        breakpoints[0] = g.points[triangle_emb.edge_list[0][at]]
+        emb = PolylineEmbedding(
+            netgraph=g, params=triangle_emb.params,
+            edge_list=triangle_emb.edge_list, breakpoints=breakpoints,
+            attempts=triangle_emb.attempts, scale=triangle_emb.scale)
+        rep = verify_embedding(emb)
+        assert not rep["ok"] and rep["edges_checked"] == 3
+        assert rep["failures"][0] == {"edge": list(emb.edge_list[0]),
+                                      "failed": ["alpha"]}
+
     def test_retry_cap_reports_tally(self):
         # an impossible gamma forces the cap: two edges sharing both
         # endpoints is not constructible, so overlap via a tiny retry cap
@@ -342,6 +358,14 @@ class TestSubdivisionPositions:
         assert norm(L23, pts[0] - w) == pytest.approx(norm(L23, pts[1] - w))
         sub, pos = mg_positions(emb, 2)
         assert np.allclose(pos[sub.interior_id(0, 0)], w, atol=1e-12)
+
+    @pytest.mark.parametrize("m_val", [1, 2, 5, 9])
+    def test_positions_match_point_at_bit_for_bit(self, ball_emb, m_val):
+        sub, pos = mg_positions(ball_emb, m_val)
+        for j in range(len(ball_emb.edge_list)):
+            for k in range(1, m_val):
+                assert np.array_equal(pos[sub.interior_id(j, k - 1)],
+                                      ball_emb.point_at(j, k / m_val))
 
     def test_requires_full_embedding(self, ball_emb):
         ng = build_net_graph(L23, 1.0, 2.0)

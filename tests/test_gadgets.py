@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netembed import (ValidationError, anchor_map,
-                      audit_anchor_map, audit_product_map, bfs_apsp,
+                      audit_anchor_map, audit_product_map, bfs_apsp, bfs_from,
                       build_gadget, build_net_graph, from_edges,
                       gadget_to_json, is_connected, lp_space, max_degree,
                       mg_positions, norm, place_edges, practical_params,
@@ -60,6 +62,34 @@ class TestSubdivide:
             d_base = bfs_apsp(g)
             d_sub = bfs_apsp(sub.graph)
             assert np.array_equal(d_sub[:n, :n], m_val * d_base)
+
+
+@st.composite
+def connected_graphs(draw):
+    n = draw(st.integers(1, 8))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # a spanning tree
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=8)))
+    return from_edges(n, sorted(edges))
+
+
+class TestSubdividedRows:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(g=connected_graphs(), m_val=st.integers(1, 6))
+    def test_closed_form_rows_equal_bfs(self, g, m_val):
+        sub = subdivide(g, m_val)
+        rows = sub.hop_metric()
+        assert rows.size == sub.graph.n
+        for i in range(sub.graph.n):
+            row = rows.row(i)
+            assert row.dtype == np.float64
+            assert np.array_equal(row, bfs_from(sub.graph, i))
+
+    def test_disconnected_base_raises(self):
+        sub = subdivide(from_edges(4, [(0, 1), (2, 3)]), 3)
+        with pytest.raises(ValidationError):
+            sub.hop_metric()
 
 
 class TestBuildGadget:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from netembed import (FiniteMetric, ValidationError, audit, audit_pair_rows,
-                      bfs_apsp, from_edges, graph_from_json, graph_to_dot,
+                      bfs_apsp, bfs_from, from_edges, graph_from_json, graph_to_dot,
                       graph_to_json, is_connected, lp_space, max_degree,
                       write_audit_csv)
 
@@ -66,6 +66,13 @@ class TestBfs:
         assert not is_connected(g)
         with pytest.raises(ValidationError):
             bfs_apsp(g)
+
+    def test_unreachable_marked_minus_one(self):
+        g = from_edges(6, [(0, 1), (1, 2), (3, 4)])
+        row = bfs_from(g, 1)
+        assert row.dtype == np.int32
+        assert row.tolist() == [1, 0, 1, -1, -1, -1]
+        assert bfs_from(g, 5).tolist() == [-1, -1, -1, -1, -1, 0]
 
     def test_against_networkx(self):
         nx = pytest.importorskip("networkx")
