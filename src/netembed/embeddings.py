@@ -17,11 +17,15 @@ of candidate breakpoints of one edge and returns the first condition each
 fails; placement passes it each draw, re-verification each stored
 breakpoint, and the Monte Carlo estimate its samples in blocks.  Every
 comparison is tolerance inflated (pass needs the constraint plus the
-tolerance), and every distance decision is certified in three steps: the
+tolerance), and every distance decision is certified in steps: the
 Euclidean closed form, screened through the space's l2 comparison factors;
-then an exact convex search, only for the pairs the screen leaves open and
-only for candidates nothing cheaper has rejected.  Floating error can
-therefore reject a usable breakpoint but never accept a bad one.
+then, only for the pairs the screen leaves open and only for candidates
+nothing cheaper has rejected, the space's distance kernel from spaces
+(exact vertex enumeration for polyhedral norms, nested ternary search for
+the rest and for the rare polyhedral pair whose enumeration was
+ill-conditioned).  Each kernel returns an attained distance and an error
+bound, so floating error can reject a usable breakpoint but never accept a
+bad one.
 """
 
 from __future__ import annotations
@@ -37,9 +41,10 @@ from .gadgets import SubdividedGraph, subdivide
 from .graphs import Graph, bfs_apsp
 from .net_graphs import (NetGraph, net_graph_from_json, net_graph_to_json,
                          rescaled_unit)
-from .spaces import (PARAM_TOL, NormedSpace, _segment_pairs_distance, norms,
-                     points_segment_distance, sample_ball_many,
-                     segment_ball_clip)
+from .spaces import (NormedSpace, _l2_point_segment, _l2_segment_segment,
+                     has_exact_kernel, norms, points_segment_distance,
+                     sample_ball_many, segment_ball_clip,
+                     segment_pairs_distance)
 
 _Z95 = 1.959963984540054
 # Monte Carlo work per predicate call, in candidate-segment and
@@ -128,47 +133,6 @@ def params_from_json(obj: dict) -> EmbedParams:
         raise ValidationError(f"malformed params JSON: {exc}") from exc
 
 
-# --- Euclidean closed forms (screening kernels) -----------------------------
-
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.einsum("...j,...j->...", x, y)
-
-
-def _l2_point_segment(p, a, b) -> np.ndarray:
-    """Euclidean distance from p to the segment [a, b], broadcasting over
-    the leading axes."""
-    d = b - a
-    t = np.clip(_dot(p - a, d) / np.maximum(_dot(d, d), 1e-300), 0.0, 1.0)
-    diff = a + t[..., None] * d - p
-    return np.sqrt(_dot(diff, diff))
-
-
-def _l2_segment_segment(a1, b1, a2, b2) -> np.ndarray:
-    """Euclidean distance between [a1, b1] and [a2, b2], broadcasting over
-    the leading axes.
-
-    The squared objective is a convex quadratic over the unit box, so the
-    minimum is either the clamped stationary point or lies on one of the
-    four box edges; all five candidates are evaluated.
-    """
-    u, v, w0 = b1 - a1, b2 - a2, a1 - a2
-    a = np.maximum(_dot(u, u), 1e-300)
-    b = _dot(v, u)
-    c = np.maximum(_dot(v, v), 1e-300)
-    d = _dot(w0, u)
-    e = _dot(v, w0)
-    safe = np.maximum(a * c - b * b, 1e-300)
-    zero, one = np.zeros_like(b), np.ones_like(b)
-    best = np.inf
-    for s, t in (((b * e - c * d) / safe, (a * e - b * d) / safe),
-                 (zero, e / c), (one, (e + b) / c),
-                 (-d / a, zero), ((b - d) / a, one)):
-        diff = (w0 + np.clip(s, 0.0, 1.0)[..., None] * u
-                - np.clip(t, 0.0, 1.0)[..., None] * v)
-        best = np.minimum(best, _dot(diff, diff))
-    return np.sqrt(best)
-
-
 # --- certified clearance -------------------------------------------------------
 
 def _clear(space: NormedSpace, l2: np.ndarray, owner: np.ndarray, m: int,
@@ -204,35 +168,37 @@ def _clear(space: NormedSpace, l2: np.ndarray, owner: np.ndarray, m: int,
 def _points_clear(space: NormedSpace, pts, a, b, need: float) -> np.ndarray:
     """Per candidate i, True when every point pts[i, j] is at norm distance
     >= need from the segment [a[i, j], b[i, j]]; the three arrays broadcast
-    to (m, k, dim)."""
+    to (m, k, dim).  Spaces with an exact kernel fall back on the ternary
+    search for candidates it leaves undecided."""
     pts, a, b = np.broadcast_arrays(pts, a, b)
     m, k, n = pts.shape
     pts, a, b = (x.reshape(-1, n) for x in (pts, a, b))
 
-    def search(idx):
-        vals, _ = points_segment_distance(space, pts[idx], a[idx], b[idx])
-        return vals, norms(space, b[idx] - a[idx]) * 6 * PARAM_TOL
+    def search(exact):
+        def run(idx):
+            return points_segment_distance(space, pts[idx], a[idx], b[idx], exact)
+        return run
 
+    chain = (search(True), search(False)) if has_exact_kernel(space) else (search(False),)
     return _clear(space, _l2_point_segment(pts, a, b),
-                  np.repeat(np.arange(m), k), m, need, (search,))
+                  np.repeat(np.arange(m), k), m, need, chain)
 
 
 def _segments_clear(space: NormedSpace, p: np.ndarray, q: np.ndarray,
                     owner: np.ndarray, m: int, need: float) -> np.ndarray:
     """Per candidate, True when every segment pair (p[k], q[k]) it owns is
-    at norm distance >= need.  The nested search runs at 22 iterations and
-    again at 52 for candidates that 22 leaves undecided."""
+    at norm distance >= need.  The exact kernel runs first where the space
+    has one; then the nested search at 22 iterations, and again at 52 for
+    candidates that 22 leaves undecided."""
     def search(iters):
         def run(idx):
-            vals = _segment_pairs_distance(space, p[idx, 0], p[idx, 1],
-                                           q[idx, 0], q[idx, 1], iters)
-            lens = (norms(space, p[idx, 1] - p[idx, 0])
-                    + norms(space, q[idx, 1] - q[idx, 0]))
-            return vals, lens * ((2.0 / 3.0) ** iters + 4 * PARAM_TOL)
+            return segment_pairs_distance(space, p[idx, 0], p[idx, 1],
+                                          q[idx, 0], q[idx, 1], iters)
         return run
 
+    chain = (search(None),) if has_exact_kernel(space) else ()
     return _clear(space, _l2_segment_segment(p[:, 0], p[:, 1], q[:, 0], q[:, 1]),
-                  owner, m, need, (search(22), search(52)))
+                  owner, m, need, chain + (search(22), search(52)))
 
 
 # --- placement state ---------------------------------------------------------
@@ -427,6 +393,7 @@ class ThickenedGraph:
         self.graph = graph
         self.edge_list = tuple(graph.edges)
         self.hops = bfs_apsp(graph).astype(np.float64)
+        self.ends = np.array(self.edge_list, dtype=np.int64).reshape(-1, 2)
         self._incident = {}
         for j, (a, b) in enumerate(self.edge_list):
             self._incident.setdefault(a, (j, 0.0))
@@ -437,13 +404,21 @@ class ThickenedGraph:
         return TGPoint(j, t)
 
     def distance(self, p: TGPoint, q: TGPoint) -> float:
-        if not (0.0 <= p.t <= 1.0 and 0.0 <= q.t <= 1.0):
+        return float(self.distances(np.array([p.edge]), np.array([p.t]),
+                                    np.array([q.edge]), np.array([q.t]))[0])
+
+    def distances(self, e1, t1, e2, t2) -> np.ndarray:
+        """Distances between the points (e1[k], t1[k]) and (e2[k], t2[k]):
+        the best of the four routes through the edges' endpoints, and the
+        direct route along a shared edge."""
+        t1, t2 = np.asarray(t1, dtype=np.float64), np.asarray(t2, dtype=np.float64)
+        if not (np.all((0.0 <= t1) & (t1 <= 1.0)) and np.all((0.0 <= t2) & (t2 <= 1.0))):
             raise ValidationError("TG parameter must lie in [0, 1]")
-        (pu, pv), (qu, qv) = self.edge_list[p.edge], self.edge_list[q.edge]
-        best = abs(p.t - q.t) if p.edge == q.edge else math.inf
-        for off_p, end_p in ((p.t, pu), (1.0 - p.t, pv)):
-            for off_q, end_q in ((q.t, qu), (1.0 - q.t, qv)):
-                best = min(best, off_p + float(self.hops[end_p, end_q]) + off_q)
+        p_ends, q_ends = self.ends[e1], self.ends[e2]
+        best = np.where(np.asarray(e1) == np.asarray(e2), np.abs(t1 - t2), math.inf)
+        for off_p, end_p in ((t1, p_ends[:, 0]), (1.0 - t1, p_ends[:, 1])):
+            for off_q, end_q in ((t2, q_ends[:, 0]), (1.0 - t2, q_ends[:, 1])):
+                best = np.minimum(best, off_p + self.hops[end_p, end_q] + off_q)
         return best
 
 
@@ -489,20 +464,29 @@ class PolylineEmbedding:
 
     def point_at(self, j: int, t: float) -> np.ndarray:
         """Arclength parametrization: t in [0,1] along the two segments."""
-        u, w, v = self.curve(j)
-        if t <= 0.0:
-            return u.copy()
-        if t >= 1.0:
-            return v.copy()
-        l1 = float(norms(self.space, (w - u)[None, :])[0])
-        l2 = float(norms(self.space, (v - w)[None, :])[0])
-        s = t * (l1 + l2)
-        if s <= l1:
-            return u + (s / l1) * (w - u)
-        return w + ((s - l1) / l2) * (v - w)
+        return self.positions(np.array([j]), np.array([t], dtype=np.float64))[0]
 
-    def position(self, p: TGPoint) -> np.ndarray:
-        return self.point_at(p.edge, p.t)
+    def positions(self, edges, ts) -> np.ndarray:
+        """point_at(edges[k], ts[k]) for every k: at arclength s = t*(l1 + l2)
+        the point lies on [u, w] while s <= l1, else on [w, v]."""
+        edges, ts = np.asarray(edges), np.asarray(ts, dtype=np.float64)
+        pts, ws = self.netgraph.points, self.breakpoints
+        ends = np.array(self.edge_list, dtype=np.int64).reshape(-1, 2)
+        us, vs = pts[ends[:, 0]], pts[ends[:, 1]]
+        l1, l2 = norms(self.space, ws - us)[edges], norms(self.space, vs - ws)[edges]
+        s = ts * (l1 + l2)
+        at_u = ts <= 0.0
+        at_v = ~at_u & (ts >= 1.0)
+        first = ~at_u & ~at_v & (s <= l1)
+        second = ~(at_u | at_v | first)
+        out = np.empty((len(ts), self.space.dim))
+        out[at_u] = us[edges[at_u]]
+        out[at_v] = vs[edges[at_v]]
+        u, w = us[edges[first]], ws[edges[first]]
+        out[first] = u + (s[first] / l1[first])[:, None] * (w - u)
+        w, v = ws[edges[second]], vs[edges[second]]
+        out[second] = w + ((s[second] - l1[second]) / l2[second])[:, None] * (v - w)
+        return out
 
 
 def place_edges(space: NormedSpace, ng: NetGraph, params: EmbedParams,
@@ -579,27 +563,17 @@ def mg_positions(emb: PolylineEmbedding, M: int):
     if len(emb.edge_list) != g.edge_count:
         raise ValidationError("mg_positions needs a fully placed embedding")
     sub = subdivide(g, M)
-    pos = np.empty((sub.graph.n, emb.space.dim))
+    pos = np.empty((sub.n, emb.space.dim))
     pos[:g.n] = emb.netgraph.points
-    t = np.arange(1, M) / M
-    for j in range(len(emb.edge_list)):
-        # point_at(j, k/M) for every k at once, in the same operation order
-        u, w, v = emb.curve(j)
-        l1 = float(norms(emb.space, (w - u)[None, :])[0])
-        l2 = float(norms(emb.space, (v - w)[None, :])[0])
-        s = t * (l1 + l2)
-        first = s <= l1
-        lo = sub.interior_id(j, 0)
-        out = pos[lo:lo + M - 1]
-        out[first] = u + (s[first] / l1)[:, None] * (w - u)
-        out[~first] = w + ((s[~first] - l1) / l2)[:, None] * (v - w)
+    pos[g.n:] = emb.positions(np.repeat(np.arange(g.edge_count), M - 1),
+                              np.tile(np.arange(1, M) / M, g.edge_count))
     return sub, pos
 
 
 def subdivision_tg_points(sub: SubdividedGraph, tg: ThickenedGraph) -> list[TGPoint]:
     """The thickened-graph point carried by each subdivision vertex."""
     out = []
-    for vid in range(sub.graph.n):
+    for vid in range(sub.n):
         kind = sub.vertex_kind(vid)
         if kind[0] == "orig":
             out.append(tg.vertex_point(kind[1]))
@@ -656,17 +630,16 @@ def audit_tg(emb: PolylineEmbedding, interior_samples: int,
         k = min(4096, interior_samples - done)
         e_idx = rng.integers(0, n_edges, size=(k, 2))
         t_val = rng.uniform(0.0, 1.0, size=(k, 2))
-        for (e1, e2), (t1, t2) in zip(e_idx, t_val):
-            p, q = TGPoint(int(e1), float(t1)), TGPoint(int(e2), float(t2))
-            d_tg = tg.distance(p, q)
-            if d_tg < 1e-12:
-                continue
-            d_img = float(norms(space, (emb.position(p) - emb.position(q))[None, :])[0])
-            lip_f = max(lip_f, d_img / d_tg)
-            if d_img > 0:
-                lip_i = max(lip_i, d_tg / d_img)
-            else:
-                lip_i = math.inf
+        d_tg = tg.distances(e_idx[:, 0], t_val[:, 0], e_idx[:, 1], t_val[:, 1])
+        keep = d_tg >= 1e-12
+        d_tg = d_tg[keep]
+        e_idx, t_val = e_idx[keep], t_val[keep]
+        d_img = norms(space, emb.positions(e_idx[:, 0], t_val[:, 0])
+                      - emb.positions(e_idx[:, 1], t_val[:, 1]))
+        if d_tg.size:
+            lip_f = max(lip_f, float(np.max(d_img / d_tg)))
+            lip_i = (math.inf if np.any(d_img == 0)
+                     else max(lip_i, float(np.max(d_tg / d_img))))
         done += k
     inv_bound = 1.0 + 6.0 / emb.params.gamma
     max_len = max(emb.curve_length(j) for j in range(n_edges))

@@ -23,6 +23,7 @@ on the JSON output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,13 +43,30 @@ class SubdividedGraph:
 
     Vertex ids: 0..n-1 are the base vertices; the k-th interior vertex of
     edge j (k = 0..M-2, walking from the smaller endpoint) is
-    n + j*(M-1) + k.
+    n + j*(M-1) + k.  The Graph itself is built on first use: positions,
+    edge gaps and hop rows come from the base graph alone.
     """
 
-    graph: Graph
     base: Graph
     M: int
     edge_list: tuple
+
+    @property
+    def n(self) -> int:
+        return self.base.n + len(self.edge_list) * (self.M - 1)
+
+    @cached_property
+    def graph(self) -> Graph:
+        return from_edges(self.n, [tuple(e) for e in self.edge_ends().tolist()])
+
+    def edge_ends(self) -> np.ndarray:
+        """(len(edge_list) * M, 2) endpoints of the unit edges, path by path
+        from the smaller base endpoint."""
+        ends = np.array(self.edge_list, dtype=np.int64).reshape(-1, 2)
+        inner = self.interior_id(0, 0) + np.arange(
+            len(ends) * (self.M - 1), dtype=np.int64).reshape(len(ends), self.M - 1)
+        chain = np.concatenate([ends[:, :1], inner, ends[:, 1:]], axis=1)
+        return np.stack([chain[:, :-1], chain[:, 1:]], axis=2).reshape(-1, 2)
 
     def interior_id(self, j: int, k: int) -> int:
         return self.base.n + j * (self.M - 1) + k
@@ -89,25 +107,14 @@ class SubdividedGraph:
                 inner[j] = np.minimum(inner[j], np.abs(steps - t0))
             return np.concatenate([to_base, inner.ravel()]).astype(np.float64)
 
-        return FiniteMetric(self.graph.n, row)
+        return FiniteMetric(self.n, row)
 
 
 def subdivide(g: Graph, M: int) -> SubdividedGraph:
     """Replace each edge by a path of length M; M = 1 leaves g unchanged."""
     if M < 1:
         raise ValidationError("M must be >= 1")
-    edge_list = _sorted_edges(g)
-    edges = []
-    nxt = g.n
-    for (u, v) in edge_list:
-        if M == 1:
-            edges.append((u, v))
-            continue
-        chain = [u] + list(range(nxt, nxt + M - 1)) + [v]
-        nxt += M - 1
-        edges.extend(zip(chain, chain[1:]))
-    return SubdividedGraph(graph=from_edges(nxt, edges), base=g, M=M,
-                           edge_list=edge_list)
+    return SubdividedGraph(base=g, M=M, edge_list=_sorted_edges(g))
 
 
 @dataclass(frozen=True)
@@ -238,14 +245,14 @@ def product_positions(h: GadgetGraph, sub_positions: np.ndarray,
     """
     if h.M <= 2 * len(h.edge_list):
         raise ValidationError("need M > 2*e(base) for the product map")
-    sub = subdivide(h.base, h.M)
+    sub = SubdividedGraph(base=h.base, M=h.M, edge_list=h.edge_list)
     sub_positions = np.asarray(sub_positions, dtype=np.float64)
-    if sub_positions.shape != (sub.graph.n, space.dim):
+    if sub_positions.shape != (sub.n, space.dim):
         raise ValidationError(
             f"positions shape {sub_positions.shape} does not match the "
-            f"subdivided graph ({sub.graph.n} vertices, dim {space.dim})")
+            f"subdivided graph ({sub.n} vertices, dim {space.dim})")
 
-    ends = np.array(sub.graph.edges, dtype=np.int64).reshape(-1, 2)
+    ends = sub.edge_ends()
     edge_gaps = norms(space, sub_positions[ends[:, 0]] - sub_positions[ends[:, 1]])
     factor = float(edge_gaps.max()) if edge_gaps.size else 1.0
     pos = sub_positions / factor if factor > 1.0 else sub_positions
@@ -291,7 +298,7 @@ def audit_product_map(h: GadgetGraph, sub_positions: np.ndarray,
     pos, factor, target, sub = product_positions(h, sub_positions, space)
     scaled = sub_positions / factor
     sub_report = audit(sub.hop_metric(), FiniteMetric.from_points(space, scaled),
-                       np.arange(sub.graph.n), pair_cap=pair_cap, rng=rng)
+                       np.arange(sub.n), pair_cap=pair_cap, rng=rng)
     lip0_inv = sub_report.lip_inverse
     report = audit(FiniteMetric.from_graph(h.graph),
                    FiniteMetric.from_points(target, pos),
@@ -320,7 +327,7 @@ def verify_product_cases(h: GadgetGraph, sub_positions: np.ndarray,
     d_sub = sub.hop_metric()
     scaled = sub_positions / factor
     sub_report = audit(d_sub, FiniteMetric.from_points(space, scaled),
-                       np.arange(sub.graph.n))
+                       np.arange(sub.n))
     lip0_inv = sub_report.lip_inverse
     n_h = h.graph.n
     for w in range(n_h):

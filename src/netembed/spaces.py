@@ -4,17 +4,27 @@ Everything downstream (net construction, graph audits, polyline placement)
 funnels through the primitives here: norm evaluation, volume-uniform ball
 sampling, and distances from points and segments to segments and spheres.
 
-Proof obligation for the search routines: t -> ||a + t*(b - a) - p|| is a
-norm composed with an affine map, hence convex on [0, 1], and the
-two-parameter segment-segment objective is jointly convex for the same
-reason.  Ternary search on a convex function brackets the true minimum, so
-the minimizers below are exact up to the parameter tolerance; they are not
-unimodality heuristics.  Randomized brute-force cross-checks live in the
-test suite.
+Point-segment and segment-segment distances come from one kernel per kind
+of norm, each returning the distance (attained at a parameter in the box,
+hence an upper bound) and an error bound below it:
+
+  l2           closed forms (clamped stationary point and box edges);
+  polyhedral   l1, l-inf and l1 sums of them: t -> ||a + t*(b - a) - p|| and
+               (s, t) -> ||w + s*u - t*v|| are convex and piecewise linear,
+               linear on each cell of the arrangement of their kink lines
+               and the box lines, so the minimum sits at a vertex of that
+               arrangement; all vertices are enumerated and evaluated;
+  other        nested ternary search, exact up to the parameter tolerance
+               because the objectives are convex (a norm composed with an
+               affine map), not merely unimodal.
+
+Randomized brute-force and linear-programming cross-checks live in the test
+suite.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -29,6 +39,10 @@ from .errors import SamplingError, ValidationError
 # comparisons, never divisions).
 PARAM_TOL = 1e-9
 _TERNARY_ITERS = 52  # (2/3)**52 < 1e-9
+_EPS = float(np.finfo(np.float64).eps)
+# Candidate points per block of the polyhedral enumeration: bounds its
+# working memory however many pairs are open.
+_ENUM_POINTS = 16384
 
 
 def as_vector(coords, dim: Optional[int] = None) -> np.ndarray:
@@ -168,41 +182,220 @@ class Segment:
         return self.a + t * (self.b - self.a)
 
 
+def _norms_nd(space: NormedSpace, x: np.ndarray) -> np.ndarray:
+    """Norms over the last axis of an array of any leading shape."""
+    return norms(space, x.reshape(-1, space.dim)).reshape(x.shape[:-1])
+
+
 def _ternary_batch(f, lo: np.ndarray, hi: np.ndarray, iters: int = _TERNARY_ITERS):
     """Vectorized ternary search for a batch of convex scalar functions.
 
-    f maps a parameter array (k,) to values (k,).  Valid for convex f even
-    with flat stretches: when f(m1) <= f(m2) a minimizer lies in [lo, m2].
+    f maps a parameter array of shape (..., k) to values of the same shape,
+    element by element; both probes of a step go to f in one call.  Valid
+    for convex f even with flat stretches: when f(m1) <= f(m2) a minimizer
+    lies in [lo, m2].
     """
     for _ in range(iters):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        left = f(m1) <= f(m2)
+        f1, f2 = f(np.stack([m1, m2]))
+        left = f1 <= f2
         hi = np.where(left, m2, hi)
         lo = np.where(left, lo, m1)
     mid = 0.5 * (lo + hi)
     return mid, f(mid)
 
 
-def points_segment_distance(space: NormedSpace, pts: np.ndarray, a, b):
-    """min_t ||a + t(b-a) - p|| for each row p of pts.  Returns (dist, t).
+# --- segment kernels -------------------------------------------------------
 
-    a and b are one segment, or one segment per row of pts.
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("...j,...j->...", x, y)
+
+
+def _l2_point_segment(p, a, b) -> np.ndarray:
+    """Euclidean distance from p to the segment [a, b], broadcasting over
+    the leading axes."""
+    d = b - a
+    t = np.clip(_dot(p - a, d) / np.maximum(_dot(d, d), 1e-300), 0.0, 1.0)
+    diff = a + t[..., None] * d - p
+    return np.sqrt(_dot(diff, diff))
+
+
+def _l2_segment_segment(a1, b1, a2, b2) -> np.ndarray:
+    """Euclidean distance between [a1, b1] and [a2, b2], broadcasting over
+    the leading axes.
+
+    The squared objective is a convex quadratic over the unit box, so the
+    minimum is either the clamped stationary point or lies on one of the
+    four box edges; all five candidates are evaluated.
     """
-    pts = np.asarray(pts, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    d = np.asarray(b, dtype=np.float64) - a
+    u, v, w0 = b1 - a1, b2 - a2, a1 - a2
+    a = np.maximum(_dot(u, u), 1e-300)
+    b = _dot(v, u)
+    c = np.maximum(_dot(v, v), 1e-300)
+    d = _dot(w0, u)
+    e = _dot(v, w0)
+    safe = np.maximum(a * c - b * b, 1e-300)
+    zero, one = np.zeros_like(b), np.ones_like(b)
+    best = np.inf
+    for s, t in (((b * e - c * d) / safe, (a * e - b * d) / safe),
+                 (zero, e / c), (one, (e + b) / c),
+                 (-d / a, zero), ((b - d) / a, one)):
+        diff = (w0 + np.clip(s, 0.0, 1.0)[..., None] * u
+                - np.clip(t, 0.0, 1.0)[..., None] * v)
+        best = np.minimum(best, _dot(diff, diff))
+    return np.sqrt(best)
+
+
+@functools.lru_cache(maxsize=64)
+def _kink_rows(space: NormedSpace) -> Optional[np.ndarray]:
+    """Rows c such that the norm is linear on every region where no c.x
+    changes sign, or None when the norm is not polyhedral.
+
+    l1: e_i.  l-inf: e_i + e_j and e_i - e_j for i < j, which fix the
+    signed coordinate of largest modulus (e_1 in dimension 1).  l1 sums:
+    the parts' rows, block-diagonally.
+    """
+    if space.kind == "lp" and (space.p == 1.0 or space.dim == 1 and math.isinf(space.p)):
+        rows = np.eye(space.dim)
+    elif space.kind == "lp" and math.isinf(space.p):
+        i, j = np.triu_indices(space.dim, 1)
+        rows = np.zeros((2 * i.size, space.dim))
+        r = np.arange(i.size)
+        rows[r, i] = rows[r, j] = rows[i.size + r, i] = 1.0
+        rows[i.size + r, j] = -1.0
+    elif space.kind == "l1sum":
+        a, b = (_kink_rows(part) for part in space.parts)
+        if a is None or b is None:
+            return None
+        rows = np.zeros((len(a) + len(b), space.dim))
+        rows[:len(a), :a.shape[1]] = a
+        rows[len(a):, a.shape[1]:] = b
+    else:
+        return None
+    rows.setflags(write=False)
+    return rows
+
+
+def _is_l2(space: NormedSpace) -> bool:
+    return space.kind == "lp" and space.p == 2.0
+
+
+def has_exact_kernel(space: NormedSpace) -> bool:
+    """True for l2 and the polyhedral norms, whose segment distances are
+    computed in closed form or by vertex enumeration rather than searched."""
+    return _is_l2(space) or _kink_rows(space) is not None
+
+
+def _in_blocks(kernel, width: int, *arrays):
+    """kernel applied to row blocks of the (k, dim) arrays, each block
+    enumerating at most _ENUM_POINTS candidates of `width` per row; the
+    kernel's output arrays are concatenated."""
+    k = arrays[0].shape[0]
+    step = max(1, _ENUM_POINTS // width)
+    if k <= step:
+        return kernel(*arrays)
+    outs = [kernel(*(x[lo:lo + step] for x in arrays)) for lo in range(0, k, step)]
+    return tuple(np.concatenate(parts) for parts in zip(*outs))
+
+
+def _polyhedral_points_segment(space: NormedSpace, x0, d):
+    """min over t in [0,1] of ||x0 + t*d|| per row, for a polyhedral norm:
+    the minimum sits at t = 0, t = 1 or a kink t = -c.x0 / c.d.  Returns
+    (vals, ill): ill marks rows whose kink in or near [0, 1] could not be
+    located to PARAM_TOL in floating point."""
+    rows = _kink_rows(space)
+    num, den = -(x0 @ rows.T), d @ rows.T
+    scale = (np.abs(x0) + np.abs(d)) @ np.abs(rows).T  # rounding scale of num, den
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = num / den
+        est = 4 * _EPS * (2 * scale / np.abs(den) + 1)  # rounding of t if t in [0, 1]
+    kink = den != 0
+    off = np.maximum(np.maximum(-t, t - 1.0), 0.0)
+    ill = np.any(kink & (off <= est) & (est > PARAM_TOL), axis=1)
+    k = len(x0)
+    cand = np.concatenate([np.where(kink, np.clip(t, 0.0, 1.0), 0.0),
+                           np.zeros((k, 1)), np.ones((k, 1))], axis=1)
+    vals = _norms_nd(space, x0[:, None] + cand[..., None] * d[:, None]).min(axis=1)
+    return vals, ill
+
+
+# Box lines s = 0, s = 1, t = 0, t = 1 as A*s + B*t = C.
+_BOX_A = np.array([1.0, 1.0, 0.0, 0.0])
+_BOX_B = np.array([0.0, 0.0, 1.0, 1.0])
+_BOX_C = np.array([0.0, 1.0, 0.0, 1.0])
+
+
+def _polyhedral_segment_pairs(space: NormedSpace, w, u, v):
+    """min over (s, t) in [0,1]^2 of ||w + s*u - t*v|| per row, for a
+    polyhedral norm.
+
+    The objective is linear on each cell of the arrangement of the kink
+    lines c.(w + s*u - t*v) = 0 and the four box lines, so its minimum over
+    the box sits at an intersection of two of these lines inside the box.
+    Every intersection is solved by Cramer's rule, clipped to the box and
+    evaluated.  Lines that are exactly parallel in floating point are
+    skipped: lines that close to parallel meet at a kink that barely bends
+    the objective along them.  Returns (vals, ill): ill marks rows where an
+    intersection in or near the box could not be located to PARAM_TOL, from
+    a first-order bound on the rounding of the coefficients and the solve.
+    """
+    rows = _kink_rows(space)
+    k = len(w)
+    box = np.ones((k, 1))
+    A = np.concatenate([u @ rows.T, box * _BOX_A], axis=1)
+    B = np.concatenate([-(v @ rows.T), box * _BOX_B], axis=1)
+    C = np.concatenate([-(w @ rows.T), box * _BOX_C], axis=1)
+    G = np.concatenate([(np.abs(w) + np.abs(u) + np.abs(v)) @ np.abs(rows).T,
+                        np.zeros((k, 4))], axis=1)  # rounding scale; box lines exact
+    H = np.abs(A) + np.abs(B)
+    i, j = np.triu_indices(A.shape[1], 1)
+    det = A[:, i] * B[:, j] - A[:, j] * B[:, i]
+    # est bounds how far rounding moves an intersection that lies in the
+    # box; a computed point farther than est from the box lies outside it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = (C[:, i] * B[:, j] - C[:, j] * B[:, i]) / det
+        t = (A[:, i] * C[:, j] - A[:, j] * C[:, i]) / det
+        est = (8 * _EPS * (H[:, i] * G[:, j] + H[:, j] * G[:, i] + H[:, i] * H[:, j])
+               / np.abs(det))
+    meet = det != 0
+    off = np.maximum(np.maximum(np.maximum(-s, s - 1.0), np.maximum(-t, t - 1.0)), 0.0)
+    ill = np.any(meet & (off <= est) & (est > PARAM_TOL), axis=1)
+    s = np.where(meet, np.clip(s, 0.0, 1.0), 0.0)
+    t = np.where(meet, np.clip(t, 0.0, 1.0), 0.0)
+    x = w[:, None] + s[..., None] * u[:, None] - t[..., None] * v[:, None]
+    return _norms_nd(space, x).min(axis=1), ill
+
+
+def points_segment_distance(space: NormedSpace, pts: np.ndarray, a, b,
+                            exact: bool = True):
+    """min_t ||a + t(b-a) - p|| for each row p of pts.  Returns (dist, err):
+    dist is attained, hence an upper bound, and dist - err a lower bound.
+
+    a and b are one segment, or one segment per row of pts.  l2 and the
+    polyhedral norms use their exact kernels (a polyhedral row whose kink
+    could not be located reliably gets err = inf); other norms, and every
+    norm when exact is False, use ternary search.
+    """
+    pts, a, b = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64) for x in (pts, a, b)))
+    d = b - a
+    if exact and _is_l2(space):
+        return _l2_point_segment(pts, a, b), norms(space, d) * 4 * PARAM_TOL
+    if exact and _kink_rows(space) is not None:
+        vals, ill = _in_blocks(functools.partial(_polyhedral_points_segment, space),
+                               len(_kink_rows(space)) + 2, a - pts, d)
+        return vals, np.where(ill, np.inf, norms(space, d) * 4 * PARAM_TOL)
 
     def f(tvals):
-        return norms(space, a + tvals[:, None] * d - pts)
+        return _norms_nd(space, a + tvals[..., None] * d - pts)
 
     m = pts.shape[0]
-    t, val = _ternary_batch(f, np.zeros(m), np.ones(m))
-    return val, t
+    _, val = _ternary_batch(f, np.zeros(m), np.ones(m))
+    return val, norms(space, d) * 6 * PARAM_TOL
 
 
 def point_segment_distance(space: NormedSpace, p, s: Segment) -> float:
-    """Distance from a point to a segment, exact up to PARAM_TOL in the parameter."""
+    """Distance from a point to a segment (see points_segment_distance)."""
     p = as_vector(p, space.dim)
     val, _ = points_segment_distance(space, p[None, :], s.a, s.b)
     return float(val[0])
@@ -211,7 +404,8 @@ def point_segment_distance(space: NormedSpace, p, s: Segment) -> float:
 def _segment_pairs_distance(space: NormedSpace, a1, b1, a2, b2,
                             iters: int = _TERNARY_ITERS) -> np.ndarray:
     """min over (s, t) in [0,1]^2 of ||a1 + s(b1-a1) - a2 - t(b2-a2)||, row
-    by row for segments given as (k, dim) endpoint arrays.
+    by row for segments given as (k, dim) endpoint arrays, by nested
+    ternary search.
 
     The objective is jointly convex, so the partial minimum over t is convex
     in s and nested ternary search is exact up to (2/3)**iters in each
@@ -219,23 +413,47 @@ def _segment_pairs_distance(space: NormedSpace, a1, b1, a2, b2,
     """
     d1 = b1 - a1
     d2 = b2 - a2
-    k = a1.shape[0]
 
     def g(svals):
-        pts = a1 + svals[:, None] * d1
-        _, val = _ternary_batch(lambda t: norms(space, a2 + t[:, None] * d2 - pts),
-                                np.zeros(k), np.ones(k), iters)
+        pts = a1 + svals[..., None] * d1
+        _, val = _ternary_batch(lambda t: _norms_nd(space, a2 + t[..., None] * d2 - pts),
+                                np.zeros_like(svals), np.ones_like(svals), iters)
         return val
 
+    k = a1.shape[0]
     _, val = _ternary_batch(g, np.zeros(k), np.ones(k), iters)
     return val
 
 
+def segment_pairs_distance(space: NormedSpace, a1, b1, a2, b2,
+                           iters: Optional[int] = None):
+    """Distances between the segments [a1[k], b1[k]] and [a2[k], b2[k]]
+    row by row, as (dist, err): dist is attained, hence an upper bound, and
+    dist - err a lower bound.
+
+    With iters None, l2 and the polyhedral norms use their exact kernels
+    (a polyhedral pair with an intersection that could not be located
+    reliably gets err = inf) and other norms the nested search at full
+    precision; iters forces the nested search with that many iterations.
+    """
+    lens = norms(space, b1 - a1) + norms(space, b2 - a2)
+    if iters is None and _is_l2(space):
+        return _l2_segment_segment(a1, b1, a2, b2), lens * 4 * PARAM_TOL
+    if iters is None and _kink_rows(space) is not None:
+        lines = len(_kink_rows(space)) + 4
+        vals, ill = _in_blocks(functools.partial(_polyhedral_segment_pairs, space),
+                               lines * (lines - 1) // 2, a1 - a2, b1 - a1, b2 - a2)
+        return vals, np.where(ill, np.inf, lens * 4 * PARAM_TOL)
+    iters = _TERNARY_ITERS if iters is None else iters
+    vals = _segment_pairs_distance(space, a1, b1, a2, b2, iters)
+    return vals, lens * ((2.0 / 3.0) ** iters + 4 * PARAM_TOL)
+
+
 def segment_segment_distance(space: NormedSpace, s1: Segment, s2: Segment) -> float:
-    """min over (s, t) in [0,1]^2 of ||s1(s) - s2(t)||, by nested ternary
-    search (see _segment_pairs_distance)."""
-    return float(_segment_pairs_distance(space, s1.a[None, :], s1.b[None, :],
-                                         s2.a[None, :], s2.b[None, :])[0])
+    """min over (s, t) in [0,1]^2 of ||s1(s) - s2(t)|| (see
+    segment_pairs_distance)."""
+    return float(segment_pairs_distance(space, s1.a[None, :], s1.b[None, :],
+                                        s2.a[None, :], s2.b[None, :])[0][0])
 
 
 def sphere_segment_intersections(space: NormedSpace, center, radius: float,
@@ -252,7 +470,7 @@ def sphere_segment_intersections(space: NormedSpace, center, radius: float,
     a = s.a
 
     def f(tvals):
-        return norms(space, a + tvals[:, None] * (s.b - a) - center)
+        return _norms_nd(space, a + tvals[..., None] * (s.b - a) - center)
 
     def f1(t):
         return float(f(np.array([t]))[0])

@@ -14,6 +14,7 @@ from netembed import (EmbedParams, Net, PlacementError, PolylineEmbedding,
                       norm, norms, parse_space, place_edges, practical_params,
                       rescaled_unit, sample_ball_many, subdivide,
                       subdivision_tg_points, verify_embedding, wilson_interval)
+from netembed import embeddings, spaces
 from netembed.embeddings import (ALPHA, BETA, GAMMA, _clip_curves,
                                  _PlacedState, check_breakpoints)
 
@@ -259,6 +260,20 @@ class TestPlacement:
         assert rep["failures"][0] == {"edge": list(emb.edge_list[0]),
                                       "failed": ["alpha"]}
 
+    def test_linf_placement_never_runs_the_nested_search(self, monkeypatch):
+        # this prefix sends a gamma pair past the l2 screen; the exact
+        # polyhedral kernel must settle it
+        def nested(*args, **kwargs):
+            raise AssertionError("nested ternary search called")
+
+        monkeypatch.setattr(spaces, "_segment_pairs_distance", nested)
+        monkeypatch.setattr(embeddings, "_segment_pairs_distance", nested, raising=False)
+        space = parse_space("lp:inf:3")
+        ng = build_net_graph(space, 1.0, 2.0)
+        emb = place_edges(space, ng, practical_params(beta=0.05, seed=1),
+                          np.random.default_rng([1, 1]), edge_limit=45)
+        assert verify_embedding(emb)["ok"]
+
     def test_retry_cap_reports_tally(self):
         # an impossible gamma forces the cap: two edges sharing both
         # endpoints is not constructible, so overlap via a tiny retry cap
@@ -305,6 +320,23 @@ class TestThickenedMetric:
             p, q, r = pts[3 * k], pts[3 * k + 1], pts[3 * k + 2]
             assert (tg.distance(p, r)
                     <= tg.distance(p, q) + tg.distance(q, r) + 1e-9)
+
+    def test_batched_distances_match_scalar_routes(self):
+        g = build_net_graph(L23, 1.0, 2.0).graph
+        tg = ThickenedGraph(g)
+        rng = np.random.default_rng(6)
+        e = rng.integers(0, g.edge_count, (500, 2))
+        e[:50, 1] = e[:50, 0]                                   # shared edges
+        t = rng.uniform(0, 1, (500, 2))
+        t[50:60] = [[0.0, 1.0]] * 10
+        got = tg.distances(e[:, 0], t[:, 0], e[:, 1], t[:, 1])
+        for k in range(500):
+            (pu, pv), (qu, qv) = g.edges[e[k, 0]], g.edges[e[k, 1]]
+            best = abs(t[k, 0] - t[k, 1]) if e[k, 0] == e[k, 1] else math.inf
+            for off_p, end_p in ((t[k, 0], pu), (1.0 - t[k, 0], pv)):
+                for off_q, end_q in ((t[k, 1], qu), (1.0 - t[k, 1], qv)):
+                    best = min(best, off_p + float(tg.hops[end_p, end_q]) + off_q)
+            assert got[k] == best
 
     def test_parameter_range_validated(self):
         tg = ThickenedGraph(from_edges(2, [(0, 1)]))
@@ -367,6 +399,21 @@ class TestSubdivisionPositions:
                 assert np.array_equal(pos[sub.interior_id(j, k - 1)],
                                       ball_emb.point_at(j, k / m_val))
 
+    @pytest.mark.parametrize("at", ["u", "v", None])
+    def test_positions_match_scalar_arclength(self, ball_emb, at):
+        emb = ball_emb
+        if at is not None:  # a breakpoint on an endpoint: one zero-length segment
+            emb = PolylineEmbedding(**{**emb.__dict__, "breakpoints": emb.breakpoints.copy()})
+            u, v = emb.edge_list[0]
+            emb.breakpoints[0] = emb.netgraph.points[u if at == "u" else v]
+        rng = np.random.default_rng(4)
+        edges = rng.integers(0, len(emb.edge_list), 300)
+        edges[:4] = 0
+        ts = np.concatenate([[0.0, 1.0, 0.3, 0.9], rng.uniform(0, 1, 296)])
+        got = emb.positions(edges, ts)
+        for k in range(len(ts)):
+            assert np.array_equal(got[k], _scalar_point_at(emb, edges[k], ts[k]))
+
     def test_requires_full_embedding(self, ball_emb):
         ng = build_net_graph(L23, 1.0, 2.0)
         partial = place_edges(L23, ng, practical_params(beta=0.02, seed=3),
@@ -387,6 +434,21 @@ class TestSubdivisionPositions:
                 for j in range(i + 1, sub.graph.n):
                     assert hops[i, j] / m_val == pytest.approx(
                         tg.distance(marks[i], marks[j]), abs=1e-12)
+
+
+def _scalar_point_at(emb, j, t):
+    """Arclength position written out one point at a time."""
+    u, w, v = emb.curve(j)
+    if t <= 0.0:
+        return u
+    if t >= 1.0:
+        return v
+    l1 = float(norms(emb.space, (w - u)[None, :])[0])
+    l2 = float(norms(emb.space, (v - w)[None, :])[0])
+    s = t * (l1 + l2)
+    if s <= l1:
+        return u + (s / l1) * (w - u)
+    return w + ((s - l1) / l2) * (v - w)
 
 
 def _same_side(a, b, u, w, v, space):

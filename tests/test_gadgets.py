@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netembed import gadgets
 from netembed import (ValidationError, anchor_map,
                       audit_anchor_map, audit_product_map, bfs_apsp, bfs_from,
                       build_gadget, build_net_graph, from_edges,
@@ -214,6 +215,19 @@ class TestProductMap:
         for i in range(len(row) - 1):
             gap = images[int(row[i + 1])] - images[int(row[i])]
             assert norm(target, gap) == pytest.approx(1.0, abs=1e-12)
+
+    def test_builds_no_subdivided_graph(self, small_embedding, monkeypatch):
+        space, emb = small_embedding
+        g = emb.netgraph.graph
+        m_val = 2 * g.edge_count + 1
+        h = build_gadget(g, m_val)
+        sub, pos = mg_positions(emb, m_val)
+        want = product_positions(h, pos, space)
+        assert sorted(tuple(sorted(e)) for e in sub.edge_ends().tolist()) == sub.graph.edges
+        monkeypatch.setattr(gadgets, "from_edges", None)  # any Graph build fails
+        monkeypatch.setattr(gadgets, "subdivide", None)
+        got = product_positions(h, pos, space)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
     def test_audit_bounds(self, small_embedding):
         space, emb = small_embedding

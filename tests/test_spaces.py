@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from netembed import (Segment, ValidationError, custom_space, direct_sum_l1,
                       lp_space, norm, norms, parse_space,
@@ -9,6 +11,7 @@ from netembed import (Segment, ValidationError, custom_space, direct_sum_l1,
                       segment_ball_clip, segment_segment_distance,
                       space_from_json, space_to_json,
                       sphere_segment_intersections)
+from netembed.spaces import points_segment_distance, segment_pairs_distance
 
 
 def seg(a, b):
@@ -150,6 +153,126 @@ class TestSegmentSegment:
         got = segment_segment_distance(space, s1, s2)
         assert brute == pytest.approx(math.sqrt(2), abs=1e-5)
         assert got == pytest.approx(math.sqrt(2), abs=1e-8)
+
+
+# Polyhedral spaces with their norms written as blocks for the LP oracle:
+# one l-inf block shares a bound variable, l1 coordinates get one each.
+POLYHEDRAL = {f"lp:{p}:{n}": [(list(range(n)), p)] for p in ("1", "inf") for n in range(2, 6)}
+POLYHEDRAL["l1sum:lp:inf:2+lp:1:2"] = [([0, 1], "inf"), ([2, 3], "1")]
+
+
+def _lp_segment_distance(blocks, w, u, v):
+    """min over (s, t) in [0,1]^2 of ||w + s*u - t*v|| as the linear program
+    min sum(z) s.t. +-(w + s*u - t*v)_k <= z_(block of k)."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    zvar = {}
+    for coords, kind in blocks:
+        for k in coords:
+            zvar[k] = len(set(zvar.values())) if kind == "1" or k == coords[0] else zvar[coords[0]]
+    nz = len(set(zvar.values()))
+    a_ub, b_ub = [], []
+    for k in range(len(w)):
+        for sign in (1.0, -1.0):
+            row = np.zeros(2 + nz)
+            row[:2] = sign * u[k], -sign * v[k]
+            row[2 + zvar[k]] = -1.0
+            a_ub.append(row)
+            b_ub.append(-sign * w[k])
+    res = linprog(np.r_[0.0, 0.0, np.ones(nz)], A_ub=np.array(a_ub), b_ub=b_ub,
+                  bounds=[(0, 1), (0, 1)] + [(None, None)] * nz, method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def _quarters(n):
+    return st.lists(st.integers(-8, 8), min_size=n, max_size=n).map(
+        lambda x: np.array(x, dtype=float) / 4)
+
+
+def _reals(n):
+    return st.lists(st.floats(-2, 2), min_size=n, max_size=n).map(np.array)
+
+
+class TestPolyhedralKernels:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), desc=st.sampled_from(sorted(POLYHEDRAL)),
+           case=st.sampled_from(["generic", "parallel", "collinear",
+                                 "intersecting", "zero-length"]))
+    def test_segment_kernel_matches_linprog(self, data, desc, case):
+        space = parse_space(desc)
+        n = space.dim
+        vec = _reals(n) if case == "generic" else _quarters(n)
+        a1, b1, a2, b2 = (data.draw(vec) for _ in range(4))
+        lam = data.draw(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]))
+        if case == "parallel":
+            b2 = a2 + lam * (b1 - a1)
+        elif case == "collinear":
+            a2, b2 = a1 + lam * (b1 - a1), a1 + 0.75 * lam * (b1 - a1)
+        elif case == "intersecting":
+            hit = a1 + 0.5 * (b1 - a1)
+            a2, b2 = hit - 0.5 * (b2 - a2), hit + 0.5 * (b2 - a2)
+        elif case == "zero-length":
+            b1 = a1.copy()
+        want = _lp_segment_distance(POLYHEDRAL[desc], a1 - a2, b1 - a1, b2 - a2)
+        vals, err = segment_pairs_distance(space, a1[None], b1[None], a2[None], b2[None])
+        tol = 1e-9 * (1 + want)
+        event(f"{case} ill={bool(np.isinf(err[0]))}")
+        assert vals[0] >= want - tol        # attained: never below the minimum
+        assert vals[0] - err[0] <= want + tol
+        if np.isfinite(err[0]):
+            assert vals[0] <= want + tol    # exact
+        assert segment_segment_distance(space, Segment(a1, b1), Segment(a2, b2)) == vals[0]
+
+    @pytest.mark.parametrize("desc", sorted(POLYHEDRAL))
+    def test_point_kernel_matches_dense_grid(self, desc):
+        space = parse_space(desc)
+        rng = np.random.default_rng(5)
+        t = np.linspace(0, 1, 20_001)
+        for trial in range(20):
+            a, b, p = rng.normal(size=(3, space.dim)) * 2
+            if trial % 5 == 0:
+                b = a.copy()
+            brute = float(np.min(norms(space, a + t[:, None] * (b - a) - p)))
+            got, err = points_segment_distance(space, p[None], a, b)
+            grid_err = norm(space, b - a) / 20_000
+            assert np.isfinite(err[0])
+            assert brute - grid_err - 1e-12 <= got[0] <= brute + 1e-12
+
+    @pytest.mark.parametrize("desc", sorted(POLYHEDRAL))
+    def test_exact_within_nested_search_bounds(self, desc):
+        space = parse_space(desc)
+        rng = np.random.default_rng(17)
+        a1, b1, a2, b2 = rng.normal(size=(4, 40, space.dim))
+        b2[:10] = a2[:10] + 0.5 * (b1[:10] - a1[:10])          # parallel
+        exact, _ = segment_pairs_distance(space, a1, b1, a2, b2)
+        nested, err = segment_pairs_distance(space, a1, b1, a2, b2, 52)
+        assert np.all(exact <= nested + 1e-12)
+        assert np.all(exact >= nested - err)
+        exact, _ = points_segment_distance(space, a2, a1, b1)
+        nested, err = points_segment_distance(space, a2, a1, b1, exact=False)
+        assert np.all(exact <= nested + 1e-12)
+        assert np.all(exact >= nested - err)
+
+    def test_nearly_parallel_pair_is_left_to_the_nested_search(self):
+        # the kink lines of e1 + e2 and e1 - e2 meet inside the box at an
+        # angle of about 1e-11: the enumeration flags the pair, its value
+        # stays an attained upper bound
+        space = parse_space("lp:inf:3")
+        a1, b1 = np.array([[0.0, 0, 0]]), np.array([[1.0, 0.2, 0]])
+        a2, b2 = np.array([[0.0, 0, 0.5]]), np.array([[1.0, 0.2 + 1e-11, 0.5]])
+        vals, err = segment_pairs_distance(space, a1, b1, a2, b2)
+        assert np.isinf(err[0]) and vals[0] == pytest.approx(0.5, abs=1e-12)
+        nested, nested_err = segment_pairs_distance(space, a1, b1, a2, b2, 52)
+        assert np.isfinite(nested_err[0]) and nested[0] == pytest.approx(0.5, abs=1e-8)
+
+    def test_non_polyhedral_norms_keep_the_nested_search(self):
+        rng = np.random.default_rng(2)
+        a1, b1, a2, b2 = rng.normal(size=(4, 5, 3))
+        for desc in ("lp:3:3", "l1sum:lp:2:2+lp:1:1"):
+            space = parse_space(desc)
+            assert np.array_equal(segment_pairs_distance(space, a1, b1, a2, b2)[0],
+                                  segment_pairs_distance(space, a1, b1, a2, b2, 52)[0])
 
 
 class TestSphereSegment:
