@@ -124,8 +124,8 @@ def _cmd_audit_psi(args):
            "lip_inverse_bound": 1.0 / h.M}
     _dump_json(obj, args.output)
     if args.csv:
-        write_audit_csv(args.csv, FiniteMetric.from_graph(g),
-                        FiniteMetric.from_graph(h.graph), anchor_map(h))
+        write_audit_csv(args.csv, FiniteMetric.from_graph(g), h.hop_metric(),
+                        anchor_map(h))
     return 0
 
 

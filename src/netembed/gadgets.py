@@ -15,6 +15,11 @@ Two maps are audited:
                 inverse Lipschitz constant at most twice that of the
                 subdivided-graph positions.
 
+Both audits read exact hop rows of H in closed form (GadgetGraph.hop_metric):
+a fixpoint over the n*e short-path ("port") vertices, whose short paths are
+unit-step paths and whose long paths act as weight-M edges, then every
+long-path vertex from its two end ports.  No BFS runs on H.
+
 Short paths carry exactly e vertices (length e-1): a trailing unlabeled
 vertex would change no distance bound and is dropped; see the metadata flag
 on the JSON output.
@@ -29,7 +34,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
 from .graphs import (DistortionReport, FiniteMetric, Graph, audit, bfs_apsp,
-                     bfs_from, from_edges, is_connected, max_degree)
+                     from_edges, is_connected, max_degree)
 from .spaces import NormedSpace, direct_sum_l1, lp_space, norms
 
 
@@ -139,6 +144,67 @@ class GadgetGraph:
     def edge_labels(self) -> dict:
         return {e: i + 1 for i, e in enumerate(self.edge_list)}
 
+    @property
+    def n(self) -> int:
+        return self.short_ids.size + self.long_interior.size
+
+    def hop_metric(self) -> FiniteMetric:
+        """Exact hop rows of H, in closed form on the port array (no BFS on
+        H; self.graph is not read).
+
+        Distances to the ports, short_ids[u, i], form an (n, e) array.  A
+        shortest path between ports runs along short paths (unit steps) and
+        through whole long paths (M steps each), so the array is the
+        fixpoint of two relaxations: a forward and a backward min-plus sweep
+        along every short path, and a weight-M edge between the end ports
+        (a_j, j) and (b_j, j) of every long path j.  The step-t vertex of
+        long path j is then entered from a_j (t more hops) or b_j (M - t);
+        a source on path j itself also reaches it in |t - t0| hops.
+        """
+        n, e, M = self.base.n, len(self.edge_list), self.M
+        ports = n * e
+        if not (np.array_equal(self.short_ids.ravel(), np.arange(ports))
+                and np.array_equal(self.long_interior.ravel(),
+                                   ports + np.arange(self.long_interior.size))):
+            raise InternalConsistencyError("gadget ids are not in build_gadget's layout")
+        ends = np.array(self.edge_list, dtype=np.int64).reshape(-1, 2)
+        a, b, lab = ends[:, 0], ends[:, 1], np.arange(e)
+        steps = np.arange(1, M, dtype=np.float64)
+        unreached = np.iinfo(np.int64).max // 4
+
+        def sweep(d):
+            d = np.minimum.accumulate(d - lab, axis=1) + lab
+            return np.minimum.accumulate((d + lab)[:, ::-1], axis=1)[:, ::-1] - lab
+
+        def row(s):
+            d = np.full((n, e), unreached, dtype=np.int64)
+            on_path = s >= ports
+            if on_path:
+                j0, t0 = divmod(s - ports, M - 1)
+                t0 += 1
+                d[a[j0], j0], d[b[j0], j0] = t0, M - t0
+            else:
+                d[divmod(s, e)] = 0
+            while True:
+                d = sweep(d)
+                da, db = d[a, lab], d[b, lab]
+                na, nb = np.minimum(da, db + M), np.minimum(db, da + M)
+                if np.array_equal(na, da) and np.array_equal(nb, db):
+                    break
+                d[a, lab], d[b, lab] = na, nb
+            if d.max() >= unreached:
+                raise ValidationError("gadget metric requires a connected gadget")
+            out = np.empty(self.n, dtype=np.float64)
+            out[:ports] = d.ravel()
+            inner = out[ports:].reshape(e, M - 1)
+            np.add(da[:, None], steps, out=inner)
+            np.minimum(inner, db[:, None] + (M - steps), out=inner)
+            if on_path:
+                np.minimum(inner[j0], np.abs(steps - t0), out=inner[j0])
+            return out
+
+        return FiniteMetric(self.n, row)
+
 
 def build_gadget(g: Graph, M: int, psi_anchor: int = 1) -> GadgetGraph:
     """Construct the gadget; asserts max degree <= 3 and connectivity."""
@@ -192,7 +258,8 @@ def audit_anchor_map(h: GadgetGraph, enforce: bool = True) -> DistortionReport:
     e = len(h.edge_list)
     amap = anchor_map(h)
     d_g = bfs_apsp(g)
-    rows = {int(amap[u]): bfs_from(h.graph, int(amap[u])) for u in range(g.n)}
+    hops = h.hop_metric()
+    rows = {int(amap[u]): hops.row(int(amap[u])) for u in range(g.n)}
     lip_f = lip_i = 0.0
     wit_f = wit_i = (0, 1)
     pairs = 0
@@ -220,13 +287,10 @@ def _h_to_sub(h: GadgetGraph, sub: SubdividedGraph) -> np.ndarray:
     interior vertex of long path j maps to the k-th interior vertex of the
     subdivided edge j.
     """
-    n_h = h.graph.n
-    out = np.empty(n_h, dtype=np.int64)
-    for u in range(h.base.n):
-        out[h.short_ids[u]] = u
-    for j in range(len(h.edge_list)):
-        for k in range(h.M - 1):
-            out[h.long_interior[j, k]] = sub.interior_id(j, k)
+    out = np.empty(h.n, dtype=np.int64)
+    out[h.short_ids] = np.arange(h.base.n)[:, None]
+    out[h.long_interior] = sub.interior_id(0, 0) + np.arange(
+        h.long_interior.size).reshape(h.long_interior.shape)
     return out
 
 
@@ -259,15 +323,11 @@ def product_positions(h: GadgetGraph, sub_positions: np.ndarray,
     factor = factor if factor > 1.0 else 1.0
 
     mapping = _h_to_sub(h, sub)
-    n_h = h.graph.n
-    out = np.empty((n_h, space.dim + 1))
+    out = np.empty((h.n, space.dim + 1))
     out[:, :space.dim] = pos[mapping]
-    labels = np.empty(n_h)
-    for u in range(h.base.n):
-        labels[h.short_ids[u]] = np.arange(1, len(h.edge_list) + 1)
-    for j in range(len(h.edge_list)):
-        labels[h.long_interior[j]] = j + 1
-    out[:, space.dim] = labels
+    labels = np.arange(1, len(h.edge_list) + 1, dtype=np.float64)
+    out[h.short_ids, space.dim] = labels
+    out[h.long_interior, space.dim] = labels[:, None]
     return out, factor, direct_sum_l1(space, lp_space(1, 1)), sub
 
 
@@ -300,9 +360,8 @@ def audit_product_map(h: GadgetGraph, sub_positions: np.ndarray,
     sub_report = audit(sub.hop_metric(), FiniteMetric.from_points(space, scaled),
                        np.arange(sub.n), pair_cap=pair_cap, rng=rng)
     lip0_inv = sub_report.lip_inverse
-    report = audit(FiniteMetric.from_graph(h.graph),
-                   FiniteMetric.from_points(target, pos),
-                   np.arange(h.graph.n), pair_cap=pair_cap, rng=rng)
+    report = audit(h.hop_metric(), FiniteMetric.from_points(target, pos),
+                   np.arange(h.n), pair_cap=pair_cap, rng=rng)
     bound = 2.0 * lip0_inv
     return ProductAudit(
         report=report, factor=factor, lip_positions_inverse=lip0_inv,
@@ -323,16 +382,15 @@ def verify_product_cases(h: GadgetGraph, sub_positions: np.ndarray,
     """
     pos, factor, target, sub = product_positions(h, sub_positions, space)
     mapping = _h_to_sub(h, sub)
-    d_h = bfs_apsp(h.graph)
+    d_h = h.hop_metric()
     d_sub = sub.hop_metric()
     scaled = sub_positions / factor
     sub_report = audit(d_sub, FiniteMetric.from_points(space, scaled),
                        np.arange(sub.n))
     lip0_inv = sub_report.lip_inverse
-    n_h = h.graph.n
-    for w in range(n_h):
+    for w in range(h.n):
         img_d = norms(target, pos[w + 1:] - pos[w])
-        dh = d_h[w, w + 1:]
+        dh = d_h.row(w)[w + 1:]
         near = d_sub.row(int(mapping[w]))[mapping[w + 1:]] >= 0.5 * dh
         need = np.where(near, 0.5 * dh / lip0_inv * (1 - tol), 0.5 * dh * (1 - tol))
         if np.any(img_d < need):

@@ -93,6 +93,48 @@ class TestSubdividedRows:
             sub.hop_metric()
 
 
+class TestGadgetRows:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(g=connected_graphs().filter(lambda g: g.edge_count > 0),
+           m_val=st.one_of(st.integers(1, 6), st.none()))
+    def test_closed_form_rows_equal_bfs(self, g, m_val):
+        h = build_gadget(g, m_val or 2 * g.edge_count + 1)  # None: M = 2e+1
+        rows = h.hop_metric()
+        assert rows.size == h.graph.n
+        for i in range(h.graph.n):
+            row = rows.row(i)
+            assert row.dtype == np.float64
+            assert np.array_equal(row, bfs_from(h.graph, i))
+
+    def test_unreachable_raises(self, monkeypatch):
+        monkeypatch.setattr(gadgets, "is_connected", lambda g: True)
+        h = build_gadget(from_edges(4, [(0, 1), (2, 3)]), 3)
+        rows = h.hop_metric()
+        for i in (0, h.graph.n - 1):  # a port and a long-path vertex
+            with pytest.raises(ValidationError):
+                rows.row(i)
+
+    def test_audits_run_no_bfs_on_the_gadget(self, triangle_embedding, monkeypatch):
+        from netembed import graphs
+        space, emb = triangle_embedding
+        m_val = 2 * emb.netgraph.graph.edge_count + 1
+        sub, pos = mg_positions(emb, m_val)
+        h = build_gadget(emb.netgraph.graph, m_val)
+        bfs = graphs.bfs_from
+
+        def guarded(g, source):
+            if g.n == h.graph.n:
+                raise AssertionError("BFS on the gadget")
+            return bfs(g, source)
+
+        monkeypatch.setattr(graphs, "bfs_from", guarded)
+        monkeypatch.setattr(gadgets, "bfs_from", guarded, raising=False)
+        audit_anchor_map(h)
+        pa = audit_product_map(h, pos, space)
+        assert pa.forward_ok and pa.inverse_ok
+        assert verify_product_cases(h, pos, space)
+
+
 class TestBuildGadget:
     def test_k2_shape(self):
         h = build_gadget(k2(), 5)
@@ -184,7 +226,58 @@ def small_embedding():
     return space, emb
 
 
+@pytest.fixture(scope="module")
+def triangle_embedding():
+    # hand 3-point unit-scale net in l2^3, so exhaustive pair checks on its
+    # gadget stay tiny
+    from netembed import Net, net_graph_from_net
+    space = lp_space(2, 3)
+    pts = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 1.8, 0.0]])
+    ng = net_graph_from_net(Net(space, 1.0, 2.1, pts, 1.0))
+    emb = place_edges(space, ng, practical_params(beta=0.02, seed=9),
+                      np.random.default_rng([9, 1]))
+    return space, emb
+
+
+def loop_h_to_sub(h, sub):
+    """Scalar reference for gadgets._h_to_sub."""
+    out = np.empty(h.graph.n, dtype=np.int64)
+    for u in range(h.base.n):
+        out[h.short_ids[u]] = u
+    for j in range(len(h.edge_list)):
+        for k in range(h.M - 1):
+            out[h.long_interior[j, k]] = sub.interior_id(j, k)
+    return out
+
+
+def loop_labels(h):
+    """Scalar reference for the label coordinate of product_positions."""
+    labels = np.empty(h.graph.n)
+    for u in range(h.base.n):
+        labels[h.short_ids[u]] = np.arange(1, len(h.edge_list) + 1)
+    for j in range(len(h.edge_list)):
+        labels[h.long_interior[j]] = j + 1
+    return labels
+
+
 class TestProductMap:
+    @pytest.mark.parametrize("base", [k2(), k3(), star(3)], ids=["k2", "k3", "star3"])
+    @pytest.mark.parametrize("m_val", [1, 2, 5])
+    def test_vertex_map_matches_loop_reference(self, base, m_val):
+        h = build_gadget(base, m_val)
+        sub = subdivide(base, m_val)
+        assert np.array_equal(gadgets._h_to_sub(h, sub), loop_h_to_sub(h, sub))
+
+    def test_labels_match_loop_reference(self, small_embedding):
+        space, emb = small_embedding
+        g = emb.netgraph.graph
+        m_val = 2 * g.edge_count + 1
+        h = build_gadget(g, m_val)
+        sub, pos = mg_positions(emb, m_val)
+        images, factor, _, _ = product_positions(h, pos, space)
+        assert np.array_equal(images[:, space.dim], loop_labels(h))
+        assert np.array_equal(images[:, :space.dim], (pos / factor)[loop_h_to_sub(h, sub)])
+
     def test_needs_large_m(self, small_embedding):
         space, emb = small_embedding
         g = emb.netgraph.graph
@@ -239,16 +332,9 @@ class TestProductMap:
         assert pa.report.exhaustive
         assert pa.forward_ok and pa.inverse_ok
 
-    def test_case_split_small_instance(self):
-        # hand 3-point unit-scale net in l2^3 so the exhaustive case check
-        # stays tiny
-        from netembed import Net, net_graph_from_net
-        space = lp_space(2, 3)
-        pts = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 1.8, 0.0]])
-        ng = net_graph_from_net(Net(space, 1.0, 2.1, pts, 1.0))
-        emb = place_edges(space, ng, practical_params(beta=0.02, seed=9),
-                          np.random.default_rng([9, 1]))
-        m_val = 2 * ng.graph.edge_count + 1
+    def test_case_split_small_instance(self, triangle_embedding):
+        space, emb = triangle_embedding
+        m_val = 2 * emb.netgraph.graph.edge_count + 1
         sub, pos = mg_positions(emb, m_val)
-        h = build_gadget(ng.graph, m_val)
+        h = build_gadget(emb.netgraph.graph, m_val)
         assert verify_product_cases(h, pos, space)
