@@ -11,8 +11,8 @@ subdivided graph lands H in the l1 sum  X + R.
 import numpy as np
 
 from netembed import (audit_anchor_map, audit_product_map, build_gadget,
-                      build_net_graph, from_edges, lp_space, max_degree,
-                      mg_positions, place_edges, practical_params, subdivide)
+                      build_net_graph, from_edges, lp_space, mg_positions,
+                      place_edges, practical_params, subdivide)
 
 k3 = from_edges(3, [(0, 1), (0, 2), (1, 2)])
 e = k3.edge_count
@@ -23,14 +23,14 @@ print("=" * 72)
 for m_val in (e, 2 * e, 10 * e, 100 * e):
     h = build_gadget(k3, m_val)
     rep = audit_anchor_map(h)
-    print(f"  M = {m_val:4d}: |V(H)| = {h.graph.n:5d}, "
-          f"max degree {max_degree(h.graph)}, "
+    print(f"  M = {m_val:4d}: |V(H)| = {h.n:5d}, "
+          f"max degree {h.max_degree()}, "
           f"anchor distortion {rep.distortion:.4f} "
           f"(forward <= 2e+M = {2 * e + m_val}, inverse <= 1/M)")
 
 print("\nSubdivision sanity: distances between original vertices scale by M")
 sub = subdivide(k3, 5)
-print(f"  K3 subdivided by 5: {sub.graph.n} vertices "
+print(f"  K3 subdivided by 5: {sub.n} vertices "
       f"(3 originals + 3 edges x 4 interior)")
 
 print("\n" + "=" * 72)
@@ -46,7 +46,7 @@ h = build_gadget(g, m_val)
 sub, pos = mg_positions(emb, m_val)
 pa = audit_product_map(h, pos, space, pair_cap=3000)
 print(f"  base graph: {g.n} vertices, {g.edge_count} edges; M = {m_val}; "
-      f"|V(H)| = {h.graph.n}")
+      f"|V(H)| = {h.n}")
 print(f"  forward Lipschitz {pa.report.lip_forward:.6f} <= 1 "
       f"(after normalization factor {pa.factor:.4f})")
 print(f"  inverse Lipschitz {pa.report.lip_inverse:.2f} <= "

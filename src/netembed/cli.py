@@ -84,11 +84,10 @@ def _cmd_graph(args):
 
 
 def _cmd_subdivide(args):
-    from .gadgets import subdivide
-    from .graphs import graph_to_json
+    from .gadgets import edges_to_json, subdivide
     g = _graph_of(_load_graph(args.graph))
     sub = subdivide(g, args.M)
-    obj = graph_to_json(sub.graph)
+    obj = edges_to_json(sub.n, sub.edge_ends())
     obj["M"] = sub.M
     obj["base_n"] = sub.base.n
     obj["edge_order"] = [[u, v] for u, v in sub.edge_list]
@@ -110,16 +109,14 @@ def _cmd_gadget(args):
 
 
 def _cmd_audit_psi(args):
-    import numpy as np
-
     from .gadgets import anchor_map, audit_anchor_map, build_gadget
-    from .graphs import FiniteMetric, max_degree, write_audit_csv
+    from .graphs import FiniteMetric, write_audit_csv
     g = _graph_of(_load_graph(args.graph))
     h = build_gadget(g, args.M)
     report = audit_anchor_map(h)
     obj = {"report": report.to_json(), "M": h.M, "edges": len(h.edge_list),
            "psi_anchor": h.psi_anchor,
-           "max_degree_H": max_degree(h.graph),
+           "max_degree_H": h.max_degree(),
            "lip_bound": 2 * len(h.edge_list) + h.M,
            "lip_inverse_bound": 1.0 / h.M}
     _dump_json(obj, args.output)
@@ -134,7 +131,7 @@ def _cmd_audit_phi(args):
     from .gadgets import audit_product_map, build_gadget
     emb = embedding_from_json(_load_json(args.embedding, "embedding"))
     g = emb.netgraph.graph
-    m_val = args.M if args.M else 2 * g.edge_count + 1
+    m_val = args.M if args.M is not None else 2 * g.edge_count + 1
     sub, pos = mg_positions(emb, m_val)
     h = build_gadget(g, m_val)
     pa = audit_product_map(h, pos, emb.space, pair_cap=args.pair_cap,
@@ -163,7 +160,7 @@ def _cmd_embed(args):
         val = getattr(args, name)
         if val is not None:
             overrides[name] = val
-    if args.retry_cap:
+    if args.retry_cap is not None:
         overrides["retry_cap"] = args.retry_cap
     if overrides:
         params = EmbedParams(**{**params.to_json(), **overrides})
@@ -207,8 +204,6 @@ def _cmd_classify(args):
 
 
 def _cmd_pipeline(args):
-    import numpy as np
-
     from .embeddings import (audit_tg, default_strict_params, embedding_to_json,
                              mg_positions, place_edges, practical_params,
                              verify_embedding)
@@ -271,8 +266,8 @@ def _cmd_pipeline(args):
                       "attempts_max": int(emb.attempts.max()),
                       "reverified": reverify["ok"],
                       "tg_audit": tg_report.to_json()},
-        "gadget": {"vertices": h.graph.n, "M": m_val,
-                   "max_degree": max_degree(h.graph),
+        "gadget": {"vertices": h.n, "M": m_val,
+                   "max_degree": h.max_degree(),
                    "psi_audit": psi_report.to_json(),
                    "psi_lip_bound": 2 * e_count + m_val,
                    "phi_audit": phi_audit.to_json()},

@@ -77,6 +77,8 @@ class EmbedParams:
             raise ValidationError("mu must be positive")
         if not (0 < self.gamma and 0 < self.alpha and 0 < self.beta):
             raise ValidationError("alpha, beta, gamma must be positive")
+        if self.retry_cap < 1:
+            raise ValidationError("retry_cap must be >= 1")
         if self.mode == "strict":
             ok = (self.alpha <= self.beta / 1232 * (1 + 1e-12)
                   and self.beta <= self.mu / 546 * (1 + 1e-12)

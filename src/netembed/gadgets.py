@@ -15,8 +15,11 @@ Two maps are audited:
                 inverse Lipschitz constant at most twice that of the
                 subdivided-graph positions.
 
-Both audits read exact hop rows of H in closed form (GadgetGraph.hop_metric):
-a fixpoint over the n*e short-path ("port") vertices, whose short paths are
+H is (base, M, psi_anchor) plus one id layout: the n*e short-path ("port")
+vertices, then the long-path interiors.  Ids, unit edges, the degree check
+and the JSON edge listing derive from that layout; H's adjacency Graph is
+built only on demand.  Both audits read exact hop rows of H in closed form
+(GadgetGraph.hop_metric): a fixpoint over the ports, whose short paths are
 unit-step paths and whose long paths act as weight-M edges, then every
 long-path vertex from its two end ports.  No BFS runs on H.
 
@@ -34,12 +37,25 @@ import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
 from .graphs import (DistortionReport, FiniteMetric, Graph, audit, bfs_apsp,
-                     from_edges, is_connected, max_degree)
+                     from_edges, graph_to_json, is_connected)
 from .spaces import NormedSpace, direct_sum_l1, lp_space, norms
 
 
 def _sorted_edges(g: Graph) -> tuple:
     return tuple(g.edges)  # already (u, v) with u < v, lexicographic
+
+
+def _chain_edges(*columns) -> np.ndarray:
+    """Unit edges between neighbours along each row of np.hstack(columns),
+    row by row: one path per row."""
+    chain = np.hstack(columns)
+    return np.stack([chain[:, :-1], chain[:, 1:]], axis=2).reshape(-1, 2)
+
+
+def edges_to_json(n: int, ends: np.ndarray) -> dict:
+    """graph_to_json's {"n", "edges"} listing, without building the graph."""
+    ends = np.sort(ends, axis=1)
+    return {"n": n, "edges": ends[np.lexsort(ends.T[::-1])].tolist()}
 
 
 @dataclass(frozen=True)
@@ -68,10 +84,8 @@ class SubdividedGraph:
         """(len(edge_list) * M, 2) endpoints of the unit edges, path by path
         from the smaller base endpoint."""
         ends = np.array(self.edge_list, dtype=np.int64).reshape(-1, 2)
-        inner = self.interior_id(0, 0) + np.arange(
-            len(ends) * (self.M - 1), dtype=np.int64).reshape(len(ends), self.M - 1)
-        chain = np.concatenate([ends[:, :1], inner, ends[:, 1:]], axis=1)
-        return np.stack([chain[:, :-1], chain[:, 1:]], axis=2).reshape(-1, 2)
+        inner = self.base.n + np.arange(self.n - self.base.n).reshape(len(ends), self.M - 1)
+        return _chain_edges(ends[:, :1], inner, ends[:, 1:])
 
     def interior_id(self, j: int, k: int) -> int:
         return self.base.n + j * (self.M - 1) + k
@@ -126,27 +140,45 @@ def subdivide(g: Graph, M: int) -> SubdividedGraph:
 class GadgetGraph:
     """Maximum-degree-3 expansion of a base graph.
 
-    short_ids[u, i] is the short-path vertex of base vertex u carrying label
-    i+1; long_interior[j] lists the interior vertices of long path j walking
-    from the smaller endpoint.  psi_anchor is the label whose short-path
-    vertices serve as images of the base vertices (default 1).
+    Vertex ids: short_ids[u, i] = u*e + i is the short-path vertex of base
+    vertex u carrying label i+1; long_interior[j, k] = n*e + j*(M-1) + k is
+    the k-th interior vertex of long path j from its smaller end.
+    psi_anchor is the label whose short-path vertices serve as images of
+    the base vertices (default 1).  The Graph is built on first use only.
     """
 
-    graph: Graph
     base: Graph
     M: int
     edge_list: tuple
-    short_ids: np.ndarray
-    long_interior: np.ndarray
     psi_anchor: int = 1
 
     @property
-    def edge_labels(self) -> dict:
-        return {e: i + 1 for i, e in enumerate(self.edge_list)}
+    def n(self) -> int:
+        return (self.base.n + self.M - 1) * len(self.edge_list)
 
     @property
-    def n(self) -> int:
-        return self.short_ids.size + self.long_interior.size
+    def short_ids(self) -> np.ndarray:
+        return np.arange(self.base.n * len(self.edge_list)).reshape(self.base.n, -1)
+
+    @property
+    def long_interior(self) -> np.ndarray:
+        e = len(self.edge_list)
+        return self.base.n * e + np.arange(e * (self.M - 1)).reshape(e, self.M - 1)
+
+    @cached_property
+    def graph(self) -> Graph:
+        return from_edges(self.n, [tuple(e) for e in self.edge_ends().tolist()])
+
+    def edge_ends(self) -> np.ndarray:
+        """Endpoints of the unit edges: the short paths, then long path j as
+        subdivided edge j with its ends replaced by the ports (a_j, j), (b_j, j)."""
+        e = len(self.edge_list)
+        ends = np.array(self.edge_list, dtype=np.int64).reshape(-1, 2) * e + np.arange(e)[:, None]
+        return np.concatenate([_chain_edges(self.short_ids),
+                               _chain_edges(ends[:, :1], self.long_interior, ends[:, 1:])])
+
+    def max_degree(self) -> int:
+        return int(np.bincount(self.edge_ends().ravel(), minlength=self.n).max())
 
     def hop_metric(self) -> FiniteMetric:
         """Exact hop rows of H, in closed form on the port array (no BFS on
@@ -163,10 +195,6 @@ class GadgetGraph:
         """
         n, e, M = self.base.n, len(self.edge_list), self.M
         ports = n * e
-        if not (np.array_equal(self.short_ids.ravel(), np.arange(ports))
-                and np.array_equal(self.long_interior.ravel(),
-                                   ports + np.arange(self.long_interior.size))):
-            raise InternalConsistencyError("gadget ids are not in build_gadget's layout")
         ends = np.array(self.edge_list, dtype=np.int64).reshape(-1, 2)
         a, b, lab = ends[:, 0], ends[:, 1], np.arange(e)
         steps = np.arange(1, M, dtype=np.float64)
@@ -207,7 +235,9 @@ class GadgetGraph:
 
 
 def build_gadget(g: Graph, M: int, psi_anchor: int = 1) -> GadgetGraph:
-    """Construct the gadget; asserts max degree <= 3 and connectivity."""
+    """Construct the gadget; asserts max degree <= 3 from the edge array.
+    H is connected as the base is: long path j joins the short paths of
+    the ends of base edge j."""
     if M < 1:
         raise ValidationError("M must be >= 1")
     if not is_connected(g):
@@ -219,33 +249,15 @@ def build_gadget(g: Graph, M: int, psi_anchor: int = 1) -> GadgetGraph:
     if not (1 <= psi_anchor <= e):
         raise ValidationError(f"psi_anchor must be a label in 1..{e}")
 
-    short_ids = np.arange(g.n * e, dtype=np.int64).reshape(g.n, e)
-    long_interior = np.arange(g.n * e, g.n * e + e * (M - 1),
-                              dtype=np.int64).reshape(e, max(M - 1, 0)) \
-        if M > 1 else np.empty((e, 0), dtype=np.int64)
-    n_h = g.n * e + e * (M - 1)
-
-    edges = []
-    for u in range(g.n):
-        row = short_ids[u]
-        edges.extend(zip(row[:-1], row[1:]))
-    for j, (a, b) in enumerate(edge_list):
-        chain = [int(short_ids[a, j])] + [int(x) for x in long_interior[j]] \
-            + [int(short_ids[b, j])]
-        edges.extend(zip(chain, chain[1:]))
-    h = from_edges(n_h, edges)
-    if max_degree(h) > 3:
+    h = GadgetGraph(base=g, M=M, edge_list=edge_list, psi_anchor=psi_anchor)
+    if h.max_degree() > 3:
         raise InternalConsistencyError("gadget degree exceeded 3")
-    if not is_connected(h):
-        raise InternalConsistencyError("gadget is disconnected for a connected base")
-    return GadgetGraph(graph=h, base=g, M=M, edge_list=edge_list,
-                       short_ids=short_ids, long_interior=long_interior,
-                       psi_anchor=psi_anchor)
+    return h
 
 
 def anchor_map(h: GadgetGraph) -> np.ndarray:
     """Base vertex u -> the anchor-label vertex of u's short path."""
-    return h.short_ids[:, h.psi_anchor - 1].copy()
+    return h.short_ids[:, h.psi_anchor - 1]
 
 
 def audit_anchor_map(h: GadgetGraph, enforce: bool = True) -> DistortionReport:
@@ -254,44 +266,35 @@ def audit_anchor_map(h: GadgetGraph, enforce: bool = True) -> DistortionReport:
     Per pair: M*d_G <= d_H <= (2e + M)*d_G, hence lip <= 2e+M and inverse
     lip <= 1/M.
     """
-    g = h.base
     e = len(h.edge_list)
     amap = anchor_map(h)
-    d_g = bfs_apsp(g)
     hops = h.hop_metric()
-    rows = {int(amap[u]): hops.row(int(amap[u])) for u in range(g.n)}
-    lip_f = lip_i = 0.0
-    wit_f = wit_i = (0, 1)
-    pairs = 0
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            dh = int(rows[int(amap[u])][int(amap[v])])
-            dg = int(d_g[u, v])
-            pairs += 1
-            if enforce and not (h.M * dg <= dh <= (2 * e + h.M) * dg):
-                raise InternalConsistencyError(
-                    f"anchor-map bound failed on pair ({u},{v}): "
-                    f"d_G={dg}, d_H={dh}, M={h.M}, e={e}")
-            if dh / dg > lip_f:
-                lip_f, wit_f = dh / dg, (u, v)
-            if dg / dh > lip_i:
-                lip_i, wit_i = dg / dh, (u, v)
-    return DistortionReport(lip_f, lip_i, lip_f * lip_i, wit_f, wit_i,
-                            pairs, exhaustive=True)
+    iu, iv = np.triu_indices(h.base.n, 1)  # pairs u < v in row-major order
+    d_g = bfs_apsp(h.base)[iu, iv].astype(np.int64)
+    d_h = np.array([hops.row(int(a))[amap] for a in amap])[iu, iv].astype(np.int64)
+    bad = (h.M * d_g > d_h) | (d_h > (2 * e + h.M) * d_g)
+    if enforce and bad.any():
+        k = int(np.argmax(bad))  # the first failing pair
+        raise InternalConsistencyError(
+            f"anchor-map bound failed on pair ({iu[k]},{iv[k]}): "
+            f"d_G={d_g[k]}, d_H={d_h[k]}, M={h.M}, e={e}")
+    fwd, inv = d_h / d_g, d_g / d_h
+    kf, ki = int(np.argmax(fwd)), int(np.argmax(inv))  # first pair attaining each
+    lip_f, lip_i = float(fwd[kf]), float(inv[ki])
+    return DistortionReport(lip_f, lip_i, lip_f * lip_i, (int(iu[kf]), int(iv[kf])),
+                            (int(iu[ki]), int(iv[ki])), iu.size, exhaustive=True)
 
 
 def _h_to_sub(h: GadgetGraph, sub: SubdividedGraph) -> np.ndarray:
     """Gadget vertex -> corresponding subdivided-graph vertex.
 
-    Short-path vertices of u collapse onto the base vertex u; the k-th
-    interior vertex of long path j maps to the k-th interior vertex of the
-    subdivided edge j.
+    Short-path vertices of u collapse onto the base vertex u; long-path
+    interiors map to the subdivided-edge interiors, which both layouts
+    number path by path from the smaller end.
     """
-    out = np.empty(h.n, dtype=np.int64)
-    out[h.short_ids] = np.arange(h.base.n)[:, None]
-    out[h.long_interior] = sub.interior_id(0, 0) + np.arange(
-        h.long_interior.size).reshape(h.long_interior.shape)
-    return out
+    ports = h.short_ids.size
+    return np.concatenate([np.arange(ports) // len(h.edge_list),
+                           sub.interior_id(0, 0) + np.arange(h.n - ports)])
 
 
 def product_positions(h: GadgetGraph, sub_positions: np.ndarray,
@@ -399,14 +402,13 @@ def verify_product_cases(h: GadgetGraph, sub_positions: np.ndarray,
 
 
 def gadget_to_json(h: GadgetGraph) -> dict:
-    from .graphs import graph_to_json
     return {
-        "graph": graph_to_json(h.graph),
+        "graph": edges_to_json(h.n, h.edge_ends()),
         "base": graph_to_json(h.base),
         "M": h.M,
         "edge_order": [[u, v] for u, v in h.edge_list],
-        "short_paths": [[int(x) for x in row] for row in h.short_ids],
-        "long_paths": [[int(x) for x in row] for row in h.long_interior],
+        "short_paths": h.short_ids.tolist(),
+        "long_paths": h.long_interior.tolist(),
         "psi_anchor": h.psi_anchor,
         "metadata": {"short_path_vertices": len(h.edge_list),
                      "unlabeled_tail_dropped": True},

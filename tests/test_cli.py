@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import netembed
 from netembed.cli import main
 
 
@@ -137,7 +140,7 @@ class TestErrors:
         assert err["error"]["type"] == "validation"
 
     def test_runtime_failure_exits_3(self, workdir, tmp_path, capsys):
-        # a retry cap of zero draws cannot place anything
+        # one draw per edge cannot place every edge at these constants
         rc = run_cli("embed", "--graph", str(workdir / "G.json"),
                      "--mode", "practical", "--beta", "0.2", "--gamma", "0.19",
                      "--retry-cap", "1", "--seed", "0",
@@ -148,6 +151,25 @@ class TestErrors:
 
     def test_unknown_command_exits_2(self, capsys):
         assert run_cli("frobnicate") == 2
+
+    def test_audit_phi_explicit_m_zero_exits_2(self, workdir, tmp_path, capsys):
+        emb_path = tmp_path / "emb.json"
+        assert run_cli("embed", "--graph", str(workdir / "G.json"), "--seed", "5",
+                       "-o", str(emb_path)) == 0
+        capsys.readouterr()
+        assert run_cli("audit-phi", "--embedding", str(emb_path), "--M", "0",
+                       "-o", str(tmp_path / "phi.json")) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "validation"
+        assert not (tmp_path / "phi.json").exists()
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_embed_retry_cap_below_one_exits_2(self, workdir, tmp_path, capsys, cap):
+        assert run_cli("embed", "--graph", str(workdir / "G.json"), "--seed", "5",
+                       "--retry-cap", cap, "-o", str(tmp_path / "emb.json")) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "validation"
+        assert "retry_cap" in err["error"]["message"]
 
 
 class TestPipeline:
@@ -176,11 +198,38 @@ class TestPipeline:
         assert d["config"]["params"]["gamma_constant"] == 1.0
 
 
+class TestNoGadgetGraph:
+    def test_commands_build_no_gadget_adjacency(self, workdir, tmp_path, monkeypatch):
+        from netembed import gadgets
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("adjacency Graph built in netembed.gadgets")
+
+        monkeypatch.setattr(gadgets, "from_edges", refuse)
+        g = str(workdir / "G.json")
+        assert run_cli("pipeline", "--space", "lp:2:3", "--delta", "1",
+                       "--r", "1.44", "--seed", "3", "--samples", "200",
+                       "--out", str(tmp_path / "run")) == 0
+        assert run_cli("gadget", "--graph", g, "--M", "12",
+                       "-o", str(tmp_path / "H.json")) == 0
+        assert run_cli("subdivide", "--graph", g, "--M", "3",
+                       "-o", str(tmp_path / "MG.json")) == 0
+        assert run_cli("audit-psi", "--graph", g, "--M", "12",
+                       "-o", str(tmp_path / "psi.json"),
+                       "--csv", str(tmp_path / "psi.csv")) == 0
+        assert run_cli("audit-phi", "--embedding", str(tmp_path / "run" / "embedding.json"),
+                       "-o", str(tmp_path / "phi.json")) == 0
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # the child imports the same netembed as this process, installed or not
+        src = str(Path(netembed.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "netembed.cli", "net", "--space", "lp:inf:2",
              "--delta", "1", "--r", "2", "-o", str(tmp_path / "n.json")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert (tmp_path / "n.json").exists()

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netembed import gadgets
-from netembed import (ValidationError, anchor_map,
+from netembed import (DistortionReport, FiniteMetric, InternalConsistencyError,
+                      ValidationError, anchor_map,
                       audit_anchor_map, audit_product_map, bfs_apsp, bfs_from,
                       build_gadget, build_net_graph, from_edges,
-                      gadget_to_json, is_connected, lp_space, max_degree,
+                      gadget_to_json, graph_to_json, is_connected, lp_space,
+                      max_degree,
                       mg_positions, norm, place_edges, practical_params,
                       product_positions, subdivide, verify_product_cases)
 
@@ -86,6 +88,7 @@ class TestSubdividedRows:
             row = rows.row(i)
             assert row.dtype == np.float64
             assert np.array_equal(row, bfs_from(sub.graph, i))
+        assert gadgets.edges_to_json(sub.n, sub.edge_ends()) == graph_to_json(sub.graph)
 
     def test_disconnected_base_raises(self):
         sub = subdivide(from_edges(4, [(0, 1), (2, 3)]), 3)
@@ -105,6 +108,10 @@ class TestGadgetRows:
             row = rows.row(i)
             assert row.dtype == np.float64
             assert np.array_equal(row, bfs_from(h.graph, i))
+        # the layout-derived listing, degree and connectivity match the graph
+        assert gadget_to_json(h)["graph"] == graph_to_json(h.graph)
+        assert h.max_degree() == max_degree(h.graph)
+        assert is_connected(h.graph)
 
     def test_unreachable_raises(self, monkeypatch):
         monkeypatch.setattr(gadgets, "is_connected", lambda g: True)
@@ -191,7 +198,58 @@ class TestBuildGadget:
         assert obj["M"] == 3
 
 
+def loop_anchor_report(h, enforce=True):
+    """Scalar pair-by-pair reference for audit_anchor_map, on full hop rows."""
+    e = len(h.edge_list)
+    amap = anchor_map(h)
+    d_g, hops = bfs_apsp(h.base), h.hop_metric()
+    d_h = {int(a): hops.row(int(a)) for a in amap}
+    lip_f = lip_i = 0.0
+    wit_f = wit_i = (0, 1)
+    pairs = 0
+    for u in range(h.base.n):
+        for v in range(u + 1, h.base.n):
+            dh, dg = int(d_h[int(amap[u])][int(amap[v])]), int(d_g[u, v])
+            pairs += 1
+            if enforce and not (h.M * dg <= dh <= (2 * e + h.M) * dg):
+                raise InternalConsistencyError(
+                    f"anchor-map bound failed on pair ({u},{v}): "
+                    f"d_G={dg}, d_H={dh}, M={h.M}, e={e}")
+            if dh / dg > lip_f:
+                lip_f, wit_f = dh / dg, (u, v)
+            if dg / dh > lip_i:
+                lip_i, wit_i = dg / dh, (u, v)
+    return DistortionReport(lip_f, lip_i, lip_f * lip_i, wit_f, wit_i,
+                            pairs, exhaustive=True)
+
+
 class TestAnchorMap:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(g=connected_graphs().filter(lambda g: g.edge_count > 0),
+           m_val=st.integers(1, 6), anchor=st.integers(1, 8))
+    def test_report_matches_loop_reference(self, g, m_val, anchor):
+        h = build_gadget(g, m_val, psi_anchor=min(anchor, g.edge_count))
+        got, want = audit_anchor_map(h), loop_anchor_report(h)
+        assert got == want
+        assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("skew, message", [
+        (lambda r: r - 1, "pair (0,1): d_G=1, d_H=2, M=3, e=3"),  # M*d_G <= d_H, by one
+        (lambda r: r * 10, "pair (0,1): d_G=1, d_H=30, M=3, e=3"),  # d_H <= (2e+M)*d_G
+    ], ids=["lower", "upper"])
+    def test_violation_reports_first_failing_pair(self, monkeypatch, skew, message):
+        h = build_gadget(star(3), 3)
+        rows = h.hop_metric()
+        skewed = FiniteMetric(rows.size, lambda i: skew(rows.row(i)))
+        monkeypatch.setattr(type(h), "hop_metric", lambda self: skewed)
+        with pytest.raises(InternalConsistencyError) as got:
+            audit_anchor_map(h)
+        with pytest.raises(InternalConsistencyError) as want:
+            loop_anchor_report(h)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == "anchor-map bound failed on " + message
+        assert audit_anchor_map(h, enforce=False) == loop_anchor_report(h, enforce=False)
+
     def test_k2_m5_distance(self):
         h = build_gadget(k2(), 5)
         amap = anchor_map(h)
