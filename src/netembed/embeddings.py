@@ -206,49 +206,36 @@ def _segments_clear(space: NormedSpace, p: np.ndarray, q: np.ndarray,
 # --- placement state ---------------------------------------------------------
 
 class _PlacedState:
-    """Segments, clipped pieces, and sphere crossings of the placed prefix."""
+    """The placed prefix, as the arrays check_breakpoints reads:
+
+      segments   (k, 2, dim)  both segments [u, w], [w, v] of each curve
+      clipped    (c, 2, dim)  the curves' pieces outside their endpoint balls
+      crossings  one (deg_so_far, dim) array per vertex: where the curves
+                 placed at it cross its beta sphere
+
+    add_edge appends one curve by concatenation."""
 
     def __init__(self, space: NormedSpace, points: np.ndarray, beta: float):
         self.space = space
         self.points = points
         self.beta = beta
-        self.segments: list[np.ndarray] = []       # full placed segments (2,n)
-        self.clipped: list[np.ndarray] = []        # pieces outside the beta balls
-        self.crossings: dict[int, list[np.ndarray]] = {}
-        self._seg_cache: Optional[np.ndarray] = None
-        self._clip_cache: Optional[np.ndarray] = None
+        self.segments = np.empty((0, 2, space.dim))
+        self.clipped = np.empty((0, 2, space.dim))
+        self.crossings = [np.empty((0, space.dim))] * len(points)
 
-    def segment_array(self) -> np.ndarray:
-        if self._seg_cache is None or self._seg_cache.shape[0] != len(self.segments):
-            self._seg_cache = (np.stack(self.segments) if self.segments
-                               else np.empty((0, 2, self.space.dim)))
-        return self._seg_cache
-
-    def clipped_array(self) -> np.ndarray:
-        if self._clip_cache is None or self._clip_cache.shape[0] != len(self.clipped):
-            self._clip_cache = (np.stack(self.clipped) if self.clipped
-                                else np.empty((0, 2, self.space.dim)))
-        return self._clip_cache
-
-    def crossing_array(self, vertex: int) -> np.ndarray:
-        pts = self.crossings.get(vertex, [])
-        return np.stack(pts) if pts else np.empty((0, self.space.dim))
-
-    def add_edge(self, u_idx: int, v_idx: int, u: np.ndarray, v: np.ndarray,
-                 w: np.ndarray) -> None:
-        seg_uw = np.stack([u, w])
-        seg_wv = np.stack([w, v])
-        self.segments.extend([seg_uw, seg_wv])
-        self.clipped.extend(_clip_curves(self.space, u, v, w[None, :], self.beta)[0])
-        for idx, end, far in ((u_idx, u, v), (v_idx, v, u)):
+    def add_edge(self, ui: int, vi: int, w: np.ndarray) -> None:
+        u, v = self.points[ui], self.points[vi]
+        self.segments = np.concatenate([self.segments, [[u, w], [w, v]]])
+        self.clipped = np.concatenate(
+            [self.clipped, _clip_curves(self.space, u, v, w[None, :], self.beta)[0]])
+        for idx, end, far in ((ui, u, v), (vi, v, u)):
             out = w - end
             dist = float(norms(self.space, out[None, :])[0])
             if dist == 0.0:  # w on the endpoint: the curve leaves along [end, far]
                 out = far - end
                 dist = float(norms(self.space, out[None, :])[0])
-            self.crossings.setdefault(idx, []).append(end + (self.beta / dist) * out)
-        self._seg_cache = None
-        self._clip_cache = None
+            self.crossings[idx] = np.concatenate(
+                [self.crossings[idx], [end + (self.beta / dist) * out]])
 
 
 def _subtract_interval(intervals, cut):
@@ -338,7 +325,7 @@ def check_breakpoints(state: _PlacedState, ui: int, vi: int, ws: np.ndarray,
     du, dv = norms(space, ws - u), norms(space, ws - v)
     code[(du <= beta + tol) | (dv <= beta + tol)] = ALPHA
     for vertex, end, dist in ((ui, u, du), (vi, v, dv)):
-        placed = state.crossing_array(vertex)
+        placed = state.crossings[vertex]
         live = np.flatnonzero(code == 0)
         if placed.shape[0] and live.size:
             x = end + (beta / dist[live])[:, None] * (ws[live] - end)
@@ -362,7 +349,7 @@ def check_breakpoints(state: _PlacedState, ui: int, vi: int, ws: np.ndarray,
                            beta + tol)
         code[live[~ok]] = BETA
 
-    placed, clipped = state.segment_array(), state.clipped_array()
+    placed, clipped = state.segments, state.clipped
     live = np.flatnonzero(code == 0)
     if placed.shape[0] and live.size:
         c = curve[live]
@@ -507,6 +494,8 @@ def place_edges(space: NormedSpace, ng: NetGraph, params: EmbedParams,
     if space.dim < 3:
         raise ValidationError("edge placement needs dimension >= 3")
     params.validate(space.dim)
+    if edge_limit is not None and edge_limit < 1:
+        raise ValidationError("edge_limit must be >= 1")
     ng_unit, scale = rescaled_unit(ng)
     pts = ng_unit.points
     edges = ng_unit.graph.edges
@@ -527,7 +516,7 @@ def place_edges(space: NormedSpace, ng: NetGraph, params: EmbedParams,
                 tally[CONDITIONS[code - 1]] += 1
                 continue
             breakpoints[j] = w[0]
-            state.add_edge(ui, vi, pts[ui], pts[vi], w[0])
+            state.add_edge(ui, vi, w[0])
             break
         else:
             raise PlacementError((ui, vi), int(attempts[j]), tally)
@@ -548,7 +537,7 @@ def verify_embedding(emb: PolylineEmbedding) -> dict:
         code = check_breakpoints(state, ui, vi, w[None, :], emb.params)[0]
         if code:
             failures.append({"edge": [ui, vi], "failed": [CONDITIONS[code - 1]]})
-        state.add_edge(ui, vi, pts[ui], pts[vi], w)
+        state.add_edge(ui, vi, w)
     return {"ok": not failures, "edges_checked": len(emb.edge_list),
             "failures": failures}
 
@@ -613,6 +602,8 @@ def audit_tg(emb: PolylineEmbedding, interior_samples: int,
     vertex pairs plus sampled interior point pairs, against the bounds
     lip <= 4 and inverse lip <= 1 + 6/gamma.
     """
+    if interior_samples < 0:
+        raise ValidationError("interior_samples must be >= 0")
     space = emb.space
     g = emb.netgraph.graph
     tg = ThickenedGraph(g)
@@ -697,7 +688,7 @@ def estimate_suitable_fraction(emb: PolylineEmbedding, edge_index: int,
     state = _PlacedState(space, pts, params.beta)
     for j in range(edge_index):
         ui, vi = emb.edge_list[j]
-        state.add_edge(ui, vi, pts[ui], pts[vi], emb.breakpoints[j])
+        state.add_edge(ui, vi, emb.breakpoints[j])
     ui, vi = emb.edge_list[edge_index]
     ws = sample_ball_many(space, 0.5 * (pts[ui] + pts[vi]), params.mu, samples, rng)
     block = max(1, _MC_PAIRS // (2 * (len(state.segments) + len(state.clipped)
@@ -737,6 +728,16 @@ def embedding_from_json(obj: dict) -> PolylineEmbedding:
         attempts = np.array([int(e["attempts"]) for e in obj["edges"]], dtype=np.int64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed embedding JSON: {exc}") from exc
+    dim = ng.space.dim
+    params.validate(dim)
+    if not edge_list or list(edge_list) != ng.graph.edges[:len(edge_list)]:
+        raise ValidationError("embedding JSON: edges must be a non-empty prefix "
+                              "of the net graph's edge list")
+    if breakpoints.shape != (len(edge_list), dim) or not np.isfinite(breakpoints).all():
+        raise ValidationError(f"embedding JSON: each edge needs a finite breakpoint "
+                              f"of dimension {dim}")
+    if (attempts < 1).any():
+        raise ValidationError("embedding JSON: attempts must be >= 1")
     return PolylineEmbedding(netgraph=ng, params=params, edge_list=edge_list,
                              breakpoints=breakpoints, attempts=attempts,
                              scale=scale)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -170,6 +171,94 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "validation"
         assert "retry_cap" in err["error"]["message"]
+
+
+@pytest.fixture(scope="module")
+def ten_edges(workdir):
+    """A 10-edge prefix embedding of the l2^3 net graph, as JSON text."""
+    path = workdir / "emb10.json"
+    assert run_cli("embed", "--graph", str(workdir / "G.json"), "--seed", "5",
+                   "--limit", "10", "-o", str(path)) == 0
+    return path.read_text()
+
+
+def _set(*path, value):
+    """An edit of the embedding JSON that sets the entry at path to value."""
+    def edit(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return edit
+
+
+def _drop_last_coordinate(obj):
+    for e in obj["edges"]:
+        e["w"] = e["w"][:-1]
+
+
+def _swap_first_edge(obj):
+    first = obj["edges"][0]
+    first["u"], first["v"] = first["v"], first["u"]
+
+
+class TestEmbeddingInput:
+    def _audit_tg_exit(self, ten_edges, tmp_path, capsys, edit):
+        obj = json.loads(ten_edges)
+        edit(obj)
+        path = tmp_path / "emb.json"
+        path.write_text(json.dumps(obj))
+        rc = run_cli("audit-tg", "--embedding", str(path), "--samples", "10",
+                     "-o", str(tmp_path / "tg.json"))
+        return rc, capsys.readouterr().err
+
+    def test_unedited_embedding_loads(self, ten_edges, tmp_path, capsys):
+        assert self._audit_tg_exit(ten_edges, tmp_path, capsys, lambda obj: None)[0] == 0
+
+    @pytest.mark.parametrize("w", [[math.nan] * 3, [1.0, math.nan, 0.0],
+                                   [math.inf, 0.0, 0.0]],
+                             ids=["all-nan", "one-nan", "inf"])
+    def test_non_finite_breakpoint_exits_2(self, ten_edges, tmp_path, capsys, w):
+        rc, err = self._audit_tg_exit(ten_edges, tmp_path, capsys,
+                                      _set("edges", 3, "w", value=w))
+        assert rc == 2
+        assert json.loads(err)["error"]["type"] == "validation"
+        assert not (tmp_path / "tg.json").exists()
+
+    @pytest.mark.parametrize("edit", [
+        _set("edges", 3, "w", value=[1.0, 0.0]),
+        _drop_last_coordinate,
+        _set("params", "alpha", value=-0.002),
+        _set("params", "gamma", value=-0.001),
+        _set("params", "mode", value="bogus"),
+        _set("edges", 0, "u", value=999),
+        _swap_first_edge,
+        _set("edges", value=[]),
+        _set("edges", 2, "attempts", value=0),
+    ], ids=["one-short-w", "all-short-w", "negative-alpha", "negative-gamma",
+            "bogus-mode", "vertex-999", "swapped-edge", "no-edges", "zero-attempts"])
+    def test_invalid_embedding_exits_2(self, ten_edges, tmp_path, capsys, edit):
+        rc, err = self._audit_tg_exit(ten_edges, tmp_path, capsys, edit)
+        assert rc == 2
+        assert json.loads(err)["error"]["type"] == "validation"
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_embed_limit_below_one_exits_2(self, workdir, tmp_path, capsys, limit):
+        assert run_cli("embed", "--graph", str(workdir / "G.json"), "--seed", "5",
+                       "--limit", limit, "-o", str(tmp_path / "emb.json")) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
+        assert not (tmp_path / "emb.json").exists()
+
+    def test_negative_samples_exit_2(self, ten_edges, tmp_path, capsys):
+        path = tmp_path / "emb.json"
+        path.write_text(ten_edges)
+        assert run_cli("audit-tg", "--embedding", str(path), "--samples", "-5",
+                       "-o", str(tmp_path / "tg.json")) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
+        assert run_cli("pipeline", "--space", "lp:2:3", "--delta", "1",
+                       "--r", "1.44", "--samples", "-5",
+                       "--out", str(tmp_path / "run")) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
+        assert not (tmp_path / "run" / "dossier.json").exists()
 
 
 class TestPipeline:

@@ -90,7 +90,7 @@ class TestChecks:
         params = EmbedParams(alpha=0.01, beta=0.1, gamma=0.001, mode="practical")
         pts = np.array([[0.0, 0, 0], [2.0, 0, 0], [-2.0, 0, 0]])
         state = _PlacedState(L23, pts, params.beta)
-        state.add_edge(0, 1, pts[0], pts[1], np.array([1.0, 0.1, 0.0]))
+        state.add_edge(0, 1, np.array([1.0, 0.1, 0.0]))
         assert code_of(state, 0, 2, [-1.0, 0.0, 0.1], params) == 0
 
     def test_alpha_duplicate_segment_fails(self):
@@ -99,7 +99,7 @@ class TestChecks:
         pts = np.array([[0.0, 0, 0], [2.0, 0, 0]])
         state = _PlacedState(L23, pts, params.beta)
         w = np.array([1.0, 0.1, 0.0])
-        state.add_edge(0, 1, pts[0], pts[1], w)
+        state.add_edge(0, 1, w)
         assert code_of(state, 0, 1, w, params) == ALPHA
 
     def test_beta_far_configuration(self):
@@ -136,7 +136,7 @@ class TestChecks:
         pts = np.array([[0.0, 0, 0], [2.0, 0, 0],
                         [1.0, -1.0, 0.05], [1.0, 1.0, 0.05]])
         state = _PlacedState(L23, pts, params.beta)
-        state.add_edge(0, 1, pts[0], pts[1], np.array([1.0, 0.0, 0.1]))
+        state.add_edge(0, 1, np.array([1.0, 0.0, 0.1]))
         # candidate curve passes within ~0.07 of the placed one, under gamma
         assert code_of(state, 2, 3, [1.0, 0.0, 0.05], params) == GAMMA
 
@@ -145,7 +145,7 @@ class TestChecks:
         pts = np.array([[0.0, 0, 0], [2.0, 0, 0],
                         [0.0, 2 * 0.05, 0], [2.0, 2 * 0.05, 0]])
         state = _PlacedState(L23, pts, params.beta)
-        state.add_edge(0, 1, pts[0], pts[1], np.array([1.0, 0.0, 0.0]))
+        state.add_edge(0, 1, np.array([1.0, 0.0, 0.0]))
         w = np.array([1.0, 2 * 0.05, 0.0])
         # brute-force the clearance between the parallel curves
         t = np.linspace(0, 1, 10_001)
@@ -523,7 +523,7 @@ class TestPredicateBlocks:
         state = _PlacedState(space, pts, params.beta)
         for k in range(j):
             a, b = emb.edge_list[k]
-            state.add_edge(a, b, pts[a], pts[b], emb.breakpoints[k])
+            state.add_edge(a, b, emb.breakpoints[k])
         ui, vi = emb.edge_list[j]
         rng = np.random.default_rng(9)
         others = [k for k in range(len(pts)) if k not in (ui, vi)]
@@ -593,8 +593,8 @@ class TestCertification:
         z = u + 2.0 * (w3 - u)
         pts = np.stack([u, v, y, a2, b2, z])
         state = _PlacedState(space, pts, beta)
-        state.add_edge(3, 4, a2, b2, w2)
-        state.add_edge(0, 5, u, z, w3)
+        state.add_edge(3, 4, w2)
+        state.add_edge(0, 5, w3)
         code = int(check_breakpoints(state, 0, 1, w[None, :], prm)[0])
         event(f"p={p} code={code}")
         if code:
