@@ -215,10 +215,20 @@ def _cmd_pipeline(args):
     from .nets import net_to_json
     from .spaces import parse_space
 
+    # every argument is checked before the first artifact is written
+    space = parse_space(args.space)
+    if args.mode == "strict":
+        params = default_strict_params(space.dim, seed=args.seed)
+    else:
+        params = practical_params(beta=args.beta, seed=args.seed)
+    params.validate(space.dim)
+    if args.samples < 0:
+        raise ValidationError("interior_samples must be >= 0")
+    if args.pair_cap < 1:
+        raise ValidationError("pair_cap must be >= 1")
+    ng = build_net_graph(space, args.delta, args.r, args.mesh)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    space = parse_space(args.space)
-    ng = build_net_graph(space, args.delta, args.r, args.mesh)
     _dump_json(net_to_json(ng.net), out / "net.json")
 
     identity = audit_identity_embedding(ng)
@@ -229,10 +239,6 @@ def _cmd_pipeline(args):
                      "degree_bound": degree_bound(ng)}
     _dump_json(gobj, out / "graph.json")
 
-    if args.mode == "strict":
-        params = default_strict_params(space.dim, seed=args.seed)
-    else:
-        params = practical_params(beta=args.beta, seed=args.seed)
     emb = place_edges(space, ng, params, _rng(args.seed, 1))
     _dump_json(embedding_to_json(emb), out / "embedding.json")
     reverify = verify_embedding(emb)

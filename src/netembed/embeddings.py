@@ -12,20 +12,29 @@ until three avoidance conditions hold against everything placed earlier:
   gamma  outside the beta-balls of the vertices, distinct curves stay at
          least gamma apart.
 
-One predicate, check_breakpoints, decides the three conditions for a block
-of candidate breakpoints of one edge and returns the first condition each
-fails; placement passes it each draw, re-verification each stored
-breakpoint, and the Monte Carlo estimate its samples in blocks.  Every
-comparison is tolerance inflated (pass needs the constraint plus the
-tolerance), and every distance decision is certified in steps: the
-Euclidean closed form, screened through the space's l2 comparison factors;
-then, only for the pairs the screen leaves open and only for candidates
-nothing cheaper has rejected, the space's distance kernel from spaces
-(exact vertex enumeration for polyhedral norms, nested ternary search for
-the rest and for the rare polyhedral pair whose enumeration was
-ill-conditioned).  Each kernel returns an attained distance and an error
-bound, so floating error can reject a usable breakpoint but never accept a
-bad one.
+One predicate, check_breakpoints, decides the three conditions for any
+number of candidate breakpoints, each naming its edge, against the curves
+of the edges before it, and returns the first condition each fails.  A
+single state serves all callers: placement appends each accepted curve and
+passes the predicate each draw; re-verification places every stored curve
+at once and checks all breakpoints in a few blocked calls, each against
+its own prefix; the Monte Carlo estimate checks all its samples the same
+way.  Every comparison is tolerance inflated (pass needs the constraint
+plus the tolerance), and every distance decision is certified in steps:
+
+  a bounding-box mask drops the pairs whose boxes sit at sup-norm gap
+  >= 2 * need / l2_lower, which the l2 screen below would settle (the
+  mask is the only work that grows with the placed prefix);
+  the Euclidean closed form, screened through the space's l2 comparison
+  factors;
+  then, only for the pairs the screen leaves open and only for candidates
+  nothing cheaper has rejected, the space's distance kernel from spaces
+  (exact vertex enumeration for polyhedral norms, nested ternary search for
+  the rest and for the rare polyhedral pair whose enumeration was
+  ill-conditioned).
+
+Each kernel returns an attained distance and an error bound, so floating
+error can reject a usable breakpoint but never accept a bad one.
 """
 
 from __future__ import annotations
@@ -47,9 +56,12 @@ from .spaces import (NormedSpace, _l2_point_segment, _l2_segment_segment,
                      segment_pairs_distance)
 
 _Z95 = 1.959963984540054
-# Monte Carlo work per predicate call, in candidate-segment and
-# candidate-vertex pairs: bounds the working memory of one call.
-_MC_PAIRS = 4096
+# Pairs per distance computation of the predicate (candidate-segment and
+# candidate-vertex pairs that pass the box masks): bounds its working memory.
+_MC_PAIRS = 2048
+# Candidate-object box tests per block of candidates, roughly: bounds the
+# memory of the box masks.
+_BOX_TESTS = 1 << 17
 
 
 # --- parameters -------------------------------------------------------------
@@ -167,23 +179,19 @@ def _clear(space: NormedSpace, l2: np.ndarray, owner: np.ndarray, m: int,
     return ok
 
 
-def _points_clear(space: NormedSpace, pts, a, b, need: float) -> np.ndarray:
-    """Per candidate i, True when every point pts[i, j] is at norm distance
-    >= need from the segment [a[i, j], b[i, j]]; the three arrays broadcast
-    to (m, k, dim).  Spaces with an exact kernel fall back on the ternary
-    search for candidates it leaves undecided."""
-    pts, a, b = np.broadcast_arrays(pts, a, b)
-    m, k, n = pts.shape
-    pts, a, b = (x.reshape(-1, n) for x in (pts, a, b))
-
+def _points_clear(space: NormedSpace, pts, a, b, owner: np.ndarray, m: int,
+                  need: float) -> np.ndarray:
+    """Per candidate, True when every point pts[k] it owns is at norm
+    distance >= need from the segment [a[k], b[k]].  Spaces with an exact
+    kernel fall back on the ternary search for candidates it leaves
+    undecided."""
     def search(exact):
         def run(idx):
             return points_segment_distance(space, pts[idx], a[idx], b[idx], exact)
         return run
 
     chain = (search(True), search(False)) if has_exact_kernel(space) else (search(False),)
-    return _clear(space, _l2_point_segment(pts, a, b),
-                  np.repeat(np.arange(m), k), m, need, chain)
+    return _clear(space, _l2_point_segment(pts, a, b), owner, m, need, chain)
 
 
 def _segments_clear(space: NormedSpace, p: np.ndarray, q: np.ndarray,
@@ -203,39 +211,101 @@ def _segments_clear(space: NormedSpace, p: np.ndarray, q: np.ndarray,
                   owner, m, need, chain + (search(22), search(52)))
 
 
+def _in_runs(counts: np.ndarray, clear) -> np.ndarray:
+    """Per-candidate verdicts, from clear(a, b) on runs of candidates a..b-1
+    (candidate k owns counts[k] pairs).  A run holds at most _MC_PAIRS pairs
+    (a candidate with more forms a run alone); a run without pairs passes
+    without a call.  Each candidate's verdict depends on its own pairs only,
+    so the runs answer as one call would."""
+    ok = np.ones(len(counts), dtype=bool)
+    ends = np.cumsum(counts)
+    a = 0
+    while a < len(counts):
+        base = ends[a - 1] if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, base + _MC_PAIRS, side="right")))
+        if ends[b - 1] > base:
+            ok[a:b] = clear(a, b)
+        a = b
+    return ok
+
+
+def _box_reach(space: NormedSpace, need: float) -> float:
+    """A sup-norm gap between bounding boxes that proves a pair clear.
+
+    Points whose coordinates differ by g somewhere are at Euclidean
+    distance >= g, so at norm distance >= l2_lower * g: at the gap
+    2 * need / l2_lower the l2 screen of _clear settles the pair with a
+    factor 2 to spare for rounding.  Infinite (nothing pruned) when the
+    space has no l2 lower factor."""
+    return 2.0 * need / space.l2_lower if space.l2_lower > 0 else math.inf
+
+
+def _box_near(x: np.ndarray, y: np.ndarray, reach: float) -> np.ndarray:
+    """(len(x), len(y)) mask, True where the bounding boxes of x[i] and y[j]
+    sit at sup-norm gap under reach.  x and y hold segments (k, 2, dim) or
+    points (k, dim)."""
+    def box(z):  # corners as (dim, k) rows, so the tests run along k
+        lo, hi = (z, z) if z.ndim == 2 else (np.minimum(z[:, 0], z[:, 1]),
+                                             np.maximum(z[:, 0], z[:, 1]))
+        return np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
+
+    (lo1, hi1), (lo2, hi2) = box(x), box(y)
+    hi1, lo1 = (hi1 + reach)[:, :, None], (lo1 - reach)[:, :, None]
+    near = lo2[0] < hi1[0]
+    for d in range(len(lo2)):  # one axis at a time: the masks stay 2-d
+        if d:
+            near &= lo2[d] < hi1[d]
+        near &= lo1[d] < hi2[d]
+    return near
+
+
 # --- placement state ---------------------------------------------------------
 
 class _PlacedState:
-    """The placed prefix, as the arrays check_breakpoints reads:
+    """The curves placed so far, in construction order, as the arrays
+    check_breakpoints reads:
 
-      segments   (k, 2, dim)  both segments [u, w], [w, v] of each curve
-      clipped    (c, 2, dim)  the curves' pieces outside their endpoint balls
-      crossings  one (deg_so_far, dim) array per vertex: where the curves
-                 placed at it cross its beta sphere
+      ends       (E, 2)       the endpoints of every edge, in construction
+                              order; curves are placed for a prefix of it
+      segments   (2k, 2, dim) both segments [u, w], [w, v] of the first k
+                              curves, curve e in rows 2e and 2e + 1
+      clipped    (c, 2, dim)  the curves' pieces outside their endpoint
+                              balls, with clip_edge (c,) the curve of each
+      crossings  (2k, dim)    where curve e crosses the beta spheres of
+                              ends[e, 0] (row 2e) and ends[e, 1] (row 2e + 1)
 
-    add_edge appends one curve by concatenation."""
+    add_edges appends the next curves in one batched step."""
 
-    def __init__(self, space: NormedSpace, points: np.ndarray, beta: float):
+    def __init__(self, space: NormedSpace, points: np.ndarray, ends, beta: float):
         self.space = space
         self.points = points
+        self.ends = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
         self.beta = beta
         self.segments = np.empty((0, 2, space.dim))
         self.clipped = np.empty((0, 2, space.dim))
-        self.crossings = [np.empty((0, space.dim))] * len(points)
+        self.clip_edge = np.empty(0, dtype=np.int64)
+        self.crossings = np.empty((0, space.dim))
 
-    def add_edge(self, ui: int, vi: int, w: np.ndarray) -> None:
+    def add_edges(self, ws: np.ndarray) -> None:
+        """Place the curves of the next len(ws) edges, w a row of ws."""
+        k, n = len(self.segments) // 2, self.space.dim
+        ui, vi = self.ends[k:k + len(ws)].T
         u, v = self.points[ui], self.points[vi]
-        self.segments = np.concatenate([self.segments, [[u, w], [w, v]]])
-        self.clipped = np.concatenate(
-            [self.clipped, _clip_curves(self.space, u, v, w[None, :], self.beta)[0]])
-        for idx, end, far in ((ui, u, v), (vi, v, u)):
-            out = w - end
-            dist = float(norms(self.space, out[None, :])[0])
-            if dist == 0.0:  # w on the endpoint: the curve leaves along [end, far]
-                out = far - end
-                dist = float(norms(self.space, out[None, :])[0])
-            self.crossings[idx] = np.concatenate(
-                [self.crossings[idx], [end + (self.beta / dist) * out]])
+        self.segments = np.concatenate(
+            [self.segments, np.stack([u, ws, ws, v], axis=1).reshape(-1, 2, n)])
+        pieces, rows = _clip_curves(self.space, u, v, ws, self.beta)
+        self.clipped = np.concatenate([self.clipped, pieces])
+        self.clip_edge = np.concatenate([self.clip_edge, k + rows])
+        cross = []
+        for end, far in ((u, v), (v, u)):
+            out = ws - end
+            dist = norms(self.space, out)
+            on = dist == 0.0  # w on the endpoint: the curve leaves along [end, far]
+            out[on] = far[on] - end[on]
+            dist[on] = norms(self.space, out[on])
+            cross.append(end + (self.beta / dist)[:, None] * out)
+        self.crossings = np.concatenate(
+            [self.crossings, np.stack(cross, axis=1).reshape(-1, n)])
 
 
 def _subtract_interval(intervals, cut):
@@ -254,8 +324,9 @@ def _subtract_interval(intervals, cut):
 
 def _clip_curves(space: NormedSpace, u: np.ndarray, v: np.ndarray,
                  ws: np.ndarray, beta: float):
-    """Pieces of the curves [u, w], [w, v] (w a row of ws) outside B(u, beta)
-    and B(v, beta), as a (k, 2, dim) array, with the row of each piece.
+    """Pieces of the curves [u, w], [w, v] outside B(u, beta) and B(v, beta),
+    for the matching rows u, w, v of u, ws and v, as a (k, 2, dim) array,
+    with the row of each piece.
 
     The beta condition keeps each curve clear of every other vertex's ball,
     so only the edge's own endpoints can clip it.  A segment leaves its own
@@ -263,29 +334,30 @@ def _clip_curves(space: NormedSpace, u: np.ndarray, v: np.ndarray,
     where the Euclidean screen cannot keep the segment clear of it.  Each
     segment yields at most three pieces.
     """
-    pieces, rows = [], []
-    for a, b, other, from_own in ((u, ws, v, True), (ws, v, u, False)):
-        a, b = np.broadcast_to(a, ws.shape), np.broadcast_to(b, ws.shape)
-        length = norms(space, b - a)
-        keep = np.flatnonzero(length >= 1e-12)
-        a, b, d = a[keep], b[keep], b[keep] - a[keep]
-        frac = beta / length[keep]
-        t0 = np.minimum(1.0, frac) if from_own else np.zeros_like(frac)
-        t1 = np.ones_like(frac) if from_own else np.maximum(0.0, 1 - frac)
-        reach = ~(_l2_point_segment(other, a, b) * space.l2_lower > beta)
-        whole = ~reach & (t1 - t0 > 1e-12)
-        pieces.append(np.stack([a[whole] + t0[whole, None] * d[whole],
-                                a[whole] + t1[whole, None] * d[whole]], axis=1))
-        rows.append(keep[whole])
-        for i in np.flatnonzero(reach):
-            intervals = [(t0[i], t1[i])]
-            cut = segment_ball_clip(space, a[i], b[i], other, beta)
-            if cut is not None:
-                intervals = _subtract_interval(intervals, cut)
-            for (s0, s1) in intervals:
-                if s1 - s0 > 1e-12:
-                    pieces.append(np.stack([a[i] + s0 * d[i], a[i] + s1 * d[i]])[None])
-                    rows.append(keep[i:i + 1])
+    m = len(ws)
+    a, b, other = np.concatenate([u, ws]), np.concatenate([ws, v]), np.concatenate([v, u])
+    length = norms(space, b - a)
+    keep = np.flatnonzero(length >= 1e-12)  # rows [u, w] first, then [w, v]
+    a, b, other, row = a[keep], b[keep], other[keep], keep % m
+    d = b - a
+    frac = beta / length[keep]
+    own = keep < m  # [u, w] leaves its own ball B(u, beta) at t = 0
+    t0 = np.where(own, np.minimum(1.0, frac), 0.0)
+    t1 = np.where(own, 1.0, np.maximum(0.0, 1 - frac))
+    reach = ~(_l2_point_segment(other, a, b) * space.l2_lower > beta)
+    whole = ~reach & (t1 - t0 > 1e-12)
+    pieces = [np.stack([a[whole] + t0[whole, None] * d[whole],
+                        a[whole] + t1[whole, None] * d[whole]], axis=1)]
+    rows = [row[whole]]
+    for i in np.flatnonzero(reach):
+        intervals = [(t0[i], t1[i])]
+        cut = segment_ball_clip(space, a[i], b[i], other[i], beta)
+        if cut is not None:
+            intervals = _subtract_interval(intervals, cut)
+        for (s0, s1) in intervals:
+            if s1 - s0 > 1e-12:
+                pieces.append(np.stack([a[i] + s0 * d[i], a[i] + s1 * d[i]])[None])
+                rows.append(row[i:i + 1])
     return np.concatenate(pieces), np.concatenate(rows)
 
 
@@ -295,11 +367,12 @@ ALPHA, BETA, GAMMA = 1, 2, 3
 CONDITIONS = ("alpha", "beta", "gamma")  # code k names CONDITIONS[k - 1]
 
 
-def check_breakpoints(state: _PlacedState, ui: int, vi: int, ws: np.ndarray,
+def check_breakpoints(state: _PlacedState, edges, ws: np.ndarray,
                       params: EmbedParams) -> np.ndarray:
-    """For each candidate breakpoint w (a row of ws) of the edge (ui, vi),
-    the first condition it fails against the placed state: 0 when suitable,
-    else ALPHA, BETA or GAMMA, tested in that order.
+    """For each candidate breakpoint w (a row of ws) of the edge it names in
+    edges (one index of state.ends for all rows, or one per row), the first
+    condition it fails against the curves placed for the edges before that
+    one: 0 when suitable, else ALPHA, BETA or GAMMA, tested in that order.
 
       alpha  the curve meets each endpoint ball in a single radial segment
              (the far segment stays clear of the ball), and its crossing of
@@ -314,55 +387,97 @@ def check_breakpoints(state: _PlacedState, ui: int, vi: int, ws: np.ndarray,
              from the placed curves' pieces.
 
     Each condition runs only on the candidates that passed the earlier
-    ones, so a block answers as each candidate would alone.
+    ones, and a candidate's answer depends on nothing else in the call, so
+    a block answers as each candidate would alone.  The candidates are
+    taken in blocks of about _BOX_TESTS box tests (see _check_block).
     """
-    space, pts = state.space, state.points
+    edges = np.broadcast_to(edges, len(ws))
+    objects = len(state.segments) + len(state.clipped) + len(state.points)
+    step = max(1, _BOX_TESTS // (2 * objects))
+    code = np.zeros(len(ws), dtype=np.int8)
+    for k in range(0, len(ws), step):
+        code[k:k + step] = _check_block(state, edges[k:k + step], ws[k:k + step], params)
+    return code
+
+
+def _check_block(state: _PlacedState, edges: np.ndarray, ws: np.ndarray,
+                 params: EmbedParams) -> np.ndarray:
+    """check_breakpoints on one block.  A pair of the candidate's curve
+    with a placed segment, a placed piece or another vertex reaches the
+    distance computations only if its bounding boxes sit closer than
+    _box_reach, and the pairs that pass go to them in runs of at most
+    _MC_PAIRS (_in_runs); the box masks are the only work that grows with
+    the placed prefix."""
+    space, pts, ends = state.space, state.points, state.ends
     beta, tol = params.beta, params.tolerance
+    ui, vi = ends[edges, 0], ends[edges, 1]
     u, v = pts[ui], pts[vi]
     m, n = ws.shape
+    segs = np.stack([u, ws, ws, v], axis=1).reshape(m, 2, 2, n)  # [u, w], [w, v]
     code = np.zeros(m, dtype=np.int8)
 
     du, dv = norms(space, ws - u), norms(space, ws - v)
     code[(du <= beta + tol) | (dv <= beta + tol)] = ALPHA
-    for vertex, end, dist in ((ui, u, du), (vi, v, dv)):
-        placed = state.crossings[vertex]
-        live = np.flatnonzero(code == 0)
-        if placed.shape[0] and live.size:
-            x = end + (beta / dist[live])[:, None] * (ws[live] - end)
-            gap = norms(space, (placed[None] - x[:, None]).reshape(-1, n))
-            code[live[gap.reshape(live.size, -1).min(axis=1) < params.alpha + tol]] = ALPHA
-    curve = np.stack([np.broadcast_to(u, ws.shape), ws,
-                      np.broadcast_to(v, ws.shape)], axis=1)     # rows u, w, v
     live = np.flatnonzero(code == 0)
-    c = curve[live]
-    ok = _points_clear(space, np.stack([u, v]), c[:, [1, 0]], c[:, [2, 1]], beta + tol)
-    code[live[~ok]] = ALPHA
+    if len(state.crossings) and live.size:
+        at = ends[:len(state.crossings) // 2].ravel()  # the vertex of each crossing
+        before = np.arange(len(state.crossings)) // 2 < edges[live, None]
+        for vertex, end, dist in ((ui, u, du), (vi, v, dv)):
+            i, c = np.nonzero((at == vertex[live, None]) & before)
+            r = live[i]
+            x = end[r] + (beta / dist[r])[:, None] * (ws[r] - end[r])
+            code[r[norms(space, state.crossings[c] - x) < params.alpha + tol]] = ALPHA
+    live = np.flatnonzero(code == 0)
+    if live.size:
+        ends_at = np.stack([u[live], v[live]], axis=1).reshape(-1, n)
 
-    near = norms(space, pts - u) <= 5.0
-    near[ui] = near[vi] = False
-    others = pts[near]
+        def clear(a, b):  # u with [w, v], v with [u, w]
+            own = segs[live[a:b], ::-1].reshape(-1, 2, n)
+            return _points_clear(space, ends_at[2 * a:2 * b], own[:, 0], own[:, 1],
+                                 np.arange(2 * (b - a)) // 2, b - a, beta + tol)
+        code[live[~_in_runs(np.full(live.size, 2), clear)]] = ALPHA
+
     live = np.flatnonzero(code == 0)
-    if others.shape[0] and live.size:
-        c, k = curve[live], others.shape[0]
-        ok = _points_clear(space, np.concatenate([others, others]),
-                           np.repeat(c[:, :2], k, axis=1), np.repeat(c[:, 1:], k, axis=1),
-                           beta + tol)
-        code[live[~ok]] = BETA
+    if live.size:
+        cand = segs[live].reshape(-1, 2, n)
+        first, inv = np.unique(ui[live], return_inverse=True)
+        near = norms(space, (pts[None] - pts[first, None]).reshape(-1, n)) <= 5.0
+        near = near.reshape(first.size, -1)[inv]
+        near[np.arange(live.size), ui[live]] = near[np.arange(live.size), vi[live]] = False
+        near = np.repeat(near, 2, axis=0) & _box_near(cand, pts, _box_reach(space, beta + tol))
+
+        def clear(a, b):
+            i, y = np.nonzero(near[2 * a:2 * b])
+            return _points_clear(space, pts[y], cand[2 * a + i, 0], cand[2 * a + i, 1],
+                                 i // 2, b - a, beta + tol)
+        code[live[~_in_runs(near.sum(axis=1).reshape(-1, 2).sum(axis=1), clear)]] = BETA
 
     placed, clipped = state.segments, state.clipped
     live = np.flatnonzero(code == 0)
-    if placed.shape[0] and live.size:
-        c = curve[live]
-        pieces, rows = _clip_curves(space, u, v, ws[live], beta)
-        segs = np.stack([c[:, :2], c[:, 1:]], axis=1).reshape(-1, 2, n)
-        p = np.concatenate([np.repeat(pieces, placed.shape[0], axis=0),
-                            np.repeat(segs, clipped.shape[0], axis=0)])
-        q = np.concatenate([np.tile(placed, (pieces.shape[0], 1, 1)),
-                            np.tile(clipped, (segs.shape[0], 1, 1))])
-        owner = np.concatenate([np.repeat(rows, placed.shape[0]),
-                                np.repeat(np.arange(live.size), 2 * clipped.shape[0])])
-        ok = _segments_clear(space, p, q, owner, live.size, params.gamma + tol)
-        code[live[~ok]] = GAMMA
+    if len(placed) and live.size:
+        need = params.gamma + tol
+        reach = _box_reach(space, need)
+        cand = segs[live].reshape(-1, 2, n)
+        pieces, rows = _clip_curves(space, u[live], v[live], ws[live], beta)
+        order = np.argsort(rows, kind="stable")
+        pieces, rows = pieces[order], rows[order]
+        at = np.searchsorted(rows, np.arange(live.size + 1))  # pieces of each candidate
+        earlier = edges[live, None]
+        near_seg = ((np.arange(len(placed)) // 2 < earlier[rows])
+                    & _box_near(pieces, placed, reach))
+        near_clip = ((state.clip_edge < np.repeat(earlier, 2, axis=0))
+                     & _box_near(cand, clipped, reach))
+        counts = (np.bincount(rows, near_seg.sum(axis=1), live.size).astype(np.int64)
+                  + near_clip.sum(axis=1).reshape(-1, 2).sum(axis=1))
+
+        def clear(a, b):
+            pi, sj = np.nonzero(near_seg[at[a]:at[b]])
+            ci, cj = np.nonzero(near_clip[2 * a:2 * b])
+            p = np.concatenate([pieces[at[a] + pi], cand[2 * a + ci]])
+            q = np.concatenate([placed[sj], clipped[cj]])
+            owner = np.concatenate([rows[at[a] + pi] - a, ci // 2])
+            return _segments_clear(space, p, q, owner, b - a, need)
+        code[live[~_in_runs(counts, clear)]] = GAMMA
     return code
 
 
@@ -502,7 +617,7 @@ def place_edges(space: NormedSpace, ng: NetGraph, params: EmbedParams,
     if edge_limit is not None:
         edges = edges[:edge_limit]
 
-    state = _PlacedState(space, pts, params.beta)
+    state = _PlacedState(space, pts, edges, params.beta)
     breakpoints = np.empty((len(edges), space.dim))
     attempts = np.zeros(len(edges), dtype=np.int64)
     for j, (ui, vi) in enumerate(edges):
@@ -511,12 +626,12 @@ def place_edges(space: NormedSpace, ng: NetGraph, params: EmbedParams,
         for _ in range(params.retry_cap):
             w = sample_ball_many(space, z, params.mu, 1, rng)
             attempts[j] += 1
-            code = check_breakpoints(state, ui, vi, w, params)[0]
+            code = check_breakpoints(state, j, w, params)[0]
             if code:
                 tally[CONDITIONS[code - 1]] += 1
                 continue
             breakpoints[j] = w[0]
-            state.add_edge(ui, vi, w[0])
+            state.add_edges(w)
             break
         else:
             raise PlacementError((ui, vi), int(attempts[j]), tally)
@@ -527,17 +642,16 @@ def place_edges(space: NormedSpace, ng: NetGraph, params: EmbedParams,
 
 def verify_embedding(emb: PolylineEmbedding) -> dict:
     """Re-run the predicate for every edge against the prefix placed before
-    it (the construction order), from a freshly built state.  A failure
-    names the first condition the edge fails."""
-    pts = emb.netgraph.points
-    state = _PlacedState(emb.space, pts, emb.params.beta)
-    failures = []
-    for j, (ui, vi) in enumerate(emb.edge_list):
-        w = emb.breakpoints[j]
-        code = check_breakpoints(state, ui, vi, w[None, :], emb.params)[0]
-        if code:
-            failures.append({"edge": [ui, vi], "failed": [CONDITIONS[code - 1]]})
-        state.add_edge(ui, vi, w)
+    it (the construction order): one state holds every curve, and each
+    stored breakpoint is checked in blocks against the curves of the edges
+    before its own.  A failure names the first condition the edge fails."""
+    state = _PlacedState(emb.space, emb.netgraph.points, emb.edge_list,
+                         emb.params.beta)
+    state.add_edges(emb.breakpoints)
+    codes = check_breakpoints(state, np.arange(len(emb.edge_list)),
+                              emb.breakpoints, emb.params)
+    failures = [{"edge": list(emb.edge_list[j]), "failed": [CONDITIONS[codes[j] - 1]]}
+                for j in np.flatnonzero(codes)]
     return {"ok": not failures, "edges_checked": len(emb.edge_list),
             "failures": failures}
 
@@ -685,17 +799,11 @@ def estimate_suitable_fraction(emb: PolylineEmbedding, edge_index: int,
     space = emb.space
     pts = emb.netgraph.points
     params = emb.params
-    state = _PlacedState(space, pts, params.beta)
-    for j in range(edge_index):
-        ui, vi = emb.edge_list[j]
-        state.add_edge(ui, vi, emb.breakpoints[j])
+    state = _PlacedState(space, pts, emb.edge_list, params.beta)
+    state.add_edges(emb.breakpoints[:edge_index])
     ui, vi = emb.edge_list[edge_index]
     ws = sample_ball_many(space, 0.5 * (pts[ui] + pts[vi]), params.mu, samples, rng)
-    block = max(1, _MC_PAIRS // (2 * (len(state.segments) + len(state.clipped)
-                                      + len(pts))))
-    successes = sum(
-        int(np.count_nonzero(check_breakpoints(state, ui, vi, ws[k:k + block], params) == 0))
-        for k in range(0, samples, block))
+    successes = int(np.count_nonzero(check_breakpoints(state, edge_index, ws, params) == 0))
     center, half = wilson_interval(successes, samples)
     return FractionEstimate(fraction=successes / samples,
                             ci_low=max(0.0, center - half),

@@ -167,6 +167,8 @@ def audit(source: FiniteMetric, target: FiniteMetric, vertex_map,
         raise ValidationError("vertex_map must be injective")
     if source.size < 2:
         raise ValidationError("audit needs at least two points")
+    if pair_cap < 1:
+        raise ValidationError("pair_cap must be >= 1")
 
     exhaustive = source.size <= pair_cap
     if exhaustive:

@@ -258,7 +258,32 @@ class TestEmbeddingInput:
                        "--r", "1.44", "--samples", "-5",
                        "--out", str(tmp_path / "run")) == 2
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
-        assert not (tmp_path / "run" / "dossier.json").exists()
+        # checked before the net is built: no artifact at all
+        assert not (tmp_path / "run").exists()
+
+    def test_pair_cap_below_one_exits_2(self, workdir, tmp_path, capsys):
+        path = tmp_path / "emb.json"
+        assert run_cli("embed", "--graph", str(workdir / "G.json"), "--seed", "5",
+                       "-o", str(path)) == 0
+        assert run_cli("audit-phi", "--embedding", str(path), "--pair-cap", "0",
+                       "-o", str(tmp_path / "phi.json")) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "validation", "message": "pair_cap must be >= 1"}
+        assert not (tmp_path / "phi.json").exists()
+        assert run_cli("pipeline", "--space", "lp:2:3", "--delta", "1",
+                       "--r", "1.44", "--pair-cap", "0",
+                       "--out", str(tmp_path / "run")) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "validation", "message": "pair_cap must be >= 1"}
+        assert not (tmp_path / "run").exists()
+
+    def test_pipeline_checks_embed_params_first(self, tmp_path, capsys):
+        # beta 0.5 >= mu violates the practical chain
+        assert run_cli("pipeline", "--space", "lp:2:3", "--delta", "1",
+                       "--r", "1.44", "--beta", "0.5",
+                       "--out", str(tmp_path / "run")) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
+        assert not (tmp_path / "run").exists()
 
 
 class TestPipeline:

@@ -73,46 +73,47 @@ class TestParams:
             EmbedParams(alpha=1e-3, beta=1e-2, gamma=1e-3, mu=0.0).validate(3)
 
 
-def code_of(state, ui, vi, w, params):
-    """The predicate's answer for a single candidate breakpoint."""
-    return int(check_breakpoints(state, ui, vi, np.asarray(w, float)[None, :], params)[0])
+def code_of(state, edge, w, params):
+    """The predicate's answer for a single candidate breakpoint of the edge
+    with index edge in the state's construction order."""
+    return int(check_breakpoints(state, edge, np.asarray(w, float)[None, :], params)[0])
 
 
 class TestChecks:
     def test_alpha_no_placed_edges(self):
         params = practical_params(beta=0.1, seed=0)
-        state = _PlacedState(L23, np.array([[0.0, 0, 0], [2.0, 0, 0]]), params.beta)
-        assert code_of(state, 0, 1, [1.0, 0.1, 0.0], params) == 0
+        state = _PlacedState(L23, np.array([[0.0, 0, 0], [2.0, 0, 0]]), [(0, 1)], params.beta)
+        assert code_of(state, 0, [1.0, 0.1, 0.0], params) == 0
 
     def test_alpha_opposite_directions_clear(self):
         # placed edge leaves the shared vertex along +x, candidate along -x:
         # the two crossings of the 0.1-sphere sit about 0.2 apart
         params = EmbedParams(alpha=0.01, beta=0.1, gamma=0.001, mode="practical")
         pts = np.array([[0.0, 0, 0], [2.0, 0, 0], [-2.0, 0, 0]])
-        state = _PlacedState(L23, pts, params.beta)
-        state.add_edge(0, 1, np.array([1.0, 0.1, 0.0]))
-        assert code_of(state, 0, 2, [-1.0, 0.0, 0.1], params) == 0
+        state = _PlacedState(L23, pts, [(0, 1), (0, 2)], params.beta)
+        state.add_edges(np.array([[1.0, 0.1, 0.0]]))
+        assert code_of(state, 1, [-1.0, 0.0, 0.1], params) == 0
 
     def test_alpha_duplicate_segment_fails(self):
         # the duplicate also fails gamma; alpha is reported, being first
         params = EmbedParams(alpha=0.01, beta=0.1, gamma=0.001, mode="practical")
         pts = np.array([[0.0, 0, 0], [2.0, 0, 0]])
-        state = _PlacedState(L23, pts, params.beta)
+        state = _PlacedState(L23, pts, [(0, 1), (0, 1)], params.beta)
         w = np.array([1.0, 0.1, 0.0])
-        state.add_edge(0, 1, w)
-        assert code_of(state, 0, 1, w, params) == ALPHA
+        state.add_edges(w[None, :])
+        assert code_of(state, 1, w, params) == ALPHA
 
     def test_beta_far_configuration(self):
         params = practical_params(beta=0.02)
         pts = np.array([[0.0, 0, 0], [2.0, 0, 0], [50.0, 50.0, 50.0]])
-        state = _PlacedState(L23, pts, params.beta)
-        assert code_of(state, 0, 1, [1.0, 0.2, 0], params) == 0
+        state = _PlacedState(L23, pts, [(0, 1)], params.beta)
+        assert code_of(state, 0, [1.0, 0.2, 0], params) == 0
 
     def test_beta_vertex_on_segment_fails(self):
         params = practical_params(beta=0.02)
         pts = np.array([[0.0, 0, 0], [2.0, 0, 0], [0.5, 0.0, 0.0]])  # on [u, w]
-        state = _PlacedState(L23, pts, params.beta)
-        assert code_of(state, 0, 1, [1.0, 0.0, 0], params) == BETA
+        state = _PlacedState(L23, pts, [(0, 1)], params.beta)
+        assert code_of(state, 0, [1.0, 0.0, 0], params) == BETA
 
     def test_beta_margin_just_over(self):
         # vertex at distance beta * 1.01 from the curve passes
@@ -123,29 +124,30 @@ class TestChecks:
         t = np.linspace(0, 1, 200_001)
         gap = float(np.min(np.linalg.norm(t[:, None] * w - y, axis=1)))
         assert gap == pytest.approx(params.beta * 1.01, abs=1e-9)
-        state = _PlacedState(L23, np.array([[0.0, 0, 0], [2.0, 0, 0], y]), params.beta)
-        assert code_of(state, 0, 1, w, params) == 0
+        state = _PlacedState(L23, np.array([[0.0, 0, 0], [2.0, 0, 0], y]), [(0, 1)],
+                             params.beta)
+        assert code_of(state, 0, w, params) == 0
 
     def test_gamma_no_placed_edges(self):
         params = practical_params(beta=0.02)
-        state = _PlacedState(L23, np.array([[0.0, 0, 0], [2.0, 0, 0]]), params.beta)
-        assert code_of(state, 0, 1, [1.0, 0.1, 0], params) == 0
+        state = _PlacedState(L23, np.array([[0.0, 0, 0], [2.0, 0, 0]]), [(0, 1)], params.beta)
+        assert code_of(state, 0, [1.0, 0.1, 0], params) == 0
 
     def test_gamma_crossing_fails(self):
         params = EmbedParams(alpha=0.002, beta=0.02, gamma=0.2, mode="practical")
         pts = np.array([[0.0, 0, 0], [2.0, 0, 0],
                         [1.0, -1.0, 0.05], [1.0, 1.0, 0.05]])
-        state = _PlacedState(L23, pts, params.beta)
-        state.add_edge(0, 1, np.array([1.0, 0.0, 0.1]))
+        state = _PlacedState(L23, pts, [(0, 1), (2, 3)], params.beta)
+        state.add_edges(np.array([[1.0, 0.0, 0.1]]))
         # candidate curve passes within ~0.07 of the placed one, under gamma
-        assert code_of(state, 2, 3, [1.0, 0.0, 0.05], params) == GAMMA
+        assert code_of(state, 1, [1.0, 0.0, 0.05], params) == GAMMA
 
     def test_gamma_parallel_at_double_clearance(self):
         params = EmbedParams(alpha=0.002, beta=0.02, gamma=0.05, mode="practical")
         pts = np.array([[0.0, 0, 0], [2.0, 0, 0],
                         [0.0, 2 * 0.05, 0], [2.0, 2 * 0.05, 0]])
-        state = _PlacedState(L23, pts, params.beta)
-        state.add_edge(0, 1, np.array([1.0, 0.0, 0.0]))
+        state = _PlacedState(L23, pts, [(0, 1), (2, 3)], params.beta)
+        state.add_edges(np.array([[1.0, 0.0, 0.0]]))
         w = np.array([1.0, 2 * 0.05, 0.0])
         # brute-force the clearance between the parallel curves
         t = np.linspace(0, 1, 10_001)
@@ -153,7 +155,7 @@ class TestChecks:
         cand = np.array([0.0, 0.1, 0]) + t[:, None] * np.array([2.0, 0, 0])
         gap = min(float(np.min(np.linalg.norm(placed - c, axis=1))) for c in cand[::100])
         assert gap == pytest.approx(0.1, abs=1e-9)
-        assert code_of(state, 2, 3, w, params) == 0
+        assert code_of(state, 1, w, params) == 0
 
     def test_clip_produces_at_most_three_pieces(self):
         rng = np.random.default_rng(2)
@@ -161,7 +163,7 @@ class TestChecks:
             u = rng.normal(size=3)
             v = u + np.array([2.0, 0, 0]) + rng.normal(size=3) * 0.1
             w = 0.5 * (u + v) + rng.normal(size=3) * 0.2
-            pieces, rows = _clip_curves(L23, u, v, w[None, :], 0.05)
+            pieces, rows = _clip_curves(L23, u[None, :], v[None, :], w[None, :], 0.05)
             assert 1 <= len(pieces) <= 6 and np.all(rows == 0)
             for piece in pieces:
                 # clipped pieces stay outside both endpoint balls
@@ -520,10 +522,8 @@ class TestPredicateBlocks:
         emb = place_edges(space, ng, params, np.random.default_rng([3, 1]),
                           edge_limit=j + 1)
         pts = emb.netgraph.points
-        state = _PlacedState(space, pts, params.beta)
-        for k in range(j):
-            a, b = emb.edge_list[k]
-            state.add_edge(a, b, emb.breakpoints[k])
+        state = _PlacedState(space, pts, emb.edge_list, params.beta)
+        state.add_edges(emb.breakpoints[:j])
         ui, vi = emb.edge_list[j]
         rng = np.random.default_rng(9)
         others = [k for k in range(len(pts)) if k not in (ui, vi)]
@@ -534,10 +534,130 @@ class TestPredicateBlocks:
             pts[rng.choice(others, 4)] + rng.uniform(-0.01, 0.01, (4, 3)),  # beta
             emb.breakpoints[rng.choice(far, 4)] + rng.uniform(-1e-3, 1e-3, (4, 3))])
         ws = ws[rng.permutation(len(ws))]
-        codes = check_breakpoints(state, ui, vi, ws, params)
+        codes = check_breakpoints(state, j, ws, params)
         assert set(codes.tolist()) == {0, ALPHA, BETA, GAMMA}
-        alone = [check_breakpoints(state, ui, vi, w[None, :], params)[0] for w in ws]
+        alone = [check_breakpoints(state, j, w[None, :], params)[0] for w in ws]
         assert codes.tolist() == alone
+
+
+SPACES = pytest.mark.parametrize(
+    "space", [parse_space("lp:2:3"), parse_space("lp:inf:3"),
+              parse_space("l1sum:lp:2:2+lp:1:1"), L3_CUSTOM],
+    ids=["lp:2:3", "lp:inf:3", "l1sum", "custom"])
+
+
+def _prefix(space, extra, seed=3):
+    """A practical embedding of the unit net graph through `extra` edges
+    past the first vertex's star, so it holds incident and non-incident
+    curves; and its params."""
+    params = practical_params(beta=0.05, seed=seed)
+    ng = build_net_graph(space, 1.0, 2.0)
+    ng_unit, _ = rescaled_unit(ng)
+    j = next(k for k, (a, _) in enumerate(ng_unit.graph.edges) if a != 0)
+    emb = place_edges(space, ng, params, np.random.default_rng([seed, 1]),
+                      edge_limit=j + extra)
+    return emb, params
+
+
+class TestBoxMask:
+    """The box mask drops only pairs that the l2 screen would settle."""
+
+    @SPACES
+    @pytest.mark.parametrize("need", [0.05 + 1e-9, 0.0025 + 1e-9])
+    def test_dropped_pairs_pass_the_l2_screen(self, space, need):
+        rng = np.random.default_rng(17)
+        reach = embeddings._box_reach(space, need)
+        if not math.isfinite(reach):  # no l2 lower factor: nothing dropped
+            x = rng.normal(size=(20, 2, 3)) * 50
+            assert embeddings._box_near(x, x + 1e3, reach).all()
+            return
+        # segments and points spread over a few reach widths, so that both
+        # sides of the cut are crowded; some segments degenerate to points
+        x = rng.uniform(0, 4 * reach, (150, 1, 3)) + rng.normal(size=(150, 2, 3)) * reach / 2
+        x[::10, 1] = x[::10, 0]
+        y = rng.uniform(0, 4 * reach, (150, 1, 3)) + rng.normal(size=(150, 2, 3)) * reach / 2
+        pts = rng.uniform(0, 4 * reach, (150, 3))
+        seg_mask, pt_mask = embeddings._box_near(x, y, reach), embeddings._box_near(x, pts, reach)
+        assert 0.1 < seg_mask.mean() < 0.9 and 0.1 < pt_mask.mean() < 0.9
+        i, j = np.nonzero(~seg_mask)
+        l2 = spaces._l2_segment_segment(x[i, 0], x[i, 1], y[j, 0], y[j, 1])
+        assert np.all(l2 * space.l2_lower >= need)
+        i, j = np.nonzero(~pt_mask)
+        l2 = spaces._l2_point_segment(pts[j], x[i, 0], x[i, 1])
+        assert np.all(l2 * space.l2_lower >= need)
+
+    @SPACES
+    def test_pruning_changes_no_code(self, space, monkeypatch):
+        emb, params = _prefix(space, 2)
+        j = len(emb.edge_list) - 1
+        pts = emb.netgraph.points
+        state = _PlacedState(space, pts, emb.edge_list, params.beta)
+        state.add_edges(emb.breakpoints[:j])
+        ui, vi = emb.edge_list[j]
+        rng = np.random.default_rng(4)
+        ws = np.concatenate([
+            sample_ball_many(space, 0.5 * (pts[ui] + pts[vi]), params.mu, 24, rng),
+            emb.breakpoints[:j] + rng.uniform(-0.02, 0.02, (j, 3))])
+        pruned = check_breakpoints(state, j, ws, params)
+        assert {0, GAMMA} <= set(pruned.tolist())
+        monkeypatch.setattr(embeddings, "_box_reach", lambda space, need: math.inf)
+        assert check_breakpoints(state, j, ws, params).tolist() == pruned.tolist()
+
+
+class TestBatchedReverification:
+    @SPACES
+    def test_failures_match_single_checks_on_growing_prefixes(self, space):
+        emb, params = _prefix(space, 4)
+        pts, edges = emb.netgraph.points, emb.edge_list
+        w = emb.breakpoints.copy()
+        w[2] = pts[edges[2][0]] + 0.01 * params.beta                 # alpha
+        w[4] = pts[edges[4][1]]                                      # on an endpoint
+        mid = 0.5 * (pts[edges[6][0]] + pts[edges[6][1]])
+        w[6] = pts[next(k for k in range(len(pts))                   # beta
+                        if k not in edges[6] and np.linalg.norm(pts[k] - mid) < 2)]
+        g = len(edges) - 1
+        w[g] = w[next(k for k in range(g) if not set(edges[k]) & set(edges[g]))] + 1e-3  # gamma
+        bad = PolylineEmbedding(netgraph=emb.netgraph, params=params, edge_list=edges,
+                                breakpoints=w, attempts=emb.attempts, scale=emb.scale)
+        state = _PlacedState(space, pts, edges, params.beta)
+        expected = []
+        for j, (ui, vi) in enumerate(edges):
+            code = code_of(state, j, w[j], params)
+            if code:
+                expected.append({"edge": [ui, vi], "failed": [embeddings.CONDITIONS[code - 1]]})
+            state.add_edges(w[j:j + 1])
+        rep = verify_embedding(bad)
+        assert rep["failures"] == expected
+        assert not rep["ok"] and rep["edges_checked"] == len(edges)
+        assert {f["failed"][0] for f in expected} == {"alpha", "beta", "gamma"}
+        assert {2, 4, 6, g} <= {edges.index(tuple(f["edge"])) for f in expected}
+
+    def test_pair_budget_and_block_count(self, monkeypatch):
+        # the embed-linf benchmark prefix: 300 edges, Monte Carlo at edge 100
+        space = parse_space("lp:inf:3")
+        emb = place_edges(space, build_net_graph(space, 1.0, 2.0), practical_params(seed=0),
+                          np.random.default_rng([0, 1]), edge_limit=300)
+        pairs, blocks = [], []
+
+        def record(name, log):
+            real = getattr(embeddings, name)
+
+            def wrapper(*args):
+                log.append(args)
+                return real(*args)
+            monkeypatch.setattr(embeddings, name, wrapper)
+
+        for name in ("_segments_clear", "_points_clear"):
+            record(name, pairs)
+        record("_check_block", blocks)
+        assert verify_embedding(emb)["ok"]
+        assert len(blocks) <= len(emb.edge_list) // 20
+        del blocks[:]
+        est = estimate_suitable_fraction(emb, 100, 2000, np.random.default_rng([0, 4]))
+        assert 0 < est.successes < 2000 and len(blocks) <= 2000 // 50
+        assert embeddings._MC_PAIRS <= 4096  # the budget must not grow
+        counts = [len(args[-3]) for args in pairs]  # the owner array: one per pair
+        assert max(counts) <= embeddings._MC_PAIRS < sum(counts) // 10
 
 
 def _oracle_norm(p, x):
@@ -592,10 +712,9 @@ class TestCertification:
         w3 = u + 0.5 * (e + (alpha / beta) * a_scale * a_dir / _oracle_norm(p, a_dir))
         z = u + 2.0 * (w3 - u)
         pts = np.stack([u, v, y, a2, b2, z])
-        state = _PlacedState(space, pts, beta)
-        state.add_edge(3, 4, w2)
-        state.add_edge(0, 5, w3)
-        code = int(check_breakpoints(state, 0, 1, w[None, :], prm)[0])
+        state = _PlacedState(space, pts, [(3, 4), (0, 5), (0, 1)], beta)
+        state.add_edges(np.stack([w2, w3]))
+        code = int(check_breakpoints(state, 2, w[None, :], prm)[0])
         event(f"p={p} code={code}")
         if code:
             return

@@ -161,6 +161,13 @@ class TestAudit:
         assert rep.pairs_checked > 0
         assert rep.distortion == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_non_positive_pair_cap_rejected(self, cap):
+        # a cap below one used to sample two sources and report a partial audit
+        m = FiniteMetric.from_graph(path_graph(10))
+        with pytest.raises(ValidationError, match="pair_cap must be >= 1"):
+            audit(m, m, np.arange(10), pair_cap=cap)
+
 
 class TestSerialization:
     def test_json_roundtrip(self):
