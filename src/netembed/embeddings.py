@@ -286,14 +286,17 @@ class _PlacedState:
         self.clip_edge = np.empty(0, dtype=np.int64)
         self.crossings = np.empty((0, space.dim))
 
-    def add_edges(self, ws: np.ndarray) -> None:
-        """Place the curves of the next len(ws) edges, w a row of ws."""
+    def add_edges(self, ws: np.ndarray, clip=None) -> None:
+        """Place the curves of the next len(ws) edges, w a row of ws.  clip
+        is their _clip_curves (pieces, rows) when the caller has it."""
         k, n = len(self.segments) // 2, self.space.dim
         ui, vi = self.ends[k:k + len(ws)].T
         u, v = self.points[ui], self.points[vi]
         self.segments = np.concatenate(
             [self.segments, np.stack([u, ws, ws, v], axis=1).reshape(-1, 2, n)])
-        pieces, rows = _clip_curves(self.space, u, v, ws, self.beta)
+        if clip is None:
+            clip = _clip_curves(self.space, u, v, ws, self.beta)
+        pieces, rows = clip
         self.clipped = np.concatenate([self.clipped, pieces])
         self.clip_edge = np.concatenate([self.clip_edge, k + rows])
         cross = []
@@ -396,18 +399,22 @@ def check_breakpoints(state: _PlacedState, edges, ws: np.ndarray,
     step = max(1, _BOX_TESTS // (2 * objects))
     code = np.zeros(len(ws), dtype=np.int8)
     for k in range(0, len(ws), step):
-        code[k:k + step] = _check_block(state, edges[k:k + step], ws[k:k + step], params)
+        code[k:k + step] = _check_block(state, edges[k:k + step], ws[k:k + step], params)[0]
     return code
 
 
 def _check_block(state: _PlacedState, edges: np.ndarray, ws: np.ndarray,
-                 params: EmbedParams) -> np.ndarray:
-    """check_breakpoints on one block.  A pair of the candidate's curve
-    with a placed segment, a placed piece or another vertex reaches the
-    distance computations only if its bounding boxes sit closer than
-    _box_reach, and the pairs that pass go to them in runs of at most
-    _MC_PAIRS (_in_runs); the box masks are the only work that grows with
-    the placed prefix."""
+                 params: EmbedParams):
+    """check_breakpoints on one block, as (codes, clip).  clip is the
+    gamma step's _clip_curves (pieces, rows) of the candidates that reached
+    it, rows indexing ws, or None when the step did not run; placement
+    hands it to add_edges, so an accepted curve is clipped once.
+
+    A pair of the candidate's curve with a placed segment, a placed piece
+    or another vertex reaches the distance computations only if its
+    bounding boxes sit closer than _box_reach, and the pairs that pass go
+    to them in runs of at most _MC_PAIRS (_in_runs); the box masks are the
+    only work that grows with the placed prefix."""
     space, pts, ends = state.space, state.points, state.ends
     beta, tol = params.beta, params.tolerance
     ui, vi = ends[edges, 0], ends[edges, 1]
@@ -454,6 +461,7 @@ def _check_block(state: _PlacedState, edges: np.ndarray, ws: np.ndarray,
 
     placed, clipped = state.segments, state.clipped
     live = np.flatnonzero(code == 0)
+    clip = None
     if len(placed) and live.size:
         need = params.gamma + tol
         reach = _box_reach(space, need)
@@ -461,6 +469,7 @@ def _check_block(state: _PlacedState, edges: np.ndarray, ws: np.ndarray,
         pieces, rows = _clip_curves(space, u[live], v[live], ws[live], beta)
         order = np.argsort(rows, kind="stable")
         pieces, rows = pieces[order], rows[order]
+        clip = pieces, live[rows]
         at = np.searchsorted(rows, np.arange(live.size + 1))  # pieces of each candidate
         earlier = edges[live, None]
         near_seg = ((np.arange(len(placed)) // 2 < earlier[rows])
@@ -478,7 +487,7 @@ def _check_block(state: _PlacedState, edges: np.ndarray, ws: np.ndarray,
             owner = np.concatenate([rows[at[a] + pi] - a, ci // 2])
             return _segments_clear(space, p, q, owner, b - a, need)
         code[live[~_in_runs(counts, clear)]] = GAMMA
-    return code
+    return code, clip
 
 
 # --- the embedding -----------------------------------------------------------
@@ -626,12 +635,12 @@ def place_edges(space: NormedSpace, ng: NetGraph, params: EmbedParams,
         for _ in range(params.retry_cap):
             w = sample_ball_many(space, z, params.mu, 1, rng)
             attempts[j] += 1
-            code = check_breakpoints(state, j, w, params)[0]
-            if code:
-                tally[CONDITIONS[code - 1]] += 1
+            code, clip = _check_block(state, np.array([j]), w, params)
+            if code[0]:
+                tally[CONDITIONS[code[0] - 1]] += 1
                 continue
             breakpoints[j] = w[0]
-            state.add_edges(w)
+            state.add_edges(w, clip)  # clipped by the gamma step, after the first edge
             break
         else:
             raise PlacementError((ui, vi), int(attempts[j]), tally)

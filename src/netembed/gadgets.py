@@ -18,10 +18,12 @@ Two maps are audited:
 H is (base, M, psi_anchor) plus one id layout: the n*e short-path ("port")
 vertices, then the long-path interiors.  Ids, unit edges, the degree check
 and the JSON edge listing derive from that layout; H's adjacency Graph is
-built only on demand.  Both audits read exact hop rows of H in closed form
-(GadgetGraph.hop_metric): a fixpoint over the ports, whose short paths are
-unit-step paths and whose long paths act as weight-M edges, then every
-long-path vertex from its two end ports.  No BFS runs on H.
+built only on demand.  Hop distances of H come in closed form from a
+fixpoint over the ports (GadgetGraph.port_rows), whose short paths are
+unit-step paths and whose long paths act as weight-M edges.  The anchor
+audit reads its anchor entries from that port array; the product audit
+reads whole rows (GadgetGraph.hop_metric), which add every long-path vertex
+from its two end ports.  No BFS runs on H.
 
 Short paths carry exactly e vertices (length e-1): a trailing unlabeled
 vertex would change no distance bound and is dropped; see the metadata flag
@@ -173,65 +175,78 @@ class GadgetGraph:
         """Endpoints of the unit edges: the short paths, then long path j as
         subdivided edge j with its ends replaced by the ports (a_j, j), (b_j, j)."""
         e = len(self.edge_list)
-        ends = np.array(self.edge_list, dtype=np.int64).reshape(-1, 2) * e + np.arange(e)[:, None]
+        ends = self._ends * e + np.arange(e)[:, None]
         return np.concatenate([_chain_edges(self.short_ids),
                                _chain_edges(ends[:, :1], self.long_interior, ends[:, 1:])])
 
     def max_degree(self) -> int:
         return int(np.bincount(self.edge_ends().ravel(), minlength=self.n).max())
 
-    def hop_metric(self) -> FiniteMetric:
-        """Exact hop rows of H, in closed form on the port array (no BFS on
-        H; self.graph is not read).
+    def port_rows(self, s: int) -> np.ndarray:
+        """Hop distances from vertex s to the ports: the (n, e) int64 array
+        whose [u, i] entry is the distance to short_ids[u, i].
 
-        Distances to the ports, short_ids[u, i], form an (n, e) array.  A
-        shortest path between ports runs along short paths (unit steps) and
-        through whole long paths (M steps each), so the array is the
+        A shortest path between ports runs along short paths (unit steps)
+        and through whole long paths (M steps each), so the array is the
         fixpoint of two relaxations: a forward and a backward min-plus sweep
         along every short path, and a weight-M edge between the end ports
-        (a_j, j) and (b_j, j) of every long path j.  The step-t vertex of
-        long path j is then entered from a_j (t more hops) or b_j (M - t);
-        a source on path j itself also reaches it in |t - t0| hops.
+        (a_j, j) and (b_j, j) of every long path j.  A source inside long
+        path j0 starts from both of its end ports.
         """
         n, e, M = self.base.n, len(self.edge_list), self.M
-        ports = n * e
-        ends = np.array(self.edge_list, dtype=np.int64).reshape(-1, 2)
-        a, b, lab = ends[:, 0], ends[:, 1], np.arange(e)
-        steps = np.arange(1, M, dtype=np.float64)
+        a, b = self._ends.T
+        lab = np.arange(e)
         unreached = np.iinfo(np.int64).max // 4
-
-        def sweep(d):
+        d = np.full((n, e), unreached, dtype=np.int64)
+        if s >= n * e:
+            j0, t0 = divmod(s - n * e, M - 1)
+            d[a[j0], j0], d[b[j0], j0] = t0 + 1, M - t0 - 1
+        else:
+            d[divmod(s, e)] = 0
+        while True:
             d = np.minimum.accumulate(d - lab, axis=1) + lab
-            return np.minimum.accumulate((d + lab)[:, ::-1], axis=1)[:, ::-1] - lab
+            d = np.minimum.accumulate((d + lab)[:, ::-1], axis=1)[:, ::-1] - lab
+            da, db = d[a, lab], d[b, lab]
+            na, nb = np.minimum(da, db + M), np.minimum(db, da + M)
+            if np.array_equal(na, da) and np.array_equal(nb, db):
+                break
+            d[a, lab], d[b, lab] = na, nb
+        if d.max() >= unreached:
+            raise ValidationError("gadget metric requires a connected gadget")
+        return d
+
+    def hop_metric(self) -> FiniteMetric:
+        """Exact hop rows of H, in closed form from port_rows (no BFS on H;
+        self.graph is not read).
+
+        The step-t vertex of long path j is entered from a_j (t more hops)
+        or b_j (M - t); a source on path j itself also reaches it in
+        |t - t0| hops.
+        """
+        e, M = len(self.edge_list), self.M
+        ports = self.base.n * e
+        a, b = self._ends.T
+        lab = np.arange(e)
+        steps = np.arange(1, M, dtype=np.float64)
 
         def row(s):
-            d = np.full((n, e), unreached, dtype=np.int64)
-            on_path = s >= ports
-            if on_path:
-                j0, t0 = divmod(s - ports, M - 1)
-                t0 += 1
-                d[a[j0], j0], d[b[j0], j0] = t0, M - t0
-            else:
-                d[divmod(s, e)] = 0
-            while True:
-                d = sweep(d)
-                da, db = d[a, lab], d[b, lab]
-                na, nb = np.minimum(da, db + M), np.minimum(db, da + M)
-                if np.array_equal(na, da) and np.array_equal(nb, db):
-                    break
-                d[a, lab], d[b, lab] = na, nb
-            if d.max() >= unreached:
-                raise ValidationError("gadget metric requires a connected gadget")
+            d = self.port_rows(s)
             out = np.empty(self.n, dtype=np.float64)
             out[:ports] = d.ravel()
             inner = out[ports:].reshape(e, M - 1)
-            np.add(da[:, None], steps, out=inner)
-            np.minimum(inner, db[:, None] + (M - steps), out=inner)
-            if on_path:
-                np.minimum(inner[j0], np.abs(steps - t0), out=inner[j0])
+            np.add(d[a, lab][:, None], steps, out=inner)
+            np.minimum(inner, d[b, lab][:, None] + (M - steps), out=inner)
+            if s >= ports:
+                j0, t0 = divmod(s - ports, M - 1)
+                np.minimum(inner[j0], np.abs(steps - (t0 + 1)), out=inner[j0])
             return out
 
         return FiniteMetric(self.n, row)
+
+    @cached_property
+    def _ends(self) -> np.ndarray:
+        """The base edges as an (e, 2) array, edge j = (a_j, b_j)."""
+        return np.array(self.edge_list, dtype=np.int64).reshape(-1, 2)
 
 
 def build_gadget(g: Graph, M: int, psi_anchor: int = 1) -> GadgetGraph:
@@ -268,10 +283,10 @@ def audit_anchor_map(h: GadgetGraph, enforce: bool = True) -> DistortionReport:
     """
     e = len(h.edge_list)
     amap = anchor_map(h)
-    hops = h.hop_metric()
     iu, iv = np.triu_indices(h.base.n, 1)  # pairs u < v in row-major order
     d_g = bfs_apsp(h.base)[iu, iv].astype(np.int64)
-    d_h = np.array([hops.row(int(a))[amap] for a in amap])[iu, iv].astype(np.int64)
+    # copied out, so that no (n, e) port array outlives its row
+    d_h = np.array([h.port_rows(int(a))[:, h.psi_anchor - 1].copy() for a in amap])[iu, iv]
     bad = (h.M * d_g > d_h) | (d_h > (2 * e + h.M) * d_g)
     if enforce and bad.any():
         k = int(np.argmax(bad))  # the first failing pair

@@ -160,51 +160,55 @@ def audit(source: FiniteMetric, target: FiniteMetric, vertex_map,
     Exhaustive over all pairs when source.size <= pair_cap, otherwise all
     pairs from a seeded sample of source vertices.
     """
+    n = source.size
     fmap = np.asarray(vertex_map, dtype=np.int64)
-    if fmap.shape[0] != source.size:
+    if fmap.shape[0] != n:
         raise ValidationError("vertex_map must cover every source vertex")
-    if len(set(fmap.tolist())) != source.size:
+    ids = np.sort(fmap)
+    if np.any(ids[1:] == ids[:-1]):
         raise ValidationError("vertex_map must be injective")
-    if source.size < 2:
+    if n < 2:
         raise ValidationError("audit needs at least two points")
     if pair_cap < 1:
         raise ValidationError("pair_cap must be >= 1")
 
-    exhaustive = source.size <= pair_cap
+    exhaustive = n <= pair_cap
     if exhaustive:
-        sources = range(source.size)
+        sources = range(n - 1)  # the last source has no later partner
     else:
         rng = rng or np.random.default_rng(0)
-        want = max(2, min(source.size, (pair_cap * pair_cap) // source.size))
-        sources = sorted(rng.choice(source.size, size=want, replace=False).tolist())
+        want = max(2, min(n, (pair_cap * pair_cap) // n))
+        sources = sorted(rng.choice(n, size=want, replace=False).tolist())
+    identity = np.array_equal(fmap, np.arange(n))
 
     lip_f, lip_i = 0.0, 0.0
     wit_f = wit_i = (0, 1)
     pairs = 0
     for i in sources:
-        ds = source.row(i)
-        dt = target.row(int(fmap[i]))[fmap]
-        mask = np.ones(source.size, dtype=bool)
-        mask[i] = False
-        if exhaustive:
-            mask[:i] = False  # each unordered pair once
-        ds_m, dt_m = ds[mask], dt[mask]
-        if ds_m.size == 0:
-            continue
-        if np.any(ds_m == 0):
-            j = int(np.where(mask)[0][np.argmax(ds_m == 0)])
-            raise ValidationError(f"zero source distance between distinct points {i},{j}")
-        idx = np.where(mask)[0]
-        pairs += idx.size
-        with np.errstate(divide="ignore"):
-            fwd = dt_m / ds_m
-            inv = np.where(dt_m > 0, ds_m / dt_m, np.inf)
+        # exhaustive: pairs (i, j > i), on the row tail from lo = i + 1;
+        # sampled: pairs (i, j != i), on the whole row with i excluded
+        lo = i + 1 if exhaustive else 0
+        ds = source.row(i)[lo:]
+        dt = target.row(int(fmap[i]))
+        dt = dt[lo:n] if identity else dt[fmap[lo:]]
+        zero = ds == 0
+        if not exhaustive:
+            zero[i] = False
+        if zero.any():
+            raise ValidationError("zero source distance between distinct points "
+                                  f"{i},{lo + int(np.argmax(zero))}")
+        pairs += ds.size if exhaustive else ds.size - 1
+        with np.errstate(divide="ignore", invalid="ignore"):  # the self pair, sampled
+            fwd = dt / ds
+            inv = np.where(dt > 0, ds / dt, np.inf)
+        if not exhaustive:
+            fwd[i] = inv[i] = -np.inf
         k = int(np.argmax(fwd))
         if fwd[k] > lip_f:
-            lip_f, wit_f = float(fwd[k]), (i, int(idx[k]))
+            lip_f, wit_f = float(fwd[k]), (i, lo + k)
         k = int(np.argmax(inv))
         if inv[k] > lip_i:
-            lip_i, wit_i = float(inv[k]), (i, int(idx[k]))
+            lip_i, wit_i = float(inv[k]), (i, lo + k)
     return DistortionReport(lip_f, lip_i, lip_f * lip_i, wit_f, wit_i,
                             pairs, exhaustive)
 

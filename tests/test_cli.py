@@ -6,9 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netembed
-from netembed.cli import main
+from netembed.cli import _json_text, main
 
 
 def run_cli(*argv):
@@ -310,6 +312,73 @@ class TestPipeline:
         assert d["gadget"]["psi_audit"]["lip_forward"] <= d["gadget"]["psi_lip_bound"]
         assert d["embedding"]["reverified"]
         assert d["config"]["params"]["gamma_constant"] == 1.0
+
+
+def reference_text(obj):
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def outcome(fn, obj):
+    """fn(obj), or the type of what it raised."""
+    try:
+        return fn(obj)
+    except Exception as exc:  # both writers must fail alike
+        return type(exc)
+
+
+SPECIAL_FLOATS = st.sampled_from([-0.0, 0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf])
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | SPECIAL_FLOATS
+           | st.text())
+
+
+def int_rows(width):
+    # equal-length rows, now and then holding a True (written "true", not 1)
+    return st.lists(st.lists(st.integers() | st.just(True), min_size=width, max_size=width))
+
+
+JSON_VALUES = st.recursive(
+    SCALARS | st.integers(0, 3).flatmap(int_rows)
+    | st.lists(st.lists(st.floats() | SPECIAL_FLOATS, min_size=2, max_size=2)),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)
+                   | st.dictionaries(st.integers(), inner, max_size=3)
+                   | st.dictionaries(st.integers() | st.text(), inner, max_size=2)),
+    max_leaves=25)
+
+
+class TestJsonWriter:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(obj=JSON_VALUES)
+    def test_matches_json_dumps(self, obj):
+        assert outcome(_json_text, obj) == outcome(reference_text, obj)
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], [[]], [[], []], {"é\u2603\U0001f600": {"": []}},
+        [1, True], [[1, 2], [3, True]], [[1, 2], [3]], [[1, 2], (3, 4)],
+        [-0.0, 1e300, math.nan, math.inf, -math.inf], [[0.5, -0.0], [1e-300, 2.0]],
+        {1: "int key", 2: [1]}, {"a": 1, 2: 3}, {1.5: 0, True: None},
+        [{"b": 1, "a": [[1]]}], "text", 7, 2.5, None, [10**30, -5],
+    ], ids=repr)
+    def test_edge_cases(self, obj):
+        assert outcome(_json_text, obj) == outcome(reference_text, obj)
+
+    def test_unsupported_values_fail_alike(self):
+        cyclic = []
+        cyclic.append(cyclic)
+        for obj in (cyclic, [1, {2}], {"a": object()}):
+            with pytest.raises((TypeError, ValueError)) as got:
+                _json_text(obj)
+            with pytest.raises((TypeError, ValueError)) as want:
+                reference_text(obj)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    def test_pipeline_artifacts_redump_to_their_bytes(self, tmp_path):
+        assert run_cli("pipeline", "--space", "lp:2:3", "--delta", "1",
+                       "--r", "1.44", "--seed", "3", "--samples", "200",
+                       "--out", str(tmp_path)) == 0
+        for path in sorted(tmp_path.iterdir()):
+            text = path.read_text(encoding="utf-8")
+            assert reference_text(json.loads(text)) + "\n" == text, path.name
 
 
 class TestNoGadgetGraph:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -275,6 +276,30 @@ class TestPlacement:
         emb = place_edges(space, ng, practical_params(beta=0.05, seed=1),
                           np.random.default_rng([1, 1]), edge_limit=45)
         assert verify_embedding(emb)["ok"]
+
+    def test_accepted_curve_is_clipped_once(self, monkeypatch):
+        # placement appends the gamma step's pieces of the accepted curve;
+        # only the first edge, where the gamma step does not run, is clipped
+        # by add_edges.  Clipping every curve again must change nothing.
+        space = parse_space("lp:inf:3")
+        ng = build_net_graph(space, 1.0, 2.0)
+        calls = []
+        clip_curves, add_edges = embeddings._clip_curves, _PlacedState.add_edges
+        monkeypatch.setattr(embeddings, "_clip_curves",
+                            lambda *args: calls.append(1) or clip_curves(*args))
+
+        def place():
+            calls.clear()
+            emb = place_edges(space, ng, practical_params(beta=0.05, seed=1),
+                              np.random.default_rng([1, 1]), edge_limit=45)
+            return json.dumps(embedding_to_json(emb)), len(calls)
+
+        once, clips = place()
+        monkeypatch.setattr(_PlacedState, "add_edges",
+                            lambda self, ws, clip=None: add_edges(self, ws))
+        twice, reclips = place()
+        assert once == twice
+        assert clips == reclips - 44
 
     def test_retry_cap_reports_tally(self):
         # an impossible gamma forces the cap: two edges sharing both

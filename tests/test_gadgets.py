@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netembed import gadgets
-from netembed import (DistortionReport, FiniteMetric, InternalConsistencyError,
+from netembed import (DistortionReport, InternalConsistencyError,
                       ValidationError, anchor_map,
                       audit_anchor_map, audit_product_map, bfs_apsp, bfs_from,
                       build_gadget, build_net_graph, from_edges,
@@ -239,9 +239,8 @@ class TestAnchorMap:
     ], ids=["lower", "upper"])
     def test_violation_reports_first_failing_pair(self, monkeypatch, skew, message):
         h = build_gadget(star(3), 3)
-        rows = h.hop_metric()
-        skewed = FiniteMetric(rows.size, lambda i: skew(rows.row(i)))
-        monkeypatch.setattr(type(h), "hop_metric", lambda self: skewed)
+        ports = type(h).port_rows  # hop_metric rows read it too
+        monkeypatch.setattr(type(h), "port_rows", lambda self, s: skew(ports(self, s)))
         with pytest.raises(InternalConsistencyError) as got:
             audit_anchor_map(h)
         with pytest.raises(InternalConsistencyError) as want:

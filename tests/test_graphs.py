@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from netembed import (FiniteMetric, ValidationError, audit, audit_pair_rows,
+from netembed import (DistortionReport, FiniteMetric, ValidationError, audit, audit_pair_rows,
                       bfs_apsp, bfs_from, from_edges, graph_from_json, graph_to_dot,
                       graph_to_json, is_connected, lp_space, max_degree,
                       write_audit_csv)
@@ -167,6 +169,106 @@ class TestAudit:
         m = FiniteMetric.from_graph(path_graph(10))
         with pytest.raises(ValidationError, match="pair_cap must be >= 1"):
             audit(m, m, np.arange(10), pair_cap=cap)
+
+
+def masked_audit(source, target, vertex_map, pair_cap, rng):
+    """The masked per-row loop graphs.audit ran before it worked on whole
+    rows, kept as its reference: each row is gathered through vertex_map
+    and compressed to the pairs checked."""
+    fmap = np.asarray(vertex_map, dtype=np.int64)
+    exhaustive = source.size <= pair_cap
+    if exhaustive:
+        sources = range(source.size)
+    else:
+        want = max(2, min(source.size, (pair_cap * pair_cap) // source.size))
+        sources = sorted(rng.choice(source.size, size=want, replace=False).tolist())
+    lip_f, lip_i = 0.0, 0.0
+    wit_f = wit_i = (0, 1)
+    pairs = 0
+    for i in sources:
+        ds = source.row(i)
+        dt = target.row(int(fmap[i]))[fmap]
+        mask = np.ones(source.size, dtype=bool)
+        mask[i] = False
+        if exhaustive:
+            mask[:i] = False
+        ds_m, dt_m = ds[mask], dt[mask]
+        if ds_m.size == 0:
+            continue
+        if np.any(ds_m == 0):
+            j = int(np.where(mask)[0][np.argmax(ds_m == 0)])
+            raise ValidationError(f"zero source distance between distinct points {i},{j}")
+        idx = np.where(mask)[0]
+        pairs += idx.size
+        with np.errstate(divide="ignore"):
+            fwd = dt_m / ds_m
+            inv = np.where(dt_m > 0, ds_m / dt_m, np.inf)
+        k = int(np.argmax(fwd))
+        if fwd[k] > lip_f:
+            lip_f, wit_f = float(fwd[k]), (i, int(idx[k]))
+        k = int(np.argmax(inv))
+        if inv[k] > lip_i:
+            lip_i, wit_i = float(inv[k]), (i, int(idx[k]))
+    return DistortionReport(lip_f, lip_i, lip_f * lip_i, wit_f, wit_i, pairs, exhaustive)
+
+
+@st.composite
+def audit_cases(draw):
+    """Small integer metrics (entries 0..3, so ratios tie often), an
+    identity or injective vertex_map into a target that may be larger, and
+    a pair cap on either side of the source size."""
+    n = draw(st.integers(2, 9))
+    size = n + draw(st.integers(0, 3))
+
+    def table(k, low):
+        t = np.array(draw(st.lists(st.integers(low, 3), min_size=k * k, max_size=k * k)),
+                     dtype=np.int64).reshape(k, k)
+        return np.triu(t, 1) + np.triu(t, 1).T
+
+    src, tgt = table(n, 1), table(size, 0)
+    if draw(st.integers(0, 4)) == 0:  # a zero distance between distinct points
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        src[i, j] = src[j, i] = 0
+    if draw(st.booleans()):
+        fmap = np.arange(n)
+    else:
+        fmap = np.array(draw(st.permutations(range(size)))[:n])
+    return src, tgt, fmap, draw(st.integers(1, n + 1)), draw(st.integers(0, 2**16))
+
+
+def outcome(fn, *args):
+    try:
+        return repr(fn(*args))  # repr: a nan distortion compares equal
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+class TestAuditAgainstMaskedLoop:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=audit_cases())
+    def test_report_matches(self, case):
+        src, tgt, fmap, pair_cap, seed = case
+        before = src.copy(), tgt.copy()
+        # rows are views into the tables: the audit must not write into them
+        source = FiniteMetric(len(src), lambda i: src[i])
+        target = FiniteMetric(len(tgt), lambda i: tgt[i])
+        got = outcome(audit, source, target, fmap, pair_cap, np.random.default_rng(seed))
+        want = outcome(masked_audit, source, target, fmap, pair_cap,
+                       np.random.default_rng(seed))
+        assert got == want
+        assert np.array_equal(src, before[0]) and np.array_equal(tgt, before[1])
+
+    def test_sampled_float_rows(self):
+        # real-valued target rows in sampled mode, the product-map audit's case
+        pts = np.random.default_rng(4).normal(size=(40, 3))
+        source = FiniteMetric.from_graph(cycle_graph(40))
+        target = FiniteMetric.from_points(lp_space(2, 3), pts)
+        perm = np.random.default_rng(5).permutation(40)
+        for fmap in (np.arange(40), perm):
+            got = audit(source, target, fmap, 12, np.random.default_rng(6))
+            want = masked_audit(source, target, fmap, 12, np.random.default_rng(6))
+            assert not got.exhaustive and got.pairs_checked == want.pairs_checked
+            assert got == want
 
 
 class TestSerialization:
