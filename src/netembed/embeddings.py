@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import PlacementError, ValidationError
 from .gadgets import SubdividedGraph, subdivide
-from .graphs import Graph, bfs_apsp
+from .graphs import FiniteMetric, Graph, audit, bfs_apsp
 from .net_graphs import (NetGraph, net_graph_from_json, net_graph_to_json,
                          rescaled_unit)
 from .spaces import (NormedSpace, _l2_point_segment, _l2_segment_segment,
@@ -85,10 +85,17 @@ class EmbedParams:
     def validate(self, dim: int) -> None:
         if dim < 3:
             raise ValidationError("edge placement needs dimension >= 3")
+        constants = (self.alpha, self.beta, self.gamma, self.mu, self.tolerance,
+                     self.gamma_constant)
+        if not all(isinstance(c, (int, float)) and math.isfinite(c) for c in constants):
+            raise ValidationError("alpha, beta, gamma, mu, tolerance and "
+                                  "gamma_constant must be finite numbers")
         if not (self.mu > 0):
             raise ValidationError("mu must be positive")
         if not (0 < self.gamma and 0 < self.alpha and 0 < self.beta):
             raise ValidationError("alpha, beta, gamma must be positive")
+        if not (self.tolerance >= 0):
+            raise ValidationError("tolerance must be >= 0")
         if self.retry_cap < 1:
             raise ValidationError("retry_cap must be >= 1")
         if self.mode == "strict":
@@ -615,8 +622,6 @@ def place_edges(space: NormedSpace, ng: NetGraph, params: EmbedParams,
     """
     if space != ng.space or space.norm_fn is not ng.space.norm_fn:
         raise ValidationError("place_edges: space differs from the net graph's space")
-    if space.dim < 3:
-        raise ValidationError("edge placement needs dimension >= 3")
     params.validate(space.dim)
     if edge_limit is not None and edge_limit < 1:
         raise ValidationError("edge_limit must be >= 1")
@@ -730,16 +735,10 @@ def audit_tg(emb: PolylineEmbedding, interior_samples: int,
     space = emb.space
     g = emb.netgraph.graph
     tg = ThickenedGraph(g)
-    pts = emb.netgraph.points
-    lip_f = lip_i = 0.0
-    vpairs = 0
-    for i in range(g.n):
-        d_img = norms(space, pts[i + 1:] - pts[i])
-        d_tg = tg.hops[i, i + 1:]
-        vpairs += d_img.size
-        if d_img.size:
-            lip_f = max(lip_f, float(np.max(d_img / d_tg)))
-            lip_i = max(lip_i, float(np.max(d_tg / d_img)))
+    vertices = audit(FiniteMetric(g.n, tg.hops.__getitem__),
+                     FiniteMetric.from_points(space, emb.netgraph.points),
+                     np.arange(g.n), pair_cap=g.n)
+    lip_f, lip_i = vertices.lip_forward, vertices.lip_inverse
     n_edges = len(emb.edge_list)
     done = 0
     while done < interior_samples:
@@ -763,7 +762,7 @@ def audit_tg(emb: PolylineEmbedding, interior_samples: int,
         lip_forward=lip_f, lip_inverse=lip_i, distortion=lip_f * lip_i,
         forward_bound=4.0, inverse_bound=inv_bound,
         forward_ok=lip_f <= 4.0, inverse_ok=lip_i <= inv_bound,
-        vertex_pairs=vpairs, interior_pairs=interior_samples,
+        vertex_pairs=vertices.pairs_checked, interior_pairs=interior_samples,
         max_curve_length=max_len)
 
 

@@ -15,15 +15,17 @@ Two maps are audited:
                 inverse Lipschitz constant at most twice that of the
                 subdivided-graph positions.
 
-H is (base, M, psi_anchor) plus one id layout: the n*e short-path ("port")
-vertices, then the long-path interiors.  Ids, unit edges, the degree check
-and the JSON edge listing derive from that layout; H's adjacency Graph is
-built only on demand.  Hop distances of H come in closed form from a
-fixpoint over the ports (GadgetGraph.port_rows), whose short paths are
-unit-step paths and whose long paths act as weight-M edges.  The anchor
-audit reads its anchor entries from that port array; the product audit
-reads whole rows (GadgetGraph.hop_metric), which add every long-path vertex
-from its two end ports.  No BFS runs on H.
+G_M and H share one layout (_ChainGraph): base edge j is a chain of M
+unit edges between two hub vertices, and the chain interiors are numbered
+chain by chain after the hubs, which are the n base vertices in G_M and
+the n*e short-path ("port") vertices in H.  Ids, unit edges, the JSON edge
+listing and the hop rows derive from that layout; neither graph's
+adjacency is built unless asked for.  A hop row fills the chains in closed
+form from the source's distances to the hubs: M times the base hop table
+for G_M, and for H a fixpoint over the ports (GadgetGraph.port_rows), whose
+short paths are unit-step paths and whose long paths act as weight-M edges.
+The anchor audit reads its entries from that port array.  No BFS runs on
+G_M or H.
 
 Short paths carry exactly e vertices (length e-1): a trailing unlabeled
 vertex would change no distance bound and is dropped; see the metadata flag
@@ -43,10 +45,6 @@ from .graphs import (DistortionReport, FiniteMetric, Graph, audit, bfs_apsp,
 from .spaces import NormedSpace, direct_sum_l1, lp_space, norms
 
 
-def _sorted_edges(g: Graph) -> tuple:
-    return tuple(g.edges)  # already (u, v) with u < v, lexicographic
-
-
 def _chain_edges(*columns) -> np.ndarray:
     """Unit edges between neighbours along each row of np.hstack(columns),
     row by row: one path per row."""
@@ -61,123 +59,159 @@ def edges_to_json(n: int, ends: np.ndarray) -> dict:
 
 
 @dataclass(frozen=True)
-class SubdividedGraph:
-    """Each base edge replaced by a path of M unit edges.
+class _ChainGraph:
+    """Base edge j = (a_j, b_j), in the base graph's lexicographic edge
+    order, as a chain of M unit edges between two hub vertices.
 
-    Vertex ids: 0..n-1 are the base vertices; the k-th interior vertex of
-    edge j (k = 0..M-2, walking from the smaller endpoint) is
-    n + j*(M-1) + k.  The Graph itself is built on first use: positions,
-    edge gaps and hop rows come from the base graph alone.
+    Vertex ids: 0..hubs-1 are the hubs; interior_id(j, k) = hubs + j*(M-1)
+    + k is the k-th interior vertex of chain j (k = 0..M-2, walking from
+    a_j's end).  A subclass defines hubs, _hub_ends (the (e, 2) hub ids at
+    the a_j and b_j ends of each chain) and _hub_distances.  The Graph
+    itself is built on first use only.
     """
 
     base: Graph
     M: int
-    edge_list: tuple
+
+    @cached_property
+    def edge_list(self) -> tuple:
+        return tuple(self.base.edges)  # already (u, v) with u < v, lexicographic
+
+    @cached_property
+    def _ends(self) -> np.ndarray:
+        """The base edges as an (e, 2) array, edge j = (a_j, b_j)."""
+        return np.array(self.edge_list, dtype=np.int64).reshape(-1, 2)
 
     @property
     def n(self) -> int:
-        return self.base.n + len(self.edge_list) * (self.M - 1)
+        return self.hubs + len(self.edge_list) * (self.M - 1)
+
+    def interior_id(self, j: int, k: int) -> int:
+        return int(self.interior[j, k])
+
+    @property
+    def interior(self) -> np.ndarray:
+        """The (e, M-1) interior ids, chain by chain."""
+        e = len(self.edge_list)
+        return self.hubs + np.arange(e * (self.M - 1)).reshape(e, self.M - 1)
+
+    def _chain_step(self, s: int) -> tuple:
+        """(j, t) for an interior vertex s: step t in 1..M-1 of chain j."""
+        j, k = divmod(s - self.hubs, self.M - 1)
+        return j, k + 1
 
     @cached_property
     def graph(self) -> Graph:
         return from_edges(self.n, [tuple(e) for e in self.edge_ends().tolist()])
 
     def edge_ends(self) -> np.ndarray:
-        """(len(edge_list) * M, 2) endpoints of the unit edges, path by path
-        from the smaller base endpoint."""
-        ends = np.array(self.edge_list, dtype=np.int64).reshape(-1, 2)
-        inner = self.base.n + np.arange(self.n - self.base.n).reshape(len(ends), self.M - 1)
-        return _chain_edges(ends[:, :1], inner, ends[:, 1:])
+        """(e * M, 2) endpoints of the chains' unit edges, from a_j's end."""
+        hub = self._hub_ends
+        return _chain_edges(hub[:, :1], self.interior, hub[:, 1:])
 
-    def interior_id(self, j: int, k: int) -> int:
-        return self.base.n + j * (self.M - 1) + k
+    def hop_metric(self) -> FiniteMetric:
+        """Exact float64 hop rows, in closed form from the hub distances
+        (no BFS; self.graph is not read).
+
+        The step-t vertex of chain j is entered from a_j's hub (t more hops)
+        or b_j's (M - t); a source on chain j itself also reaches it in
+        |t - t0| hops along the chain.
+        """
+        hubs, M = self.hubs, self.M
+        hub_distances = self._hub_distances()
+        a, b = self._hub_ends.T
+        steps = np.arange(1, M, dtype=np.float64)
+
+        def row(s):
+            d = hub_distances(s)
+            out = np.empty(self.n, dtype=np.float64)
+            out[:hubs] = d
+            inner = out[hubs:].reshape(len(a), M - 1)
+            np.add(d[a][:, None], steps, out=inner)
+            np.minimum(inner, d[b][:, None] + (M - steps), out=inner)
+            if s >= hubs:
+                j0, t0 = self._chain_step(s)
+                np.minimum(inner[j0], np.abs(steps - t0), out=inner[j0])
+            return out
+
+        return FiniteMetric(self.n, row)
+
+
+@dataclass(frozen=True)
+class SubdividedGraph(_ChainGraph):
+    """Each base edge replaced by a path of M unit edges.  The hubs are the
+    base vertices; chain j runs from the smaller endpoint of base edge j."""
+
+    @property
+    def hubs(self) -> int:
+        return self.base.n
+
+    @property
+    def _hub_ends(self) -> np.ndarray:
+        return self._ends
 
     def vertex_kind(self, vid: int):
         """("orig", u) or ("edge", j, step) with step in 1..M-1 from the
         smaller endpoint."""
-        if vid < self.base.n:
+        if vid < self.hubs:
             return ("orig", vid)
-        off = vid - self.base.n
-        return ("edge", off // (self.M - 1), off % (self.M - 1) + 1)
+        return ("edge", *self._chain_step(vid))
 
-    def hop_metric(self) -> FiniteMetric:
-        """Exact hop rows of the subdivided graph, in closed form from the
-        base hop table (no BFS on the subdivided graph).
-
-        Shortest paths between base vertices run along whole subdivided
-        edges, so those distances are M times the base hop distances.  A
-        path to the step-t vertex of edge j = (a, b) enters through a (t
-        hops) or b (M - t hops); a source on edge j itself also reaches it
-        in |t - t0| hops along the edge.
-        """
-        n, M = self.base.n, self.M
+    def _hub_distances(self):
+        """Paths between base vertices run along whole subdivided edges: M
+        times the base hops.  A source at step t0 of edge j leaves through
+        a_j (t0 hops) or b_j (M - t0)."""
+        M = self.M
         hops = bfs_apsp(self.base).astype(np.int64) * M
-        ends = np.array(self.edge_list, dtype=np.int64).reshape(-1, 2)
-        a, b = ends[:, 0], ends[:, 1]
-        steps = np.arange(1, M)
+        a, b = self._ends.T
 
-        def row(i):
-            if i < n:
-                to_base = hops[i]
-            else:
-                j, t0 = divmod(i - n, M - 1)
-                t0 += 1
-                to_base = np.minimum(hops[a[j]] + t0, hops[b[j]] + (M - t0))
-            inner = np.minimum(to_base[a, None] + steps, to_base[b, None] + (M - steps))
-            if i >= n:
-                inner[j] = np.minimum(inner[j], np.abs(steps - t0))
-            return np.concatenate([to_base, inner.ravel()]).astype(np.float64)
+        def dist(s):
+            if s < self.hubs:
+                return hops[s]
+            j, t0 = self._chain_step(s)
+            return np.minimum(hops[a[j]] + t0, hops[b[j]] + (M - t0))
 
-        return FiniteMetric(self.n, row)
+        return dist
 
 
 def subdivide(g: Graph, M: int) -> SubdividedGraph:
     """Replace each edge by a path of length M; M = 1 leaves g unchanged."""
     if M < 1:
         raise ValidationError("M must be >= 1")
-    return SubdividedGraph(base=g, M=M, edge_list=_sorted_edges(g))
+    return SubdividedGraph(base=g, M=M)
 
 
 @dataclass(frozen=True)
-class GadgetGraph:
+class GadgetGraph(_ChainGraph):
     """Maximum-degree-3 expansion of a base graph.
 
-    Vertex ids: short_ids[u, i] = u*e + i is the short-path vertex of base
-    vertex u carrying label i+1; long_interior[j, k] = n*e + j*(M-1) + k is
-    the k-th interior vertex of long path j from its smaller end.
-    psi_anchor is the label whose short-path vertices serve as images of
-    the base vertices (default 1).  The Graph is built on first use only.
+    The hubs are the ports: short_ids[u, i] = u*e + i is the short-path
+    vertex of base vertex u carrying label i+1.  Long path j is chain j,
+    between the ports (a_j, j) and (b_j, j); long_interior holds its
+    interior ids.  psi_anchor is the label whose short-path vertices serve
+    as images of the base vertices (default 1).
     """
 
-    base: Graph
-    M: int
-    edge_list: tuple
     psi_anchor: int = 1
 
     @property
-    def n(self) -> int:
-        return (self.base.n + self.M - 1) * len(self.edge_list)
+    def hubs(self) -> int:
+        return self.base.n * len(self.edge_list)
 
     @property
     def short_ids(self) -> np.ndarray:
-        return np.arange(self.base.n * len(self.edge_list)).reshape(self.base.n, -1)
+        return np.arange(self.hubs).reshape(self.base.n, -1)
+
+    long_interior = _ChainGraph.interior
 
     @property
-    def long_interior(self) -> np.ndarray:
+    def _hub_ends(self) -> np.ndarray:
         e = len(self.edge_list)
-        return self.base.n * e + np.arange(e * (self.M - 1)).reshape(e, self.M - 1)
-
-    @cached_property
-    def graph(self) -> Graph:
-        return from_edges(self.n, [tuple(e) for e in self.edge_ends().tolist()])
+        return self._ends * e + np.arange(e)[:, None]
 
     def edge_ends(self) -> np.ndarray:
-        """Endpoints of the unit edges: the short paths, then long path j as
-        subdivided edge j with its ends replaced by the ports (a_j, j), (b_j, j)."""
-        e = len(self.edge_list)
-        ends = self._ends * e + np.arange(e)[:, None]
-        return np.concatenate([_chain_edges(self.short_ids),
-                               _chain_edges(ends[:, :1], self.long_interior, ends[:, 1:])])
+        """Endpoints of the unit edges: the short paths, then the long paths."""
+        return np.concatenate([_chain_edges(self.short_ids), super().edge_ends()])
 
     def max_degree(self) -> int:
         return int(np.bincount(self.edge_ends().ravel(), minlength=self.n).max())
@@ -198,9 +232,9 @@ class GadgetGraph:
         lab = np.arange(e)
         unreached = np.iinfo(np.int64).max // 4
         d = np.full((n, e), unreached, dtype=np.int64)
-        if s >= n * e:
-            j0, t0 = divmod(s - n * e, M - 1)
-            d[a[j0], j0], d[b[j0], j0] = t0 + 1, M - t0 - 1
+        if s >= self.hubs:
+            j0, t0 = self._chain_step(s)
+            d[a[j0], j0], d[b[j0], j0] = t0, M - t0
         else:
             d[divmod(s, e)] = 0
         while True:
@@ -215,38 +249,8 @@ class GadgetGraph:
             raise ValidationError("gadget metric requires a connected gadget")
         return d
 
-    def hop_metric(self) -> FiniteMetric:
-        """Exact hop rows of H, in closed form from port_rows (no BFS on H;
-        self.graph is not read).
-
-        The step-t vertex of long path j is entered from a_j (t more hops)
-        or b_j (M - t); a source on path j itself also reaches it in
-        |t - t0| hops.
-        """
-        e, M = len(self.edge_list), self.M
-        ports = self.base.n * e
-        a, b = self._ends.T
-        lab = np.arange(e)
-        steps = np.arange(1, M, dtype=np.float64)
-
-        def row(s):
-            d = self.port_rows(s)
-            out = np.empty(self.n, dtype=np.float64)
-            out[:ports] = d.ravel()
-            inner = out[ports:].reshape(e, M - 1)
-            np.add(d[a, lab][:, None], steps, out=inner)
-            np.minimum(inner, d[b, lab][:, None] + (M - steps), out=inner)
-            if s >= ports:
-                j0, t0 = divmod(s - ports, M - 1)
-                np.minimum(inner[j0], np.abs(steps - (t0 + 1)), out=inner[j0])
-            return out
-
-        return FiniteMetric(self.n, row)
-
-    @cached_property
-    def _ends(self) -> np.ndarray:
-        """The base edges as an (e, 2) array, edge j = (a_j, b_j)."""
-        return np.array(self.edge_list, dtype=np.int64).reshape(-1, 2)
+    def _hub_distances(self):
+        return lambda s: self.port_rows(s).ravel()
 
 
 def build_gadget(g: Graph, M: int, psi_anchor: int = 1) -> GadgetGraph:
@@ -257,14 +261,13 @@ def build_gadget(g: Graph, M: int, psi_anchor: int = 1) -> GadgetGraph:
         raise ValidationError("M must be >= 1")
     if not is_connected(g):
         raise ValidationError("base graph must be connected")
-    edge_list = _sorted_edges(g)
-    e = len(edge_list)
+    e = g.edge_count
     if e < 1:
         raise ValidationError("base graph needs at least one edge")
     if not (1 <= psi_anchor <= e):
         raise ValidationError(f"psi_anchor must be a label in 1..{e}")
 
-    h = GadgetGraph(base=g, M=M, edge_list=edge_list, psi_anchor=psi_anchor)
+    h = GadgetGraph(base=g, M=M, psi_anchor=psi_anchor)
     if h.max_degree() > 3:
         raise InternalConsistencyError("gadget degree exceeded 3")
     return h
@@ -281,35 +284,28 @@ def audit_anchor_map(h: GadgetGraph, enforce: bool = True) -> DistortionReport:
     Per pair: M*d_G <= d_H <= (2e + M)*d_G, hence lip <= 2e+M and inverse
     lip <= 1/M.
     """
-    e = len(h.edge_list)
-    amap = anchor_map(h)
-    iu, iv = np.triu_indices(h.base.n, 1)  # pairs u < v in row-major order
-    d_g = bfs_apsp(h.base)[iu, iv].astype(np.int64)
+    e, n = len(h.edge_list), h.base.n
+    d_g = bfs_apsp(h.base).astype(np.int64)
     # copied out, so that no (n, e) port array outlives its row
-    d_h = np.array([h.port_rows(int(a))[:, h.psi_anchor - 1].copy() for a in amap])[iu, iv]
-    bad = (h.M * d_g > d_h) | (d_h > (2 * e + h.M) * d_g)
+    d_h = np.array([h.port_rows(int(a))[:, h.psi_anchor - 1].copy() for a in anchor_map(h)])
+    bad = np.triu((h.M * d_g > d_h) | (d_h > (2 * e + h.M) * d_g), 1)
     if enforce and bad.any():
-        k = int(np.argmax(bad))  # the first failing pair
+        u, v = np.argwhere(bad)[0]  # the first failing pair u < v, row-major
         raise InternalConsistencyError(
-            f"anchor-map bound failed on pair ({iu[k]},{iv[k]}): "
-            f"d_G={d_g[k]}, d_H={d_h[k]}, M={h.M}, e={e}")
-    fwd, inv = d_h / d_g, d_g / d_h
-    kf, ki = int(np.argmax(fwd)), int(np.argmax(inv))  # first pair attaining each
-    lip_f, lip_i = float(fwd[kf]), float(inv[ki])
-    return DistortionReport(lip_f, lip_i, lip_f * lip_i, (int(iu[kf]), int(iv[kf])),
-                            (int(iu[ki]), int(iv[ki])), iu.size, exhaustive=True)
+            f"anchor-map bound failed on pair ({u},{v}): "
+            f"d_G={d_g[u, v]}, d_H={d_h[u, v]}, M={h.M}, e={e}")
+    return audit(FiniteMetric(n, d_g.__getitem__), FiniteMetric(n, d_h.__getitem__),
+                 np.arange(n), pair_cap=n)
 
 
 def _h_to_sub(h: GadgetGraph, sub: SubdividedGraph) -> np.ndarray:
     """Gadget vertex -> corresponding subdivided-graph vertex.
 
-    Short-path vertices of u collapse onto the base vertex u; long-path
-    interiors map to the subdivided-edge interiors, which both layouts
-    number path by path from the smaller end.
+    Short-path vertices of u collapse onto the base vertex u; both layouts
+    number the chain interiors alike after their hubs.
     """
-    ports = h.short_ids.size
-    return np.concatenate([np.arange(ports) // len(h.edge_list),
-                           sub.interior_id(0, 0) + np.arange(h.n - ports)])
+    return np.concatenate([np.arange(h.hubs) // len(h.edge_list),
+                           np.arange(sub.hubs, sub.n)])
 
 
 def product_positions(h: GadgetGraph, sub_positions: np.ndarray,
@@ -327,7 +323,7 @@ def product_positions(h: GadgetGraph, sub_positions: np.ndarray,
     """
     if h.M <= 2 * len(h.edge_list):
         raise ValidationError("need M > 2*e(base) for the product map")
-    sub = SubdividedGraph(base=h.base, M=h.M, edge_list=h.edge_list)
+    sub = SubdividedGraph(base=h.base, M=h.M)
     sub_positions = np.asarray(sub_positions, dtype=np.float64)
     if sub_positions.shape != (sub.n, space.dim):
         raise ValidationError(

@@ -21,6 +21,7 @@ fortiori.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,6 +52,8 @@ class Net:
     origin_index: Optional[int] = 0
 
     def __post_init__(self):
+        if not all(0 < x < math.inf for x in (self.delta, self.r, self.rho)):
+            raise ValidationError("net delta, r and rho must be finite and positive")
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.space.dim:
             raise ValidationError("net points must be rows of the space's dimension")
@@ -91,8 +94,8 @@ def build_net(space: NormedSpace, delta: float, r: float, mesh_divisor: int = 4,
     scanned lexicographically and kept when at distance >= rho from every
     point kept so far.
     """
-    if not (0 < delta < r):
-        raise ValidationError("need 0 < delta < r")
+    if not (0 < delta < r < math.inf):
+        raise ValidationError("need 0 < delta < r < inf")
     if mesh_divisor < 2:
         raise ValidationError("mesh_divisor must be >= 2")
     h = delta / mesh_divisor

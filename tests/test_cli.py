@@ -236,8 +236,13 @@ class TestEmbeddingInput:
         _swap_first_edge,
         _set("edges", value=[]),
         _set("edges", 2, "attempts", value=0),
+        _set("params", "tolerance", value=-1.0),
+        _set("params", "tolerance", value=math.nan),
+        _set("params", "mu", value=math.inf),
+        _set("params", "gamma_constant", value=math.inf),
     ], ids=["one-short-w", "all-short-w", "negative-alpha", "negative-gamma",
-            "bogus-mode", "vertex-999", "swapped-edge", "no-edges", "zero-attempts"])
+            "bogus-mode", "vertex-999", "swapped-edge", "no-edges", "zero-attempts",
+            "negative-tolerance", "nan-tolerance", "inf-mu", "inf-gamma-constant"])
     def test_invalid_embedding_exits_2(self, ten_edges, tmp_path, capsys, edit):
         rc, err = self._audit_tg_exit(ten_edges, tmp_path, capsys, edit)
         assert rc == 2
@@ -247,6 +252,12 @@ class TestEmbeddingInput:
     def test_embed_limit_below_one_exits_2(self, workdir, tmp_path, capsys, limit):
         assert run_cli("embed", "--graph", str(workdir / "G.json"), "--seed", "5",
                        "--limit", limit, "-o", str(tmp_path / "emb.json")) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
+        assert not (tmp_path / "emb.json").exists()
+
+    def test_embed_infinite_mu_exits_2(self, workdir, tmp_path, capsys):
+        assert run_cli("embed", "--graph", str(workdir / "G.json"), "--seed", "5",
+                       "--mu", "inf", "-o", str(tmp_path / "emb.json")) == 2
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
         assert not (tmp_path / "emb.json").exists()
 
@@ -286,6 +297,35 @@ class TestEmbeddingInput:
                        "--out", str(tmp_path / "run")) == 2
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
         assert not (tmp_path / "run").exists()
+
+
+class TestNetScales:
+    def test_infinite_radius_exits_2(self, tmp_path, capsys):
+        assert run_cli("net", "--space", "lp:2:3", "--delta", "1", "--r", "inf",
+                       "-o", str(tmp_path / "net.json")) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
+        assert not (tmp_path / "net.json").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("rho", 0.0), ("rho", -1.0), ("delta", math.nan), ("r", math.inf),
+    ], ids=["zero-rho", "negative-rho", "nan-delta", "inf-r"])
+    def test_bad_net_scale_exits_2(self, workdir, tmp_path, capsys, field, value):
+        obj = read(workdir / "net.json")
+        obj[field] = value
+        (tmp_path / "net.json").write_text(json.dumps(obj))
+        assert run_cli("graph", "--net", str(tmp_path / "net.json"),
+                       "-o", str(tmp_path / "G.json")) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
+        assert not (tmp_path / "G.json").exists()
+
+    def test_zero_rho_in_net_graph_exits_2(self, workdir, tmp_path, capsys):
+        obj = read(workdir / "G.json")
+        obj["net"]["rho"] = 0.0
+        (tmp_path / "G.json").write_text(json.dumps(obj))
+        assert run_cli("embed", "--graph", str(tmp_path / "G.json"), "--seed", "5",
+                       "-o", str(tmp_path / "emb.json")) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
+        assert not (tmp_path / "emb.json").exists()
 
 
 class TestPipeline:

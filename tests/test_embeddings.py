@@ -488,6 +488,23 @@ def _same_side(a, b, u, w, v, space):
     return False
 
 
+def loop_vertex_ratios(emb):
+    """Row-by-row reference for audit_tg's vertex pairs:
+    (lip_forward, lip_inverse, pairs)."""
+    space, pts = emb.space, emb.netgraph.points
+    hops = bfs_apsp(emb.netgraph.graph).astype(np.float64)
+    lip_f = lip_i = 0.0
+    pairs = 0
+    for i in range(len(pts)):
+        d_img = norms(space, pts[i + 1:] - pts[i])
+        d_tg = hops[i, i + 1:]
+        pairs += d_img.size
+        if d_img.size:
+            lip_f = max(lip_f, float(np.max(d_img / d_tg)))
+            lip_i = max(lip_i, float(np.max(d_tg / d_img)))
+    return lip_f, lip_i, pairs
+
+
 class TestTgAudit:
     def test_bounds_hold(self, ball_emb):
         rep = audit_tg(ball_emb, 5000, np.random.default_rng([8, 2]))
@@ -498,13 +515,17 @@ class TestTgAudit:
         assert rep.vertex_pairs == ball_emb.netgraph.graph.n * (
             ball_emb.netgraph.graph.n - 1) // 2
 
-    def test_vertex_ratios_match_identity_audit(self, triangle_emb):
+    def test_vertex_ratios_match_identity_audit(self, triangle_emb, ball_emb):
         rep = audit_tg(triangle_emb, 0, np.random.default_rng(0))
         pts = triangle_emb.netgraph.points
         hops = bfs_apsp(triangle_emb.netgraph.graph)
         want_f = max(norm(L23, pts[i] - pts[j]) / hops[i, j]
                      for i in range(3) for j in range(i + 1, 3))
         assert rep.lip_forward >= want_f - 1e-12
+        for emb in (triangle_emb, ball_emb):
+            rep = audit_tg(emb, 0, np.random.default_rng(0))
+            assert (rep.lip_forward, rep.lip_inverse, rep.vertex_pairs) == \
+                loop_vertex_ratios(emb)
 
 
 class TestMonteCarlo:

@@ -89,6 +89,7 @@ class TestSubdividedRows:
             assert row.dtype == np.float64
             assert np.array_equal(row, bfs_from(sub.graph, i))
         assert gadgets.edges_to_json(sub.n, sub.edge_ends()) == graph_to_json(sub.graph)
+        assert sub.edge_list == tuple(g.edges)
 
     def test_disconnected_base_raises(self):
         sub = subdivide(from_edges(4, [(0, 1), (2, 3)]), 3)
