@@ -62,6 +62,9 @@ _MC_PAIRS = 2048
 # Candidate-object box tests per block of candidates, roughly: bounds the
 # memory of the box masks.
 _BOX_TESTS = 1 << 17
+# Candidates per draw from an edge's substream: part of what fixes the
+# breakpoints a seed gives.
+_CHUNK = 2
 
 
 # --- parameters -------------------------------------------------------------
@@ -616,9 +619,12 @@ def place_edges(space: NormedSpace, ng: NetGraph, params: EmbedParams,
 
     The net graph is first rescaled to the unit normal form (separation 1,
     edge threshold 3) so the constants in params mean what they should.
-    Each edge rejection-samples w in the ball of radius mu around the
-    midpoint until check_breakpoints accepts it.  space must be the net
-    graph's space, the one the embedding records.
+    Edge j draws candidate breakpoints, uniform in the ball of radius mu
+    around its midpoint, in chunks of _CHUNK from its own substream
+    rng.spawn(len(edges))[j], and takes the first one that check_breakpoints
+    accepts against the curves of the edges before it; its attempts count
+    the candidates up to that one.  space must be the net graph's space,
+    the one the embedding records.
     """
     if space != ng.space or space.norm_fn is not ng.space.norm_fn:
         raise ValidationError("place_edges: space differs from the net graph's space")
@@ -632,13 +638,16 @@ def place_edges(space: NormedSpace, ng: NetGraph, params: EmbedParams,
         edges = edges[:edge_limit]
 
     state = _PlacedState(space, pts, edges, params.beta)
+    subs = rng.spawn(len(edges))
     breakpoints = np.empty((len(edges), space.dim))
     attempts = np.zeros(len(edges), dtype=np.int64)
     for j, (ui, vi) in enumerate(edges):
         z = 0.5 * (pts[ui] + pts[vi])
         tally = dict.fromkeys(CONDITIONS, 0)
-        for _ in range(params.retry_cap):
-            w = sample_ball_many(space, z, params.mu, 1, rng)
+        while attempts[j] < params.retry_cap:
+            if attempts[j] % _CHUNK == 0:
+                chunk = sample_ball_many(space, z, params.mu, _CHUNK, subs[j])
+            w = chunk[attempts[j] % _CHUNK][None]
             attempts[j] += 1
             code, clip = _check_block(state, np.array([j]), w, params)
             if code[0]:

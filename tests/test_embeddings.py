@@ -643,7 +643,8 @@ class TestBoxMask:
         rng = np.random.default_rng(4)
         ws = np.concatenate([
             sample_ball_many(space, 0.5 * (pts[ui] + pts[vi]), params.mu, 24, rng),
-            emb.breakpoints[:j] + rng.uniform(-0.02, 0.02, (j, 3))])
+            emb.breakpoints[:j] + rng.uniform(-0.02, 0.02, (j, 3)),
+            emb.breakpoints[:j] + rng.uniform(-1e-3, 1e-3, (j, 3))])  # on placed curves
         pruned = check_breakpoints(state, j, ws, params)
         assert {0, GAMMA} <= set(pruned.tolist())
         monkeypatch.setattr(embeddings, "_box_reach", lambda space, need: math.inf)
@@ -660,7 +661,8 @@ class TestBatchedReverification:
         w[4] = pts[edges[4][1]]                                      # on an endpoint
         mid = 0.5 * (pts[edges[6][0]] + pts[edges[6][1]])
         w[6] = pts[next(k for k in range(len(pts))                   # beta
-                        if k not in edges[6] and np.linalg.norm(pts[k] - mid) < 2)]
+                        if all(k not in e for e in edges[:7])  # no placed curve
+                        and np.linalg.norm(pts[k] - mid) < 2)]  # from u or v to crowd alpha
         g = len(edges) - 1
         w[g] = w[next(k for k in range(g) if not set(edges[k]) & set(edges[g]))] + 1e-3  # gamma
         bad = PolylineEmbedding(netgraph=emb.netgraph, params=params, edge_list=edges,
