@@ -15,12 +15,16 @@ until three avoidance conditions hold against everything placed earlier:
 One predicate, check_breakpoints, decides the three conditions for any
 number of candidate breakpoints, each naming its edge, against the curves
 of the edges before it, and returns the first condition each fails.  A
-single state serves all callers: placement appends each accepted curve and
-passes the predicate each draw; re-verification places every stored curve
-at once and checks all breakpoints in a few blocked calls, each against
-its own prefix; the Monte Carlo estimate checks all its samples the same
-way.  Every comparison is tolerance inflated (pass needs the constraint
-plus the tolerance), and every distance decision is certified in steps:
+single state serves all callers.  Placement draws each edge's candidates
+from the edge's own RNG substream and places a window of edges at a time:
+one call checks the window's draws against the curves placed before the
+window, and a few more settle the conflicts inside the window, with the
+result of placing the edges one at a time.  Re-verification places every
+stored curve at once and checks all breakpoints in a few blocked calls,
+each against its own prefix; the Monte Carlo estimate checks all its
+samples the same way.  Every comparison is tolerance inflated (pass needs
+the constraint plus the tolerance), and every distance decision is
+certified in steps:
 
   a bounding-box mask drops the pairs whose boxes sit at sup-norm gap
   >= 2 * need / l2_lower, which the l2 screen below would settle (the
@@ -62,9 +66,10 @@ _MC_PAIRS = 2048
 # Candidate-object box tests per block of candidates, roughly: bounds the
 # memory of the box masks.
 _BOX_TESTS = 1 << 17
-# Candidates per draw from an edge's substream: part of what fixes the
-# breakpoints a seed gives.
+# Candidates per draw from an edge's substream (part of what fixes the
+# breakpoints a seed gives), and edges placed together (which does not).
 _CHUNK = 2
+_WINDOW = 32
 
 
 # --- parameters -------------------------------------------------------------
@@ -309,16 +314,49 @@ class _PlacedState:
         pieces, rows = clip
         self.clipped = np.concatenate([self.clipped, pieces])
         self.clip_edge = np.concatenate([self.clip_edge, k + rows])
-        cross = []
-        for end, far in ((u, v), (v, u)):
-            out = ws - end
-            dist = norms(self.space, out)
-            on = dist == 0.0  # w on the endpoint: the curve leaves along [end, far]
-            out[on] = far[on] - end[on]
-            dist[on] = norms(self.space, out[on])
-            cross.append(end + (self.beta / dist)[:, None] * out)
         self.crossings = np.concatenate(
-            [self.crossings, np.stack(cross, axis=1).reshape(-1, n)])
+            [self.crossings, _crossings(self.space, u, v, ws, self.beta)])
+
+
+class _WindowState(_PlacedState):
+    """A curve for every edge of ends, each replaceable: the state the
+    in-window check of place_edges reads.  Curve i sits in rows 2i, 2i + 1
+    as in _PlacedState; set_curves writes only the curves that change."""
+
+    def __init__(self, space: NormedSpace, points: np.ndarray, ends, beta: float):
+        super().__init__(space, points, ends, beta)
+        k = len(self.ends)
+        self.segments = np.zeros((2 * k, 2, space.dim))
+        self.crossings = np.zeros((2 * k, space.dim))
+        self.pieces = [self.clipped] * k
+
+    def set_curves(self, idx, ws: np.ndarray, pieces) -> None:
+        """Make ws[k] the breakpoint of curve idx[k], with its clipped
+        pieces[k]."""
+        idx = np.asarray(idx, dtype=np.int64)
+        u, v = self.points[self.ends[idx, 0]], self.points[self.ends[idx, 1]]
+        rows = np.stack([2 * idx, 2 * idx + 1], axis=1).ravel()
+        self.segments[rows] = np.stack([u, ws, ws, v], axis=1).reshape(-1, 2, self.space.dim)
+        self.crossings[rows] = _crossings(self.space, u, v, ws, self.beta)
+        for i, p in zip(idx, pieces):
+            self.pieces[i] = p
+        self.clipped = np.concatenate(self.pieces)
+        self.clip_edge = np.repeat(np.arange(len(self.pieces)), [len(p) for p in self.pieces])
+
+
+def _crossings(space: NormedSpace, u: np.ndarray, v: np.ndarray, ws: np.ndarray,
+               beta: float) -> np.ndarray:
+    """(2k, dim): where the curve [u, w], [w, v] of row e crosses the beta
+    spheres of u (row 2e) and v (row 2e + 1)."""
+    cross = []
+    for end, far in ((u, v), (v, u)):
+        out = ws - end
+        dist = norms(space, out)
+        on = dist == 0.0  # w on the endpoint: the curve leaves along [end, far]
+        out[on] = far[on] - end[on]
+        dist[on] = norms(space, out[on])
+        cross.append(end + (beta / dist)[:, None] * out)
+    return np.stack(cross, axis=1).reshape(-1, space.dim)
 
 
 def _subtract_interval(intervals, cut):
@@ -404,20 +442,30 @@ def check_breakpoints(state: _PlacedState, edges, ws: np.ndarray,
     a block answers as each candidate would alone.  The candidates are
     taken in blocks of about _BOX_TESTS box tests (see _check_block).
     """
+    return _check_blocks(state, edges, ws, params)[0]
+
+
+def _check_blocks(state: _PlacedState, edges, ws: np.ndarray, params: EmbedParams):
+    """check_breakpoints as (codes, clip), with clip as in _check_block but
+    never None."""
     edges = np.broadcast_to(edges, len(ws))
     objects = len(state.segments) + len(state.clipped) + len(state.points)
     step = max(1, _BOX_TESTS // (2 * objects))
     code = np.zeros(len(ws), dtype=np.int8)
+    pieces, rows = [np.empty((0, 2, state.space.dim))], [np.empty(0, dtype=np.int64)]
     for k in range(0, len(ws), step):
-        code[k:k + step] = _check_block(state, edges[k:k + step], ws[k:k + step], params)[0]
-    return code
+        code[k:k + step], clip = _check_block(state, edges[k:k + step], ws[k:k + step], params)
+        if clip is not None:
+            pieces.append(clip[0])
+            rows.append(k + clip[1])
+    return code, (np.concatenate(pieces), np.concatenate(rows))
 
 
 def _check_block(state: _PlacedState, edges: np.ndarray, ws: np.ndarray,
                  params: EmbedParams):
     """check_breakpoints on one block, as (codes, clip).  clip is the
     gamma step's _clip_curves (pieces, rows) of the candidates that reached
-    it, rows indexing ws, or None when the step did not run; placement
+    it, sorted by rows, which index ws; None when none did.  Placement
     hands it to add_edges, so an accepted curve is clipped once.
 
     A pair of the candidate's curve with a placed segment, a placed piece
@@ -471,15 +519,16 @@ def _check_block(state: _PlacedState, edges: np.ndarray, ws: np.ndarray,
 
     placed, clipped = state.segments, state.clipped
     live = np.flatnonzero(code == 0)
-    clip = None
-    if len(placed) and live.size:
+    if not live.size:
+        return code, None
+    pieces, rows = _clip_curves(space, u[live], v[live], ws[live], beta)
+    order = np.argsort(rows, kind="stable")
+    pieces, rows = pieces[order], rows[order]
+    clip = pieces, live[rows]
+    if len(placed):
         need = params.gamma + tol
         reach = _box_reach(space, need)
         cand = segs[live].reshape(-1, 2, n)
-        pieces, rows = _clip_curves(space, u[live], v[live], ws[live], beta)
-        order = np.argsort(rows, kind="stable")
-        pieces, rows = pieces[order], rows[order]
-        clip = pieces, live[rows]
         at = np.searchsorted(rows, np.arange(live.size + 1))  # pieces of each candidate
         earlier = edges[live, None]
         near_seg = ((np.arange(len(placed)) // 2 < earlier[rows])
@@ -615,7 +664,7 @@ class PolylineEmbedding:
 def place_edges(space: NormedSpace, ng: NetGraph, params: EmbedParams,
                 rng: np.random.Generator,
                 edge_limit: Optional[int] = None) -> PolylineEmbedding:
-    """Place curves edge by edge in lexicographic order.
+    """Place curves in lexicographic edge order.
 
     The net graph is first rescaled to the unit normal form (separation 1,
     edge threshold 3) so the constants in params mean what they should.
@@ -623,8 +672,10 @@ def place_edges(space: NormedSpace, ng: NetGraph, params: EmbedParams,
     around its midpoint, in chunks of _CHUNK from its own substream
     rng.spawn(len(edges))[j], and takes the first one that check_breakpoints
     accepts against the curves of the edges before it; its attempts count
-    the candidates up to that one.  space must be the net graph's space,
-    the one the embedding records.
+    the candidates up to that one.  No edge's candidates depend on another
+    edge, so the edges are placed _WINDOW at a time (_place_window) with
+    the result of placing them one at a time.  space must be the net
+    graph's space, the one the embedding records.
     """
     if space != ng.space or space.norm_fn is not ng.space.norm_fn:
         raise ValidationError("place_edges: space differs from the net graph's space")
@@ -641,26 +692,85 @@ def place_edges(space: NormedSpace, ng: NetGraph, params: EmbedParams,
     subs = rng.spawn(len(edges))
     breakpoints = np.empty((len(edges), space.dim))
     attempts = np.zeros(len(edges), dtype=np.int64)
-    for j, (ui, vi) in enumerate(edges):
-        z = 0.5 * (pts[ui] + pts[vi])
-        tally = dict.fromkeys(CONDITIONS, 0)
-        while attempts[j] < params.retry_cap:
-            if attempts[j] % _CHUNK == 0:
-                chunk = sample_ball_many(space, z, params.mu, _CHUNK, subs[j])
-            w = chunk[attempts[j] % _CHUNK][None]
-            attempts[j] += 1
-            code, clip = _check_block(state, np.array([j]), w, params)
-            if code[0]:
-                tally[CONDITIONS[code[0] - 1]] += 1
-                continue
-            breakpoints[j] = w[0]
-            state.add_edges(w, clip)  # clipped by the gamma step, after the first edge
-            break
-        else:
-            raise PlacementError((ui, vi), int(attempts[j]), tally)
+    for a in range(0, len(edges), _WINDOW):
+        b = min(a + _WINDOW, len(edges))
+        breakpoints[a:b], attempts[a:b], clip = _place_window(state, a, b, subs[a:b], params)
+        state.add_edges(breakpoints[a:b], clip)
     return PolylineEmbedding(netgraph=ng_unit, params=params,
                              edge_list=tuple(edges), breakpoints=breakpoints,
                              attempts=attempts, scale=scale)
+
+
+def _place_window(state: _PlacedState, a: int, b: int, subs, params: EmbedParams):
+    """Breakpoints of edges a..b-1, given a state that holds the curves of
+    the edges before a, as (ws, attempts, clip); clip is for add_edges.
+
+    Edge a + i draws from subs[i], each draw twice the chunks of the one
+    before, and the candidates that pass against the state queue up.  Each
+    round then checks, in one call, the head of every undecided edge's
+    queue against the heads of the window edges before it, held in a
+    _WindowState: the edges up to the first failure are final, and that
+    edge drops its head.  Every edge so takes the first candidate of its
+    substream that passes against all curves before it.  An edge whose
+    first retry_cap candidates all fail raises PlacementError once the
+    window edges before it are final, with the codes of those candidates
+    against all curves before it.
+    """
+    space, pts, cap = state.space, state.points, params.retry_cap
+    ends = state.ends[a:b]
+    mids = 0.5 * (pts[ends[:, 0]] + pts[ends[:, 1]])
+    cands = [np.empty((0, space.dim))] * (b - a)
+    queue = [[] for _ in range(b - a)]  # (candidate index, clipped pieces)
+    draw = [1] * (b - a)  # chunks in the next draw
+    window = _WindowState(space, pts, ends, params.beta)
+    held = np.full(b - a, -1)  # the candidate of each curve in the window
+    lo, hi = 0, b - a  # edges lo..hi-1 are undecided, edge hi is out of candidates
+    while lo < hi:
+        dry = [i for i in range(lo, hi) if not queue[i]]
+        spent = [i for i in dry if len(cands[i]) == cap]
+        if spent:
+            hi = spent[0]
+        elif dry:
+            new = []
+            for i in dry:
+                chunks = min(draw[i], -(-(cap - len(cands[i])) // _CHUNK))
+                new.append(np.concatenate([
+                    sample_ball_many(space, mids[i], params.mu, _CHUNK, subs[i])
+                    for _ in range(chunks)])[:cap - len(cands[i])])
+                draw[i] *= 2
+            codes, (pieces, rows) = _check_blocks(
+                state, a + np.repeat(dry, [len(w) for w in new]), np.concatenate(new), params)
+            at = np.searchsorted(rows, np.arange(len(codes) + 1))
+            k = 0
+            for i, w in zip(dry, new):
+                for c in np.flatnonzero(codes[k:k + len(w)] == 0):
+                    queue[i].append((len(cands[i]) + c, pieces[at[k + c]:at[k + c + 1]]))
+                cands[i] = np.concatenate([cands[i], w])
+                k += len(w)
+        else:
+            idx = np.arange(lo, hi)
+            heads = np.array([queue[i][0][0] for i in idx])
+            ws = np.stack([cands[i][c] for i, c in zip(idx, heads)])
+            moved = np.flatnonzero(held[idx] != heads)
+            if moved.size:
+                window.set_curves(idx[moved], ws[moved], [queue[lo + k][0][1] for k in moved])
+                held[idx] = heads
+            bad = np.flatnonzero(check_breakpoints(window, idx, ws, params))
+            lo = lo + bad[0] if bad.size else hi
+            if bad.size:
+                queue[lo].pop(0)
+
+    picks = [queue[i][0] for i in range(hi)]
+    ws = np.array([cands[i][c] for i, (c, _) in enumerate(picks)]).reshape(hi, space.dim)
+    clip = (np.concatenate([np.empty((0, 2, space.dim))] + [p for _, p in picks]),
+            np.repeat(np.arange(hi), [len(p) for _, p in picks]))
+    if hi < b - a:
+        state.add_edges(ws, clip)
+        codes = check_breakpoints(state, a + hi, cands[hi], params)
+        raise PlacementError(tuple(int(x) for x in ends[hi]), cap,
+                             {name: int(np.count_nonzero(codes == k + 1))
+                              for k, name in enumerate(CONDITIONS)})
+    return ws, [c + 1 for c, _ in picks], clip
 
 
 def verify_embedding(emb: PolylineEmbedding) -> dict:

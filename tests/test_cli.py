@@ -120,6 +120,25 @@ class TestSubcommands:
         assert read(out)["verdict"] == "Neither"
 
 
+    def test_limited_embed_is_a_prefix_of_the_full_one(self, tmp_path):
+        # every edge draws from its own substream, so a limit, which also
+        # splits the placement windows at another edge, changes no row
+        assert run_cli("net", "--space", "lp:inf:3", "--delta", "1", "--r", "2",
+                       "-o", str(tmp_path / "net.json")) == 0
+        assert run_cli("graph", "--net", str(tmp_path / "net.json"),
+                       "-o", str(tmp_path / "G.json")) == 0
+
+        def embed(*limit):
+            out = tmp_path / "emb.json"
+            assert run_cli("embed", "--graph", str(tmp_path / "G.json"), "--seed", "0",
+                           *limit, "-o", str(out)) == 0
+            return read(out)["edges"]
+
+        full = embed()
+        for limit in (1, 7, 300):
+            assert embed("--limit", str(limit)) == full[:limit]
+
+
 class TestErrors:
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -278,12 +278,12 @@ class TestPlacement:
         assert verify_embedding(emb)["ok"]
 
     def test_accepted_curve_is_clipped_once(self, monkeypatch):
-        # placement appends the gamma step's pieces of the accepted curve;
-        # only the first edge, where the gamma step does not run, is clipped
-        # by add_edges.  Clipping every curve again must change nothing.
+        # placement hands add_edges the pieces that the check against the
+        # placed prefix cut from the accepted curves, so add_edges clips
+        # nothing.  Clipping every curve again must change nothing.
         space = parse_space("lp:inf:3")
         ng = build_net_graph(space, 1.0, 2.0)
-        calls = []
+        calls, adds = [], []
         clip_curves, add_edges = embeddings._clip_curves, _PlacedState.add_edges
         monkeypatch.setattr(embeddings, "_clip_curves",
                             lambda *args: calls.append(1) or clip_curves(*args))
@@ -296,10 +296,10 @@ class TestPlacement:
 
         once, clips = place()
         monkeypatch.setattr(_PlacedState, "add_edges",
-                            lambda self, ws, clip=None: add_edges(self, ws))
+                            lambda self, ws, clip=None: adds.append(1) or add_edges(self, ws))
         twice, reclips = place()
         assert once == twice
-        assert clips == reclips - 44
+        assert clips == reclips - len(adds) and len(adds) == math.ceil(45 / embeddings._WINDOW)
 
     def test_retry_cap_reports_tally(self):
         # an impossible gamma forces the cap: two edges sharing both
@@ -314,6 +314,24 @@ class TestPlacement:
         with pytest.raises(PlacementError) as err:
             place_edges(L23, ng, params, np.random.default_rng([5, 1]))
         assert sum(err.value.tally.values()) == 5
+
+    def test_default_retry_cap_in_logarithmically_many_checks(self, monkeypatch):
+        # vertex 2 is the midpoint of edge (0, 1), and every curve through
+        # the mu ball around it passes within mu / sqrt(1 + mu^2) < beta of
+        # it: edge (0, 1) rejects all its candidates
+        pts = np.array([[0.0, 0, 0], [2.0, 0, 0], [1.0, 0, 0]])
+        ng = net_graph_from_net(Net(L23, 1.0, 2.1, pts, 1.0))
+        params = EmbedParams(alpha=0.01, beta=0.0999, gamma=0.01, mu=0.1, mode="practical")
+        blocks = []
+        check_block = embeddings._check_block
+        monkeypatch.setattr(embeddings, "_check_block",
+                            lambda *args: blocks.append(1) or check_block(*args))
+        with pytest.raises(PlacementError) as err:
+            place_edges(L23, ng, params, np.random.default_rng([5, 1]))
+        assert err.value.edge == (0, 1) and err.value.attempts == params.retry_cap == 10_000
+        assert err.value.tally == {"alpha": 0, "beta": 10_000, "gamma": 0}
+        # doubling draws of 2, 4, 8, ... candidates, then the re-check
+        assert len(blocks) <= 2 * math.log2(params.retry_cap)
 
 
 class TestThickenedMetric:
@@ -681,10 +699,7 @@ class TestBatchedReverification:
         assert {2, 4, 6, g} <= {edges.index(tuple(f["edge"])) for f in expected}
 
     def test_pair_budget_and_block_count(self, monkeypatch):
-        # the embed-linf benchmark prefix: 300 edges, Monte Carlo at edge 100
-        space = parse_space("lp:inf:3")
-        emb = place_edges(space, build_net_graph(space, 1.0, 2.0), practical_params(seed=0),
-                          np.random.default_rng([0, 1]), edge_limit=300)
+        # the embed-linf benchmark's embed: 300 edges, Monte Carlo at edge 100
         pairs, blocks = [], []
 
         def record(name, log):
@@ -698,6 +713,11 @@ class TestBatchedReverification:
         for name in ("_segments_clear", "_points_clear"):
             record(name, pairs)
         record("_check_block", blocks)
+        space = parse_space("lp:inf:3")
+        emb = place_edges(space, build_net_graph(space, 1.0, 2.0), practical_params(seed=0),
+                          np.random.default_rng([0, 1]), edge_limit=300)
+        assert len(blocks) <= emb.attempts.sum() / 5  # a few blocks per window
+        del blocks[:]
         assert verify_embedding(emb)["ok"]
         assert len(blocks) <= len(emb.edge_list) // 20
         del blocks[:]
@@ -706,6 +726,73 @@ class TestBatchedReverification:
         assert embeddings._MC_PAIRS <= 4096  # the budget must not grow
         counts = [len(args[-3]) for args in pairs]  # the owner array: one per pair
         assert max(counts) <= embeddings._MC_PAIRS < sum(counts) // 10
+
+
+def _one_at_a_time(space, ng, params, rng, edge_limit=None):
+    """Reference placement: edge by edge, each candidate of the edge's
+    substream checked alone against the curves placed before it.  Returns
+    (breakpoints, attempts) or raises PlacementError as place_edges does."""
+    ng_unit, _ = rescaled_unit(ng)
+    pts, edges = ng_unit.points, ng_unit.graph.edges[:edge_limit]
+    state = _PlacedState(space, pts, edges, params.beta)
+    subs = rng.spawn(len(edges))
+    ws, attempts = np.empty((len(edges), space.dim)), np.zeros(len(edges), dtype=np.int64)
+    for j, (ui, vi) in enumerate(edges):
+        tally = dict.fromkeys(embeddings.CONDITIONS, 0)
+        while attempts[j] < params.retry_cap:
+            if attempts[j] % embeddings._CHUNK == 0:
+                chunk = sample_ball_many(space, 0.5 * (pts[ui] + pts[vi]), params.mu,
+                                         embeddings._CHUNK, subs[j])
+            w = chunk[attempts[j] % embeddings._CHUNK]
+            attempts[j] += 1
+            code = code_of(state, j, w, params)
+            if not code:
+                break
+            tally[embeddings.CONDITIONS[code - 1]] += 1
+        else:
+            raise PlacementError((ui, vi), int(attempts[j]), tally)
+        ws[j] = w
+        state.add_edges(w[None, :])
+    return ws, attempts
+
+
+def _outcome(place, *args, **kwargs):
+    """(breakpoint bytes, attempts) of a placement, or its PlacementError's
+    (edge, attempts, tally)."""
+    try:
+        out = place(*args, **kwargs)
+    except PlacementError as err:
+        return err.edge, err.attempts, err.tally
+    ws, attempts = (out.breakpoints, out.attempts) if isinstance(out, PolylineEmbedding) else out
+    return ws.tobytes(), attempts.tolist()
+
+
+class TestWindows:
+    """Windowed placement picks, for every edge, the first candidate of its
+    substream that passes against all curves before it: whatever the
+    window, the embedding and a PlacementError's tally are those of the
+    one-at-a-time loop."""
+
+    # the custom norm searches every pair, so it gets a shorter prefix
+    LIMITS = {"lp:2:3": 40, "lp:inf:3": 64, "l1sum": 40, "custom": 21}
+
+    @SPACES
+    def test_windows_place_as_one_at_a_time(self, space, request, monkeypatch):
+        limit = self.LIMITS[request.node.callspec.id]
+        ng = build_net_graph(space, 1.0, 2.0)
+        ok = practical_params(beta=0.05, seed=3)
+        # an edge of each prefix runs out of candidates under these: in l2
+        # edge 25, with later ones of its window of 7; in l-inf edge 1, after
+        # edges 57, 58 and 63 of the window of 64
+        hard = EmbedParams(alpha=0.1, beta=0.2, gamma=0.1, mode="practical", retry_cap=10)
+        for params in (ok, hard):
+            want = _outcome(_one_at_a_time, space, ng, params, np.random.default_rng([5, 1]),
+                            edge_limit=limit)
+            for window in (1, 7, 64):
+                monkeypatch.setattr(embeddings, "_WINDOW", window)
+                assert _outcome(place_edges, space, ng, params, np.random.default_rng([5, 1]),
+                                edge_limit=limit) == want
+            assert isinstance(want[0], bytes) == (params is ok)
 
 
 def _oracle_norm(p, x):
