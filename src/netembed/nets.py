@@ -186,4 +186,17 @@ def net_from_json(obj: dict) -> Net:
     zero_rows = np.where(~np.any(pts, axis=1))[0]
     if zero_rows.size:
         origin = int(zero_rows[0])
-    return Net(space, delta, r, pts, rho, origin_index=origin)
+    net = Net(space, delta, r, pts, rho, origin_index=origin)
+    sep = rho * (1 - _REL_TOL)  # the separation build_net keeps
+    step = max(1, (1 << 16) // net.size)  # rows of about 2**16 pairs per norms call
+    for a in range(0, net.size, step):
+        rows = net.points[a:a + step]
+        d = norms(space, (rows[:, None] - net.points[None]).reshape(-1, space.dim))
+        d = d.reshape(len(rows), -1)
+        i, j = np.nonzero(d < sep)
+        later = a + i < j
+        if later.any():
+            i, j = i[later][0], j[later][0]
+            raise ValidationError(f"net points {a + i} and {j} are {d[i, j]} apart, "
+                                  f"under the separation rho = {rho}")
+    return net

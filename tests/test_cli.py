@@ -347,6 +347,30 @@ class TestNetScales:
         assert not (tmp_path / "emb.json").exists()
 
 
+    @pytest.mark.parametrize("edit", ["repeated", "close"])
+    def test_unseparated_net_points_exit_2(self, workdir, tmp_path, capsys, edit):
+        # a repeated point used to reach the identity audit and exit 3
+        obj = read(workdir / "net.json")
+        p = obj["points"][1]
+        obj["points"].append(p if edit == "repeated" else [0.9 * x for x in p])
+        (tmp_path / "net.json").write_text(json.dumps(obj))
+        assert run_cli("graph", "--net", str(tmp_path / "net.json"),
+                       "-o", str(tmp_path / "G.json")) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation" and "under the separation" in err["message"]
+        assert not (tmp_path / "G.json").exists()
+
+    def test_repeated_point_in_net_graph_exits_2(self, workdir, tmp_path, capsys):
+        obj = read(workdir / "G.json")
+        obj["net"]["points"][1] = obj["net"]["points"][2]
+        (tmp_path / "G.json").write_text(json.dumps(obj))
+        assert run_cli("embed", "--graph", str(tmp_path / "G.json"), "--seed", "5",
+                       "-o", str(tmp_path / "emb.json")) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation" and "under the separation" in err["message"]
+        assert not (tmp_path / "emb.json").exists()
+
+
 class TestPipeline:
     def test_reproducible_artifacts(self, tmp_path):
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
