@@ -809,6 +809,44 @@ def _dense_curve(u, w, v, k=300):
 _across = st.floats(0.0, 2 * math.pi).map(lambda a: np.array([0.0, math.cos(a), math.sin(a)]))
 
 
+def _euclid_gap(x, segs):
+    """Euclidean distance from each point x[i] to the nearest segment of segs
+    (k, 2, dim), written out in numpy."""
+    a, d = segs[:, 0], segs[:, 1] - segs[:, 0]
+    s = np.einsum("ikd,kd->ik", x[:, None] - a, d) / np.maximum(np.sum(d * d, axis=1), 1e-300)
+    foot = a + np.clip(s, 0.0, 1.0)[..., None] * d
+    return np.linalg.norm(x[:, None] - foot, axis=2).min(axis=1)
+
+
+class TestClipCurves:
+    """_clip_curves against a dense sampling of each curve, with the
+    endpoint balls tested by direct norms calls.  Breakpoints near either
+    endpoint send a segment through the opposite endpoint's ball, which
+    only the cut by that ball removes."""
+
+    @SPACES
+    def test_pieces_are_the_curve_outside_both_balls(self, space):
+        rng = np.random.default_rng(12)
+        beta, m = 0.2, 30
+        u, d = rng.normal(size=(m, 3)), rng.normal(size=(m, 3))
+        v = u + 2.0 * d / norms(space, d)[:, None]  # at norm distance 2
+        off = rng.normal(size=(m, 3))
+        off *= rng.uniform(0.5, 4.0, (m, 1)) * beta / norms(space, off)[:, None]
+        ws = np.concatenate([v[:12] + off[:12], u[12:24] + off[12:24],
+                             0.5 * (u[24:] + v[24:]) + off[24:]])
+        pieces, rows = _clip_curves(space, u, v, ws, beta)
+        t = np.linspace(0.0, 1.0, 101)[:, None]
+        for k in range(m):
+            mine = pieces[rows == k]
+            curve = _dense_curve(u[k], ws[k], v[k], 1001)
+            out = ((norms(space, curve - u[k]) >= beta + 1e-6)
+                   & (norms(space, curve - v[k]) >= beta + 1e-6))
+            assert out.any() and _euclid_gap(curve[out], mine).max() <= 1e-9
+            on = (mine[:, None, 0] + t * (mine[:, None, 1] - mine[:, None, 0])).reshape(-1, 3)
+            assert norms(space, on - u[k]).min() >= beta - 1e-8
+            assert norms(space, on - v[k]).min() >= beta - 1e-8
+
+
 class TestCertification:
     """Whenever the predicate accepts, dense sampling of the curves shows the
     three clearances.  Sampled distances can only overestimate the true
