@@ -446,18 +446,16 @@ def check_breakpoints(state: _PlacedState, edges, ws: np.ndarray,
 
 
 def _check_blocks(state: _PlacedState, edges, ws: np.ndarray, params: EmbedParams):
-    """check_breakpoints as (codes, clip), with clip as in _check_block but
-    never None."""
+    """check_breakpoints as (codes, clip), clip as in _check_block."""
     edges = np.broadcast_to(edges, len(ws))
     objects = len(state.segments) + len(state.clipped) + len(state.points)
     step = max(1, _BOX_TESTS // (2 * objects))
     code = np.zeros(len(ws), dtype=np.int8)
     pieces, rows = [np.empty((0, 2, state.space.dim))], [np.empty(0, dtype=np.int64)]
     for k in range(0, len(ws), step):
-        code[k:k + step], clip = _check_block(state, edges[k:k + step], ws[k:k + step], params)
-        if clip is not None:
-            pieces.append(clip[0])
-            rows.append(k + clip[1])
+        code[k:k + step], (p, r) = _check_block(state, edges[k:k + step], ws[k:k + step], params)
+        pieces.append(p)
+        rows.append(k + r)
     return code, (np.concatenate(pieces), np.concatenate(rows))
 
 
@@ -465,8 +463,8 @@ def _check_block(state: _PlacedState, edges: np.ndarray, ws: np.ndarray,
                  params: EmbedParams):
     """check_breakpoints on one block, as (codes, clip).  clip is the
     gamma step's _clip_curves (pieces, rows) of the candidates that reached
-    it, sorted by rows, which index ws; None when none did.  Placement
-    hands it to add_edges, so an accepted curve is clipped once.
+    it, sorted by rows, which index ws.  Placement hands it to add_edges,
+    so an accepted curve is clipped once.
 
     A pair of the candidate's curve with a placed segment, a placed piece
     or another vertex reaches the distance computations only if its
@@ -520,7 +518,7 @@ def _check_block(state: _PlacedState, edges: np.ndarray, ws: np.ndarray,
     placed, clipped = state.segments, state.clipped
     live = np.flatnonzero(code == 0)
     if not live.size:
-        return code, None
+        return code, (np.empty((0, 2, n)), live)
     pieces, rows = _clip_curves(space, u[live], v[live], ws[live], beta)
     order = np.argsort(rows, kind="stable")
     pieces, rows = pieces[order], rows[order]
