@@ -95,6 +95,8 @@ def _load_graph(path):
     from .graphs import graph_from_json
     from .net_graphs import net_graph_from_json
     obj = _load_json(path, "graph")
+    if not isinstance(obj, dict):
+        raise ValidationError(f"graph file {path} must hold a JSON object")
     if "net" in obj:
         return net_graph_from_json(obj)
     return graph_from_json(obj)

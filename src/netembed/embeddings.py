@@ -14,17 +14,17 @@ until three avoidance conditions hold against everything placed earlier:
 
 One predicate, check_breakpoints, decides the three conditions for any
 number of candidate breakpoints, each naming its edge, against the curves
-of the edges before it, and returns the first condition each fails.  A
-single state serves all callers.  Placement draws each edge's candidates
-from the edge's own RNG substream and places a window of edges at a time:
-one call checks the window's draws against the curves placed before the
-window, and a few more settle the conflicts inside the window, with the
-result of placing the edges one at a time.  Re-verification places every
-stored curve at once and checks all breakpoints in a few blocked calls,
-each against its own prefix; the Monte Carlo estimate checks all its
-samples the same way.  Every comparison is tolerance inflated (pass needs
-the constraint plus the tolerance), and every distance decision is
-certified in steps:
+of the edges before it in a _PlacedState, and returns the first condition
+each fails.  Placement draws each edge's candidates from the edge's own RNG
+substream and places a window of edges at a time: one call checks the
+window's draws against the curves placed before the window, and a few more
+check the window's picks against each other on a state that is cut back at
+the first failure, with the result of placing the edges one at a time.
+Re-verification places every stored curve at once and checks all
+breakpoints in a few blocked calls, each against its own prefix; the Monte
+Carlo estimate checks all its samples the same way.  Every comparison is
+tolerance inflated (pass needs the constraint plus the tolerance), and
+every distance decision is certified in steps:
 
   a bounding-box mask drops the pairs whose boxes sit at sup-norm gap
   >= 2 * need / l2_lower, which the l2 screen below would settle (the
@@ -289,7 +289,8 @@ class _PlacedState:
       crossings  (2k, dim)    where curve e crosses the beta spheres of
                               ends[e, 0] (row 2e) and ends[e, 1] (row 2e + 1)
 
-    add_edges appends the next curves in one batched step."""
+    add_edges appends the next curves in one batched step, and truncate
+    drops the curves after a prefix."""
 
     def __init__(self, space: NormedSpace, points: np.ndarray, ends, beta: float):
         self.space = space
@@ -301,47 +302,24 @@ class _PlacedState:
         self.clip_edge = np.empty(0, dtype=np.int64)
         self.crossings = np.empty((0, space.dim))
 
-    def add_edges(self, ws: np.ndarray, clip=None) -> None:
-        """Place the curves of the next len(ws) edges, w a row of ws.  clip
-        is their _clip_curves (pieces, rows) when the caller has it."""
+    def add_edges(self, ws: np.ndarray) -> None:
+        """Place the curves of the next len(ws) edges, w a row of ws."""
         k, n = len(self.segments) // 2, self.space.dim
         ui, vi = self.ends[k:k + len(ws)].T
         u, v = self.points[ui], self.points[vi]
         self.segments = np.concatenate(
             [self.segments, np.stack([u, ws, ws, v], axis=1).reshape(-1, 2, n)])
-        if clip is None:
-            clip = _clip_curves(self.space, u, v, ws, self.beta)
-        pieces, rows = clip
+        pieces, rows = _clip_curves(self.space, u, v, ws, self.beta)
         self.clipped = np.concatenate([self.clipped, pieces])
         self.clip_edge = np.concatenate([self.clip_edge, k + rows])
         self.crossings = np.concatenate(
             [self.crossings, _crossings(self.space, u, v, ws, self.beta)])
 
-
-class _WindowState(_PlacedState):
-    """A curve for every edge of ends, each replaceable: the state the
-    in-window check of place_edges reads.  Curve i sits in rows 2i, 2i + 1
-    as in _PlacedState; set_curves writes only the curves that change."""
-
-    def __init__(self, space: NormedSpace, points: np.ndarray, ends, beta: float):
-        super().__init__(space, points, ends, beta)
-        k = len(self.ends)
-        self.segments = np.zeros((2 * k, 2, space.dim))
-        self.crossings = np.zeros((2 * k, space.dim))
-        self.pieces = [self.clipped] * k
-
-    def set_curves(self, idx, ws: np.ndarray, pieces) -> None:
-        """Make ws[k] the breakpoint of curve idx[k], with its clipped
-        pieces[k]."""
-        idx = np.asarray(idx, dtype=np.int64)
-        u, v = self.points[self.ends[idx, 0]], self.points[self.ends[idx, 1]]
-        rows = np.stack([2 * idx, 2 * idx + 1], axis=1).ravel()
-        self.segments[rows] = np.stack([u, ws, ws, v], axis=1).reshape(-1, 2, self.space.dim)
-        self.crossings[rows] = _crossings(self.space, u, v, ws, self.beta)
-        for i, p in zip(idx, pieces):
-            self.pieces[i] = p
-        self.clipped = np.concatenate(self.pieces)
-        self.clip_edge = np.repeat(np.arange(len(self.pieces)), [len(p) for p in self.pieces])
+    def truncate(self, k: int) -> None:
+        """Keep the curves of the first k edges only."""
+        self.segments, self.crossings = self.segments[:2 * k], self.crossings[:2 * k]
+        keep = self.clip_edge < k
+        self.clipped, self.clip_edge = self.clipped[keep], self.clip_edge[keep]
 
 
 def _crossings(space: NormedSpace, u: np.ndarray, v: np.ndarray, ws: np.ndarray,
@@ -422,8 +400,8 @@ def check_breakpoints(state: _PlacedState, edges, ws: np.ndarray,
                       params: EmbedParams) -> np.ndarray:
     """For each candidate breakpoint w (a row of ws) of the edge it names in
     edges (one index of state.ends for all rows, or one per row), the first
-    condition it fails against the curves placed for the edges before that
-    one: 0 when suitable, else ALPHA, BETA or GAMMA, tested in that order.
+    condition it fails against the curves state holds for the edges before
+    that one: 0 when suitable, else ALPHA, BETA or GAMMA, tested in that order.
 
       alpha  the curve meets each endpoint ball in a single radial segment
              (the far segment stays clear of the ball), and its crossing of
@@ -442,29 +420,19 @@ def check_breakpoints(state: _PlacedState, edges, ws: np.ndarray,
     a block answers as each candidate would alone.  The candidates are
     taken in blocks of about _BOX_TESTS box tests (see _check_block).
     """
-    return _check_blocks(state, edges, ws, params)[0]
-
-
-def _check_blocks(state: _PlacedState, edges, ws: np.ndarray, params: EmbedParams):
-    """check_breakpoints as (codes, clip), clip as in _check_block."""
     edges = np.broadcast_to(edges, len(ws))
     objects = len(state.segments) + len(state.clipped) + len(state.points)
     step = max(1, _BOX_TESTS // (2 * objects))
     code = np.zeros(len(ws), dtype=np.int8)
-    pieces, rows = [np.empty((0, 2, state.space.dim))], [np.empty(0, dtype=np.int64)]
     for k in range(0, len(ws), step):
-        code[k:k + step], (p, r) = _check_block(state, edges[k:k + step], ws[k:k + step], params)
-        pieces.append(p)
-        rows.append(k + r)
-    return code, (np.concatenate(pieces), np.concatenate(rows))
+        code[k:k + step] = _check_block(state, edges[k:k + step], ws[k:k + step], params)
+    return code
 
 
 def _check_block(state: _PlacedState, edges: np.ndarray, ws: np.ndarray,
-                 params: EmbedParams):
-    """check_breakpoints on one block, as (codes, clip).  clip is the
-    gamma step's _clip_curves (pieces, rows) of the candidates that reached
-    it, sorted by rows, which index ws.  Placement hands it to add_edges,
-    so an accepted curve is clipped once.
+                 params: EmbedParams) -> np.ndarray:
+    """check_breakpoints on one block.  The gamma step clips the curves of
+    the candidates that reach it, and only when some curve is placed.
 
     A pair of the candidate's curve with a placed segment, a placed piece
     or another vertex reaches the distance computations only if its
@@ -517,34 +485,32 @@ def _check_block(state: _PlacedState, edges: np.ndarray, ws: np.ndarray,
 
     placed, clipped = state.segments, state.clipped
     live = np.flatnonzero(code == 0)
-    if not live.size:
-        return code, (np.empty((0, 2, n)), live)
+    if not (live.size and len(placed)):
+        return code
     pieces, rows = _clip_curves(space, u[live], v[live], ws[live], beta)
     order = np.argsort(rows, kind="stable")
     pieces, rows = pieces[order], rows[order]
-    clip = pieces, live[rows]
-    if len(placed):
-        need = params.gamma + tol
-        reach = _box_reach(space, need)
-        cand = segs[live].reshape(-1, 2, n)
-        at = np.searchsorted(rows, np.arange(live.size + 1))  # pieces of each candidate
-        earlier = edges[live, None]
-        near_seg = ((np.arange(len(placed)) // 2 < earlier[rows])
-                    & _box_near(pieces, placed, reach))
-        near_clip = ((state.clip_edge < np.repeat(earlier, 2, axis=0))
-                     & _box_near(cand, clipped, reach))
-        counts = (np.bincount(rows, near_seg.sum(axis=1), live.size).astype(np.int64)
-                  + near_clip.sum(axis=1).reshape(-1, 2).sum(axis=1))
+    need = params.gamma + tol
+    reach = _box_reach(space, need)
+    cand = segs[live].reshape(-1, 2, n)
+    at = np.searchsorted(rows, np.arange(live.size + 1))  # pieces of each candidate
+    earlier = edges[live, None]
+    near_seg = ((np.arange(len(placed)) // 2 < earlier[rows])
+                & _box_near(pieces, placed, reach))
+    near_clip = ((state.clip_edge < np.repeat(earlier, 2, axis=0))
+                 & _box_near(cand, clipped, reach))
+    counts = (np.bincount(rows, near_seg.sum(axis=1), live.size).astype(np.int64)
+              + near_clip.sum(axis=1).reshape(-1, 2).sum(axis=1))
 
-        def clear(a, b):
-            pi, sj = np.nonzero(near_seg[at[a]:at[b]])
-            ci, cj = np.nonzero(near_clip[2 * a:2 * b])
-            p = np.concatenate([pieces[at[a] + pi], cand[2 * a + ci]])
-            q = np.concatenate([placed[sj], clipped[cj]])
-            owner = np.concatenate([rows[at[a] + pi] - a, ci // 2])
-            return _segments_clear(space, p, q, owner, b - a, need)
-        code[live[~_in_runs(counts, clear)]] = GAMMA
-    return code, clip
+    def clear(a, b):
+        pi, sj = np.nonzero(near_seg[at[a]:at[b]])
+        ci, cj = np.nonzero(near_clip[2 * a:2 * b])
+        p = np.concatenate([pieces[at[a] + pi], cand[2 * a + ci]])
+        q = np.concatenate([placed[sj], clipped[cj]])
+        owner = np.concatenate([rows[at[a] + pi] - a, ci // 2])
+        return _segments_clear(space, p, q, owner, b - a, need)
+    code[live[~_in_runs(counts, clear)]] = GAMMA
+    return code
 
 
 # --- the embedding -----------------------------------------------------------
@@ -683,6 +649,8 @@ def place_edges(space: NormedSpace, ng: NetGraph, params: EmbedParams,
     ng_unit, scale = rescaled_unit(ng)
     pts = ng_unit.points
     edges = ng_unit.graph.edges
+    if not edges:
+        raise ValidationError("place_edges: the net graph has no edges to place")
     if edge_limit is not None:
         edges = edges[:edge_limit]
 
@@ -692,8 +660,8 @@ def place_edges(space: NormedSpace, ng: NetGraph, params: EmbedParams,
     attempts = np.zeros(len(edges), dtype=np.int64)
     for a in range(0, len(edges), _WINDOW):
         b = min(a + _WINDOW, len(edges))
-        breakpoints[a:b], attempts[a:b], clip = _place_window(state, a, b, subs[a:b], params)
-        state.add_edges(breakpoints[a:b], clip)
+        breakpoints[a:b], attempts[a:b] = _place_window(state, a, b, subs[a:b], params)
+        state.add_edges(breakpoints[a:b])
     return PolylineEmbedding(netgraph=ng_unit, params=params,
                              edge_list=tuple(edges), breakpoints=breakpoints,
                              attempts=attempts, scale=scale)
@@ -701,15 +669,16 @@ def place_edges(space: NormedSpace, ng: NetGraph, params: EmbedParams,
 
 def _place_window(state: _PlacedState, a: int, b: int, subs, params: EmbedParams):
     """Breakpoints of edges a..b-1, given a state that holds the curves of
-    the edges before a, as (ws, attempts, clip); clip is for add_edges.
+    the edges before a, as (ws, attempts).
 
     Edge a + i draws from subs[i], each draw twice the chunks of the one
     before, and the candidates that pass against the state queue up.  Each
     round then checks, in one call, the head of every undecided edge's
     queue against the heads of the window edges before it, held in a
-    _WindowState: the edges up to the first failure are final, and that
-    edge drops its head.  Every edge so takes the first candidate of its
-    substream that passes against all curves before it.  An edge whose
+    _PlacedState of the window that the round cuts back to the final picks:
+    the edges up to the first failure are final, and that edge drops its
+    head.  Every edge so takes the first candidate of its substream that
+    passes against all curves before it.  An edge whose
     first retry_cap candidates all fail raises PlacementError once the
     window edges before it are final, with the codes of those candidates
     against all curves before it.
@@ -718,10 +687,9 @@ def _place_window(state: _PlacedState, a: int, b: int, subs, params: EmbedParams
     ends = state.ends[a:b]
     mids = 0.5 * (pts[ends[:, 0]] + pts[ends[:, 1]])
     cands = [np.empty((0, space.dim))] * (b - a)
-    queue = [[] for _ in range(b - a)]  # (candidate index, clipped pieces)
+    queue = [[] for _ in range(b - a)]  # indices of the candidates that pass against state
     draw = [1] * (b - a)  # chunks in the next draw
-    window = _WindowState(space, pts, ends, params.beta)
-    held = np.full(b - a, -1)  # the candidate of each curve in the window
+    window = _PlacedState(space, pts, ends, params.beta)
     lo, hi = 0, b - a  # edges lo..hi-1 are undecided, edge hi is out of candidates
     while lo < hi:
         dry = [i for i in range(lo, hi) if not queue[i]]
@@ -736,39 +704,30 @@ def _place_window(state: _PlacedState, a: int, b: int, subs, params: EmbedParams
                     sample_ball_many(space, mids[i], params.mu, _CHUNK, subs[i])
                     for _ in range(chunks)])[:cap - len(cands[i])])
                 draw[i] *= 2
-            codes, (pieces, rows) = _check_blocks(
+            codes = check_breakpoints(
                 state, a + np.repeat(dry, [len(w) for w in new]), np.concatenate(new), params)
-            at = np.searchsorted(rows, np.arange(len(codes) + 1))
             k = 0
             for i, w in zip(dry, new):
-                for c in np.flatnonzero(codes[k:k + len(w)] == 0):
-                    queue[i].append((len(cands[i]) + c, pieces[at[k + c]:at[k + c + 1]]))
+                queue[i] += list(len(cands[i]) + np.flatnonzero(codes[k:k + len(w)] == 0))
                 cands[i] = np.concatenate([cands[i], w])
                 k += len(w)
         else:
-            idx = np.arange(lo, hi)
-            heads = np.array([queue[i][0][0] for i in idx])
-            ws = np.stack([cands[i][c] for i, c in zip(idx, heads)])
-            moved = np.flatnonzero(held[idx] != heads)
-            if moved.size:
-                window.set_curves(idx[moved], ws[moved], [queue[lo + k][0][1] for k in moved])
-                held[idx] = heads
-            bad = np.flatnonzero(check_breakpoints(window, idx, ws, params))
+            ws = np.stack([cands[i][queue[i][0]] for i in range(lo, hi)])
+            window.truncate(lo)
+            window.add_edges(ws)
+            bad = np.flatnonzero(check_breakpoints(window, np.arange(lo, hi), ws, params))
             lo = lo + bad[0] if bad.size else hi
             if bad.size:
                 queue[lo].pop(0)
 
-    picks = [queue[i][0] for i in range(hi)]
-    ws = np.array([cands[i][c] for i, (c, _) in enumerate(picks)]).reshape(hi, space.dim)
-    clip = (np.concatenate([np.empty((0, 2, space.dim))] + [p for _, p in picks]),
-            np.repeat(np.arange(hi), [len(p) for _, p in picks]))
+    ws = np.array([cands[i][queue[i][0]] for i in range(hi)]).reshape(hi, space.dim)
     if hi < b - a:
-        state.add_edges(ws, clip)
+        state.add_edges(ws)
         codes = check_breakpoints(state, a + hi, cands[hi], params)
         raise PlacementError(tuple(int(x) for x in ends[hi]), cap,
                              {name: int(np.count_nonzero(codes == k + 1))
                               for k, name in enumerate(CONDITIONS)})
-    return ws, [c + 1 for c, _ in picks], clip
+    return ws, [queue[i][0] + 1 for i in range(hi)]
 
 
 def verify_embedding(emb: PolylineEmbedding) -> dict:

@@ -55,8 +55,11 @@ def from_edges(n: int, edges, coords=None, labels=None) -> Graph:
         adj[u].add(v)
         adj[v].add(u)
     if coords is not None:
-        coords = np.asarray(coords, dtype=np.float64)
-        if coords.shape[0] != n:
+        try:
+            coords = np.asarray(coords, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"coords must be rows of numbers: {exc}") from exc
+        if coords.ndim != 2 or coords.shape[0] != n:
             raise ValidationError("coords must have one row per vertex")
     return Graph(n, tuple(tuple(sorted(a)) for a in adj), coords=coords,
                  labels=tuple(labels) if labels is not None else None)

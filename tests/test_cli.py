@@ -193,6 +193,44 @@ class TestErrors:
         assert err["error"]["type"] == "validation"
         assert "retry_cap" in err["error"]["message"]
 
+    def test_embed_on_edgeless_net_graph_exits_2(self, tmp_path, capsys):
+        # r = 1.1 < rho: a one-point net, whose graph has no edge to place
+        assert run_cli("net", "--space", "lp:2:3", "--delta", "1", "--r", "1.1",
+                       "-o", str(tmp_path / "net.json")) == 0
+        assert run_cli("graph", "--net", str(tmp_path / "net.json"),
+                       "-o", str(tmp_path / "G.json")) == 0
+        assert read(tmp_path / "G.json")["edges"] == []
+        capsys.readouterr()
+        assert run_cli("embed", "--graph", str(tmp_path / "G.json"),
+                       "-o", str(tmp_path / "emb.json")) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation" and "no edges" in err["message"]
+        assert not (tmp_path / "emb.json").exists()
+
+    @pytest.mark.parametrize("command", [
+        ("classify",), ("subdivide", "--M", "2"), ("gadget", "--M", "2"), ("embed",),
+    ], ids=lambda c: c[0])
+    @pytest.mark.parametrize("edit", [
+        "coords-string", "coords-ragged", "coords-string-entry", "null", "seven",
+    ])
+    def test_malformed_graph_document_exits_2(self, workdir, tmp_path, capsys,
+                                              command, edit):
+        obj = read(workdir / "G.json")
+        if edit == "coords-string":
+            obj["coords"] = "abc"
+        elif edit == "coords-ragged":
+            obj["coords"][1] = obj["coords"][1][:2]
+        elif edit == "coords-string-entry":
+            obj["coords"][1][0] = "x"
+        else:
+            obj = {"null": None, "seven": 7}[edit]
+        (tmp_path / "G.json").write_text(json.dumps(obj))
+        out = tmp_path / "out.json"
+        assert run_cli(command[0], "--graph", str(tmp_path / "G.json"), *command[1:],
+                       "-o", str(out)) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def ten_edges(workdir):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -276,30 +275,6 @@ class TestPlacement:
         emb = place_edges(space, ng, practical_params(beta=0.05, seed=1),
                           np.random.default_rng([1, 1]), edge_limit=45)
         assert verify_embedding(emb)["ok"]
-
-    def test_accepted_curve_is_clipped_once(self, monkeypatch):
-        # placement hands add_edges the pieces that the check against the
-        # placed prefix cut from the accepted curves, so add_edges clips
-        # nothing.  Clipping every curve again must change nothing.
-        space = parse_space("lp:inf:3")
-        ng = build_net_graph(space, 1.0, 2.0)
-        calls, adds = [], []
-        clip_curves, add_edges = embeddings._clip_curves, _PlacedState.add_edges
-        monkeypatch.setattr(embeddings, "_clip_curves",
-                            lambda *args: calls.append(1) or clip_curves(*args))
-
-        def place():
-            calls.clear()
-            emb = place_edges(space, ng, practical_params(beta=0.05, seed=1),
-                              np.random.default_rng([1, 1]), edge_limit=45)
-            return json.dumps(embedding_to_json(emb)), len(calls)
-
-        once, clips = place()
-        monkeypatch.setattr(_PlacedState, "add_edges",
-                            lambda self, ws, clip=None: adds.append(1) or add_edges(self, ws))
-        twice, reclips = place()
-        assert once == twice
-        assert clips == reclips - len(adds) and len(adds) == math.ceil(45 / embeddings._WINDOW)
 
     def test_retry_cap_reports_tally(self):
         # an impossible gamma forces the cap: two edges sharing both
@@ -818,6 +793,21 @@ def _euclid_gap(x, segs):
     return np.linalg.norm(x[:, None] - foot, axis=2).min(axis=1)
 
 
+def _endpoint_curves(space, beta):
+    """30 curves u, w, v with |u - v| = 2, whose breakpoints sit near v (the
+    first 12), near u (the next 12) or near the midpoint, at norm distance
+    0.5 to 4 beta."""
+    rng = np.random.default_rng(12)
+    m = 30
+    u, d = rng.normal(size=(m, 3)), rng.normal(size=(m, 3))
+    v = u + 2.0 * d / norms(space, d)[:, None]  # at norm distance 2
+    off = rng.normal(size=(m, 3))
+    off *= rng.uniform(0.5, 4.0, (m, 1)) * beta / norms(space, off)[:, None]
+    ws = np.concatenate([v[:12] + off[:12], u[12:24] + off[12:24],
+                         0.5 * (u[24:] + v[24:]) + off[24:]])
+    return u, v, ws
+
+
 class TestClipCurves:
     """_clip_curves against a dense sampling of each curve, with the
     endpoint balls tested by direct norms calls.  Breakpoints near either
@@ -826,14 +816,9 @@ class TestClipCurves:
 
     @SPACES
     def test_pieces_are_the_curve_outside_both_balls(self, space):
-        rng = np.random.default_rng(12)
-        beta, m = 0.2, 30
-        u, d = rng.normal(size=(m, 3)), rng.normal(size=(m, 3))
-        v = u + 2.0 * d / norms(space, d)[:, None]  # at norm distance 2
-        off = rng.normal(size=(m, 3))
-        off *= rng.uniform(0.5, 4.0, (m, 1)) * beta / norms(space, off)[:, None]
-        ws = np.concatenate([v[:12] + off[:12], u[12:24] + off[12:24],
-                             0.5 * (u[24:] + v[24:]) + off[24:]])
+        beta = 0.2
+        u, v, ws = _endpoint_curves(space, beta)
+        m = len(ws)
         pieces, rows = _clip_curves(space, u, v, ws, beta)
         t = np.linspace(0.0, 1.0, 101)[:, None]
         for k in range(m):
@@ -845,6 +830,32 @@ class TestClipCurves:
             on = (mine[:, None, 0] + t * (mine[:, None, 1] - mine[:, None, 0])).reshape(-1, 3)
             assert norms(space, on - u[k]).min() >= beta - 1e-8
             assert norms(space, on - v[k]).min() >= beta - 1e-8
+
+
+class TestTruncate:
+    """_PlacedState.truncate(k) after add_edges(ws) leaves the state that
+    add_edges(ws[:k]) builds, the state placement's in-window check reads."""
+
+    @SPACES
+    def test_truncate_equals_the_prefix_state(self, space):
+        beta = 0.2
+        u, v, ws = _endpoint_curves(space, beta)
+        m = len(ws)
+        pts, ends = np.concatenate([u, v]), [(j, m + j) for j in range(m)]
+        counts = np.bincount(_clip_curves(space, u, v, ws, beta)[1], minlength=m)
+        # a curve with a segment inside an endpoint ball, and one cut into 3
+        assert counts.min() == 1 and counts.max() == 3
+        cuts = (0, m, int(np.argmin(counts)) + 1, int(np.argmax(counts)) + 1)
+
+        def arrays(state):
+            return state.segments, state.crossings, state.clipped, state.clip_edge
+
+        for k in cuts:
+            cut, fresh = (_PlacedState(space, pts, ends, beta) for _ in range(2))
+            cut.add_edges(ws)
+            cut.truncate(k)
+            fresh.add_edges(ws[:k])
+            assert all(np.array_equal(a, b) for a, b in zip(arrays(cut), arrays(fresh)))
 
 
 class TestCertification:
