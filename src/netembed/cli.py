@@ -285,6 +285,9 @@ def _cmd_pipeline(args):
     if args.pair_cap < 1:
         raise ValidationError("pair_cap must be >= 1")
     ng = build_net_graph(space, args.delta, args.r, args.mesh)
+    if ng.net.size < 2:
+        raise ValidationError("pipeline needs a net of at least two points, got "
+                              f"{ng.net.size} at r = {args.r}, rho = {ng.net.rho}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _dump_json(net_to_json(ng.net), out / "net.json")

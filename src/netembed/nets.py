@@ -32,6 +32,7 @@ from .spaces import (NormedSpace, as_vector, norms, sample_ball_many,
                      space_from_json, space_to_json)
 
 _REL_TOL = 1e-12
+_PAIR_BUDGET = 1 << 16  # candidate-point pairs per norms call in the blocked scans
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,13 @@ def build_net(space: NormedSpace, delta: float, r: float, mesh_divisor: int = 4,
 
     Deterministic: the origin is kept unconditionally, then candidates are
     scanned lexicographically and kept when at distance >= rho from every
-    point kept so far.
+    point kept so far.  The scan goes in blocks of about 2**16 candidate-point
+    pairs: one norms call measures a block against the points kept before it,
+    then the block's survivors are walked in order, each kept survivor
+    dropping the later ones too close to it in one more call.  Every distance
+    is norms(space, kept_point - candidate), as in a one-at-a-time scan, so
+    the same points are kept in the same order, and no more distances are
+    computed than that scan computes.
     """
     if not (0 < delta < r < math.inf):
         raise ValidationError("need 0 < delta < r < inf")
@@ -101,17 +108,24 @@ def build_net(space: NormedSpace, delta: float, r: float, mesh_divisor: int = 4,
     h = delta / mesh_divisor
     rho = delta + h * space.linf_factor
     cand = lattice_candidates(space, delta, r, mesh_divisor, candidate_cap)
+    cand = cand[np.any(cand, axis=1)]  # the origin goes in first, unconditionally
 
-    kept = np.empty_like(cand)
-    kept[0] = 0.0  # forced origin
+    dim = space.dim
+    kept = np.zeros((cand.shape[0] + 1, dim))
     n_kept = 1
     sep = rho * (1 - _REL_TOL)
-    for row in cand:
-        if not np.any(row):
-            continue  # the origin is already in
-        if np.min(norms(space, kept[:n_kept] - row)) >= sep:
-            kept[n_kept] = row
+    a = 0
+    while a < cand.shape[0]:
+        block = cand[a:a + max(1, _PAIR_BUDGET // n_kept)]
+        a += block.shape[0]
+        d = norms(space, (kept[None, :n_kept] - block[:, None]).reshape(-1, dim))
+        alive = block[np.min(d.reshape(block.shape[0], n_kept), axis=1) >= sep]
+        while alive.shape[0]:
+            kept[n_kept] = alive[0]
             n_kept += 1
+            alive = alive[1:]
+            if alive.shape[0]:
+                alive = alive[norms(space, kept[n_kept - 1] - alive) >= sep]
     return Net(space, float(delta), float(r), kept[:n_kept].copy(), float(rho))
 
 
@@ -188,7 +202,7 @@ def net_from_json(obj: dict) -> Net:
         origin = int(zero_rows[0])
     net = Net(space, delta, r, pts, rho, origin_index=origin)
     sep = rho * (1 - _REL_TOL)  # the separation build_net keeps
-    step = max(1, (1 << 16) // net.size)  # rows of about 2**16 pairs per norms call
+    step = max(1, _PAIR_BUDGET // net.size)
     for a in range(0, net.size, step):
         rows = net.points[a:a + step]
         d = norms(space, (rows[:, None] - net.points[None]).reshape(-1, space.dim))

@@ -207,6 +207,15 @@ class TestErrors:
         assert err["type"] == "validation" and "no edges" in err["message"]
         assert not (tmp_path / "emb.json").exists()
 
+    def test_pipeline_on_one_point_net_writes_nothing(self, tmp_path, capsys):
+        # r = 1.1 < rho: a one-point net, which no audit can measure
+        out = tmp_path / "p1"
+        assert run_cli("pipeline", "--space", "lp:2:3", "--delta", "1", "--r", "1.1",
+                       "--out", str(out)) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation" and "at least two points" in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         ("classify",), ("subdivide", "--M", "2"), ("gadget", "--M", "2"), ("embed",),
     ], ids=lambda c: c[0])

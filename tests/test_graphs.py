@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netembed import (DistortionReport, FiniteMetric, ValidationError, audit, audit_pair_rows,
-                      bfs_apsp, bfs_from, from_edges, graph_from_json, graph_to_dot,
-                      graph_to_json, is_connected, lp_space, max_degree,
-                      write_audit_csv)
+                      bfs_apsp, bfs_from, custom_space, from_edges, graph_from_json,
+                      graph_to_dot, graph_to_json, is_connected, lp_space, max_degree,
+                      norms, parse_space, write_audit_csv)
 
 
 def path_graph(n):
@@ -104,6 +104,38 @@ class TestStructure:
     def test_max_degrees(self):
         assert max_degree(complete_graph(4)) == 3
         assert max_degree(from_edges(6, [(0, i) for i in range(1, 6)])) == 5
+
+
+L3_VECTORIZED = custom_space(3, lambda x: np.sum(np.abs(x) ** 3, axis=1) ** (1 / 3),
+                             box_factor=1.0, vectorized=True)
+L3_ROWWISE = custom_space(3, lambda v: np.sum(np.abs(v) ** 3) ** (1 / 3), box_factor=1.0)
+ROW_SPACES = ([lp_space(p, d) for p in (1, 2, 3, np.inf) for d in (1, 2, 3, 4)]
+              + [parse_space("l1sum:lp:2:3+lp:1:1"), parse_space("l1sum:lp:2:2+lp:1:1"),
+                 L3_VECTORIZED, L3_ROWWISE])
+
+
+class TestPointRows:
+    @pytest.mark.parametrize("space", ROW_SPACES,
+                             ids=[f"{s.kind}-{s.p}-{s.dim}-{s.vectorized}" for s in ROW_SPACES])
+    def test_rows_keep_their_bits(self, space):
+        rng = np.random.default_rng(space.dim)
+        for n in (1, 2, 63, 64, 65, 1000):
+            pts = rng.normal(size=(n, space.dim)) * rng.uniform(0.01, 100, size=(n, 1))
+            metric = FiniteMetric.from_points(space, pts)
+            assert metric.size == n
+            for i in sorted({0, n // 2, n - 1}):
+                got = metric.row(i)
+                want = norms(space, pts - pts[i])
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_non_contiguous_points(self):
+        pts = np.random.default_rng(8).normal(size=(130, 6))[:, ::2]
+        space = lp_space(2, 3)
+        metric = FiniteMetric.from_points(space, pts)
+        for i in (0, 77, 129):
+            want = norms(space, pts - pts[i])
+            assert np.array_equal(metric.row(i).view(np.int64), want.view(np.int64))
 
 
 class TestAudit:
@@ -269,6 +301,135 @@ class TestAuditAgainstMaskedLoop:
             want = masked_audit(source, target, fmap, 12, np.random.default_rng(6))
             assert not got.exhaustive and got.pairs_checked == want.pairs_checked
             assert got == want
+
+
+def whole_row_audit(source, target, vertex_map, pair_cap, rng):
+    """The whole-row loop graphs.audit ran before it skipped the zero test
+    and np.where on rows of positive distances, kept as its reference."""
+    n = source.size
+    fmap = np.asarray(vertex_map, dtype=np.int64)
+    exhaustive = n <= pair_cap
+    if exhaustive:
+        sources = range(n - 1)
+    else:
+        want = max(2, min(n, (pair_cap * pair_cap) // n))
+        sources = sorted(rng.choice(n, size=want, replace=False).tolist())
+    identity = np.array_equal(fmap, np.arange(n))
+    lip_f, lip_i = 0.0, 0.0
+    wit_f = wit_i = (0, 1)
+    pairs = 0
+    for i in sources:
+        lo = i + 1 if exhaustive else 0
+        ds = source.row(i)[lo:]
+        dt = target.row(int(fmap[i]))
+        dt = dt[lo:n] if identity else dt[fmap[lo:]]
+        zero = ds == 0
+        if not exhaustive:
+            zero[i] = False
+        if zero.any():
+            raise ValidationError("zero source distance between distinct points "
+                                  f"{i},{lo + int(np.argmax(zero))}")
+        pairs += ds.size if exhaustive else ds.size - 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fwd = dt / ds
+            inv = np.where(dt > 0, ds / dt, np.inf)
+        if not exhaustive:
+            fwd[i] = inv[i] = -np.inf
+        k = int(np.argmax(fwd))
+        if fwd[k] > lip_f:
+            lip_f, wit_f = float(fwd[k]), (i, lo + k)
+        k = int(np.argmax(inv))
+        if inv[k] > lip_i:
+            lip_i, wit_i = float(inv[k]), (i, lo + k)
+    return DistortionReport(lip_f, lip_i, lip_f * lip_i, wit_f, wit_i, pairs, exhaustive)
+
+
+def table_metric(table):
+    return FiniteMetric(len(table), lambda i: table[i])
+
+
+def random_tables(seed, n, size):
+    """A hop-like integer source on n points and a Euclidean target on size."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(1, 6, size=(n, n)).astype(np.float64)
+    src = np.triu(src, 1) + np.triu(src, 1).T
+    pts = rng.normal(size=(size, 3))
+    tgt = np.stack([norms(lp_space(2, 3), pts - p) for p in pts])
+    return src, tgt
+
+
+class TestAuditAgainstWholeRowLoop:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("pair_cap", [200, 15])  # exhaustive, sampled
+    def test_reports_equal(self, seed, pair_cap):
+        src, tgt = random_tables(seed, 40, 47)
+        fmaps = (np.arange(40), np.random.default_rng(seed).permutation(47)[:40])
+        for fmap in fmaps:
+            got = audit(table_metric(src), table_metric(tgt), fmap, pair_cap,
+                        np.random.default_rng(seed))
+            want = whole_row_audit(table_metric(src), table_metric(tgt), fmap, pair_cap,
+                                   np.random.default_rng(seed))
+            assert got.exhaustive == (pair_cap == 200)
+            assert got == want
+
+    @staticmethod
+    def both(src, tgt, pair_cap, seed=1):
+        fmap = np.arange(len(src))
+        return (outcome(audit, table_metric(src), table_metric(tgt), fmap, pair_cap,
+                        np.random.default_rng(seed)),
+                outcome(whole_row_audit, table_metric(src), table_metric(tgt), fmap,
+                        pair_cap, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("pair_cap", [200, 15])
+    def test_zero_source_distance_names_the_same_pair(self, pair_cap):
+        src, tgt = random_tables(7, 40, 40)
+        src[11, 29] = src[29, 11] = 0.0
+        got, want = self.both(src, tgt, pair_cap, seed=3)
+        assert got == want
+        assert got.startswith("ValidationError")
+        assert "11,29" in got or "29,11" in got
+
+    @pytest.mark.parametrize("pair_cap", [200, 15])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_target_distance_is_an_infinite_inverse(self, pair_cap, zero):
+        src, tgt = random_tables(8, 40, 40)
+        rows = np.arange(40)
+        for i in rows:  # in every row, so each sampled source sees one
+            j = (i + 5) % 40
+            tgt[i, j] = tgt[j, i] = zero
+        got, want = self.both(src, tgt, pair_cap)
+        assert got == want
+        assert "lip_inverse=inf" in got
+
+    @pytest.mark.parametrize("pair_cap", [200, 15])
+    def test_negative_distances(self, pair_cap):
+        # not a metric, but the report must not change for it either
+        src, tgt = random_tables(9, 40, 40)
+        src[3, 17] = src[17, 3] = -2.0
+        tgt[5, 6] = tgt[6, 5] = -1.0
+        got, want = self.both(src, tgt, pair_cap)
+        assert got == want
+
+    @pytest.mark.parametrize("pair_cap", [200, 15])
+    def test_nan_from_a_custom_norm(self, pair_cap):
+        # a target norm that returns NaN for one pair (i, i + 1) alone, with
+        # i the first source the sampled audit draws (5 of 40 at cap 15)
+        i = 0 if pair_cap == 200 else int(np.random.default_rng(0).choice(40, 5, False)[0])
+        pts = np.random.default_rng(10).normal(size=(40, 3))
+        bad = pts[i + 1] - pts[i]
+
+        def norm_fn(x):
+            out = np.sqrt(np.sum(x * x, axis=1))
+            out[np.all(np.abs(x) == np.abs(bad), axis=1)] = np.nan
+            return out
+        space = custom_space(3, norm_fn, box_factor=1.0, vectorized=True)
+        src = table_metric(random_tables(10, 40, 40)[0])
+        target = FiniteMetric.from_points(space, pts)
+        got = outcome(audit, src, target, np.arange(40), pair_cap, np.random.default_rng(0))
+        want = outcome(whole_row_audit, src, target, np.arange(40), pair_cap,
+                       np.random.default_rng(0))
+        assert got == want
+        assert "lip_inverse=inf" in got
 
 
 class TestSerialization:

@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from netembed import (ValidationError, build_net, lp_space, nearest_net_point,
-                      net_from_json, net_to_json, norm, norms,
-                      verify_maximality, verify_net)
+from netembed import (ValidationError, build_net, custom_space, lp_space,
+                      nearest_net_point, net_from_json, net_to_json, norm, norms,
+                      parse_space, verify_maximality, verify_net)
+from netembed import nets
+from netembed.nets import lattice_candidates
+
+# the custom l3 norm of test_embeddings, vectorized, and the same norm row by row
+L3_CUSTOM = custom_space(3, lambda x: np.sum(np.abs(x) ** 3, axis=1) ** (1 / 3),
+                         box_factor=1.0, vectorized=True)
+L3_ROWWISE = custom_space(3, lambda v: np.sum(np.abs(v) ** 3) ** (1 / 3),
+                          box_factor=1.0)
 
 
 def greedy_oracle(space, delta, r, k):
@@ -28,6 +36,58 @@ def greedy_oracle(space, delta, r, k):
                for p in kept):
             kept.append(c)
     return kept, rho
+
+
+def one_at_a_time_net(space, delta, r, k):
+    """The one-at-a-time greedy scan build_net ran before it scanned in
+    blocks, kept as its reference: each candidate is measured against every
+    point kept so far, in lexicographic order after the forced origin."""
+    rho = delta + (delta / k) * space.linf_factor
+    cand = lattice_candidates(space, delta, r, k)
+    kept = np.empty_like(cand)
+    kept[0] = 0.0  # forced origin
+    n_kept = 1
+    sep = rho * (1 - 1e-12)
+    for row in cand:
+        if not np.any(row):
+            continue  # the origin is already in
+        if np.min(norms(space, kept[:n_kept] - row)) >= sep:
+            kept[n_kept] = row
+            n_kept += 1
+    return kept[:n_kept], rho
+
+
+class TestBlockedScan:
+    @pytest.mark.parametrize("space, r, k", [
+        (parse_space("lp:2:3"), 2.0, 4),
+        (parse_space("lp:2:3"), 3.0, 4),
+        (parse_space("lp:2:3"), 2.0, 2),
+        (parse_space("lp:inf:3"), 2.0, 4),
+        (parse_space("lp:inf:3"), 2.0, 2),
+        (parse_space("lp:1:3"), 2.0, 4),
+        (parse_space("l1sum:lp:2:2+lp:1:1"), 2.0, 4),
+        (L3_CUSTOM, 1.5, 4),
+        (L3_ROWWISE, 1.5, 2),
+    ], ids=["lp:2:3-r2", "lp:2:3-r3", "lp:2:3-mesh2", "lp:inf:3", "lp:inf:3-mesh2",
+            "lp:1:3", "l1sum", "custom", "custom-rowwise"])
+    def test_same_points_in_the_same_order(self, space, r, k):
+        net = build_net(space, 1.0, r, k)
+        want, rho = one_at_a_time_net(space, 1.0, r, k)
+        assert net.rho == rho
+        assert net.points.shape == want.shape
+        assert np.array_equal(net.points.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("budget", [1, 7, 64, 300])
+    @pytest.mark.parametrize("space", [parse_space("lp:2:3"), parse_space("lp:inf:3"),
+                                       parse_space("l1sum:lp:2:2+lp:1:1")],
+                             ids=["lp:2:3", "lp:inf:3", "l1sum"])
+    def test_block_boundaries(self, monkeypatch, space, budget):
+        # a default block holds the whole lattice while one point is kept;
+        # small pair budgets put block boundaries all through the scan
+        monkeypatch.setattr(nets, "_PAIR_BUDGET", budget)
+        net = build_net(space, 1.0, 2.0)
+        want, _ = one_at_a_time_net(space, 1.0, 2.0, 4)
+        assert np.array_equal(net.points.view(np.int64), want.view(np.int64))
 
 
 class TestBuildNet:

@@ -47,6 +47,17 @@ class TestNorms:
         pts = rng.normal(size=(100, 3)) * 10
         assert np.allclose(norms(s, pts), norms(direct, pts), atol=1e-12)
 
+    def test_dim_one_keeps_the_bits_of_sum_and_max(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        x = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -2.5, 1e308, -1e-310,
+                      np.inf, -np.inf, np.nan])[:, None]
+        x = np.concatenate([x, np.random.default_rng(3).normal(size=(50, 1)) * 1e3])
+        for p, ref in ((1, np.sum), (math.inf, np.max)):
+            got = norms(lp_space(p, 1), x)
+            want = ref(np.abs(x), axis=1)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_norm_axioms_random_triples(self):
         # homogeneity / triangle inequality / positivity, 1e4 triples
         rng = np.random.default_rng(7)
