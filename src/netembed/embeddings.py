@@ -54,9 +54,9 @@ from .gadgets import SubdividedGraph, subdivide
 from .graphs import FiniteMetric, Graph, audit, bfs_apsp
 from .net_graphs import (NetGraph, net_graph_from_json, net_graph_to_json,
                          rescaled_unit)
-from .spaces import (NormedSpace, _l2_point_segment, _l2_segment_segment,
-                     has_exact_kernel, norms, points_segment_distance,
-                     sample_ball_many, segment_ball_clip,
+from .spaces import (NormedSpace, _ball_cuts, _l2_point_segment,
+                     _l2_segment_segment, has_exact_kernel, norms,
+                     points_segment_distance, sample_ball_many,
                      segment_pairs_distance)
 
 _Z95 = 1.959963984540054
@@ -337,20 +337,6 @@ def _crossings(space: NormedSpace, u: np.ndarray, v: np.ndarray, ws: np.ndarray,
     return np.stack(cross, axis=1).reshape(-1, space.dim)
 
 
-def _subtract_interval(intervals, cut):
-    lo, hi = cut
-    out = []
-    for (a, b) in intervals:
-        if hi <= a or lo >= b:
-            out.append((a, b))
-            continue
-        if lo > a:
-            out.append((a, lo))
-        if hi < b:
-            out.append((hi, b))
-    return out
-
-
 def _clip_curves(space: NormedSpace, u: np.ndarray, v: np.ndarray,
                  ws: np.ndarray, beta: float):
     """Pieces of the curves [u, w], [w, v] outside B(u, beta) and B(v, beta),
@@ -359,35 +345,33 @@ def _clip_curves(space: NormedSpace, u: np.ndarray, v: np.ndarray,
 
     The beta condition keeps each curve clear of every other vertex's ball,
     so only the edge's own endpoints can clip it.  A segment leaves its own
-    endpoint's ball radially; the opposite ball is cut out exactly only
-    where the Euclidean screen cannot keep the segment clear of it.  Each
-    segment yields at most three pieces.
+    endpoint's ball radially, at [t0, t1]; one _ball_cuts call cuts the
+    opposite ball [lo, hi] out of the segments the Euclidean screen cannot
+    keep clear of it.  Each segment yields [t0, lo] and [hi, t1] where the
+    cut overlaps [t0, t1], else [t0, t1], less the pieces under 1e-12.
     """
     m = len(ws)
     a, b, other = np.concatenate([u, ws]), np.concatenate([ws, v]), np.concatenate([v, u])
     length = norms(space, b - a)
     keep = np.flatnonzero(length >= 1e-12)  # rows [u, w] first, then [w, v]
-    a, b, other, row = a[keep], b[keep], other[keep], keep % m
+    a, b, other = a[keep], b[keep], other[keep]
     d = b - a
     frac = beta / length[keep]
     own = keep < m  # [u, w] leaves its own ball B(u, beta) at t = 0
     t0 = np.where(own, np.minimum(1.0, frac), 0.0)
     t1 = np.where(own, 1.0, np.maximum(0.0, 1 - frac))
-    reach = ~(_l2_point_segment(other, a, b) * space.l2_lower > beta)
-    whole = ~reach & (t1 - t0 > 1e-12)
-    pieces = [np.stack([a[whole] + t0[whole, None] * d[whole],
-                        a[whole] + t1[whole, None] * d[whole]], axis=1)]
-    rows = [row[whole]]
-    for i in np.flatnonzero(reach):
-        intervals = [(t0[i], t1[i])]
-        cut = segment_ball_clip(space, a[i], b[i], other[i], beta)
-        if cut is not None:
-            intervals = _subtract_interval(intervals, cut)
-        for (s0, s1) in intervals:
-            if s1 - s0 > 1e-12:
-                pieces.append(np.stack([a[i] + s0 * d[i], a[i] + s1 * d[i]])[None])
-                rows.append(row[i:i + 1])
-    return np.concatenate(pieces), np.concatenate(rows)
+    lo, hi = t1.copy(), t1.copy()  # no cut: the pieces [t0, t1] and [t1, t1]
+    reach = np.flatnonzero(~(_l2_point_segment(other, a, b) * space.l2_lower > beta))
+    if reach.size:
+        c_lo, c_hi, meets = _ball_cuts(space, a[reach], b[reach], other[reach], beta)
+        hit = meets & (c_hi > t0[reach]) & (c_lo < t1[reach])  # the cut overlaps [t0, t1]
+        lo[reach[hit]], hi[reach[hit]] = c_lo[hit], c_hi[hit]
+    s0, s1 = np.stack([t0, hi], axis=1).ravel(), np.stack([lo, t1], axis=1).ravel()
+    piece = np.flatnonzero(s1 - s0 > 1e-12)
+    seg = piece // 2
+    pieces = np.stack([a[seg] + s0[piece, None] * d[seg],
+                       a[seg] + s1[piece, None] * d[seg]], axis=1)
+    return pieces, keep[seg] % m
 
 
 # --- the predicate -------------------------------------------------------------

@@ -18,10 +18,9 @@ from .errors import InternalConsistencyError, ValidationError
 from .graphs import (DistortionReport, FiniteMetric, Graph, audit, bfs_apsp,
                      from_edges, graph_from_json, graph_to_json, is_connected,
                      max_degree)
-from .nets import Net, build_net, net_from_json, net_to_json
-from .spaces import NormedSpace, norms
-
-_REL_TOL = 1e-12
+from .nets import (_REL_TOL, Net, _pair_distances, build_net, net_from_json,
+                   net_to_json)
+from .spaces import NormedSpace
 
 
 @dataclass(frozen=True)
@@ -41,6 +40,14 @@ class NetGraph:
         return self.net.points
 
 
+def _near_pairs(net: Net, thr: float) -> np.ndarray:
+    """(k, 2): the pairs i < j of net points at distance <= thr, in
+    row-major order."""
+    near = [np.stack([i[d <= thr], j[d <= thr]], axis=1)
+            for i, j, d in _pair_distances(net.space, net.points)]
+    return np.concatenate(near) if near else np.empty((0, 2), dtype=np.int64)
+
+
 def net_graph_from_net(net: Net) -> NetGraph:
     """Edges join net points at distance <= 3*rho (relative tolerance 1e-12).
 
@@ -49,11 +56,7 @@ def net_graph_from_net(net: Net) -> NetGraph:
     """
     thr = 3.0 * net.rho
     m = net.size
-    edges = []
-    for i in range(m - 1):
-        d = norms(net.space, net.points[i + 1:] - net.points[i])
-        for off in np.where(d <= thr * (1 + _REL_TOL))[0]:
-            edges.append((i, i + 1 + int(off)))
+    edges = _near_pairs(net, thr * (1 + _REL_TOL))
     g = from_edges(m, edges, coords=net.points)
     if m > 1 and not is_connected(g):
         raise InternalConsistencyError(
@@ -80,15 +83,8 @@ def rescaled_unit(ng: NetGraph) -> tuple[NetGraph, float]:
 
 def verify_edge_rule(ng: NetGraph) -> bool:
     """Edge {i,j} present iff the pair is within the threshold (all pairs)."""
-    thr = ng.edge_threshold * (1 + _REL_TOL)
-    adj = [set(a) for a in ng.graph.adj]
-    for i in range(ng.net.size - 1):
-        d = norms(ng.space, ng.points[i + 1:] - ng.points[i])
-        for off, dist in enumerate(d):
-            j = i + 1 + off
-            if (dist <= thr) != (j in adj[i]):
-                return False
-    return True
+    near = _near_pairs(ng.net, ng.edge_threshold * (1 + _REL_TOL))
+    return np.array_equal(near, np.reshape(ng.graph.edges, (-1, 2)))
 
 
 @dataclass(frozen=True)
@@ -112,21 +108,17 @@ def verify_path_bound(ng: NetGraph) -> PathBoundReport:
     worst = None
     max_fwd = 0.0
     pairs = 0
-    for i in range(ng.net.size - 1):
-        d = norms(ng.space, ng.points[i + 1:] - ng.points[i])
-        h = hops[i, i + 1:].astype(np.float64)
+    for i, j, d in _pair_distances(ng.space, ng.points):
+        h = hops[i, j].astype(np.float64)
         pairs += d.size
         max_fwd = max(max_fwd, float(np.max(d / h)))
         near = d <= thr
-        bad_near = near & (h != 1)
         bound = np.floor(d / rho * (1 + _REL_TOL))
-        bad_far = (~near) & (h > bound)
-        bad = np.where(bad_near | bad_far)[0]
+        bad = np.flatnonzero((near & (h != 1)) | (~near & (h > bound)))
         if bad.size and worst is None:
-            off = int(bad[0])
-            worst = {"u": i, "v": i + 1 + off, "norm_distance": float(d[off]),
-                     "hops": int(h[off]),
-                     "bound": 1 if near[off] else int(bound[off])}
+            k = bad[0]
+            worst = {"u": int(i[k]), "v": int(j[k]), "norm_distance": float(d[k]),
+                     "hops": int(h[k]), "bound": 1 if near[k] else int(bound[k])}
     return PathBoundReport(ok=worst is None, pairs_checked=pairs,
                            max_forward_ratio=max_fwd, violation=worst)
 

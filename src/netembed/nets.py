@@ -69,6 +69,29 @@ class Net:
         return self.points.shape[0]
 
 
+def _pair_distances(space: NormedSpace, pts: np.ndarray):
+    """Yields (i, j, d) over all pairs i < j of the rows of pts, in
+    row-major order, with d = norms(space, pts[j] - pts[i]): one norms call
+    per block of rows, each block holding about _PAIR_BUDGET pairs."""
+    m, a = len(pts), 0
+    while a < m - 1:
+        b = min(m - 1, a + max(1, _PAIR_BUDGET // (m - 1 - a)))
+        i, j = np.nonzero(np.arange(m) > np.arange(a, b)[:, None])
+        i += a
+        yield i, j, norms(space, pts[j] - pts[i])
+        a = b
+
+
+def _nearest_distances(space: NormedSpace, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """min over j of norms(space, ys[j] - xs[i]) for each row i of xs: one
+    norms call per block of rows, each block holding about _PAIR_BUDGET
+    pairs."""
+    step = max(1, _PAIR_BUDGET // len(ys))
+    return np.concatenate([
+        norms(space, (ys[None] - xs[a:a + step, None]).reshape(-1, space.dim))
+        .reshape(-1, len(ys)).min(axis=1) for a in range(0, len(xs), step)])
+
+
 def lattice_candidates(space: NormedSpace, delta: float, r: float,
                        mesh_divisor: int, candidate_cap: int = 1_000_000) -> np.ndarray:
     """All points of (delta/k) * Z^n inside r*B(X), in lexicographic order."""
@@ -110,16 +133,14 @@ def build_net(space: NormedSpace, delta: float, r: float, mesh_divisor: int = 4,
     cand = lattice_candidates(space, delta, r, mesh_divisor, candidate_cap)
     cand = cand[np.any(cand, axis=1)]  # the origin goes in first, unconditionally
 
-    dim = space.dim
-    kept = np.zeros((cand.shape[0] + 1, dim))
+    kept = np.zeros((cand.shape[0] + 1, space.dim))
     n_kept = 1
     sep = rho * (1 - _REL_TOL)
     a = 0
     while a < cand.shape[0]:
         block = cand[a:a + max(1, _PAIR_BUDGET // n_kept)]
         a += block.shape[0]
-        d = norms(space, (kept[None, :n_kept] - block[:, None]).reshape(-1, dim))
-        alive = block[np.min(d.reshape(block.shape[0], n_kept), axis=1) >= sep]
+        alive = block[_nearest_distances(space, block, kept[:n_kept]) >= sep]
         while alive.shape[0]:
             kept[n_kept] = alive[0]
             n_kept += 1
@@ -154,17 +175,11 @@ def verify_net(net: Net, probe_count: int, rng: np.random.Generator) -> NetAudit
     """Exact pairwise separation plus a probe audit of the covering radius."""
     if probe_count < 1:
         raise ValidationError("probe_count must be >= 1")
-    m = net.size
-    min_sep = np.inf
-    for i in range(m - 1):
-        d = norms(net.space, net.points[i + 1:] - net.points[i])
-        min_sep = min(min_sep, float(np.min(d)))
+    min_sep = min((float(np.min(d)) for _, _, d in _pair_distances(net.space, net.points)),
+                  default=np.inf)
     probes = sample_ball_many(net.space, np.zeros(net.space.dim), net.r,
                               probe_count, rng)
-    gap = 0.0
-    for chunk in np.array_split(probes, max(1, probe_count // 512)):
-        d = np.stack([norms(net.space, net.points - p) for p in chunk])
-        gap = max(gap, float(np.max(np.min(d, axis=1))))
+    gap = float(np.max(_nearest_distances(net.space, probes, net.points)))
     return NetAudit(min_separation=min_sep, max_probe_gap=gap, probes=probe_count)
 
 
@@ -172,11 +187,8 @@ def verify_maximality(net: Net, mesh_divisor: int = 4,
                       candidate_cap: int = 1_000_000) -> bool:
     """No lattice candidate could be added without breaking the separation."""
     cand = lattice_candidates(net.space, net.delta, net.r, mesh_divisor, candidate_cap)
-    for block in np.array_split(cand, max(1, cand.shape[0] // 1024)):
-        d = np.stack([norms(net.space, net.points - c) for c in block])
-        if np.any(np.min(d, axis=1) >= net.rho * (1 + _REL_TOL)):
-            return False
-    return True
+    return not np.any(_nearest_distances(net.space, cand, net.points)
+                      >= net.rho * (1 + _REL_TOL))
 
 
 def net_to_json(net: Net) -> dict:
@@ -202,15 +214,10 @@ def net_from_json(obj: dict) -> Net:
         origin = int(zero_rows[0])
     net = Net(space, delta, r, pts, rho, origin_index=origin)
     sep = rho * (1 - _REL_TOL)  # the separation build_net keeps
-    step = max(1, _PAIR_BUDGET // net.size)
-    for a in range(0, net.size, step):
-        rows = net.points[a:a + step]
-        d = norms(space, (rows[:, None] - net.points[None]).reshape(-1, space.dim))
-        d = d.reshape(len(rows), -1)
-        i, j = np.nonzero(d < sep)
-        later = a + i < j
-        if later.any():
-            i, j = i[later][0], j[later][0]
-            raise ValidationError(f"net points {a + i} and {j} are {d[i, j]} apart, "
+    for i, j, d in _pair_distances(space, net.points):
+        bad = np.flatnonzero(d < sep)
+        if bad.size:
+            k = bad[0]
+            raise ValidationError(f"net points {i[k]} and {j[k]} are {d[k]} apart, "
                                   f"under the separation rho = {rho}")
     return net

@@ -458,80 +458,64 @@ def segment_segment_distance(space: NormedSpace, s1: Segment, s2: Segment) -> fl
                                         s2.a[None, :], s2.b[None, :])[0][0])
 
 
-def sphere_segment_intersections(space: NormedSpace, center, radius: float,
-                                 s: Segment, tol: float = PARAM_TOL) -> list[float]:
-    """Parameters t where ||s(t) - center|| = radius.
+def _sphere_roots(space: NormedSpace, a, b, center, radius: float):
+    """Where the segments [a[k], b[k]] cross the spheres ||x - center[k]|| =
+    radius, for (k, dim) rows: ((vmin, v0, v1), (left, right)).
 
-    t -> ||s(t) - center|| is convex, so the segment crosses the sphere at
-    most twice: locate the minimum by ternary search, then bisect each
-    monotone side for the level crossing.  A tangency returns one root.
+    f(t) = ||a + t(b - a) - center|| is convex: a ternary search finds its
+    minimum vmin at tmin, then 80 steps bisect [0, tmin] and [tmin, 1] at
+    once, one f call per step.  A side holds a root when vmin <= radius and
+    its end value, v0 = f(0) or v1 = f(1), is >= radius.  Two roots closer
+    than PARAM_TOL (a tangency) both become their midpoint.
     """
     if radius <= 0:
         raise ValidationError("radius must be positive")
-    center = as_vector(center, space.dim)
-    a = s.a
+    d = b - a
 
     def f(tvals):
-        return _norms_nd(space, a + tvals[..., None] * (s.b - a) - center)
+        return _norms_nd(space, a + tvals[..., None] * d - center)
 
-    def f1(t):
-        return float(f(np.array([t]))[0])
-
-    tmin, vmin = _ternary_batch(f, np.zeros(1), np.ones(1))
-    tmin, vmin = float(tmin[0]), float(vmin[0])
-    if vmin > radius:
-        return []
-
-    roots = []
-    # Left side: f is nonincreasing on [0, tmin].
-    v0 = f1(0.0)
-    if v0 >= radius:
-        lo, hi = 0.0, tmin  # f(lo) >= radius >= f(hi)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if f1(mid) >= radius:
-                lo = mid
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-    v1 = f1(1.0)
-    if v1 >= radius:
-        lo, hi = tmin, 1.0  # f(lo) <= radius <= f(hi)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if f1(mid) <= radius:
-                lo = mid
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-    if len(roots) == 2 and abs(roots[0] - roots[1]) < tol:
-        return [0.5 * (roots[0] + roots[1])]
-    return roots
+    ends = np.stack([np.zeros(len(a)), np.ones(len(a))])
+    tmin, vmin = _ternary_batch(f, *ends)
+    lo, hi = np.stack([ends[0], tmin]), np.stack([tmin, ends[1]])
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        f_left, f_right = f(mid)
+        up = np.stack([f_left >= radius, f_right <= radius])  # the root lies above mid
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    (left, right), (v0, v1) = 0.5 * (lo + hi), f(ends)
+    merge = (v0 >= radius) & (v1 >= radius) & (np.abs(left - right) < PARAM_TOL)
+    mid = 0.5 * (left + right)
+    return (vmin, v0, v1), (np.where(merge, mid, left), np.where(merge, mid, right))
 
 
-def segment_ball_clip(space: NormedSpace, a, b, center, radius: float,
-                      tol: float = PARAM_TOL):
-    """The parameter interval of [a, b] inside the closed ball, or None.
-
-    By convexity the inside portion is a single interval.
+def _ball_cuts(space: NormedSpace, a, b, center, radius: float):
+    """The parameter intervals [lo, hi] of the segments [a[k], b[k]] inside
+    the closed balls B(center[k], radius), one interval by convexity, and
+    meets, False where a segment misses its ball.  lo is 0 when a lies in
+    the ball, else the left root; hi is 1 when b does, else the right root.
     """
-    seg = Segment(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
-    roots = sphere_segment_intersections(space, center, radius, seg, tol)
-    va = norms(space, (seg.a - np.asarray(center, dtype=np.float64))[None, :])[0]
-    vb = norms(space, (seg.b - np.asarray(center, dtype=np.float64))[None, :])[0]
-    inside_a, inside_b = va <= radius, vb <= radius
-    if not roots:
-        if inside_a and inside_b:
-            return (0.0, 1.0)
-        return None
-    if len(roots) == 1:
-        t = roots[0]
-        if inside_a:
-            return (0.0, t)
-        if inside_b:
-            return (t, 1.0)
-        return (t, t)
-    return (roots[0], roots[1])
+    (vmin, v0, v1), (left, right) = _sphere_roots(space, a, b, center, radius)
+    return (np.where(v0 <= radius, 0.0, left), np.where(v1 <= radius, 1.0, right),
+            vmin <= radius)
+
+
+def sphere_segment_intersections(space: NormedSpace, center, radius: float,
+                                 s: Segment) -> list[float]:
+    """Parameters t where ||s(t) - center|| = radius, in increasing order: at
+    most two by convexity, one at a tangency (the one-row _sphere_roots)."""
+    (vmin, v0, v1), roots = _sphere_roots(space, s.a[None], s.b[None],
+                                          as_vector(center, space.dim), radius)
+    hits = [float(t[0]) for t, v in zip(roots, (v0, v1)) if v[0] >= radius >= vmin[0]]
+    return list(dict.fromkeys(hits))  # merged roots count once
+
+
+def segment_ball_clip(space: NormedSpace, a, b, center, radius: float):
+    """The parameter interval (lo, hi) of [a, b] inside the closed ball, or
+    None when the segment misses it (the one-row _ball_cuts)."""
+    a, b = (np.asarray(x, dtype=np.float64)[None] for x in (a, b))
+    lo, hi, meets = _ball_cuts(space, a, b, as_vector(center, space.dim), radius)
+    return (float(lo[0]), float(hi[0])) if meets[0] else None
 
 
 def sample_ball_many(space: NormedSpace, center, radius: float, count: int,

@@ -12,8 +12,9 @@ from netembed import (EmbedParams, Net, PlacementError, PolylineEmbedding,
                       embedding_to_json, estimate_suitable_fraction,
                       from_edges, lp_space, mg_positions, net_graph_from_net,
                       norm, norms, parse_space, place_edges, practical_params,
-                      rescaled_unit, sample_ball_many, subdivide,
-                      subdivision_tg_points, verify_embedding, wilson_interval)
+                      rescaled_unit, sample_ball_many, segment_ball_clip,
+                      subdivide, subdivision_tg_points, verify_embedding,
+                      wilson_interval)
 from netembed import embeddings, spaces
 from netembed.embeddings import (ALPHA, BETA, GAMMA, _clip_curves,
                                  _PlacedState, check_breakpoints)
@@ -830,6 +831,93 @@ class TestClipCurves:
             on = (mine[:, None, 0] + t * (mine[:, None, 1] - mine[:, None, 0])).reshape(-1, 3)
             assert norms(space, on - u[k]).min() >= beta - 1e-8
             assert norms(space, on - v[k]).min() >= beta - 1e-8
+
+
+def _subtract_interval(intervals, cut):
+    lo, hi = cut
+    out = []
+    for (a, b) in intervals:
+        if hi <= a or lo >= b:
+            out.append((a, b))
+            continue
+        if lo > a:
+            out.append((a, lo))
+        if hi < b:
+            out.append((hi, b))
+    return out
+
+
+def _row_at_a_time_clip(space, u, v, ws, beta):
+    """_clip_curves as it was written before its one batched cut, kept as
+    its reference: the segments the Euclidean screen cannot clear are cut
+    one at a time by segment_ball_clip and _subtract_interval."""
+    m = len(ws)
+    a, b, other = np.concatenate([u, ws]), np.concatenate([ws, v]), np.concatenate([v, u])
+    length = norms(space, b - a)
+    keep = np.flatnonzero(length >= 1e-12)
+    a, b, other, row = a[keep], b[keep], other[keep], keep % m
+    d = b - a
+    frac = beta / length[keep]
+    own = keep < m
+    t0 = np.where(own, np.minimum(1.0, frac), 0.0)
+    t1 = np.where(own, 1.0, np.maximum(0.0, 1 - frac))
+    reach = ~(spaces._l2_point_segment(other, a, b) * space.l2_lower > beta)
+    whole = ~reach & (t1 - t0 > 1e-12)
+    pieces = [np.stack([a[whole] + t0[whole, None] * d[whole],
+                        a[whole] + t1[whole, None] * d[whole]], axis=1)]
+    rows = [row[whole]]
+    for i in np.flatnonzero(reach):
+        intervals = [(t0[i], t1[i])]
+        cut = segment_ball_clip(space, a[i], b[i], other[i], beta)
+        if cut is not None:
+            intervals = _subtract_interval(intervals, cut)
+        for (s0, s1) in intervals:
+            if s1 - s0 > 1e-12:
+                pieces.append(np.stack([a[i] + s0 * d[i], a[i] + s1 * d[i]])[None])
+                rows.append(row[i:i + 1])
+    return np.concatenate(pieces), np.concatenate(rows)
+
+
+def _piece_multiset(pieces, rows):
+    return sorted((int(r), p.tobytes()) for r, p in zip(rows, pieces))
+
+
+L3_ROWWISE = custom_space(3, lambda x: np.sum(np.abs(x) ** 3) ** (1 / 3), box_factor=1.0)
+
+
+class TestClipCurvesReference:
+    """The batched _clip_curves gives the pieces of the row-at-a-time loop
+    above, bit for bit, as a multiset of (row, piece) pairs."""
+
+    @SPACES
+    def test_endpoint_curves(self, space):
+        u, v, ws = _endpoint_curves(space, 0.2)
+        got = _clip_curves(space, u, v, ws, 0.2)
+        assert _piece_multiset(*got) == _piece_multiset(*_row_at_a_time_clip(space, u, v, ws, 0.2))
+
+    @pytest.mark.parametrize("space", [parse_space("lp:2:3"), parse_space("lp:inf:3"),
+                                       parse_space("lp:1:3"), parse_space("lp:3:3"),
+                                       parse_space("l1sum:lp:2:2+lp:1:1"), L3_CUSTOM,
+                                       L3_ROWWISE],
+                             ids=["lp:2:3", "lp:inf:3", "lp:1:3", "lp:3:3", "l1sum",
+                                  "custom", "custom-rowwise"])
+    def test_random_curves(self, space):
+        # breakpoints near u, near v or off the middle, a few on an endpoint
+        # (a zero-length segment), at random beta
+        rng = np.random.default_rng(21)
+        m = 40
+        u, d = rng.normal(size=(m, 3)), rng.normal(size=(m, 3))
+        v = u + rng.uniform(1.0, 3.0, (m, 1)) * d / norms(space, d)[:, None]
+        base = np.where((np.arange(m) % 3 == 0)[:, None], u,
+                        np.where((np.arange(m) % 3 == 1)[:, None], v, 0.5 * (u + v)))
+        ws = base + rng.normal(size=(m, 3)) * rng.uniform(0.05, 0.8, (m, 1))
+        ws[:2], ws[2] = u[:2], v[2]
+        for beta in (0.1, 0.35):
+            got = _clip_curves(space, u, v, ws, beta)
+            want = _row_at_a_time_clip(space, u, v, ws, beta)
+            assert _piece_multiset(*got) == _piece_multiset(*want)
+            # some segment was cut in two by the opposite ball
+            assert np.bincount(want[1], minlength=m).max() >= 3
 
 
 class TestTruncate:

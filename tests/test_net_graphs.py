@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from netembed import (Net, audit_identity_embedding, bfs_apsp, build_net,
-                      build_net_graph, degree_bound, lp_space, max_degree,
+from netembed import (Net, NetGraph, audit_identity_embedding, bfs_apsp,
+                      build_net, build_net_graph, degree_bound, from_edges,
+                      lp_space, max_degree,
                       net_graph_from_json, net_graph_from_net,
                       net_graph_to_json, norms, rescaled_unit,
                       verify_edge_rule, verify_path_bound)
@@ -68,6 +69,46 @@ class TestPathBound:
                     assert hops[i, j] == 1
                 else:
                     assert hops[i, j] <= math.floor(d[j] / ng.net.rho * (1 + 1e-12))
+
+
+def _with_edges(ng, edges):
+    """ng with its graph replaced by one on the given edges."""
+    g = from_edges(ng.net.size, edges, coords=ng.points)
+    return NetGraph(graph=g, net=ng.net, edge_threshold=ng.edge_threshold)
+
+
+class TestFailures:
+    """The audits report a graph that breaks the edge rule."""
+
+    def test_edge_rule_rejects_a_dropped_edge(self):
+        ng = build_net_graph(lp_space(2, 2), 1.0, 2.5)
+        edges = ng.graph.edges
+        assert verify_edge_rule(ng)
+        for k in (0, len(edges) // 2, len(edges) - 1):
+            assert not verify_edge_rule(_with_edges(ng, edges[:k] + edges[k + 1:]))
+
+    def test_edge_rule_rejects_a_far_edge(self):
+        ng = build_net_graph(lp_space(1, 2), 1.0, 4.0)
+        far = [(i, j) for i in range(ng.net.size) for j in range(i + 1, ng.net.size)
+               if norms(ng.space, ng.points[j:j + 1] - ng.points[i])[0]
+               > ng.edge_threshold * (1 + 1e-12)]
+        assert far
+        for pair in (far[0], far[-1]):
+            assert not verify_edge_rule(_with_edges(ng, ng.graph.edges + [pair]))
+            # as many edges as the rule gives, one of them in the wrong place
+            assert not verify_edge_rule(_with_edges(ng, ng.graph.edges[1:] + [pair]))
+
+    def test_path_bound_reports_a_near_pair_two_hops_apart(self):
+        # seven points one apart on a line with rho = 1: edges join points
+        # up to 3 apart; without the edge {0, 1} that pair takes 2 hops
+        space = lp_space(2, 1)
+        net = Net(space, 0.5, 6.0, np.arange(7.0)[:, None], 1.0)
+        ng = net_graph_from_net(net)
+        assert verify_path_bound(ng).ok
+        rep = verify_path_bound(_with_edges(ng, ng.graph.edges[1:]))
+        assert not rep.ok and rep.pairs_checked == 21
+        assert rep.violation == {"u": 0, "v": 1, "norm_distance": 1.0, "hops": 2,
+                                 "bound": 1}
 
 
 class TestDistortion:

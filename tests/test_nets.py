@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from netembed import (ValidationError, build_net, custom_space, lp_space,
+from netembed import (Net, ValidationError, build_net, custom_space, lp_space,
                       nearest_net_point, net_from_json, net_to_json, norm, norms,
                       parse_space, verify_maximality, verify_net)
 from netembed import nets
@@ -90,6 +90,39 @@ class TestBlockedScan:
         assert np.array_equal(net.points.view(np.int64), want.view(np.int64))
 
 
+class TestPairScans:
+    """The two blocked pair scans against plain numpy, with block
+    boundaries all through them (a default block holds every pair of these
+    nets)."""
+
+    @pytest.mark.parametrize("budget", [1, 7, 64, 1 << 16])
+    @pytest.mark.parametrize("space", [parse_space("lp:2:3"), parse_space("lp:inf:3"),
+                                       parse_space("l1sum:lp:2:2+lp:1:1")],
+                             ids=["lp:2:3", "lp:inf:3", "l1sum"])
+    def test_scans_equal_whole_arrays(self, monkeypatch, space, budget):
+        net = build_net(space, 1.0, 2.0)
+        pts, m = net.points, net.size
+        probes = np.random.default_rng(8).normal(size=(300, 3))
+        full = norms(space, (pts[None] - probes[:, None]).reshape(-1, 3)).reshape(300, m)
+        monkeypatch.setattr(nets, "_PAIR_BUDGET", budget)
+        i, j, d = (np.concatenate(x) for x in zip(*nets._pair_distances(space, pts)))
+        want_i, want_j = np.triu_indices(m, 1)  # row-major
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+        assert np.array_equal(d, norms(space, pts[want_j] - pts[want_i]))
+        assert np.array_equal(nets._nearest_distances(space, probes, pts), full.min(axis=1))
+        assert verify_net(net, 100, np.random.default_rng(0)).min_separation == d.min()
+        assert verify_maximality(net)
+
+    @pytest.mark.parametrize("budget", [1, 7, 1 << 16])
+    def test_json_names_the_first_close_pair(self, monkeypatch, budget):
+        # two repeated points: rows 2 and 4 take copies of rows 6 and 5
+        obj = net_to_json(build_net(lp_space(2, 2), 1.0, 3.0))
+        obj["points"][2], obj["points"][4] = obj["points"][6], obj["points"][5]
+        monkeypatch.setattr(nets, "_PAIR_BUDGET", budget)
+        with pytest.raises(ValidationError, match="net points 2 and 6 are 0.0 apart"):
+            net_from_json(obj)
+
+
 class TestBuildNet:
     def test_matches_independent_oracle(self):
         for space, delta, r, k in [
@@ -136,6 +169,14 @@ class TestBuildNet:
         for space in (lp_space(2, 2), lp_space(math.inf, 2)):
             net = build_net(space, 1.0, 2.0)
             assert verify_maximality(net)
+
+    @pytest.mark.parametrize("drop", [0, 5, -1])
+    def test_net_missing_a_point_is_not_maximal(self, drop):
+        # the dropped point is a lattice candidate rho away from the rest
+        net = build_net(lp_space(2, 3), 1.0, 2.0)
+        pts = np.delete(net.points, drop % net.size, axis=0)
+        thinned = Net(net.space, net.delta, net.r, pts, net.rho, origin_index=None)
+        assert not verify_maximality(thinned)
 
     def test_candidate_cap_guard(self):
         with pytest.raises(ValidationError):
@@ -209,6 +250,7 @@ class TestVerifyNet:
         net = Net(space, 1.0, 0.5, np.zeros((1, 2)), 0.5)
         audit = verify_net(net, 500, np.random.default_rng(2))
         assert audit.max_probe_gap <= 0.5
+        assert audit.min_separation == math.inf
 
 
 class TestNetSerialization:

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from netembed import (Segment, ValidationError, custom_space, direct_sum_l1,
+from netembed import (SamplingError, Segment, ValidationError, custom_space,
+                      direct_sum_l1,
                       lp_space, norm, norms, parse_space,
                       point_segment_distance, sample_ball, sample_ball_many,
                       segment_ball_clip, segment_segment_distance,
                       space_from_json, space_to_json,
                       sphere_segment_intersections)
-from netembed.spaces import points_segment_distance, segment_pairs_distance
+from netembed import spaces
+from netembed.spaces import (PARAM_TOL, _norms_nd, _ternary_batch,
+                             points_segment_distance, segment_pairs_distance)
 
 
 def seg(a, b):
@@ -337,6 +340,185 @@ class TestSphereSegment:
                                  [0, 0], 1.0) is None
 
 
+def scalar_sphere_roots(space, center, radius, s, tol=PARAM_TOL):
+    """sphere_segment_intersections as it was written before the batched
+    root finder, kept as its reference: a ternary search for the minimum,
+    then a scalar bisection of each side that reaches the radius."""
+    center = np.asarray(center, dtype=np.float64)
+    a = s.a
+
+    def f(tvals):
+        return _norms_nd(space, a + tvals[..., None] * (s.b - a) - center)
+
+    def f1(t):
+        return float(f(np.array([t]))[0])
+
+    tmin, vmin = _ternary_batch(f, np.zeros(1), np.ones(1))
+    tmin, vmin = float(tmin[0]), float(vmin[0])
+    if vmin > radius:
+        return []
+    roots = []
+    if f1(0.0) >= radius:
+        lo, hi = 0.0, tmin
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if f1(mid) >= radius:
+                lo = mid
+            else:
+                hi = mid
+        roots.append(0.5 * (lo + hi))
+    if f1(1.0) >= radius:
+        lo, hi = tmin, 1.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if f1(mid) <= radius:
+                lo = mid
+            else:
+                hi = mid
+        roots.append(0.5 * (lo + hi))
+    if len(roots) == 2 and abs(roots[0] - roots[1]) < tol:
+        return [0.5 * (roots[0] + roots[1])]
+    return roots
+
+
+def scalar_ball_clip(space, a, b, center, radius):
+    """segment_ball_clip as it was written before the batched cut, from the
+    roots' count and which ends lie inside; kept as its reference (it takes
+    a lone left root for the end of the cut when a lies on the sphere)."""
+    s = seg(a, b)
+    roots = scalar_sphere_roots(space, center, radius, s)
+    va, vb = (norm(space, x - np.asarray(center, dtype=float)) for x in (s.a, s.b))
+    inside_a, inside_b = va <= radius, vb <= radius
+    if not roots:
+        return (0.0, 1.0) if inside_a and inside_b else None
+    if len(roots) == 1:
+        t = roots[0]
+        if inside_a:
+            return (0.0, t)
+        return (t, 1.0) if inside_b else (t, t)
+    return (roots[0], roots[1])
+
+
+REFERENCE_SPACES = pytest.mark.parametrize(
+    "space", [parse_space(d) for d in ("lp:2:3", "lp:inf:3", "lp:1:3", "lp:3:3",
+                                       "l1sum:lp:2:2+lp:1:1")],
+    ids=["lp:2:3", "lp:inf:3", "lp:1:3", "lp:3:3", "l1sum"])
+
+
+def _random_segments(seed, k=150):
+    """k segments and radii around the origin: chords, segments ending
+    inside, segments missing the ball and near-tangent ones."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(k, 3)) * rng.uniform(0.2, 2.5, (k, 1))
+    b = rng.normal(size=(k, 3)) * rng.uniform(0.2, 2.5, (k, 1))
+    return a, b, rng.uniform(0.3, 2.0, k)
+
+
+class TestBatchedBallCut:
+    """The batched root finder and ball cut against the scalar code they
+    replaced (kept above), bit for bit, and against dense sampling where the
+    two differ: where an end of the segment lies exactly on the sphere."""
+
+    @REFERENCE_SPACES
+    def test_roots_bitwise_equal_to_the_scalar_search(self, space):
+        a, b, radius = _random_segments(1)
+        counts = set()
+        for k in range(len(a)):
+            got = sphere_segment_intersections(space, [0, 0, 0], radius[k], seg(a[k], b[k]))
+            want = scalar_sphere_roots(space, np.zeros(3), radius[k], seg(a[k], b[k]))
+            assert np.array_equal(np.array(got), np.array(want))
+            counts.add(len(got))
+        assert counts == {0, 1, 2}
+
+    @REFERENCE_SPACES
+    def test_many_rows_equal_one_row_each(self, space):
+        a, b, _ = _random_segments(5, 40)
+        center, radius = np.random.default_rng(5).normal(size=(40, 3)), 1.3
+        many = spaces._sphere_roots(space, a, b, center, radius)
+        for k in range(len(a)):
+            one = spaces._sphere_roots(space, a[k:k + 1], b[k:k + 1], center[k], radius)
+            for x, y in zip(many[0] + many[1], one[0] + one[1]):
+                assert x[k] == y[0]
+
+    @pytest.mark.parametrize("space", [lp_space(2, 2), lp_space(math.inf, 2)],
+                             ids=["lp:2:2", "lp:inf:2"])
+    def test_close_roots_merge_to_one(self, space):
+        # a segment of length 1e10 through the center crosses the unit
+        # sphere at 1/2 -+ 1e-10, closer than PARAM_TOL: one root, the
+        # midpoint, with the scalar merge's bits
+        s = seg([-5e9, 0.0], [5e9, 0.0])
+        got = sphere_segment_intersections(space, [0, 0], 1.0, s)
+        assert got == scalar_sphere_roots(space, np.zeros(2), 1.0, s)
+        assert len(got) == 1 and got[0] == pytest.approx(0.5, abs=1e-9)
+
+    @REFERENCE_SPACES
+    def test_clip_bitwise_equal_to_the_scalar_clip(self, space):
+        # all rows in one batched call, each against the scalar clip
+        a, b, _ = _random_segments(2)
+        kinds = set()
+        for k, (lo, hi, meets) in enumerate(zip(*spaces._ball_cuts(
+                space, a, b, np.zeros(3), 1.1))):
+            want = scalar_ball_clip(space, a[k], b[k], np.zeros(3), 1.1)
+            assert meets == (want is not None)
+            if meets:
+                assert np.array_equal([lo, hi], want)
+                kinds.add((lo == 0.0, hi == 1.0))
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_start_on_the_sphere_and_end_inside_is_wholly_inside(self):
+        # the scalar clip returned (0, 5.55e-17) for the l2 case
+        assert segment_ball_clip(lp_space(2, 2), [1, 0], [0, 0.5], [0, 0], 1.0) == (0.0, 1.0)
+        assert segment_ball_clip(lp_space(1, 3), [0.25, 0.25, 0.5], [0, 0, 0.5],
+                                 [0, 0, 0], 1.0) == (0.0, 1.0)
+        assert segment_ball_clip(lp_space(2, 2), [0, 0.5], [1, 0], [0, 0], 1.0) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("space", [lp_space(2, 2), lp_space(1, 2), lp_space(math.inf, 2)],
+                             ids=["lp:2:2", "lp:1:2", "lp:inf:2"])
+    def test_ends_on_the_sphere_against_dense_sampling(self, space):
+        # ends exactly on the unit sphere (coordinates exact in binary), the
+        # other end anywhere: the cut holds every sampled point strictly
+        # inside the ball and no point outside it
+        on = {1.0: [[1, 0], [0, -1], [-0.5, 0.5], [0.75, -0.25]],
+              2.0: [[1, 0], [0, -1], [0.6, 0.8], [-0.8, 0.6]],
+              math.inf: [[1, 0.5], [-0.25, 1], [1, -1], [-1, 0]]}[space.p]
+        rng = np.random.default_rng(3)
+        t = np.linspace(0.0, 1.0, 4001)
+        cases = 0
+        for x in map(np.array, on):
+            for y in rng.normal(size=(25, 2)) * rng.uniform(0.1, 2.0, (25, 1)):
+                for a, b in ((x, y), (y, x)):
+                    cut = segment_ball_clip(space, a, b, [0, 0], 1.0)
+                    f = norms(space, a + t[:, None] * (b - a))
+                    if cut is None:
+                        assert not np.any(f < 1.0 - 1e-9)
+                        continue
+                    lo, hi = cut
+                    assert np.all((t >= lo - 1e-6) & (t <= hi + 1e-6) | (f > 1.0 - 1e-9))
+                    assert np.all(f[(t >= lo) & (t <= hi)] <= 1.0 + 1e-9)
+                    cases += 1
+        assert cases > 120
+
+
+class TestSplitBlocks:
+    """_in_blocks splits the polyhedral enumerations into row blocks of at
+    most _ENUM_POINTS candidates; the rows come out bit for bit as from one
+    block."""
+
+    @pytest.mark.parametrize("limit", [1, 7, 64])
+    @pytest.mark.parametrize("desc", ["lp:1:3", "lp:inf:3", "l1sum:lp:2:2+lp:1:1"])
+    def test_split_rows_equal_the_whole(self, monkeypatch, desc, limit):
+        space = parse_space(desc)
+        rng = np.random.default_rng(4)
+        pts, a, b, a2, b2 = rng.normal(size=(5, 50, 3))
+        whole = (points_segment_distance(space, pts, a, b),
+                 segment_pairs_distance(space, a, b, a2, b2))
+        monkeypatch.setattr(spaces, "_ENUM_POINTS", limit)
+        split = (points_segment_distance(space, pts, a, b),
+                 segment_pairs_distance(space, a, b, a2, b2))
+        for (v0, e0), (v1, e1) in zip(whole, split):
+            assert np.array_equal(v0, v1) and np.array_equal(e0, e1)
+
+
 class TestSampling:
     def test_samples_inside_ball(self):
         rng = np.random.default_rng(1)
@@ -362,6 +544,21 @@ class TestSampling:
         pts = sample_ball_many(lp_space(2, 3), [0, 0, 0], 1.0, 100_000, rng)
         frac = np.mean(pts > 0, axis=0)
         assert np.all((frac > 0.48) & (frac < 0.52))
+
+    def test_loose_box_factor_exhausts_the_budget(self):
+        # a unit ball filling ~5e-10 of its box: the sampler must give up
+        # after budget_per_point * count draws, not loop
+        drawn = [0]
+
+        def l2(x):
+            drawn[0] += len(x)
+            return np.sqrt(np.sum(x * x, axis=1))
+
+        space = custom_space(3, l2, box_factor=1000.0, vectorized=True)
+        drawn[0] = 0
+        with pytest.raises(SamplingError, match="box_factor"):
+            sample_ball_many(space, [0, 0, 0], 1.0, 3, np.random.default_rng(6))
+        assert drawn[0] == 10_000 * 3
 
     def test_single_sample(self):
         rng = np.random.default_rng(5)
