@@ -107,6 +107,50 @@ def _rng(seed, stream=0):
     return np.random.default_rng([int(seed), int(stream)])
 
 
+# --- stages shared by the subcommands and the pipeline ------------------------
+
+def _params(args, dim):
+    """The placement params of --mode, --beta and --seed."""
+    from .embeddings import default_strict_params, practical_params
+    if args.mode == "strict":
+        return default_strict_params(dim, seed=args.seed)
+    return practical_params(beta=args.beta, seed=args.seed)
+
+
+def _graph_doc(ng):
+    """The graph.json document: the net graph and its audits."""
+    from .graphs import max_degree
+    from .net_graphs import (audit_identity_embedding, degree_bound,
+                             net_graph_to_json, verify_path_bound)
+    obj = net_graph_to_json(ng)
+    pb = verify_path_bound(ng)
+    obj["audit"] = {
+        "identity": audit_identity_embedding(ng).to_json() if ng.net.size > 1 else None,
+        "path_bound_ok": pb.ok,
+        "max_forward_ratio": pb.max_forward_ratio,
+        "max_degree": max_degree(ng.graph),
+        "degree_bound": degree_bound(ng),
+    }
+    return obj
+
+
+def _tg_audit(emb, samples, seed):
+    """The distortion audit on RNG stream 2, as JSON, and whether every
+    breakpoint re-verifies."""
+    from .embeddings import audit_tg, verify_embedding
+    return audit_tg(emb, samples, _rng(seed, 2)).to_json(), verify_embedding(emb)["ok"]
+
+
+def _phi_audit(emb, h, pair_cap, seed):
+    """The audit of the gadget h placed along the embedding's curves, on RNG
+    stream 3, as JSON."""
+    from .embeddings import mg_positions
+    from .gadgets import audit_product_map
+    _, pos = mg_positions(emb, h.M)
+    return audit_product_map(h, pos, emb.space, pair_cap=pair_cap,
+                             rng=_rng(seed, 3)).to_json()
+
+
 # --- subcommand bodies -------------------------------------------------------
 
 def _cmd_net(args):
@@ -119,23 +163,11 @@ def _cmd_net(args):
 
 
 def _cmd_graph(args):
-    from .graphs import graph_to_dot, max_degree
-    from .net_graphs import (audit_identity_embedding, degree_bound,
-                             net_graph_from_net, net_graph_to_json,
-                             verify_path_bound)
+    from .graphs import graph_to_dot
+    from .net_graphs import net_graph_from_net
     from .nets import net_from_json
-    net = net_from_json(_load_json(args.net, "net"))
-    ng = net_graph_from_net(net)
-    obj = net_graph_to_json(ng)
-    pb = verify_path_bound(ng)
-    obj["audit"] = {
-        "identity": audit_identity_embedding(ng).to_json() if net.size > 1 else None,
-        "path_bound_ok": pb.ok,
-        "max_forward_ratio": pb.max_forward_ratio,
-        "max_degree": max_degree(ng.graph),
-        "degree_bound": degree_bound(ng),
-    }
-    _dump_json(obj, args.output)
+    ng = net_graph_from_net(net_from_json(_load_json(args.net, "net")))
+    _dump_json(_graph_doc(ng), args.output)
     if args.dot:
         Path(args.dot).write_text(graph_to_dot(ng.graph), encoding="utf-8")
     return 0
@@ -185,16 +217,12 @@ def _cmd_audit_psi(args):
 
 
 def _cmd_audit_phi(args):
-    from .embeddings import embedding_from_json, mg_positions
-    from .gadgets import audit_product_map, build_gadget
+    from .embeddings import embedding_from_json
+    from .gadgets import build_gadget
     emb = embedding_from_json(_load_json(args.embedding, "embedding"))
     g = emb.netgraph.graph
     m_val = args.M if args.M is not None else 2 * g.edge_count + 1
-    sub, pos = mg_positions(emb, m_val)
-    h = build_gadget(g, m_val)
-    pa = audit_product_map(h, pos, emb.space, pair_cap=args.pair_cap,
-                           rng=_rng(args.seed, 3))
-    obj = pa.to_json()
+    obj = _phi_audit(emb, build_gadget(g, m_val), args.pair_cap, args.seed)
     obj["M"] = m_val
     obj["params"] = emb.params.to_json()
     _dump_json(obj, args.output)
@@ -202,26 +230,16 @@ def _cmd_audit_phi(args):
 
 
 def _cmd_embed(args):
-    from .embeddings import (EmbedParams, default_strict_params,
-                             embedding_to_json, place_edges, practical_params)
+    from .embeddings import EmbedParams, embedding_to_json, place_edges
     from .net_graphs import NetGraph
     loaded = _load_graph(args.graph)
     if not isinstance(loaded, NetGraph):
         raise ValidationError("embed needs a net-graph JSON (produced by `graph`)")
     space = loaded.space
-    if args.mode == "strict":
-        params = default_strict_params(space.dim, seed=args.seed)
-    else:
-        params = practical_params(beta=args.beta, seed=args.seed)
-    overrides = {}
-    for name in ("alpha", "gamma", "mu"):
-        val = getattr(args, name)
-        if val is not None:
-            overrides[name] = val
-    if args.retry_cap is not None:
-        overrides["retry_cap"] = args.retry_cap
-    if overrides:
-        params = EmbedParams(**{**params.to_json(), **overrides})
+    params = _params(args, space.dim)
+    overrides = {name: getattr(args, name) for name in ("alpha", "gamma", "mu", "retry_cap")
+                 if getattr(args, name) is not None}
+    params = EmbedParams(**{**params.to_json(), **overrides})
     emb = place_edges(space, loaded, params, _rng(args.seed, 1),
                       edge_limit=args.limit)
     _dump_json(embedding_to_json(emb), args.output)
@@ -229,11 +247,10 @@ def _cmd_embed(args):
 
 
 def _cmd_audit_tg(args):
-    from .embeddings import audit_tg, embedding_from_json, verify_embedding
+    from .embeddings import embedding_from_json
     emb = embedding_from_json(_load_json(args.embedding, "embedding"))
-    report = audit_tg(emb, args.samples, _rng(args.seed, 2))
-    obj = report.to_json()
-    obj["reverified"] = verify_embedding(emb)["ok"]
+    obj, reverified = _tg_audit(emb, args.samples, args.seed)
+    obj["reverified"] = reverified
     obj["params"] = emb.params.to_json()
     obj["samples_requested"] = args.samples
     obj["seed"] = args.seed
@@ -262,23 +279,17 @@ def _cmd_classify(args):
 
 
 def _cmd_pipeline(args):
-    from .embeddings import (audit_tg, default_strict_params, embedding_to_json,
-                             mg_positions, place_edges, practical_params,
-                             verify_embedding)
-    from .gadgets import (audit_anchor_map, audit_product_map, build_gadget,
-                          gadget_to_json)
-    from .graphs import max_degree
-    from .net_graphs import (audit_identity_embedding, build_net_graph,
-                             degree_bound, net_graph_to_json, verify_path_bound)
+    """net -> graph -> embed -> gadget -> dossier.  Each artifact is what its
+    subcommand writes from the artifacts before it."""
+    from .embeddings import embedding_to_json, place_edges
+    from .gadgets import audit_anchor_map, build_gadget, gadget_to_json
+    from .net_graphs import build_net_graph
     from .nets import net_to_json
     from .spaces import parse_space
 
     # every argument is checked before the first artifact is written
     space = parse_space(args.space)
-    if args.mode == "strict":
-        params = default_strict_params(space.dim, seed=args.seed)
-    else:
-        params = practical_params(beta=args.beta, seed=args.seed)
+    params = _params(args, space.dim)
     params.validate(space.dim)
     if args.samples < 0:
         raise ValidationError("interior_samples must be >= 0")
@@ -291,30 +302,21 @@ def _cmd_pipeline(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _dump_json(net_to_json(ng.net), out / "net.json")
-
-    identity = audit_identity_embedding(ng)
-    pb = verify_path_bound(ng)
-    gobj = net_graph_to_json(ng)
-    gobj["audit"] = {"identity": identity.to_json(), "path_bound_ok": pb.ok,
-                     "max_degree": max_degree(ng.graph),
-                     "degree_bound": degree_bound(ng)}
+    gobj = _graph_doc(ng)
     _dump_json(gobj, out / "graph.json")
 
     emb = place_edges(space, ng, params, _rng(args.seed, 1))
     _dump_json(embedding_to_json(emb), out / "embedding.json")
-    reverify = verify_embedding(emb)
-    tg_report = audit_tg(emb, args.samples, _rng(args.seed, 2))
+    tg_report, reverified = _tg_audit(emb, args.samples, args.seed)
 
-    g_unit = emb.netgraph.graph
-    e_count = g_unit.edge_count
+    e_count = ng.graph.edge_count
     m_val = 2 * e_count + 1
-    h = build_gadget(g_unit, m_val)
+    h = build_gadget(ng.graph, m_val)
     _dump_json(gadget_to_json(h), out / "gadget.json")
     psi_report = audit_anchor_map(h)
-    sub, pos = mg_positions(emb, m_val)
-    phi_audit = audit_product_map(h, pos, space, pair_cap=args.pair_cap,
-                                  rng=_rng(args.seed, 3))
+    phi_audit = _phi_audit(emb, h, args.pair_cap, args.seed)
 
+    audit = gobj["audit"]
     dossier = {
         "config": {"space": args.space, "delta": args.delta, "r": args.r,
                    "mesh": args.mesh, "seed": args.seed, "mode": args.mode,
@@ -322,22 +324,22 @@ def _cmd_pipeline(args):
                    "pair_cap": args.pair_cap,
                    "params": params.to_json()},
         "net": {"points": ng.net.size, "rho": ng.net.rho},
-        "graph": {"vertices": ng.graph.n, "edges": ng.graph.edge_count,
+        "graph": {"vertices": ng.graph.n, "edges": e_count,
                   "edge_threshold": ng.edge_threshold,
-                  "max_degree": max_degree(ng.graph),
-                  "degree_bound": degree_bound(ng),
-                  "identity_audit": identity.to_json(),
-                  "path_bound_ok": pb.ok},
+                  "max_degree": audit["max_degree"],
+                  "degree_bound": audit["degree_bound"],
+                  "identity_audit": audit["identity"],
+                  "path_bound_ok": audit["path_bound_ok"]},
         "embedding": {"scale": emb.scale,
                       "attempts_total": int(emb.attempts.sum()),
                       "attempts_max": int(emb.attempts.max()),
-                      "reverified": reverify["ok"],
-                      "tg_audit": tg_report.to_json()},
+                      "reverified": reverified,
+                      "tg_audit": tg_report},
         "gadget": {"vertices": h.n, "M": m_val,
                    "max_degree": h.max_degree(),
                    "psi_audit": psi_report.to_json(),
                    "psi_lip_bound": 2 * e_count + m_val,
-                   "phi_audit": phi_audit.to_json()},
+                   "phi_audit": phi_audit},
     }
     _dump_json(dossier, out / "dossier.json")
     return 0

@@ -23,22 +23,13 @@ the first failure, with the result of placing the edges one at a time.
 Re-verification places every stored curve at once and checks all
 breakpoints in a few blocked calls, each against its own prefix; the Monte
 Carlo estimate checks all its samples the same way.  Every comparison is
-tolerance inflated (pass needs the constraint plus the tolerance), and
-every distance decision is certified in steps:
-
-  a bounding-box mask drops the pairs whose boxes sit at sup-norm gap
-  >= 2 * need / l2_lower, which the l2 screen below would settle (the
-  mask is the only work that grows with the placed prefix);
-  the Euclidean closed form, screened through the space's l2 comparison
-  factors;
-  then, only for the pairs the screen leaves open and only for candidates
-  nothing cheaper has rejected, the space's distance kernel from spaces
-  (exact vertex enumeration for polyhedral norms, nested ternary search for
-  the rest and for the rare polyhedral pair whose enumeration was
-  ill-conditioned).
-
-Each kernel returns an attained distance and an error bound, so floating
-error can reject a usable breakpoint but never accept a bad one.
+tolerance inflated (pass needs the constraint plus the tolerance).  A
+bounding-box mask drops the pairs whose boxes sit at least
+spaces.box_reach apart, which the l2 screen would certify (the mask is the
+only work that grows with the placed prefix); each condition sends the
+pairs left to one call of spaces.points_clear or spaces.segments_clear,
+which certify them as the spaces module describes, so floating error can
+reject a usable breakpoint but never accept a bad one.
 """
 
 from __future__ import annotations
@@ -54,15 +45,10 @@ from .gadgets import SubdividedGraph, subdivide
 from .graphs import FiniteMetric, Graph, audit, bfs_apsp
 from .net_graphs import (NetGraph, net_graph_from_json, net_graph_to_json,
                          rescaled_unit)
-from .spaces import (NormedSpace, _ball_cuts, _l2_point_segment,
-                     _l2_segment_segment, has_exact_kernel, norms,
-                     points_segment_distance, sample_ball_many,
-                     segment_pairs_distance)
+from .spaces import (NormedSpace, as_int, ball_cuts, box_reach, norms,
+                     points_clear, sample_ball_many, segments_clear)
 
 _Z95 = 1.959963984540054
-# Pairs per distance computation of the predicate (candidate-segment and
-# candidate-vertex pairs that pass the box masks): bounds its working memory.
-_MC_PAIRS = 2048
 # Candidate-object box tests per block of candidates, roughly: bounds the
 # memory of the box masks.
 _BOX_TESTS = 1 << 17
@@ -155,105 +141,14 @@ def params_from_json(obj: dict) -> EmbedParams:
         return EmbedParams(
             alpha=float(obj["alpha"]), beta=float(obj["beta"]),
             gamma=float(obj["gamma"]), mu=float(obj["mu"]),
-            mode=str(obj["mode"]), retry_cap=int(obj["retry_cap"]),
-            seed=int(obj["seed"]), tolerance=float(obj["tolerance"]),
+            mode=str(obj["mode"]), retry_cap=as_int(obj["retry_cap"], "retry_cap"),
+            seed=as_int(obj["seed"], "seed"), tolerance=float(obj["tolerance"]),
             gamma_constant=float(obj.get("gamma_constant", 1.0)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed params JSON: {exc}") from exc
 
 
-# --- certified clearance -------------------------------------------------------
-
-def _clear(space: NormedSpace, l2: np.ndarray, owner: np.ndarray, m: int,
-           need: float, searches) -> np.ndarray:
-    """Certified clearance of a batch of pairs, decided per candidate.
-
-    Pair k has Euclidean distance l2[k] and belongs to candidate owner[k] in
-    range(m).  Returns (m,) bool, True only where every pair of the
-    candidate is at norm distance >= need.  The space's l2 comparison
-    factors settle what they can; each search in turn maps the indices of
-    the open pairs to their searched distances (attained, hence upper
-    bounds) and error bounds, and runs only for candidates that no pair has
-    rejected and no earlier search has settled.  A candidate still open
-    after the last search is rejected.
-    """
-    ok = np.ones(m, dtype=bool)
-    open_ = l2 * space.l2_lower < need
-    if space.l2_upper < math.inf:
-        ok[owner[open_ & (l2 * space.l2_upper < need)]] = False
-    idx = np.flatnonzero(open_ & ok[owner])
-    for search in searches:
-        if idx.size == 0:
-            break
-        vals, err = search(idx)
-        ok[owner[idx[vals < need]]] = False
-        unsure = np.zeros(m, dtype=bool)
-        unsure[owner[idx[vals - err < need]]] = True
-        idx = idx[(ok & unsure)[owner[idx]]]
-    ok[owner[idx]] = False
-    return ok
-
-
-def _points_clear(space: NormedSpace, pts, a, b, owner: np.ndarray, m: int,
-                  need: float) -> np.ndarray:
-    """Per candidate, True when every point pts[k] it owns is at norm
-    distance >= need from the segment [a[k], b[k]].  Spaces with an exact
-    kernel fall back on the ternary search for candidates it leaves
-    undecided."""
-    def search(exact):
-        def run(idx):
-            return points_segment_distance(space, pts[idx], a[idx], b[idx], exact)
-        return run
-
-    chain = (search(True), search(False)) if has_exact_kernel(space) else (search(False),)
-    return _clear(space, _l2_point_segment(pts, a, b), owner, m, need, chain)
-
-
-def _segments_clear(space: NormedSpace, p: np.ndarray, q: np.ndarray,
-                    owner: np.ndarray, m: int, need: float) -> np.ndarray:
-    """Per candidate, True when every segment pair (p[k], q[k]) it owns is
-    at norm distance >= need.  The exact kernel runs first where the space
-    has one; then the nested search at 22 iterations, and again at 52 for
-    candidates that 22 leaves undecided."""
-    def search(iters):
-        def run(idx):
-            return segment_pairs_distance(space, p[idx, 0], p[idx, 1],
-                                          q[idx, 0], q[idx, 1], iters)
-        return run
-
-    chain = (search(None),) if has_exact_kernel(space) else ()
-    return _clear(space, _l2_segment_segment(p[:, 0], p[:, 1], q[:, 0], q[:, 1]),
-                  owner, m, need, chain + (search(22), search(52)))
-
-
-def _in_runs(counts: np.ndarray, clear) -> np.ndarray:
-    """Per-candidate verdicts, from clear(a, b) on runs of candidates a..b-1
-    (candidate k owns counts[k] pairs).  A run holds at most _MC_PAIRS pairs
-    (a candidate with more forms a run alone); a run without pairs passes
-    without a call.  Each candidate's verdict depends on its own pairs only,
-    so the runs answer as one call would."""
-    ok = np.ones(len(counts), dtype=bool)
-    ends = np.cumsum(counts)
-    a = 0
-    while a < len(counts):
-        base = ends[a - 1] if a else 0
-        b = max(a + 1, int(np.searchsorted(ends, base + _MC_PAIRS, side="right")))
-        if ends[b - 1] > base:
-            ok[a:b] = clear(a, b)
-        a = b
-    return ok
-
-
-def _box_reach(space: NormedSpace, need: float) -> float:
-    """A sup-norm gap between bounding boxes that proves a pair clear.
-
-    Points whose coordinates differ by g somewhere are at Euclidean
-    distance >= g, so at norm distance >= l2_lower * g: at the gap
-    2 * need / l2_lower the l2 screen of _clear settles the pair with a
-    factor 2 to spare for rounding.  Infinite (nothing pruned) when the
-    space has no l2 lower factor."""
-    return 2.0 * need / space.l2_lower if space.l2_lower > 0 else math.inf
-
+# --- box masks ---------------------------------------------------------------
 
 def _box_near(x: np.ndarray, y: np.ndarray, reach: float) -> np.ndarray:
     """(len(x), len(y)) mask, True where the bounding boxes of x[i] and y[j]
@@ -345,10 +240,10 @@ def _clip_curves(space: NormedSpace, u: np.ndarray, v: np.ndarray,
 
     The beta condition keeps each curve clear of every other vertex's ball,
     so only the edge's own endpoints can clip it.  A segment leaves its own
-    endpoint's ball radially, at [t0, t1]; one _ball_cuts call cuts the
-    opposite ball [lo, hi] out of the segments the Euclidean screen cannot
-    keep clear of it.  Each segment yields [t0, lo] and [hi, t1] where the
-    cut overlaps [t0, t1], else [t0, t1], less the pieces under 1e-12.
+    endpoint's ball radially, at [t0, t1]; one ball_cuts call cuts the
+    opposite ball [lo, hi] out of every segment.  Each segment yields
+    [t0, lo] and [hi, t1] where the cut overlaps [t0, t1], else [t0, t1],
+    less the pieces under 1e-12.
     """
     m = len(ws)
     a, b, other = np.concatenate([u, ws]), np.concatenate([ws, v]), np.concatenate([v, u])
@@ -360,12 +255,9 @@ def _clip_curves(space: NormedSpace, u: np.ndarray, v: np.ndarray,
     own = keep < m  # [u, w] leaves its own ball B(u, beta) at t = 0
     t0 = np.where(own, np.minimum(1.0, frac), 0.0)
     t1 = np.where(own, 1.0, np.maximum(0.0, 1 - frac))
-    lo, hi = t1.copy(), t1.copy()  # no cut: the pieces [t0, t1] and [t1, t1]
-    reach = np.flatnonzero(~(_l2_point_segment(other, a, b) * space.l2_lower > beta))
-    if reach.size:
-        c_lo, c_hi, meets = _ball_cuts(space, a[reach], b[reach], other[reach], beta)
-        hit = meets & (c_hi > t0[reach]) & (c_lo < t1[reach])  # the cut overlaps [t0, t1]
-        lo[reach[hit]], hi[reach[hit]] = c_lo[hit], c_hi[hit]
+    c_lo, c_hi, meets = ball_cuts(space, a, b, other, beta)
+    hit = meets & (c_hi > t0) & (c_lo < t1)  # the cut overlaps [t0, t1]
+    lo, hi = np.where(hit, c_lo, t1), np.where(hit, c_hi, t1)  # else [t0, t1], [t1, t1]
     s0, s1 = np.stack([t0, hi], axis=1).ravel(), np.stack([lo, t1], axis=1).ravel()
     piece = np.flatnonzero(s1 - s0 > 1e-12)
     seg = piece // 2
@@ -419,10 +311,9 @@ def _check_block(state: _PlacedState, edges: np.ndarray, ws: np.ndarray,
     the candidates that reach it, and only when some curve is placed.
 
     A pair of the candidate's curve with a placed segment, a placed piece
-    or another vertex reaches the distance computations only if its
-    bounding boxes sit closer than _box_reach, and the pairs that pass go
-    to them in runs of at most _MC_PAIRS (_in_runs); the box masks are the
-    only work that grows with the placed prefix."""
+    or another vertex reaches points_clear or segments_clear only if its
+    bounding boxes sit closer than box_reach; the box masks are the only
+    work that grows with the placed prefix."""
     space, pts, ends = state.space, state.points, state.ends
     beta, tol = params.beta, params.tolerance
     ui, vi = ends[edges, 0], ends[edges, 1]
@@ -444,13 +335,10 @@ def _check_block(state: _PlacedState, edges: np.ndarray, ws: np.ndarray,
             code[r[norms(space, state.crossings[c] - x) < params.alpha + tol]] = ALPHA
     live = np.flatnonzero(code == 0)
     if live.size:
-        ends_at = np.stack([u[live], v[live]], axis=1).reshape(-1, n)
-
-        def clear(a, b):  # u with [w, v], v with [u, w]
-            own = segs[live[a:b], ::-1].reshape(-1, 2, n)
-            return _points_clear(space, ends_at[2 * a:2 * b], own[:, 0], own[:, 1],
-                                 np.arange(2 * (b - a)) // 2, b - a, beta + tol)
-        code[live[~_in_runs(np.full(live.size, 2), clear)]] = ALPHA
+        own = segs[live, ::-1].reshape(-1, 2, n)  # u with [w, v], v with [u, w]
+        k = np.arange(2 * live.size)
+        code[live[~points_clear(space, pts, own, ends[edges[live]].ravel(), k, k // 2,
+                                live.size, beta + tol)]] = ALPHA
 
     live = np.flatnonzero(code == 0)
     if live.size:
@@ -459,41 +347,29 @@ def _check_block(state: _PlacedState, edges: np.ndarray, ws: np.ndarray,
         near = norms(space, (pts[None] - pts[first, None]).reshape(-1, n)) <= 5.0
         near = near.reshape(first.size, -1)[inv]
         near[np.arange(live.size), ui[live]] = near[np.arange(live.size), vi[live]] = False
-        near = np.repeat(near, 2, axis=0) & _box_near(cand, pts, _box_reach(space, beta + tol))
-
-        def clear(a, b):
-            i, y = np.nonzero(near[2 * a:2 * b])
-            return _points_clear(space, pts[y], cand[2 * a + i, 0], cand[2 * a + i, 1],
-                                 i // 2, b - a, beta + tol)
-        code[live[~_in_runs(near.sum(axis=1).reshape(-1, 2).sum(axis=1), clear)]] = BETA
+        near = np.repeat(near, 2, axis=0) & _box_near(cand, pts, box_reach(space, beta + tol))
+        r, y = np.nonzero(near)
+        code[live[~points_clear(space, pts, cand, y, r, r // 2, live.size,
+                                beta + tol)]] = BETA
 
     placed, clipped = state.segments, state.clipped
     live = np.flatnonzero(code == 0)
     if not (live.size and len(placed)):
         return code
     pieces, rows = _clip_curves(space, u[live], v[live], ws[live], beta)
-    order = np.argsort(rows, kind="stable")
-    pieces, rows = pieces[order], rows[order]
     need = params.gamma + tol
-    reach = _box_reach(space, need)
+    reach = box_reach(space, need)
     cand = segs[live].reshape(-1, 2, n)
-    at = np.searchsorted(rows, np.arange(live.size + 1))  # pieces of each candidate
     earlier = edges[live, None]
-    near_seg = ((np.arange(len(placed)) // 2 < earlier[rows])
-                & _box_near(pieces, placed, reach))
-    near_clip = ((state.clip_edge < np.repeat(earlier, 2, axis=0))
-                 & _box_near(cand, clipped, reach))
-    counts = (np.bincount(rows, near_seg.sum(axis=1), live.size).astype(np.int64)
-              + near_clip.sum(axis=1).reshape(-1, 2).sum(axis=1))
-
-    def clear(a, b):
-        pi, sj = np.nonzero(near_seg[at[a]:at[b]])
-        ci, cj = np.nonzero(near_clip[2 * a:2 * b])
-        p = np.concatenate([pieces[at[a] + pi], cand[2 * a + ci]])
-        q = np.concatenate([placed[sj], clipped[cj]])
-        owner = np.concatenate([rows[at[a] + pi] - a, ci // 2])
-        return _segments_clear(space, p, q, owner, b - a, need)
-    code[live[~_in_runs(counts, clear)]] = GAMMA
+    # the pieces against the placed segments, the segments against the placed pieces
+    i, j = np.nonzero((np.arange(len(placed)) // 2 < earlier[rows])
+                      & _box_near(pieces, placed, reach))
+    ci, cj = np.nonzero((state.clip_edge < np.repeat(earlier, 2, axis=0))
+                        & _box_near(cand, clipped, reach))
+    owner = np.concatenate([rows[i], ci // 2])
+    i, j = np.concatenate([i, len(pieces) + ci]), np.concatenate([j, len(placed) + cj])
+    p, q = np.concatenate([pieces, cand]), np.concatenate([placed, clipped])
+    code[live[~segments_clear(space, p, q, i, j, owner, live.size, need)]] = GAMMA
     return code
 
 
@@ -899,9 +775,10 @@ def embedding_from_json(obj: dict) -> PolylineEmbedding:
         ng = net_graph_from_json(obj["net_graph"])
         params = params_from_json(obj["params"])
         scale = float(obj["scale"])
-        edge_list = tuple((int(e["u"]), int(e["v"])) for e in obj["edges"])
+        edge_list = tuple((as_int(e["u"], "u"), as_int(e["v"], "v")) for e in obj["edges"])
         breakpoints = np.array([[float(x) for x in e["w"]] for e in obj["edges"]])
-        attempts = np.array([int(e["attempts"]) for e in obj["edges"]], dtype=np.int64)
+        attempts = np.array([as_int(e["attempts"], "attempts") for e in obj["edges"]],
+                            dtype=np.int64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed embedding JSON: {exc}") from exc
     dim = ng.space.dim

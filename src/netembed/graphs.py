@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .spaces import NormedSpace, norms
+from .spaces import NormedSpace, as_int, norms
 
 
 @dataclass(eq=False)
@@ -25,7 +25,6 @@ class Graph:
     n: int
     adj: tuple
     coords: Optional[np.ndarray] = None
-    labels: Optional[tuple] = None
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -39,7 +38,7 @@ class Graph:
         return len(self.adj[u])
 
 
-def from_edges(n: int, edges, coords=None, labels=None) -> Graph:
+def from_edges(n: int, edges, coords=None) -> Graph:
     """Build a Graph, rejecting loops and duplicate edges."""
     if n < 1:
         raise ValidationError("graph needs at least one vertex")
@@ -61,8 +60,7 @@ def from_edges(n: int, edges, coords=None, labels=None) -> Graph:
             raise ValidationError(f"coords must be rows of numbers: {exc}") from exc
         if coords.ndim != 2 or coords.shape[0] != n:
             raise ValidationError("coords must have one row per vertex")
-    return Graph(n, tuple(tuple(sorted(a)) for a in adj), coords=coords,
-                 labels=tuple(labels) if labels is not None else None)
+    return Graph(n, tuple(tuple(sorted(a)) for a in adj), coords=coords)
 
 
 def bfs_from(g: Graph, source: int) -> np.ndarray:
@@ -267,8 +265,8 @@ def graph_to_json(g: Graph) -> dict:
 
 def graph_from_json(obj: dict) -> Graph:
     try:
-        n = int(obj["n"])
-        edges = [(int(u), int(v)) for u, v in obj["edges"]]
+        n = as_int(obj["n"], "n")
+        edges = [(as_int(u, "edge end"), as_int(v, "edge end")) for u, v in obj["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed graph JSON: {exc}") from exc
     coords = obj.get("coords")

@@ -2,7 +2,8 @@
 
 Everything downstream (net construction, graph audits, polyline placement)
 funnels through the primitives here: norm evaluation, volume-uniform ball
-sampling, and distances from points and segments to segments and spheres.
+sampling, distances from points and segments to segments and spheres, and
+the certified clearance tests of breakpoint placement.
 
 Point-segment and segment-segment distances come from one kernel per kind
 of norm, each returning the distance (attained at a parameter in the box,
@@ -17,6 +18,21 @@ hence an upper bound) and an error bound below it:
   other        nested ternary search, exact up to the parameter tolerance
                because the objectives are convex (a norm composed with an
                affine map), not merely unimodal.
+
+points_clear and segments_clear certify pairs (point-segment or
+segment-segment) at norm distance >= need and pass a candidate only when
+every pair it owns is certified, so floating error may reject a clear
+candidate but never passes a close one.  Each step runs on the pairs the
+steps before it leave open, for the candidates no pair has rejected:
+
+  l2 screen   the Euclidean closed form d: l2_lower * d >= need certifies
+              the pair, l2_upper * d < need rejects it (box_reach is the
+              bounding-box gap beyond which it certifies);
+  kernels     the exact kernel where the space has one, then ternary
+              search (points) or nested search at 22 and then 52
+              iterations (segments).  A value under need rejects, being
+              attained; value - err >= need certifies; otherwise the
+              candidate's open pairs go on, and are rejected after the last.
 
 Randomized brute-force and linear-programming cross-checks live in the test
 suite.
@@ -43,6 +59,9 @@ _EPS = float(np.finfo(np.float64).eps)
 # Candidate points per block of the polyhedral enumeration: bounds its
 # working memory however many pairs are open.
 _ENUM_POINTS = 16384
+# Pairs whose coordinates points_clear and segments_clear gather at a time:
+# bounds the coordinates and kernel temporaries they hold at once.
+_CLEAR_PAIRS = 1024
 
 
 def as_vector(coords, dim: Optional[int] = None) -> np.ndarray:
@@ -55,6 +74,16 @@ def as_vector(coords, dim: Optional[int] = None) -> np.ndarray:
     if dim is not None and v.shape[0] != dim:
         raise ValidationError(f"dimension mismatch: vector has {v.shape[0]}, space has {dim}")
     return v
+
+
+def as_int(value, what: str) -> int:
+    """An integer field read from JSON, as an int: an integral number
+    passes; a bool, a string or a non-integral number raises."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -289,12 +318,10 @@ def has_exact_kernel(space: NormedSpace) -> bool:
     return _is_l2(space) or _kink_rows(space) is not None
 
 
-def _in_blocks(kernel, width: int, *arrays):
-    """kernel applied to row blocks of the (k, dim) arrays, each block
-    enumerating at most _ENUM_POINTS candidates of `width` per row; the
+def _in_blocks(kernel, step: int, *arrays):
+    """kernel applied to blocks of at most step rows of the arrays; the
     kernel's output arrays are concatenated."""
     k = arrays[0].shape[0]
-    step = max(1, _ENUM_POINTS // width)
     if k <= step:
         return kernel(*arrays)
     outs = [kernel(*(x[lo:lo + step] for x in arrays)) for lo in range(0, k, step)]
@@ -369,24 +396,20 @@ def _polyhedral_segment_pairs(space: NormedSpace, w, u, v):
     return _norms_nd(space, x).min(axis=1), ill
 
 
-def points_segment_distance(space: NormedSpace, pts: np.ndarray, a, b,
-                            exact: bool = True):
-    """min_t ||a + t(b-a) - p|| for each row p of pts.  Returns (dist, err):
-    dist is attained, hence an upper bound, and dist - err a lower bound.
-
-    a and b are one segment, or one segment per row of pts.  l2 and the
-    polyhedral norms use their exact kernels (a polyhedral row whose kink
-    could not be located reliably gets err = inf); other norms, and every
-    norm when exact is False, use ternary search.
-    """
-    pts, a, b = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64) for x in (pts, a, b)))
+def _points_segment_exact(space: NormedSpace, pts, a, b):
+    """points_segment_distance by the exact kernel of l2 or a polyhedral
+    norm (err = inf where a kink could not be located reliably)."""
     d = b - a
-    if exact and _is_l2(space):
+    if _is_l2(space):
         return _l2_point_segment(pts, a, b), norms(space, d) * 4 * PARAM_TOL
-    if exact and _kink_rows(space) is not None:
-        vals, ill = _in_blocks(functools.partial(_polyhedral_points_segment, space),
-                               len(_kink_rows(space)) + 2, a - pts, d)
-        return vals, np.where(ill, np.inf, norms(space, d) * 4 * PARAM_TOL)
+    vals, ill = _in_blocks(functools.partial(_polyhedral_points_segment, space),
+                           max(1, _ENUM_POINTS // (len(_kink_rows(space)) + 2)), a - pts, d)
+    return vals, np.where(ill, np.inf, norms(space, d) * 4 * PARAM_TOL)
+
+
+def _points_segment_search(space: NormedSpace, pts, a, b):
+    """points_segment_distance by ternary search, for any norm."""
+    d = b - a
 
     def f(tvals):
         return _norms_nd(space, a + tvals[..., None] * d - pts)
@@ -396,6 +419,20 @@ def points_segment_distance(space: NormedSpace, pts: np.ndarray, a, b,
     return val, norms(space, d) * 6 * PARAM_TOL
 
 
+def points_segment_distance(space: NormedSpace, pts: np.ndarray, a, b):
+    """min_t ||a + t(b-a) - p|| for each row p of pts.  Returns (dist, err):
+    dist is attained, hence an upper bound, and dist - err a lower bound.
+
+    a and b are one segment, or one segment per row of pts.  l2 and the
+    polyhedral norms use their exact kernels (a polyhedral row whose kink
+    could not be located reliably gets err = inf); other norms use ternary
+    search.
+    """
+    pts, a, b = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64) for x in (pts, a, b)))
+    exact = has_exact_kernel(space)
+    return (_points_segment_exact if exact else _points_segment_search)(space, pts, a, b)
+
+
 def point_segment_distance(space: NormedSpace, p, s: Segment) -> float:
     """Distance from a point to a segment (see points_segment_distance)."""
     p = as_vector(p, space.dim)
@@ -403,15 +440,26 @@ def point_segment_distance(space: NormedSpace, p, s: Segment) -> float:
     return float(val[0])
 
 
-def _segment_pairs_distance(space: NormedSpace, a1, b1, a2, b2,
-                            iters: int = _TERNARY_ITERS) -> np.ndarray:
-    """min over (s, t) in [0,1]^2 of ||a1 + s(b1-a1) - a2 - t(b2-a2)||, row
-    by row for segments given as (k, dim) endpoint arrays, by nested
-    ternary search.
+def _segment_pairs_exact(space: NormedSpace, a1, b1, a2, b2):
+    """segment_pairs_distance by the exact kernel of l2 or a polyhedral
+    norm (err = inf where an intersection could not be located reliably)."""
+    lens = norms(space, b1 - a1) + norms(space, b2 - a2)
+    if _is_l2(space):
+        return _l2_segment_segment(a1, b1, a2, b2), lens * 4 * PARAM_TOL
+    lines = len(_kink_rows(space)) + 4
+    vals, ill = _in_blocks(functools.partial(_polyhedral_segment_pairs, space),
+                           max(1, _ENUM_POINTS // (lines * (lines - 1) // 2)),
+                           a1 - a2, b1 - a1, b2 - a2)
+    return vals, np.where(ill, np.inf, lens * 4 * PARAM_TOL)
+
+
+def _segment_pairs_search(space: NormedSpace, a1, b1, a2, b2,
+                          iters: int = _TERNARY_ITERS):
+    """segment_pairs_distance by nested ternary search, for any norm.
 
     The objective is jointly convex, so the partial minimum over t is convex
     in s and nested ternary search is exact up to (2/3)**iters in each
-    parameter.  The values are attained, hence upper bounds of the minima.
+    parameter.
     """
     d1 = b1 - a1
     d2 = b2 - a2
@@ -424,31 +472,21 @@ def _segment_pairs_distance(space: NormedSpace, a1, b1, a2, b2,
 
     k = a1.shape[0]
     _, val = _ternary_batch(g, np.zeros(k), np.ones(k), iters)
-    return val
+    lens = norms(space, d1) + norms(space, d2)
+    return val, lens * ((2.0 / 3.0) ** iters + 4 * PARAM_TOL)
 
 
-def segment_pairs_distance(space: NormedSpace, a1, b1, a2, b2,
-                           iters: Optional[int] = None):
-    """Distances between the segments [a1[k], b1[k]] and [a2[k], b2[k]]
-    row by row, as (dist, err): dist is attained, hence an upper bound, and
-    dist - err a lower bound.
+def segment_pairs_distance(space: NormedSpace, a1, b1, a2, b2):
+    """min over (s, t) in [0,1]^2 of ||a1 + s(b1-a1) - a2 - t(b2-a2)|| row
+    by row, for segments given as (k, dim) endpoint arrays, as (dist, err):
+    dist is attained, hence an upper bound, and dist - err a lower bound.
 
-    With iters None, l2 and the polyhedral norms use their exact kernels
-    (a polyhedral pair with an intersection that could not be located
-    reliably gets err = inf) and other norms the nested search at full
-    precision; iters forces the nested search with that many iterations.
+    l2 and the polyhedral norms use their exact kernels (a polyhedral pair
+    with an intersection that could not be located reliably gets err = inf);
+    other norms use nested ternary search.
     """
-    lens = norms(space, b1 - a1) + norms(space, b2 - a2)
-    if iters is None and _is_l2(space):
-        return _l2_segment_segment(a1, b1, a2, b2), lens * 4 * PARAM_TOL
-    if iters is None and _kink_rows(space) is not None:
-        lines = len(_kink_rows(space)) + 4
-        vals, ill = _in_blocks(functools.partial(_polyhedral_segment_pairs, space),
-                               lines * (lines - 1) // 2, a1 - a2, b1 - a1, b2 - a2)
-        return vals, np.where(ill, np.inf, lens * 4 * PARAM_TOL)
-    iters = _TERNARY_ITERS if iters is None else iters
-    vals = _segment_pairs_distance(space, a1, b1, a2, b2, iters)
-    return vals, lens * ((2.0 / 3.0) ** iters + 4 * PARAM_TOL)
+    exact = has_exact_kernel(space)
+    return (_segment_pairs_exact if exact else _segment_pairs_search)(space, a1, b1, a2, b2)
 
 
 def segment_segment_distance(space: NormedSpace, s1: Segment, s2: Segment) -> float:
@@ -456,6 +494,71 @@ def segment_segment_distance(space: NormedSpace, s1: Segment, s2: Segment) -> fl
     segment_pairs_distance)."""
     return float(segment_pairs_distance(space, s1.a[None, :], s1.b[None, :],
                                         s2.a[None, :], s2.b[None, :])[0][0])
+
+
+# --- certified clearance ---------------------------------------------------
+
+def box_reach(space: NormedSpace, need: float) -> float:
+    """A sup-norm gap between bounding boxes that proves a pair clear:
+    points whose coordinates differ by g somewhere are at norm distance
+    >= l2_lower * g, so at the gap 2 * need / l2_lower the l2 screen
+    certifies the pair with a factor 2 to spare for rounding.  Infinite
+    (nothing pruned) when the space has no l2 lower factor."""
+    return 2.0 * need / space.l2_lower if space.l2_lower > 0 else math.inf
+
+
+def points_clear(space: NormedSpace, pts: np.ndarray, segs: np.ndarray,
+                 i: np.ndarray, j: np.ndarray, owner: np.ndarray, m: int,
+                 need: float) -> np.ndarray:
+    """(m,) bool, True for the candidates in range(m) whose pairs are all
+    certified at norm distance >= need.  Pair r is the point pts[i[r]]
+    against the segment segs[j[r]] ((2, dim) rows), of candidate owner[r]."""
+    def pairs(k):
+        return pts[i[k]], segs[j[k], 0], segs[j[k], 1]
+
+    return _clear(space, pairs, owner, m, need, _l2_point_segment,
+                  _points_segment_exact, [_points_segment_search])
+
+
+def segments_clear(space: NormedSpace, p: np.ndarray, q: np.ndarray,
+                   i: np.ndarray, j: np.ndarray, owner: np.ndarray, m: int,
+                   need: float) -> np.ndarray:
+    """points_clear for pairs of segments: pair r is p[i[r]] against
+    q[j[r]], of candidate owner[r]."""
+    def pairs(k):
+        return p[i[k], 0], p[i[k], 1], q[j[k], 0], q[j[k], 1]
+
+    return _clear(space, pairs, owner, m, need, _l2_segment_segment, _segment_pairs_exact,
+                  [functools.partial(_segment_pairs_search, iters=n) for n in (22, 52)])
+
+
+def _clear(space: NormedSpace, pairs, owner: np.ndarray, m: int, need: float,
+           l2, exact, searches) -> np.ndarray:
+    """The steps of points_clear and segments_clear (see the module
+    docstring): pairs(k) gathers the coordinates of the pairs k, at most
+    _CLEAR_PAIRS at a time, for l2, which gives their Euclidean distances,
+    and for the exact kernel and each search, which give (dist, err).  The
+    screen keeps only the indices of the pairs it leaves open."""
+    ok = np.ones(m, dtype=bool)
+    open_ = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, owner.size, _CLEAR_PAIRS):
+        k = np.arange(lo, min(lo + _CLEAR_PAIRS, owner.size))
+        dist = l2(*pairs(k))
+        if space.l2_upper < math.inf:
+            ok[owner[k[dist * space.l2_upper < need]]] = False
+        open_.append(k[dist * space.l2_lower < need])
+    idx = np.concatenate(open_)
+    idx = idx[ok[owner[idx]]]
+    for search in ([exact] if has_exact_kernel(space) else []) + searches:
+        if idx.size == 0:
+            break
+        vals, err = _in_blocks(lambda k: search(space, *pairs(k)), _CLEAR_PAIRS, idx)
+        ok[owner[idx[vals < need]]] = False
+        unsure = np.zeros(m, dtype=bool)
+        unsure[owner[idx[vals - err < need]]] = True
+        idx = idx[(ok & unsure)[owner[idx]]]
+    ok[owner[idx]] = False
+    return ok
 
 
 def _sphere_roots(space: NormedSpace, a, b, center, radius: float):
@@ -489,15 +592,28 @@ def _sphere_roots(space: NormedSpace, a, b, center, radius: float):
     return (vmin, v0, v1), (np.where(merge, mid, left), np.where(merge, mid, right))
 
 
-def _ball_cuts(space: NormedSpace, a, b, center, radius: float):
+def ball_cuts(space: NormedSpace, a, b, center, radius: float):
     """The parameter intervals [lo, hi] of the segments [a[k], b[k]] inside
     the closed balls B(center[k], radius), one interval by convexity, and
     meets, False where a segment misses its ball.  lo is 0 when a lies in
     the ball, else the left root; hi is 1 when b does, else the right root.
+
+    Rows the l2 screen proves to miss (Euclidean distance times l2_lower
+    over radius * (1 + PARAM_TOL)) skip the root search: meets False.
     """
-    (vmin, v0, v1), (left, right) = _sphere_roots(space, a, b, center, radius)
-    return (np.where(v0 <= radius, 0.0, left), np.where(v1 <= radius, 1.0, right),
-            vmin <= radius)
+    if radius <= 0:
+        raise ValidationError("radius must be positive")
+    center = np.broadcast_to(center, a.shape)
+    lo, hi, meets = np.ones(len(a)), np.ones(len(a)), np.zeros(len(a), dtype=bool)
+    near = np.flatnonzero(~(_l2_point_segment(center, a, b) * space.l2_lower
+                            > radius * (1 + PARAM_TOL)))
+    if near.size:
+        (vmin, v0, v1), (left, right) = _sphere_roots(space, a[near], b[near],
+                                                      center[near], radius)
+        lo[near] = np.where(v0 <= radius, 0.0, left)
+        hi[near] = np.where(v1 <= radius, 1.0, right)
+        meets[near] = vmin <= radius
+    return lo, hi, meets
 
 
 def sphere_segment_intersections(space: NormedSpace, center, radius: float,
@@ -512,9 +628,9 @@ def sphere_segment_intersections(space: NormedSpace, center, radius: float,
 
 def segment_ball_clip(space: NormedSpace, a, b, center, radius: float):
     """The parameter interval (lo, hi) of [a, b] inside the closed ball, or
-    None when the segment misses it (the one-row _ball_cuts)."""
+    None when the segment misses it (the one-row ball_cuts)."""
     a, b = (np.asarray(x, dtype=np.float64)[None] for x in (a, b))
-    lo, hi, meets = _ball_cuts(space, a, b, as_vector(center, space.dim), radius)
+    lo, hi, meets = ball_cuts(space, a, b, as_vector(center, space.dim), radius)
     return (float(lo[0]), float(hi[0])) if meets[0] else None
 
 
@@ -571,7 +687,7 @@ def space_from_json(obj: dict) -> NormedSpace:
         kind = obj["kind"]
         if kind == "lp":
             p = math.inf if obj["p"] == "inf" else float(obj["p"])
-            return lp_space(p, int(obj["dim"]))
+            return lp_space(p, as_int(obj["dim"], "dim"))
         if kind == "l1sum":
             a, b = (space_from_json(part) for part in obj["parts"])
             return direct_sum_l1(a, b)

@@ -365,6 +365,61 @@ class TestEmbeddingInput:
         assert not (tmp_path / "run").exists()
 
 
+def _graph_json(workdir, edit):
+    """G.json, the l2^3 net graph, edited."""
+    obj = read(workdir / "G.json")
+    edit(obj)
+    return obj
+
+
+# Each integer field with an edit putting a value into it, and the command
+# that reads it.
+INTEGER_FIELDS = {
+    "n": ("classify", lambda w, x: {"n": x, "edges": [[0, 1], [1, 2]]}),
+    "edge end": ("classify", lambda w, x: {"n": 3, "edges": [[0, x], [1, 2]]}),
+    "dim": ("classify", lambda w, x: _graph_json(
+        w, _set("net", "space", "dim", value=x))),
+    "u": ("audit-tg", lambda w, x: _set("edges", 0, "u", value=x)),
+    "v": ("audit-tg", lambda w, x: _set("edges", 0, "v", value=x)),
+    "attempts": ("audit-tg", lambda w, x: _set("edges", 2, "attempts", value=x)),
+    "retry_cap": ("audit-tg", lambda w, x: _set("params", "retry_cap", value=x)),
+    "seed": ("audit-tg", lambda w, x: _set("params", "seed", value=x)),
+}
+
+
+class TestIntegerFields:
+    """A bool, a string or a non-integral number in an integer field exits
+    2 with a message naming the field; an integral number passes."""
+
+    def _exit(self, workdir, ten_edges, tmp_path, capsys, field, value):
+        command, make = INTEGER_FIELDS[field]
+        path = tmp_path / "in.json"
+        if command == "classify":
+            path.write_text(json.dumps(make(workdir, value)))
+            rc = run_cli("classify", "--graph", str(path))
+        else:
+            obj = json.loads(ten_edges)
+            make(workdir, value)(obj)
+            path.write_text(json.dumps(obj))
+            rc = run_cli("audit-tg", "--embedding", str(path), "--samples", "10")
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+    def test_non_integers_exit_2(self, workdir, ten_edges, tmp_path, capsys, field):
+        for value in (True, "2", 1.5, 2.7):
+            rc, err = self._exit(workdir, ten_edges, tmp_path, capsys, field, value)
+            assert rc == 2, (field, value)
+            message = json.loads(err)["error"]["message"]
+            assert f"{field} must be an integer, got {value!r}" in message
+
+    def test_integral_numbers_pass(self, workdir, ten_edges, tmp_path, capsys):
+        obj = json.loads(ten_edges)
+        for field in ("retry_cap", "seed"):
+            assert self._exit(workdir, ten_edges, tmp_path, capsys, field,
+                              float(obj["params"][field]))[0] == 0
+        assert self._exit(workdir, ten_edges, tmp_path, capsys, "n", 3.0)[0] == 0
+
+
 class TestNetScales:
     def test_infinite_radius_exits_2(self, tmp_path, capsys):
         assert run_cli("net", "--space", "lp:2:3", "--delta", "1", "--r", "inf",
@@ -442,6 +497,33 @@ class TestPipeline:
         assert d["gadget"]["psi_audit"]["lip_forward"] <= d["gadget"]["psi_lip_bound"]
         assert d["embedding"]["reverified"]
         assert d["config"]["params"]["gamma_constant"] == 1.0
+
+    def test_artifacts_equal_the_subcommands_output(self, tmp_path):
+        run, seed = tmp_path / "run", "3"
+        assert run_cli("pipeline", "--space", "lp:2:3", "--delta", "1", "--r", "1.44",
+                       "--seed", seed, "--samples", "200", "--pair-cap", "500",
+                       "--out", str(run)) == 0
+        d = read(run / "dossier.json")
+        graph, emb = str(tmp_path / "graph.json"), str(tmp_path / "embedding.json")
+        assert run_cli("graph", "--net", str(run / "net.json"), "-o", graph) == 0
+        assert run_cli("embed", "--graph", graph, "--seed", seed, "-o", emb) == 0
+        assert run_cli("gadget", "--graph", graph, "--M", str(d["config"]["M"]),
+                       "-o", str(tmp_path / "gadget.json")) == 0
+        for name in ("graph.json", "embedding.json", "gadget.json"):
+            assert (tmp_path / name).read_bytes() == (run / name).read_bytes(), name
+
+        assert run_cli("audit-tg", "--embedding", emb, "--samples", "200", "--seed", seed,
+                       "-o", str(tmp_path / "tg.json")) == 0
+        tg = read(tmp_path / "tg.json")
+        assert tg.pop("reverified") is d["embedding"]["reverified"] is True
+        assert {tg.pop(k) for k in ("samples_requested", "seed")} == {200, 3}
+        assert tg.pop("params") == d["config"]["params"]
+        assert tg == d["embedding"]["tg_audit"]
+        assert run_cli("audit-phi", "--embedding", emb, "--seed", seed, "--pair-cap", "500",
+                       "-o", str(tmp_path / "phi.json")) == 0
+        phi = read(tmp_path / "phi.json")
+        assert phi.pop("M") == d["config"]["M"] and phi.pop("params") == d["config"]["params"]
+        assert phi == d["gadget"]["phi_audit"]
 
 
 def reference_text(obj):

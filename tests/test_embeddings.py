@@ -269,8 +269,7 @@ class TestPlacement:
         def nested(*args, **kwargs):
             raise AssertionError("nested ternary search called")
 
-        monkeypatch.setattr(spaces, "_segment_pairs_distance", nested)
-        monkeypatch.setattr(embeddings, "_segment_pairs_distance", nested, raising=False)
+        monkeypatch.setattr(spaces, "_segment_pairs_search", nested)
         space = parse_space("lp:inf:3")
         ng = build_net_graph(space, 1.0, 2.0)
         emb = place_edges(space, ng, practical_params(beta=0.05, seed=1),
@@ -606,7 +605,7 @@ class TestBoxMask:
     @pytest.mark.parametrize("need", [0.05 + 1e-9, 0.0025 + 1e-9])
     def test_dropped_pairs_pass_the_l2_screen(self, space, need):
         rng = np.random.default_rng(17)
-        reach = embeddings._box_reach(space, need)
+        reach = spaces.box_reach(space, need)
         if not math.isfinite(reach):  # no l2 lower factor: nothing dropped
             x = rng.normal(size=(20, 2, 3)) * 50
             assert embeddings._box_near(x, x + 1e3, reach).all()
@@ -628,21 +627,46 @@ class TestBoxMask:
 
     @SPACES
     def test_pruning_changes_no_code(self, space, monkeypatch):
-        emb, params = _prefix(space, 2)
-        j = len(emb.edge_list) - 1
-        pts = emb.netgraph.points
-        state = _PlacedState(space, pts, emb.edge_list, params.beta)
-        state.add_edges(emb.breakpoints[:j])
-        ui, vi = emb.edge_list[j]
-        rng = np.random.default_rng(4)
-        ws = np.concatenate([
-            sample_ball_many(space, 0.5 * (pts[ui] + pts[vi]), params.mu, 24, rng),
-            emb.breakpoints[:j] + rng.uniform(-0.02, 0.02, (j, 3)),
-            emb.breakpoints[:j] + rng.uniform(-1e-3, 1e-3, (j, 3))])  # on placed curves
+        state, j, ws, params = _crowded_candidates(space)
         pruned = check_breakpoints(state, j, ws, params)
         assert {0, GAMMA} <= set(pruned.tolist())
-        monkeypatch.setattr(embeddings, "_box_reach", lambda space, need: math.inf)
+        monkeypatch.setattr(embeddings, "box_reach", lambda space, need: math.inf)
         assert check_breakpoints(state, j, ws, params).tolist() == pruned.tolist()
+
+
+def _crowded_candidates(space):
+    """(state, j, ws, params): the curves before edge j of a prefix, and
+    candidates of edge j drawn in its ball and on the placed curves."""
+    emb, params = _prefix(space, 2)
+    j = len(emb.edge_list) - 1
+    pts = emb.netgraph.points
+    state = _PlacedState(space, pts, emb.edge_list, params.beta)
+    state.add_edges(emb.breakpoints[:j])
+    ui, vi = emb.edge_list[j]
+    rng = np.random.default_rng(4)
+    ws = np.concatenate([
+        sample_ball_many(space, 0.5 * (pts[ui] + pts[vi]), params.mu, 24, rng),
+        emb.breakpoints[:j] + rng.uniform(-0.02, 0.02, (j, 3)),
+        emb.breakpoints[:j] + rng.uniform(-1e-3, 1e-3, (j, 3))])  # on placed curves
+    return state, j, ws, params
+
+
+class TestPairBudget:
+    """points_clear and segments_clear gather _CLEAR_PAIRS pairs at a time;
+    the budget changes no answer."""
+
+    # the custom norm leaves every pair to the nested search, which a budget
+    # of one pair per gather would run thousands of times
+    @pytest.mark.parametrize("space", [parse_space("lp:2:3"), parse_space("lp:inf:3"),
+                                       parse_space("l1sum:lp:2:2+lp:1:1")],
+                             ids=["lp:2:3", "lp:inf:3", "l1sum"])
+    @pytest.mark.parametrize("budget", [1, 7, 64])
+    def test_budget_changes_no_code(self, space, budget, monkeypatch):
+        state, j, ws, params = _crowded_candidates(space)
+        codes = check_breakpoints(state, j, ws, params)
+        assert {0, GAMMA} <= set(codes.tolist())
+        monkeypatch.setattr(spaces, "_CLEAR_PAIRS", budget)
+        assert check_breakpoints(state, j, ws, params).tolist() == codes.tolist()
 
 
 class TestBatchedReverification:
@@ -676,19 +700,19 @@ class TestBatchedReverification:
 
     def test_pair_budget_and_block_count(self, monkeypatch):
         # the embed-linf benchmark's embed: 300 edges, Monte Carlo at edge 100
-        pairs, blocks = [], []
+        gathers, blocks = [], []
+        clear = spaces._clear
 
-        def record(name, log):
-            real = getattr(embeddings, name)
+        def counted(space, pairs, *rest):  # one gather per chunk of pairs
+            def gather(k):
+                gathers.append(len(k))
+                return pairs(k)
+            return clear(space, gather, *rest)
 
-            def wrapper(*args):
-                log.append(args)
-                return real(*args)
-            monkeypatch.setattr(embeddings, name, wrapper)
-
-        for name in ("_segments_clear", "_points_clear"):
-            record(name, pairs)
-        record("_check_block", blocks)
+        check_block = embeddings._check_block
+        monkeypatch.setattr(spaces, "_clear", counted)
+        monkeypatch.setattr(embeddings, "_check_block",
+                            lambda *args: blocks.append(args) or check_block(*args))
         space = parse_space("lp:inf:3")
         emb = place_edges(space, build_net_graph(space, 1.0, 2.0), practical_params(seed=0),
                           np.random.default_rng([0, 1]), edge_limit=300)
@@ -699,9 +723,8 @@ class TestBatchedReverification:
         del blocks[:]
         est = estimate_suitable_fraction(emb, 100, 2000, np.random.default_rng([0, 4]))
         assert 0 < est.successes < 2000 and len(blocks) <= 2000 // 50
-        assert embeddings._MC_PAIRS <= 4096  # the budget must not grow
-        counts = [len(args[-3]) for args in pairs]  # the owner array: one per pair
-        assert max(counts) <= embeddings._MC_PAIRS < sum(counts) // 10
+        assert spaces._CLEAR_PAIRS <= 4096  # the budget must not grow
+        assert max(gathers) <= spaces._CLEAR_PAIRS < sum(gathers) // 10
 
 
 def _one_at_a_time(space, ng, params, rng, edge_limit=None):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -260,11 +261,11 @@ class TestPolyhedralKernels:
         a1, b1, a2, b2 = rng.normal(size=(4, 40, space.dim))
         b2[:10] = a2[:10] + 0.5 * (b1[:10] - a1[:10])          # parallel
         exact, _ = segment_pairs_distance(space, a1, b1, a2, b2)
-        nested, err = segment_pairs_distance(space, a1, b1, a2, b2, 52)
+        nested, err = spaces._segment_pairs_search(space, a1, b1, a2, b2, 52)
         assert np.all(exact <= nested + 1e-12)
         assert np.all(exact >= nested - err)
         exact, _ = points_segment_distance(space, a2, a1, b1)
-        nested, err = points_segment_distance(space, a2, a1, b1, exact=False)
+        nested, err = spaces._points_segment_search(space, a2, a1, b1)
         assert np.all(exact <= nested + 1e-12)
         assert np.all(exact >= nested - err)
 
@@ -277,7 +278,7 @@ class TestPolyhedralKernels:
         a2, b2 = np.array([[0.0, 0, 0.5]]), np.array([[1.0, 0.2 + 1e-11, 0.5]])
         vals, err = segment_pairs_distance(space, a1, b1, a2, b2)
         assert np.isinf(err[0]) and vals[0] == pytest.approx(0.5, abs=1e-12)
-        nested, nested_err = segment_pairs_distance(space, a1, b1, a2, b2, 52)
+        nested, nested_err = spaces._segment_pairs_search(space, a1, b1, a2, b2, 52)
         assert np.isfinite(nested_err[0]) and nested[0] == pytest.approx(0.5, abs=1e-8)
 
     def test_non_polyhedral_norms_keep_the_nested_search(self):
@@ -286,7 +287,7 @@ class TestPolyhedralKernels:
         for desc in ("lp:3:3", "l1sum:lp:2:2+lp:1:1"):
             space = parse_space(desc)
             assert np.array_equal(segment_pairs_distance(space, a1, b1, a2, b2)[0],
-                                  segment_pairs_distance(space, a1, b1, a2, b2, 52)[0])
+                                  spaces._segment_pairs_search(space, a1, b1, a2, b2, 52)[0])
 
 
 class TestSphereSegment:
@@ -456,7 +457,7 @@ class TestBatchedBallCut:
         # all rows in one batched call, each against the scalar clip
         a, b, _ = _random_segments(2)
         kinds = set()
-        for k, (lo, hi, meets) in enumerate(zip(*spaces._ball_cuts(
+        for k, (lo, hi, meets) in enumerate(zip(*spaces.ball_cuts(
                 space, a, b, np.zeros(3), 1.1))):
             want = scalar_ball_clip(space, a[k], b[k], np.zeros(3), 1.1)
             assert meets == (want is not None)
@@ -517,6 +518,72 @@ class TestSplitBlocks:
                  segment_pairs_distance(space, a, b, a2, b2))
         for (v0, e0), (v1, e1) in zip(whole, split):
             assert np.array_equal(v0, v1) and np.array_equal(e0, e1)
+
+
+L3_CUSTOM = custom_space(3, lambda x: np.sum(np.abs(x) ** 3, axis=1) ** (1 / 3),
+                         box_factor=1.0, vectorized=True)
+CLEAR_SPACES = {d: parse_space(d) for d in ("lp:2:3", "lp:inf:3", "lp:1:3",
+                                            "l1sum:lp:2:2+lp:1:1")}
+CLEAR_SPACES["custom-l3"] = L3_CUSTOM
+
+
+def _sampled_min(space, x, y):
+    """The least norm of a difference between samples of x and of y, each a
+    point (dim,) or a segment (2, dim): a grid of 201 parameters along each
+    segment, then three grids, each 20 times finer than the one before,
+    around the best pair of the one before."""
+    def grid(z, t):
+        return z[None] if z.ndim == 1 else z[0] + t[:, None] * (z[1] - z[0])
+
+    s = t = np.linspace(0.0, 1.0, 201)
+    best = math.inf
+    for _ in range(4):
+        gaps = norms(space, (grid(x, s)[:, None] - grid(y, t)[None]).reshape(-1, space.dim))
+        a, b = divmod(int(np.argmin(gaps)), len(t))
+        best = min(best, float(gaps.min()))
+        h = s[1] - s[0]
+        s, t = (np.clip(np.linspace(c - h, c + h, 41), 0.0, 1.0) for c in (s[a], t[b]))
+    return best
+
+
+class TestClearCertifies:
+    """The certification invariant at points_clear and segments_clear: a
+    candidate they pass has no densely sampled point pair closer than need.
+    Sampled distances can only overestimate the true minima, so a sample
+    under need proves an uncertified pass.  need sits near the sampled
+    distance of one pair, at offsets down to the error bounds of the
+    searches, so each step of the chain gets to decide; the pairs sit at
+    shuffled rows, and the pair budget is drawn too."""
+
+    @pytest.mark.parametrize("kind", ["points", "segments"])
+    @pytest.mark.parametrize("desc", sorted(CLEAR_SPACES))
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_passed_candidates_keep_their_clearance(self, desc, kind, data):
+        space = CLEAR_SPACES[desc]
+        vec = data.draw(st.sampled_from([_reals(3), _quarters(3)]))
+
+        def segment():
+            return np.stack([data.draw(vec), data.draw(vec)])
+
+        m = data.draw(st.integers(1, 4))
+        owner = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6)))
+        x = np.array([data.draw(vec) if kind == "points" else segment() for _ in owner])
+        y = np.array([segment() for _ in owner])
+        gaps = [_sampled_min(space, a, b) for a, b in zip(x, y)]
+        near = gaps[data.draw(st.integers(0, len(owner) - 1))]
+        offset = st.sampled_from([0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-4, -1e-4])
+        need = near * (1 + data.draw(st.one_of(offset, st.floats(-0.02, 0.02))))
+        i, j = (np.array(data.draw(st.permutations(range(len(owner))))) for _ in range(2))
+        xs, ys = np.empty_like(x), np.empty_like(y)
+        xs[i], ys[j] = x, y  # pair r is xs[i[r]] against ys[j[r]]
+        clear = spaces.points_clear if kind == "points" else spaces.segments_clear
+        with mock.patch.object(spaces, "_CLEAR_PAIRS", data.draw(st.sampled_from([1, 2, 1024]))):
+            ok = clear(space, xs, ys, i, j, owner, m, need)
+        event(f"passed {int(ok.sum())} of {m}")
+        for c in np.flatnonzero(ok):
+            assert all(gaps[r] >= need for r in np.flatnonzero(owner == c))
 
 
 class TestSampling:
