@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from itertools import chain
 from pathlib import Path
 
 from .errors import ValidationError
@@ -29,66 +27,16 @@ def _load_json(path, what):
         raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
-class _Fallback(Exception):
-    """A dict key the writer does not format itself: json.dumps writes the
-    whole document."""
-
-
-def _json_text(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2), byte for byte.
-
-    CPython runs its C encoder only without indent, so the indented dump
-    runs in pure Python, one value at a time.  This writer formats a list
-    of plain ints in one join and a list of equal-length plain-int rows in
-    one %d template; everything else goes element by element, and scalars
-    other than plain ints and finite floats go through json.dumps.  A
-    non-str dict key, or nesting too deep to recurse (e.g. a cycle), sends
-    the whole document to json.dumps.
-    """
-    try:
-        return _json_value(obj, "\n")
-    except (_Fallback, RecursionError):
-        return json.dumps(obj, sort_keys=True, indent=2)
-
-
-def _json_value(x, nl: str) -> str:
-    """x as json.dumps writes it at the indentation of nl ("\\n" + pad)."""
-    kind = type(x)
-    if kind is int:
-        return int.__repr__(x)
-    if kind is float and math.isfinite(x):
-        return float.__repr__(x)
-    inner = nl + "  "
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        if any(type(k) is not str for k in x):
-            raise _Fallback
-        return "{" + inner + ("," + inner).join(
-            json.dumps(k) + ": " + _json_value(x[k], inner) for k in sorted(x)) + nl + "}"
-    if not isinstance(x, (list, tuple)):
-        return json.dumps(x)
-    if not x:
-        return "[]"
-    kinds = set(map(type, x))
-    if kinds == {int}:
-        return "[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]"
-    if kinds <= {list, tuple} and len(set(map(len, x))) == 1:
-        flat = tuple(chain.from_iterable(x))
-        if set(map(type, flat)) <= {int}:
-            deep = inner + "  "
-            row = ("[" + deep + ("," + deep).join(["%d"] * len(x[0])) + inner + "]"
-                   if x[0] else "[]")
-            return "[" + inner + ("," + inner).join([row] * len(x)) % flat + nl + "]"
-    return "[" + inner + ("," + inner).join(_json_value(v, inner) for v in x) + nl + "]"
-
-
 def _dump_json(obj, path):
-    text = _json_text(obj)
+    """Write obj as json.dumps(obj, sort_keys=True) plus a newline: the
+    standard library's C encoder, sorted keys, no indentation.  The text is
+    encoded before the file is opened, so a value json cannot encode leaves
+    no file behind."""
+    text = json.dumps(obj, sort_keys=True) + "\n"
     if path is None or path == "-":
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
     else:
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _load_graph(path):

@@ -28,8 +28,10 @@ The anchor audit reads its entries from that port array.  No BFS runs on
 G_M or H.
 
 Short paths carry exactly e vertices (length e-1): a trailing unlabeled
-vertex would change no distance bound and is dropped; see the metadata flag
-on the JSON output.
+vertex would change no distance bound and is dropped.  The JSON document
+(gadget_to_json) holds the unit-edge listing, the base graph, M and
+psi_anchor; the ids of the short and long paths follow from the layout
+above and are not listed.
 """
 
 from __future__ import annotations
@@ -417,10 +419,5 @@ def gadget_to_json(h: GadgetGraph) -> dict:
         "graph": edges_to_json(h.n, h.edge_ends()),
         "base": graph_to_json(h.base),
         "M": h.M,
-        "edge_order": [[u, v] for u, v in h.edge_list],
-        "short_paths": h.short_ids.tolist(),
-        "long_paths": h.long_interior.tolist(),
         "psi_anchor": h.psi_anchor,
-        "metadata": {"short_path_vertices": len(h.edge_list),
-                     "unlabeled_tail_dropped": True},
     }

@@ -149,6 +149,10 @@ def net_graph_to_json(ng: NetGraph) -> dict:
 
 
 def net_graph_from_json(obj: dict) -> NetGraph:
+    """The net graph of a net_graph_to_json document.  Its edge_threshold
+    must be 3 * rho and its edges exactly the pairs within it: placement
+    certifies a curve only against the vertices near its edge, which is
+    sound only for edges at most 3 * rho long."""
     try:
         net = net_from_json(obj["net"])
         thr = float(obj["edge_threshold"])
@@ -157,4 +161,11 @@ def net_graph_from_json(obj: dict) -> NetGraph:
     g = graph_from_json(obj)
     if g.n != net.size:
         raise ValidationError("net-graph JSON: vertex count does not match net size")
-    return NetGraph(graph=replace(g, coords=net.points), net=net, edge_threshold=thr)
+    if not abs(thr - 3.0 * net.rho) <= _REL_TOL * 3.0 * net.rho:
+        raise ValidationError(f"net-graph JSON: edge_threshold {thr} is not 3 * rho "
+                              f"= {3.0 * net.rho}")
+    ng = NetGraph(graph=replace(g, coords=net.points), net=net, edge_threshold=thr)
+    if not verify_edge_rule(ng):
+        raise ValidationError("net-graph JSON: the edges are not the pairs of net "
+                              "points within edge_threshold")
+    return ng

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netembed
-from netembed.cli import _json_text, main
+from netembed.cli import _dump_json, main
 
 
 def run_cli(*argv):
@@ -473,6 +475,78 @@ class TestNetScales:
         assert not (tmp_path / "emb.json").exists()
 
 
+def _far_edge_graph():
+    """A net graph whose edge (0, 2) is 7 long, over its threshold 3 * rho = 3."""
+    return {"n": 3, "edges": [[0, 2], [1, 2]], "edge_threshold": 3.0,
+            "net": {"space": {"kind": "lp", "p": 2, "dim": 3}, "delta": 0.5, "r": 8.0,
+                    "rho": 1.0, "points": [[0, 0, 0], [6, 0, 0], [7, 0, 0]]}}
+
+
+def _extra_edge(obj):
+    """Add an edge to obj between its first two non-adjacent vertices."""
+    edges = {tuple(e) for e in obj["edges"]}
+    obj["edges"].append(next([u, v] for u in range(obj["n"]) for v in range(u + 1, obj["n"])
+                             if (u, v) not in edges))
+
+
+def _bad_threshold(obj):
+    obj["edge_threshold"] *= 1.5
+
+
+@pytest.fixture(scope="module")
+def sparse(tmp_path_factory):
+    """A net graph that is not complete (34 vertices, 486 edges), and a
+    10-edge prefix embedding of it."""
+    d = tmp_path_factory.mktemp("sparse")
+    assert run_cli("net", "--space", "lp:2:3", "--delta", "1", "--r", "2.6",
+                   "-o", str(d / "net.json")) == 0
+    assert run_cli("graph", "--net", str(d / "net.json"), "-o", str(d / "G.json")) == 0
+    assert run_cli("embed", "--graph", str(d / "G.json"), "--seed", "5", "--limit", "10",
+                   "-o", str(d / "emb.json")) == 0
+    return d
+
+
+class TestEdgeRule:
+    """A net graph loads only with edge_threshold = 3 * rho and exactly the
+    pairs within it as edges: placement certifies each curve only against
+    the vertices near its edge."""
+
+    def _expect_exit_2(self, capsys, argv, out):
+        assert run_cli(*argv, "-o", str(out)) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation" and "edge_threshold" in err["message"]
+        assert not out.exists()
+
+    def test_embed_rejects_an_edge_over_the_threshold(self, tmp_path, capsys):
+        # unchecked, seed 13 places edge (0, 2) 0.0114 from vertex 1, under
+        # beta = 0.02, and verify_embedding passes it
+        (tmp_path / "G.json").write_text(json.dumps(_far_edge_graph()))
+        self._expect_exit_2(capsys, ("embed", "--graph", str(tmp_path / "G.json"),
+                                     "--seed", "13"), tmp_path / "emb.json")
+
+    @pytest.mark.parametrize("edit", [_extra_edge, _bad_threshold], ids=["edge", "threshold"])
+    @pytest.mark.parametrize("command", [("embed",), ("classify",), ("gadget", "--M", "2")],
+                             ids=lambda c: c[0])
+    def test_edited_graph_exits_2(self, sparse, tmp_path, capsys, edit, command):
+        obj = read(sparse / "G.json")
+        edit(obj)
+        (tmp_path / "G.json").write_text(json.dumps(obj))
+        self._expect_exit_2(capsys, (command[0], "--graph", str(tmp_path / "G.json"),
+                                     *command[1:]), tmp_path / "out.json")
+
+    @pytest.mark.parametrize("edit", [_extra_edge, _bad_threshold], ids=["edge", "threshold"])
+    @pytest.mark.parametrize("command", [
+        ("audit-tg", "--samples", "10"), ("montecarlo", "--edge", "3", "--samples", "10"),
+        ("audit-phi",),
+    ], ids=lambda c: c[0])
+    def test_edited_embedding_exits_2(self, sparse, tmp_path, capsys, edit, command):
+        obj = read(sparse / "emb.json")
+        edit(obj["net_graph"])
+        (tmp_path / "emb.json").write_text(json.dumps(obj))
+        self._expect_exit_2(capsys, (command[0], "--embedding", str(tmp_path / "emb.json"),
+                                     *command[1:]), tmp_path / "out.json")
+
+
 class TestPipeline:
     def test_reproducible_artifacts(self, tmp_path):
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
@@ -527,14 +601,22 @@ class TestPipeline:
 
 
 def reference_text(obj):
-    return json.dumps(obj, sort_keys=True, indent=2)
+    return json.dumps(obj, sort_keys=True) + "\n"
+
+
+def written_text(obj):
+    """What _dump_json writes to stdout for obj."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _dump_json(obj, "-")
+    return out.getvalue()
 
 
 def outcome(fn, obj):
     """fn(obj), or the type of what it raised."""
     try:
         return fn(obj)
-    except Exception as exc:  # both writers must fail alike
+    except Exception as exc:  # the writer must fail as json.dumps does
         return type(exc)
 
 
@@ -558,11 +640,19 @@ JSON_VALUES = st.recursive(
     max_leaves=25)
 
 
+def redumps_to_its_bytes(path):
+    text = path.read_text(encoding="utf-8")
+    return reference_text(json.loads(text)) == text
+
+
 class TestJsonWriter:
+    """_dump_json writes json.dumps(obj, sort_keys=True) and a newline:
+    compact, sorted keys, ASCII escapes, and no file when encoding fails."""
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(obj=JSON_VALUES)
     def test_matches_json_dumps(self, obj):
-        assert outcome(_json_text, obj) == outcome(reference_text, obj)
+        assert outcome(written_text, obj) == outcome(reference_text, obj)
 
     @pytest.mark.parametrize("obj", [
         {}, [], [[]], [[], []], {"é\u2603\U0001f600": {"": []}},
@@ -571,26 +661,54 @@ class TestJsonWriter:
         {1: "int key", 2: [1]}, {"a": 1, 2: 3}, {1.5: 0, True: None},
         [{"b": 1, "a": [[1]]}], "text", 7, 2.5, None, [10**30, -5],
     ], ids=repr)
-    def test_edge_cases(self, obj):
-        assert outcome(_json_text, obj) == outcome(reference_text, obj)
+    def test_edge_cases(self, obj, tmp_path):
+        path = tmp_path / "out.json"
+        want = outcome(reference_text, obj)
+        got = outcome(lambda x: _dump_json(x, path), obj)
+        if isinstance(want, type):  # json.dumps fails, and the writer leaves no file
+            assert got is want and not path.exists()
+        else:
+            assert got is None and path.read_text(encoding="utf-8") == want
 
-    def test_unsupported_values_fail_alike(self):
+    def test_unsupported_values_fail_alike(self, tmp_path):
         cyclic = []
         cyclic.append(cyclic)
+        path = tmp_path / "out.json"
         for obj in (cyclic, [1, {2}], {"a": object()}):
             with pytest.raises((TypeError, ValueError)) as got:
-                _json_text(obj)
+                _dump_json(obj, path)
             with pytest.raises((TypeError, ValueError)) as want:
                 reference_text(obj)
             assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+            assert not path.exists()
 
     def test_pipeline_artifacts_redump_to_their_bytes(self, tmp_path):
         assert run_cli("pipeline", "--space", "lp:2:3", "--delta", "1",
                        "--r", "1.44", "--seed", "3", "--samples", "200",
                        "--out", str(tmp_path)) == 0
         for path in sorted(tmp_path.iterdir()):
-            text = path.read_text(encoding="utf-8")
-            assert reference_text(json.loads(text)) + "\n" == text, path.name
+            assert redumps_to_its_bytes(path), path.name
+
+    def test_subcommand_outputs_redump_to_their_bytes(self, tmp_path):
+        run = tmp_path / "run"
+        assert run_cli("pipeline", "--space", "lp:2:3", "--delta", "1",
+                       "--r", "1.44", "--seed", "3", "--samples", "200",
+                       "--out", str(run)) == 0
+        graph, emb = str(run / "graph.json"), str(run / "embedding.json")
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
+        commands = {
+            "subdivide": ("--graph", graph, "--M", "3"),
+            "audit-psi": ("--graph", graph, "--M", "5"),
+            "audit-phi": ("--embedding", emb, "--pair-cap", "200"),
+            "audit-tg": ("--embedding", emb, "--samples", "100"),
+            "montecarlo": ("--embedding", emb, "--edge", "3", "--samples", "100"),
+            "classify": ("--graph", str(path)),
+        }
+        for name, argv in commands.items():
+            out = tmp_path / f"{name}.json"
+            assert run_cli(name, *argv, "-o", str(out)) == 0, name
+            assert redumps_to_its_bytes(out), name
 
 
 class TestNoGadgetGraph:

@@ -193,10 +193,41 @@ class TestBuildGadget:
         with pytest.raises(ValidationError):
             build_gadget(from_edges(4, [(0, 1), (2, 3)]), 3)  # disconnected
 
-    def test_json_metadata(self):
+    def test_json_key_set(self):
         obj = gadget_to_json(build_gadget(k3(), 3))
-        assert obj["metadata"]["short_path_vertices"] == 3
-        assert obj["M"] == 3
+        assert set(obj) == {"graph", "base", "M", "psi_anchor"}
+        assert obj["M"] == 3 and obj["psi_anchor"] == 1
+
+
+def layout_from_json(obj):
+    """(n, short paths, long-path interiors, sorted unit edges) of a gadget,
+    read from its document's base and M by the id layout the README states:
+    vertex u's short path is u*e + i, i = 0..e-1 (label i+1); the k-th
+    interior vertex of long path j is n*e + j*(M-1) + k, walking from the
+    port (a_j, j) of base edge j = (a_j, b_j) to the port (b_j, j)."""
+    n, base_edges, M = obj["base"]["n"], obj["base"]["edges"], obj["M"]
+    e = len(base_edges)
+    short = [[u * e + i for i in range(e)] for u in range(n)]
+    long = [[n * e + j * (M - 1) + k for k in range(M - 1)] for j in range(e)]
+    edges = [(row[i], row[i + 1]) for row in short for i in range(e - 1)]
+    for j, (a, b) in enumerate(base_edges):
+        path = [short[a][j], *long[j], short[b][j]]
+        edges += zip(path, path[1:])
+    return n * e + e * (M - 1), short, long, sorted(sorted(pair) for pair in edges)
+
+
+class TestJsonLayout:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(g=connected_graphs(), M=st.integers(1, 5))
+    def test_listing_follows_from_base_and_m(self, g, M):
+        if g.edge_count == 0:
+            return
+        h = build_gadget(g, M)
+        obj = gadget_to_json(h)
+        n, short, long, edges = layout_from_json(obj)
+        assert obj["graph"] == {"n": n, "edges": edges}
+        assert short == h.short_ids.tolist()
+        assert long == h.long_interior.tolist()
 
 
 def loop_anchor_report(h, enforce=True):

@@ -586,6 +586,39 @@ class TestClearCertifies:
             assert all(gaps[r] >= need for r in np.flatnonzero(owner == c))
 
 
+class TestClearRejectsUndecided:
+    """A pair that the last search leaves undecided fails its candidate: at
+    need = v - err/2, where (v, err) is that search's bound, the value
+    neither rejects the pair (v >= need) nor certifies it (v - err < need).
+    At need = v - 2 * err the search certifies it.  No sampling oracle
+    resolves a gap of err, so the pairs and needs are built by hand, on the
+    custom l3 norm, which has no exact kernel."""
+
+    A, B = np.array([[1.0, 0.5, -0.4]]), np.array([[-0.6, 1.7, 0.8]])
+    ONE = np.zeros(1, dtype=np.int64)
+
+    @pytest.mark.parametrize("kind", ["points", "segments"])
+    def test_undecided_pair_is_rejected(self, kind):
+        segs = np.stack([self.A, self.B], axis=1)
+        if kind == "points":
+            x = np.array([[0.3, -0.2, 0.9]])
+            v, err = spaces._points_segment_search(L3_CUSTOM, x, self.A, self.B)
+            clear = spaces.points_clear
+        else:
+            x = np.array([[[0.1, 1.5, -0.7], [0.5, -0.3, 1.3]]])
+            v, err = spaces._segment_pairs_search(L3_CUSTOM, x[:, 0], x[:, 1],
+                                                  self.A, self.B)
+            clear = spaces.segments_clear
+        v, err = float(v[0]), float(err[0])
+        assert 0 < err < 1e-7
+
+        def passed(need):
+            return bool(clear(L3_CUSTOM, x, segs, self.ONE, self.ONE, self.ONE, 1, need)[0])
+
+        assert not passed(v - err / 2)
+        assert passed(v - 2 * err)
+
+
 class TestSampling:
     def test_samples_inside_ball(self):
         rng = np.random.default_rng(1)
