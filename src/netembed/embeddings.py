@@ -24,12 +24,12 @@ Re-verification places every stored curve at once and checks all
 breakpoints in a few blocked calls, each against its own prefix; the Monte
 Carlo estimate checks all its samples the same way.  Every comparison is
 tolerance inflated (pass needs the constraint plus the tolerance).  A
-bounding-box mask drops the pairs whose boxes sit at least
-spaces.box_reach apart, which the l2 screen would certify (the mask is the
-only work that grows with the placed prefix); each condition sends the
-pairs left to one call of spaces.points_clear or spaces.segments_clear,
-which certify them as the spaces module describes, so floating error can
-reject a usable breakpoint but never accept a bad one.
+bounding-box mask, spaces.box_near, drops the pairs that their boxes
+certify in any space (the mask is the only work that grows with the placed
+prefix); each condition sends the pairs left to one call of
+spaces.points_clear or spaces.segments_clear, which certify them as the
+spaces module describes, so floating error can reject a usable breakpoint
+but never accept a bad one.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .gadgets import SubdividedGraph, subdivide
 from .graphs import FiniteMetric, Graph, audit, bfs_apsp
 from .net_graphs import (NetGraph, net_graph_from_json, net_graph_to_json,
                          rescaled_unit)
-from .spaces import (NormedSpace, as_int, ball_cuts, box_reach, norms,
+from .spaces import (NormedSpace, as_int, ball_cuts, box_near, norms,
                      points_clear, sample_ball_many, segments_clear)
 
 _Z95 = 1.959963984540054
@@ -146,27 +146,6 @@ def params_from_json(obj: dict) -> EmbedParams:
             gamma_constant=float(obj.get("gamma_constant", 1.0)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed params JSON: {exc}") from exc
-
-
-# --- box masks ---------------------------------------------------------------
-
-def _box_near(x: np.ndarray, y: np.ndarray, reach: float) -> np.ndarray:
-    """(len(x), len(y)) mask, True where the bounding boxes of x[i] and y[j]
-    sit at sup-norm gap under reach.  x and y hold segments (k, 2, dim) or
-    points (k, dim)."""
-    def box(z):  # corners as (dim, k) rows, so the tests run along k
-        lo, hi = (z, z) if z.ndim == 2 else (np.minimum(z[:, 0], z[:, 1]),
-                                             np.maximum(z[:, 0], z[:, 1]))
-        return np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
-
-    (lo1, hi1), (lo2, hi2) = box(x), box(y)
-    hi1, lo1 = (hi1 + reach)[:, :, None], (lo1 - reach)[:, :, None]
-    near = lo2[0] < hi1[0]
-    for d in range(len(lo2)):  # one axis at a time: the masks stay 2-d
-        if d:
-            near &= lo2[d] < hi1[d]
-        near &= lo1[d] < hi2[d]
-    return near
 
 
 # --- placement state ---------------------------------------------------------
@@ -284,9 +263,8 @@ def check_breakpoints(state: _PlacedState, edges, ws: np.ndarray,
              the sphere sits alpha away from the placed crossings there.
              Only incident curves can cross: every other placed curve passed
              its beta test and stays beta away from this vertex.
-      beta   both segments stay beta away from every other vertex within
-             norm distance 5 of u; farther ones cannot reach a curve of
-             length under 4.
+      beta   both segments stay beta away from every vertex other than u
+             and v.
       gamma  the candidate's pieces outside the beta balls stay gamma away
              from every placed segment, and its segments stay gamma away
              from the placed curves' pieces.
@@ -311,9 +289,9 @@ def _check_block(state: _PlacedState, edges: np.ndarray, ws: np.ndarray,
     the candidates that reach it, and only when some curve is placed.
 
     A pair of the candidate's curve with a placed segment, a placed piece
-    or another vertex reaches points_clear or segments_clear only if its
-    bounding boxes sit closer than box_reach; the box masks are the only
-    work that grows with the placed prefix."""
+    or another vertex reaches points_clear or segments_clear only if
+    spaces.box_near keeps it at the condition's need; the box masks are the
+    only work that grows with the placed prefix."""
     space, pts, ends = state.space, state.points, state.ends
     beta, tol = params.beta, params.tolerance
     ui, vi = ends[edges, 0], ends[edges, 1]
@@ -343,11 +321,9 @@ def _check_block(state: _PlacedState, edges: np.ndarray, ws: np.ndarray,
     live = np.flatnonzero(code == 0)
     if live.size:
         cand = segs[live].reshape(-1, 2, n)
-        first, inv = np.unique(ui[live], return_inverse=True)
-        near = norms(space, (pts[None] - pts[first, None]).reshape(-1, n)) <= 5.0
-        near = near.reshape(first.size, -1)[inv]
-        near[np.arange(live.size), ui[live]] = near[np.arange(live.size), vi[live]] = False
-        near = np.repeat(near, 2, axis=0) & _box_near(cand, pts, box_reach(space, beta + tol))
+        near = box_near(space, cand, pts, beta + tol)
+        k = np.arange(len(cand))
+        near[k, np.repeat(ui[live], 2)] = near[k, np.repeat(vi[live], 2)] = False
         r, y = np.nonzero(near)
         code[live[~points_clear(space, pts, cand, y, r, r // 2, live.size,
                                 beta + tol)]] = BETA
@@ -358,14 +334,13 @@ def _check_block(state: _PlacedState, edges: np.ndarray, ws: np.ndarray,
         return code
     pieces, rows = _clip_curves(space, u[live], v[live], ws[live], beta)
     need = params.gamma + tol
-    reach = box_reach(space, need)
     cand = segs[live].reshape(-1, 2, n)
     earlier = edges[live, None]
     # the pieces against the placed segments, the segments against the placed pieces
     i, j = np.nonzero((np.arange(len(placed)) // 2 < earlier[rows])
-                      & _box_near(pieces, placed, reach))
+                      & box_near(space, pieces, placed, need))
     ci, cj = np.nonzero((state.clip_edge < np.repeat(earlier, 2, axis=0))
-                        & _box_near(cand, clipped, reach))
+                        & box_near(space, cand, clipped, need))
     owner = np.concatenate([rows[i], ci // 2])
     i, j = np.concatenate([i, len(pieces) + ci]), np.concatenate([j, len(placed) + cj])
     p, q = np.concatenate([pieces, cand]), np.concatenate([placed, clipped])

@@ -150,9 +150,9 @@ def net_graph_to_json(ng: NetGraph) -> dict:
 
 def net_graph_from_json(obj: dict) -> NetGraph:
     """The net graph of a net_graph_to_json document.  Its edge_threshold
-    must be 3 * rho and its edges exactly the pairs within it: placement
-    certifies a curve only against the vertices near its edge, which is
-    sound only for edges at most 3 * rho long."""
+    must be 3 * rho and its edges exactly the pairs within it: the unit
+    scale of placement and the audits' bounds (identity distortion <= 3,
+    the path bound, the TG forward bound 4) presume the graph it defines."""
     try:
         net = net_from_json(obj["net"])
         thr = float(obj["edge_threshold"])

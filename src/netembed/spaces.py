@@ -19,15 +19,18 @@ hence an upper bound) and an error bound below it:
                because the objectives are convex (a norm composed with an
                affine map), not merely unimodal.
 
-points_clear and segments_clear certify pairs (point-segment or
-segment-segment) at norm distance >= need and pass a candidate only when
+box_near, points_clear and segments_clear certify pairs (point-segment or
+segment-segment) at norm distance >= need; the caller hands the pairs
+box_near keeps to one of the other two, which pass a candidate only when
 every pair it owns is certified, so floating error may reject a clear
 candidate but never passes a close one.  Each step runs on the pairs the
 steps before it leave open, for the candidates no pair has rejected:
 
+  box test    box_near keeps the pairs whose bounding boxes sit closer than
+              the sup-norm gap 2 * need * box_factor; the others are
+              certified, in every space, as ||z|| >= ||z||_inf / box_factor;
   l2 screen   the Euclidean closed form d: l2_lower * d >= need certifies
-              the pair, l2_upper * d < need rejects it (box_reach is the
-              bounding-box gap beyond which it certifies);
+              the pair, l2_upper * d < need rejects it;
   kernels     the exact kernel where the space has one, then ternary
               search (points) or nested search at 22 and then 52
               iterations (segments).  A value under need rejects, being
@@ -149,11 +152,12 @@ def custom_space(dim: int, norm_fn: Callable, box_factor: float,
                  vectorized: bool = False) -> NormedSpace:
     """Wrap a user norm evaluator.
 
-    box_factor must be supplied: rejection sampling needs a certified
-    enclosing box, and deriving one for an arbitrary norm is a separate hard
-    problem.  The linf factor is certified from the basis vectors via the
-    triangle inequality; the l2 comparison factors are left unknown, so the
-    fast screening paths are skipped for custom norms.
+    box_factor must be supplied: sampling, lattices and box_near need a
+    certified enclosing box (one the basis vectors refute is rejected), and
+    deriving one for an arbitrary norm is a separate hard problem.  The linf
+    factor is certified from the basis vectors via the triangle inequality;
+    the l2 comparison factors are left unknown, so the l2 screen is skipped
+    for custom norms.
     """
     if box_factor <= 0:
         raise ValidationError("box_factor must be positive")
@@ -163,6 +167,8 @@ def custom_space(dim: int, norm_fn: Callable, box_factor: float,
     basis_norms = norms(space, np.eye(dim))
     if np.any(basis_norms <= 0):
         raise ValidationError("norm of a basis vector must be positive")
+    if np.any(box_factor * basis_norms < 1):
+        raise ValidationError(f"box_factor {box_factor} is under 1 / ||e_i|| for some e_i")
     return NormedSpace("custom", dim, norm_fn=norm_fn, vectorized=vectorized,
                        box_factor=float(box_factor),
                        linf_factor=float(np.sum(basis_norms)),
@@ -498,13 +504,26 @@ def segment_segment_distance(space: NormedSpace, s1: Segment, s2: Segment) -> fl
 
 # --- certified clearance ---------------------------------------------------
 
-def box_reach(space: NormedSpace, need: float) -> float:
-    """A sup-norm gap between bounding boxes that proves a pair clear:
-    points whose coordinates differ by g somewhere are at norm distance
-    >= l2_lower * g, so at the gap 2 * need / l2_lower the l2 screen
-    certifies the pair with a factor 2 to spare for rounding.  Infinite
-    (nothing pruned) when the space has no l2 lower factor."""
-    return 2.0 * need / space.l2_lower if space.l2_lower > 0 else math.inf
+def box_near(space: NormedSpace, x: np.ndarray, y: np.ndarray, need: float) -> np.ndarray:
+    """(len(x), len(y)) mask, False only where x[i] and y[j] are certified
+    at norm distance >= need by their bounding boxes alone: boxes at sup-norm
+    gap g hold points at norm distance >= g / box_factor, so the gap
+    2 * need * box_factor certifies the pair with a factor 2 to spare for
+    rounding.  x and y hold segments (k, 2, dim) or points (k, dim)."""
+    def box(z):  # corners as (dim, k) rows, so the tests run along k
+        lo, hi = (z, z) if z.ndim == 2 else (np.minimum(z[:, 0], z[:, 1]),
+                                             np.maximum(z[:, 0], z[:, 1]))
+        return np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
+
+    reach = 2.0 * need * space.box_factor
+    (lo1, hi1), (lo2, hi2) = box(x), box(y)
+    hi1, lo1 = (hi1 + reach)[:, :, None], (lo1 - reach)[:, :, None]
+    near = lo2[0] < hi1[0]
+    for d in range(len(lo2)):  # one axis at a time: the masks stay 2-d
+        if d:
+            near &= lo2[d] < hi1[d]
+        near &= lo1[d] < hi2[d]
+    return near
 
 
 def points_clear(space: NormedSpace, pts: np.ndarray, segs: np.ndarray,

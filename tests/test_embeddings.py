@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from netembed import (EmbedParams, Net, PlacementError, PolylineEmbedding,
                       rescaled_unit, sample_ball_many, segment_ball_clip,
                       subdivide, subdivision_tg_points, verify_embedding,
                       wilson_interval)
-from netembed import embeddings, spaces
+from netembed import cli, embeddings, spaces
 from netembed.embeddings import (ALPHA, BETA, GAMMA, _clip_curves,
                                  _PlacedState, check_breakpoints)
 
@@ -128,6 +129,15 @@ class TestChecks:
         state = _PlacedState(L23, np.array([[0.0, 0, 0], [2.0, 0, 0], y]), [(0, 1)],
                              params.beta)
         assert code_of(state, 0, w, params) == 0
+
+    def test_beta_vertex_far_from_u_fails(self):
+        # mu = 6 lets the curve reach vertex 2, 6.28 from u: it passes 0.1
+        # from it, under beta
+        params = EmbedParams(alpha=0.02, beta=0.2, gamma=0.01, mu=6.0)
+        params.validate(3)
+        pts = np.array([[0.0, 0, 0], [3.0, 0, 0], [1.5, 6.1, 0]])
+        state = _PlacedState(L23, pts, [(0, 1)], params.beta)
+        assert code_of(state, 0, [1.5, 6.0, 0], params) == BETA
 
     def test_gamma_no_placed_edges(self):
         params = practical_params(beta=0.02)
@@ -599,38 +609,16 @@ def _prefix(space, extra, seed=3):
 
 
 class TestBoxMask:
-    """The box mask drops only pairs that the l2 screen would settle."""
-
-    @SPACES
-    @pytest.mark.parametrize("need", [0.05 + 1e-9, 0.0025 + 1e-9])
-    def test_dropped_pairs_pass_the_l2_screen(self, space, need):
-        rng = np.random.default_rng(17)
-        reach = spaces.box_reach(space, need)
-        if not math.isfinite(reach):  # no l2 lower factor: nothing dropped
-            x = rng.normal(size=(20, 2, 3)) * 50
-            assert embeddings._box_near(x, x + 1e3, reach).all()
-            return
-        # segments and points spread over a few reach widths, so that both
-        # sides of the cut are crowded; some segments degenerate to points
-        x = rng.uniform(0, 4 * reach, (150, 1, 3)) + rng.normal(size=(150, 2, 3)) * reach / 2
-        x[::10, 1] = x[::10, 0]
-        y = rng.uniform(0, 4 * reach, (150, 1, 3)) + rng.normal(size=(150, 2, 3)) * reach / 2
-        pts = rng.uniform(0, 4 * reach, (150, 3))
-        seg_mask, pt_mask = embeddings._box_near(x, y, reach), embeddings._box_near(x, pts, reach)
-        assert 0.1 < seg_mask.mean() < 0.9 and 0.1 < pt_mask.mean() < 0.9
-        i, j = np.nonzero(~seg_mask)
-        l2 = spaces._l2_segment_segment(x[i, 0], x[i, 1], y[j, 0], y[j, 1])
-        assert np.all(l2 * space.l2_lower >= need)
-        i, j = np.nonzero(~pt_mask)
-        l2 = spaces._l2_point_segment(pts[j], x[i, 0], x[i, 1])
-        assert np.all(l2 * space.l2_lower >= need)
+    """The box mask drops only pairs that points_clear and segments_clear
+    would certify (see TestBoxNear in test_spaces)."""
 
     @SPACES
     def test_pruning_changes_no_code(self, space, monkeypatch):
         state, j, ws, params = _crowded_candidates(space)
         pruned = check_breakpoints(state, j, ws, params)
         assert {0, GAMMA} <= set(pruned.tolist())
-        monkeypatch.setattr(embeddings, "box_reach", lambda space, need: math.inf)
+        monkeypatch.setattr(embeddings, "box_near",
+                            lambda space, x, y, need: np.ones((len(x), len(y)), dtype=bool))
         assert check_breakpoints(state, j, ws, params).tolist() == pruned.tolist()
 
 
@@ -655,11 +643,7 @@ class TestPairBudget:
     """points_clear and segments_clear gather _CLEAR_PAIRS pairs at a time;
     the budget changes no answer."""
 
-    # the custom norm leaves every pair to the nested search, which a budget
-    # of one pair per gather would run thousands of times
-    @pytest.mark.parametrize("space", [parse_space("lp:2:3"), parse_space("lp:inf:3"),
-                                       parse_space("l1sum:lp:2:2+lp:1:1")],
-                             ids=["lp:2:3", "lp:inf:3", "l1sum"])
+    @SPACES
     @pytest.mark.parametrize("budget", [1, 7, 64])
     def test_budget_changes_no_code(self, space, budget, monkeypatch):
         state, j, ws, params = _crowded_candidates(space)
@@ -808,13 +792,13 @@ def _dense_curve(u, w, v, k=300):
 _across = st.floats(0.0, 2 * math.pi).map(lambda a: np.array([0.0, math.cos(a), math.sin(a)]))
 
 
-def _euclid_gap(x, segs):
-    """Euclidean distance from each point x[i] to the nearest segment of segs
-    (k, 2, dim), written out in numpy."""
+def _euclid_gaps(x, segs):
+    """(len(x), k): the Euclidean distance from each point x[i] to each
+    segment of segs (k, 2, dim), written out in numpy."""
     a, d = segs[:, 0], segs[:, 1] - segs[:, 0]
     s = np.einsum("ikd,kd->ik", x[:, None] - a, d) / np.maximum(np.sum(d * d, axis=1), 1e-300)
     foot = a + np.clip(s, 0.0, 1.0)[..., None] * d
-    return np.linalg.norm(x[:, None] - foot, axis=2).min(axis=1)
+    return np.linalg.norm(x[:, None] - foot, axis=2)
 
 
 def _endpoint_curves(space, beta):
@@ -850,7 +834,7 @@ class TestClipCurves:
             curve = _dense_curve(u[k], ws[k], v[k], 1001)
             out = ((norms(space, curve - u[k]) >= beta + 1e-6)
                    & (norms(space, curve - v[k]) >= beta + 1e-6))
-            assert out.any() and _euclid_gap(curve[out], mine).max() <= 1e-9
+            assert out.any() and _euclid_gaps(curve[out], mine).min(axis=1).max() <= 1e-9
             on = (mine[:, None, 0] + t * (mine[:, None, 1] - mine[:, None, 0])).reshape(-1, 3)
             assert norms(space, on - u[k]).min() >= beta - 1e-8
             assert norms(space, on - v[k]).min() >= beta - 1e-8
@@ -1030,6 +1014,24 @@ class TestCertification:
                          & (_oracle_norm(p, other - b) >= beta))
             gaps = _oracle_norm(p, curve[:, None, :] - other[None, :, :])
             assert gaps[out[:, None] | other_out[None, :]].min() >= gamma
+
+
+class TestLargeMu:
+    def test_no_curve_within_beta_of_another_vertex(self, tmp_path):
+        # mu = 6 lets a curve reach vertices more than 5 from its edge's u
+        net, graph, out = (str(tmp_path / f) for f in ("net.json", "graph.json", "emb.json"))
+        for argv in (["net", "--space", "lp:2:3", "--delta", "1", "--r", "4", "-o", net],
+                     ["graph", "--net", net, "-o", graph],
+                     ["embed", "--graph", graph, "--mu", "6", "--beta", "0.2",
+                      "--limit", "600", "--seed", "1", "-o", out]):
+            assert cli.main(argv) == 0
+        emb = embedding_from_json(json.loads((tmp_path / "emb.json").read_text()))
+        pts, ends, ws = emb.netgraph.points, np.array(emb.edge_list), emb.breakpoints
+        segs = np.stack([pts[ends[:, 0]], ws, ws, pts[ends[:, 1]]], axis=1).reshape(-1, 2, 3)
+        gaps = _euclid_gaps(pts, segs)
+        k = np.arange(len(segs))
+        gaps[ends[k // 2, 0], k] = gaps[ends[k // 2, 1], k] = np.inf
+        assert len(ends) == 600 and gaps.min() >= emb.params.beta
 
 
 class TestSerialization:

@@ -101,6 +101,12 @@ class TestNorms:
         assert norm(hexagon, [1, 1]) == pytest.approx(4.0)
         assert hexagon.linf_factor == pytest.approx(4.0)  # sum of basis norms
 
+    def test_custom_space_rejects_a_box_factor_the_basis_refutes(self):
+        # ||e_1||_3 = 1, so ||e_1||_inf = 1 > 0.5 * ||e_1||_3
+        with pytest.raises(ValidationError, match="box_factor"):
+            custom_space(3, lambda x: np.sum(np.abs(x) ** 3, axis=1) ** (1 / 3),
+                         box_factor=0.5, vectorized=True)
+
 
 class TestPointSegment:
     def test_perpendicular_foot(self):
@@ -617,6 +623,32 @@ class TestClearRejectsUndecided:
 
         assert not passed(v - err / 2)
         assert passed(v - 2 * err)
+
+
+class TestBoxNear:
+    """box_near drops only pairs that the kernels certify at need."""
+
+    @pytest.mark.parametrize("need", [0.05 + 1e-9, 0.0025 + 1e-9])
+    @pytest.mark.parametrize("desc", sorted(CLEAR_SPACES))
+    def test_dropped_pairs_are_certified(self, desc, need):
+        space = CLEAR_SPACES[desc]
+        rng = np.random.default_rng(17)
+        reach = 2 * need * space.box_factor
+        # segments and points spread over a few reach widths, so that both
+        # sides of the cut are crowded; some segments degenerate to points
+        x = rng.uniform(0, 4 * reach, (40, 1, 3)) + rng.normal(size=(40, 2, 3)) * reach / 2
+        x[::10, 1] = x[::10, 0]
+        y = rng.uniform(0, 4 * reach, (40, 1, 3)) + rng.normal(size=(40, 2, 3)) * reach / 2
+        pts = rng.uniform(0, 4 * reach, (40, 3))
+        seg_mask = spaces.box_near(space, x, y, need)
+        pt_mask = spaces.box_near(space, x, pts, need)
+        assert 0.1 < seg_mask.mean() < 0.9 and 0.1 < pt_mask.mean() < 0.9
+        i, j = np.nonzero(~seg_mask)
+        value, err = segment_pairs_distance(space, x[i, 0], x[i, 1], y[j, 0], y[j, 1])
+        assert np.all(value - err >= need)
+        i, j = np.nonzero(~pt_mask)
+        value, err = points_segment_distance(space, pts[j], x[i, 0], x[i, 1])
+        assert np.all(value - err >= need)
 
 
 class TestSampling:
