@@ -639,7 +639,10 @@ def audit_tg(emb: PolylineEmbedding, interior_samples: int,
 
     Evaluates the ratio d_TG / image distance (and its reciprocal) over all
     vertex pairs plus sampled interior point pairs, against the bounds
-    lip <= 4 and inverse lip <= 1 + 6/gamma.
+    lip <= max(4, 3 + 2*mu) and inverse lip <= 1 + 6/gamma.  Curves are
+    parametrized by norm arclength, and each is at most |w - u| + |v - w|
+    <= 3 + 2*mu long (edges at most 3, breakpoints within mu of the
+    midpoint), so a unit of d_TG covers at most that much image length.
     """
     if interior_samples < 0:
         raise ValidationError("interior_samples must be >= 0")
@@ -667,12 +670,13 @@ def audit_tg(emb: PolylineEmbedding, interior_samples: int,
             lip_i = (math.inf if np.any(d_img == 0)
                      else max(lip_i, float(np.max(d_tg / d_img))))
         done += k
+    fwd_bound = max(4.0, 3.0 + 2.0 * emb.params.mu)
     inv_bound = 1.0 + 6.0 / emb.params.gamma
     max_len = max(emb.curve_length(j) for j in range(n_edges))
     return TgAudit(
         lip_forward=lip_f, lip_inverse=lip_i, distortion=lip_f * lip_i,
-        forward_bound=4.0, inverse_bound=inv_bound,
-        forward_ok=lip_f <= 4.0, inverse_ok=lip_i <= inv_bound,
+        forward_bound=fwd_bound, inverse_bound=inv_bound,
+        forward_ok=lip_f <= fwd_bound, inverse_ok=lip_i <= inv_bound,
         vertex_pairs=vertices.pairs_checked, interior_pairs=interior_samples,
         max_curve_length=max_len)
 

@@ -4,7 +4,12 @@ bilipschitz-distortion auditor.
 Hop distances are exact integers (BFS); distortion ratios are formed in
 double precision.  The auditor is exhaustive over all vertex pairs up to a
 configurable cap and switches to seeded source sampling above it, reporting
-how many pairs it actually checked.
+how many pairs it covered.  Metrics that share a block partition of their
+ids with certified per-block bounds (the chain blocks of the gadget hop
+metrics and the bounding boxes of point metrics) let it evaluate only the
+pairs the bounds do not certify below the running maxima; the report is the
+one a pass over whole rows gives, and pairs_checked counts every pair
+covered, evaluated or certified.
 """
 
 from __future__ import annotations
@@ -101,19 +106,42 @@ def max_degree(g: Graph) -> int:
     return max(len(a) for a in g.adj)
 
 
+# Relative slack on the block bounds of point metrics: it covers the rounding
+# of the norm evaluations and of the products audit compares them with.
+_BOUND_SLACK = 1e-9
+
+
 class FiniteMetric:
     """A finite metric exposed as distance rows, computed on each request.
 
     Rows are not kept: the audits read each row once, so keeping the rows
-    of a large graph would only cost memory.
+    of a large graph would only cost memory.  at(i, idx) gives the entries
+    of row i at the ids idx; row(i) equals at(i, all ids) bit for bit.
+
+    A metric may carry a block partition of its ids: blocks holds the
+    sorted first ids of the blocks (blocks[0] == 0), and bounds(i) returns
+    (lo, hi), one pair per block, containing every value at(i, .) returns
+    in that block.  audit uses them to skip pairs that cannot reach its
+    running maxima.
     """
 
-    def __init__(self, size: int, row_fn):
+    def __init__(self, size: int, row_fn, at_fn=None, blocks=None, bounds_fn=None):
         self.size = size
         self._row_fn = row_fn
+        self._at_fn = at_fn
+        self.blocks = blocks
+        self._bounds_fn = bounds_fn
 
     def row(self, i: int) -> np.ndarray:
         return self._row_fn(i)
+
+    def at(self, i: int, idx: np.ndarray) -> np.ndarray:
+        if self._at_fn is None:
+            return self._row_fn(i)[idx]
+        return self._at_fn(i, idx)
+
+    def bounds(self, i: int) -> tuple:
+        return self._bounds_fn(i)
 
     @staticmethod
     def from_graph(g: Graph) -> "FiniteMetric":
@@ -125,13 +153,23 @@ class FiniteMetric:
         return FiniteMetric(g.n, row)
 
     @staticmethod
-    def from_points(space: NormedSpace, pts) -> "FiniteMetric":
+    def from_points(space: NormedSpace, pts, blocks=None) -> "FiniteMetric":
         """Rows norms(space, pts - pts[i]), bit for bit.
 
         The subtraction runs on a flat view of 64 points a row: numpy's
         inner loop over one point of a few coordinates costs about as much
         as the norms themselves.  Subtraction is elementwise, so the
         differences, and the norms of them, keep their bits.
+
+        blocks (sorted first ids, from 0) gives the metric a block
+        partition, bounded through each block's bounding box.  Rounding is
+        monotone, so the box corners' offsets from pts[i] bound the
+        computed differences coordinate by coordinate.  With g their
+        sup-norm gap and f their farthest sup-norm offset, every value in
+        the block lies in [g / box_factor, linf_factor * f], the
+        certificate spaces.box_near rests on; both ends carry
+        _BOUND_SLACK.  Custom norms get no blocks: a norm_fn may return
+        NaN, which no bound contains.
         """
         pts = np.ascontiguousarray(pts, dtype=np.float64)
         n = pts.shape[0]
@@ -144,7 +182,30 @@ class FiniteMetric:
                             out=diff[:head].reshape(head // 64, -1))
             np.subtract(pts[head:], pts[i], out=diff[head:])
             return norms(space, diff)
-        return FiniteMetric(n, row)
+
+        def at(i, idx):
+            diff = pts[idx]
+            diff -= pts[i]
+            return norms(space, diff)
+
+        if blocks is None or space.kind == "custom":
+            return FiniteMetric(n, row, at)
+        blocks = np.asarray(blocks, dtype=np.int64)
+        # corners as (dim, blocks) rows, so the reductions run along blocks
+        box_lo = np.ascontiguousarray(np.minimum.reduceat(pts, blocks, axis=0).T)
+        box_hi = np.ascontiguousarray(np.maximum.reduceat(pts, blocks, axis=0).T)
+        lo_scale = (1.0 - _BOUND_SLACK) / space.box_factor
+        hi_scale = (1.0 + _BOUND_SLACK) * space.linf_factor
+
+        def bounds(i):
+            p = pts[i][:, None]
+            with np.errstate(invalid="ignore"):  # inf - inf on infinite points
+                below, above = box_lo - p, box_hi - p
+                gap = np.maximum(below, -above).max(axis=0)
+                far = np.maximum(above, -below).max(axis=0)
+                np.maximum(gap, 0.0, out=gap)  # NaN propagates
+            return gap * lo_scale, far * hi_scale
+        return FiniteMetric(n, row, at, blocks, bounds)
 
 
 @dataclass(frozen=True)
@@ -169,6 +230,13 @@ class DistortionReport:
         }
 
 
+def _kept_ids(starts: np.ndarray, ends: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The ids of the kept blocks [starts[k], ends[k]), in increasing order."""
+    starts, lengths = starts[keep], (ends - starts)[keep]
+    offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return np.arange(offsets.size) + offsets
+
+
 def audit(source: FiniteMetric, target: FiniteMetric, vertex_map,
           pair_cap: int = 2000, rng: Optional[np.random.Generator] = None) -> DistortionReport:
     """Bilipschitz constants of i -> vertex_map[i] from source to target.
@@ -177,13 +245,23 @@ def audit(source: FiniteMetric, target: FiniteMetric, vertex_map,
     largest reciprocal; distortion is their product (scale invariant).
     Exhaustive over all pairs when source.size <= pair_cap, otherwise all
     pairs from a seeded sample of source vertices.
+
+    When vertex_map is the identity and both metrics carry the same block
+    partition, each source row skips the blocks whose bounds certify that
+    no pair in them reaches the running maxima: t_hi < lip_f * s_lo and
+    s_hi < lip_i * t_lo, both True (a NaN bound keeps its block).  The
+    kept pairs are evaluated with at(), in increasing id order, so the
+    first-index maxima, the witnesses and a zero-distance error name the
+    pairs a whole-row pass names.  A row with no block certified, and
+    every row of other metrics or maps, is read whole.  pairs_checked
+    counts every pair covered, evaluated or certified.
     """
     n = source.size
     fmap = np.asarray(vertex_map, dtype=np.int64)
     if fmap.shape[0] != n:
         raise ValidationError("vertex_map must cover every source vertex")
-    ids = np.sort(fmap)
-    if np.any(ids[1:] == ids[:-1]):
+    image = np.sort(fmap)
+    if np.any(image[1:] == image[:-1]):
         raise ValidationError("vertex_map must be injective")
     if n < 2:
         raise ValidationError("audit needs at least two points")
@@ -198,40 +276,64 @@ def audit(source: FiniteMetric, target: FiniteMetric, vertex_map,
         want = max(2, min(n, (pair_cap * pair_cap) // n))
         sources = sorted(rng.choice(n, size=want, replace=False).tolist())
     identity = np.array_equal(fmap, np.arange(n))
+    blocked = (identity and source.blocks is not None and target.blocks is not None
+               and np.array_equal(source.blocks, target.blocks))
+    if blocked:
+        starts = source.blocks
+        ends = np.append(starts[1:], n)
 
     lip_f, lip_i = 0.0, 0.0
     wit_f = wit_i = (0, 1)
     pairs = 0
     for i in sources:
-        # exhaustive: pairs (i, j > i), on the row tail from lo = i + 1;
-        # sampled: pairs (i, j != i), on the whole row with i excluded
+        pairs += n - 1 - i if exhaustive else n - 1
+        # exhaustive: pairs (i, j > i), from lo = i + 1; sampled: pairs
+        # (i, j != i), from lo = 0 with the self pair excluded
         lo = i + 1 if exhaustive else 0
-        ds = source.row(i)[lo:]
-        dt = target.row(int(fmap[i]))
-        dt = dt[lo:n] if identity else dt[fmap[lo:]]
+        ids = None
+        if blocked:
+            s_lo, s_hi = source.bounds(i)
+            t_lo, t_hi = target.bounds(i)
+            with np.errstate(invalid="ignore"):  # inf * 0
+                drop = (t_hi < lip_f * s_lo) & (s_hi < lip_i * t_lo)
+            live = ends > lo
+            drop &= live
+            if drop.any():  # else no pair is certified: read whole rows
+                ids = _kept_ids(starts, ends, live & ~drop)
+                ids = ids[ids > i] if exhaustive else ids[ids != i]
+                if ids.size == 0:
+                    continue
+        self_pair = False  # a sampled whole row holds the pair (i, i)
+        if ids is None:
+            ids = range(lo, n)
+            ds = source.row(i)[lo:]
+            dt = target.row(int(fmap[i]))
+            dt = dt[lo:n] if identity else dt[fmap[lo:]]
+            self_pair = not exhaustive
+        else:
+            ds, dt = source.at(i, ids), target.at(i, ids)
         # when every pair's two distances are positive, no source distance is
         # zero and ds / dt needs no np.where: two min passes replace four
-        parts = (ds, dt) if exhaustive else (ds[:i], ds[i + 1:], dt[:i], dt[i + 1:])
+        parts = (ds[:i], ds[i + 1:], dt[:i], dt[i + 1:]) if self_pair else (ds, dt)
         positive = all(p.size == 0 or p.min() > 0 for p in parts)
         if not positive:
             zero = ds == 0
-            if not exhaustive:
+            if self_pair:
                 zero[i] = False
             if zero.any():
                 raise ValidationError("zero source distance between distinct points "
-                                      f"{i},{lo + int(np.argmax(zero))}")
-        pairs += ds.size if exhaustive else ds.size - 1
+                                      f"{i},{int(ids[int(np.argmax(zero))])}")
         with np.errstate(divide="ignore", invalid="ignore"):  # the self pair, sampled
             fwd = dt / ds
             inv = ds / dt if positive else np.where(dt > 0, ds / dt, np.inf)
-        if not exhaustive:
+        if self_pair:
             fwd[i] = inv[i] = -np.inf
         k = int(np.argmax(fwd))
         if fwd[k] > lip_f:
-            lip_f, wit_f = float(fwd[k]), (i, lo + k)
+            lip_f, wit_f = float(fwd[k]), (i, int(ids[k]))
         k = int(np.argmax(inv))
         if inv[k] > lip_i:
-            lip_i, wit_i = float(inv[k]), (i, lo + k)
+            lip_i, wit_i = float(inv[k]), (i, int(ids[k]))
     return DistortionReport(lip_f, lip_i, lip_f * lip_i, wit_f, wit_i,
                             pairs, exhaustive)
 

@@ -85,6 +85,7 @@ class TestSubcommands:
                        "--samples", "500", "-o", str(tg_path)) == 0
         rep = read(tg_path)
         assert rep["forward_ok"] and rep["inverse_ok"] and rep["reverified"]
+        assert rep["forward_bound"] == 4.0  # max(4, 3 + 2*mu) at the default mu 0.25
 
         mc_path = tmp_path / "mc.json"
         assert run_cli("montecarlo", "--embedding", str(emb_path),
@@ -112,6 +113,22 @@ class TestSubcommands:
         assert run_cli("audit-tg", "--embedding", str(emb_path),
                        "--samples", "100", "-o", str(tg_path)) == 0
         assert read(tg_path)["reverified"] is False
+
+    def test_audit_tg_forward_bound_follows_mu(self, tmp_path):
+        # at mu 6 curves run up to 3 + 2*mu = 15 long, and the constant bound 4
+        # failed a valid embedding (lip_forward 11.85)
+        net, graph, emb, tg = (str(tmp_path / f) for f in
+                               ("net.json", "graph.json", "emb.json", "tg.json"))
+        assert run_cli("net", "--space", "lp:2:3", "--delta", "1", "--r", "4", "-o", net) == 0
+        assert run_cli("graph", "--net", net, "-o", graph) == 0
+        assert run_cli("embed", "--graph", graph, "--mu", "6", "--beta", "0.2",
+                       "--limit", "600", "--seed", "1", "-o", emb) == 0
+        assert run_cli("audit-tg", "--embedding", emb, "--samples", "2000",
+                       "--seed", "1", "-o", tg) == 0
+        rep = read(Path(tg))
+        assert rep["forward_bound"] == 15.0
+        assert 4.0 < rep["lip_forward"] <= rep["max_curve_length"] <= rep["forward_bound"]
+        assert rep["forward_ok"] and rep["inverse_ok"] and rep["reverified"]
 
     def test_classify(self, tmp_path):
         c4 = tmp_path / "c4.json"

@@ -1,10 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netembed import gadgets
-from netembed import (DistortionReport, InternalConsistencyError,
+from netembed import (DistortionReport, FiniteMetric, InternalConsistencyError,
                       ValidationError, anchor_map,
                       audit_anchor_map, audit_product_map, bfs_apsp, bfs_from,
                       build_gadget, build_net_graph, from_edges,
@@ -141,6 +143,42 @@ class TestGadgetRows:
         pa = audit_product_map(h, pos, space)
         assert pa.forward_ok and pa.inverse_ok
         assert verify_product_cases(h, pos, space)
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+class TestHopBlocks:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(g=connected_graphs().filter(lambda g: g.edge_count > 0),
+           m_pick=st.sampled_from(["1", "2", "2e+1"]), block=st.sampled_from([1, 3, 32]))
+    def test_bounds_contain_the_rows_and_at_keeps_their_bits(self, g, m_pick, block):
+        m_val = {"1": 1, "2": 2, "2e+1": 2 * g.edge_count + 1}[m_pick]
+        for layout in (subdivide(g, m_val), build_gadget(g, m_val)):
+            with mock.patch.object(gadgets, "_BLOCK", block):
+                metric = layout.hop_metric()
+            n, hubs, starts = layout.n, layout.hubs, metric.blocks
+            ends = np.append(starts[1:], n)
+            assert starts[0] == 0 and np.all(ends > starts) and np.all(ends - starts <= block)
+            # each block holds hubs of one run of _hub_width ids, or steps of one chain
+            ids = np.arange(n)
+            owner = np.where(ids < hubs, ids // layout._hub_width,
+                             -1 - (ids - hubs) // max(m_val - 1, 1))
+            assert all(np.all(owner[a:b] == owner[a]) for a, b in zip(starts, ends))
+            rng = np.random.default_rng(n)
+            # hub sources and chain sources, the latter with their own-chain blocks
+            for s in sorted(set(rng.choice(n, min(n, 40), replace=False)) | {0, n - 1}):
+                row = metric.row(s)
+                lo, hi = metric.bounds(s)
+                row_lo, row_hi = np.minimum.reduceat(row, starts), np.maximum.reduceat(row, starts)
+                assert np.all(lo <= row_lo) and np.all(row_hi <= hi)
+                # off the source's own chain: exact, but for a half-step apex
+                own = owner[starts] == owner[s] if s >= hubs else np.zeros(starts.size, bool)
+                assert np.all((lo == row_lo) | (own & (lo == 0)))
+                assert np.all((hi - row_hi <= 0.5) | own)
+                for idx in (ids, rng.integers(0, n, size=30), ids[::-1]):
+                    assert np.array_equal(bits(metric.at(s, idx)), bits(row[idx]))
 
 
 class TestBuildGadget:
@@ -420,6 +458,39 @@ class TestProductMap:
         pa = audit_product_map(h, pos, space, pair_cap=4000)
         assert pa.report.exhaustive
         assert pa.forward_ok and pa.inverse_ok
+
+    def test_audit_evaluates_few_pairs_exactly(self, monkeypatch):
+        # the criterion-6 instance, exhaustive: both audits evaluate the pairs
+        # their block bounds leave open, and read a row whole only where
+        # none is certified (the first rows, before the maxima build up)
+        space = lp_space(2, 3)
+        ng = build_net_graph(space, 1.0, 1.44)
+        emb = place_edges(space, ng, practical_params(beta=0.02, seed=5),
+                          np.random.default_rng([5, 1]))
+        m_val = 2 * ng.graph.edge_count + 1
+        h = build_gadget(ng.graph, m_val)
+        sub, pos = mg_positions(emb, m_val)
+        gathered, whole = {sub.n: [], h.n: []}, {sub.n: [], h.n: []}
+        at, row = FiniteMetric.at, FiniteMetric.row
+
+        def counted_at(self, i, idx):
+            gathered[self.size].append(len(idx))
+            return at(self, i, idx)
+
+        def counted_row(self, i):
+            whole[self.size].append(self.size - 1 - i)  # the pairs (i, j > i)
+            return row(self, i)
+
+        monkeypatch.setattr(FiniteMetric, "at", counted_at)
+        monkeypatch.setattr(FiniteMetric, "row", counted_row)
+        pa = audit_product_map(h, pos, space, pair_cap=3000)
+        assert pa.report.exhaustive and pa.forward_ok and pa.inverse_ok
+        for n in (sub.n, h.n):
+            # source and target alike: two calls a row
+            assert gathered[n] and max(gathered[n]) < n
+            assert len(whole[n]) / 2 < 0.1 * (n - 1)  # 95 of 2600 G_M rows, 72 of 2915 H rows
+            evaluated = (sum(gathered[n]) + sum(whole[n])) / 2
+            assert evaluated < 0.5 * n * (n - 1) / 2  # 23% of G_M's pairs, 8% of H's
 
     def test_case_split_small_instance(self, triangle_embedding):
         space, emb = triangle_embedding

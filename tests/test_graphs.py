@@ -1,12 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netembed import (DistortionReport, FiniteMetric, ValidationError, audit, audit_pair_rows,
-                      bfs_apsp, bfs_from, custom_space, from_edges, graph_from_json,
-                      graph_to_dot, graph_to_json, is_connected, lp_space, max_degree,
-                      norms, parse_space, write_audit_csv)
+from netembed import gadgets
+from netembed import (DistortionReport, FiniteMetric, Net, ValidationError, audit,
+                      audit_pair_rows, bfs_apsp, bfs_from, build_gadget, custom_space,
+                      from_edges, graph_from_json, graph_to_dot, graph_to_json,
+                      is_connected, lp_space, max_degree, mg_positions, net_graph_from_net,
+                      norms, parse_space, place_edges, practical_params, product_positions,
+                      write_audit_csv)
 
 
 def path_graph(n):
@@ -430,6 +435,132 @@ class TestAuditAgainstWholeRowLoop:
                        np.random.default_rng(0))
         assert got == want
         assert "lip_inverse=inf" in got
+
+
+BLOCK_SPACES = {d: parse_space(d) for d in ("lp:2:3", "lp:inf:3", "lp:1:3",
+                                            "l1sum:lp:2:2+lp:1:1")}
+BLOCK_SPACES["custom-l3"] = L3_CUSTOM
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def grid(dim, side=5, step=0.1):
+    """The points step * (0..side-1)^dim; 0.1 is not a binary fraction, so
+    differences round."""
+    axes = np.meshgrid(*[np.arange(side) * step] * dim, indexing="ij")
+    return np.stack(axes).reshape(dim, -1).T
+
+
+class TestPointMetricBlocks:
+    @pytest.mark.parametrize("desc", sorted(BLOCK_SPACES))
+    def test_at_keeps_the_row_bits(self, desc):
+        space = BLOCK_SPACES[desc]
+        rng = np.random.default_rng(len(desc))
+        for n in (1, 2, 63, 64, 65, 1000):
+            pts = rng.normal(size=(n, space.dim)) * rng.uniform(0.01, 100, size=(n, 1))
+            blocks = np.unique(np.r_[0, rng.integers(0, n, size=n // 8)])
+            for metric in (FiniteMetric.from_points(space, pts),
+                           FiniteMetric.from_points(space, pts, blocks)):
+                for i in sorted({0, n // 2, n - 1}):
+                    row = metric.row(i)
+                    for idx in (np.arange(n), np.sort(rng.choice(n, n // 3 + 1, replace=False)),
+                                rng.integers(0, n, size=50), np.arange(0)):
+                        assert np.array_equal(bits(metric.at(i, idx)), bits(row[idx]))
+
+    @pytest.mark.parametrize("desc", sorted(set(BLOCK_SPACES) - {"custom-l3"}))
+    @pytest.mark.parametrize("layout", ["clusters", "grid"])
+    def test_bounds_contain_every_value(self, desc, layout):
+        space = BLOCK_SPACES[desc]
+        rng = np.random.default_rng(len(desc))
+        if layout == "grid":  # values on box faces, where rounding decides
+            pts = grid(space.dim)
+        else:  # clusters at spreads 1e-3..10, so some boxes are tight
+            centers = rng.normal(size=(40, space.dim)) * 10
+            pts = (centers[rng.integers(0, 40, 600)]
+                   + rng.normal(size=(600, space.dim)) * 10.0 ** rng.uniform(-3, 1, (600, 1)))
+        n = len(pts)
+        for blocks in (np.arange(n), np.unique(np.r_[0, rng.integers(1, n, size=n // 10)])):
+            metric = FiniteMetric.from_points(space, pts, blocks)
+            assert np.array_equal(metric.blocks, blocks)
+            for i in range(0, n, 7):
+                lo, hi = metric.bounds(i)
+                row = metric.row(i)
+                assert lo.shape == hi.shape == blocks.shape
+                assert np.all(lo <= np.minimum.reduceat(row, blocks))
+                assert np.all(np.maximum.reduceat(row, blocks) <= hi)
+                if blocks.size == n:  # one point a block: near what the factors allow
+                    assert np.all(lo >= 0.99 * row / (space.linf_factor * space.box_factor))
+                    assert np.all(hi <= 1.01 * row * space.linf_factor * space.box_factor)
+
+    def test_custom_norms_get_no_blocks(self):
+        # a norm_fn may return NaN, which no bound contains: whole rows only
+        metric = FiniteMetric.from_points(L3_CUSTOM, grid(3), np.arange(0, 125, 5))
+        assert metric.blocks is None
+
+    def test_nan_point_gives_nan_bounds(self):
+        pts = np.random.default_rng(3).normal(size=(100, 3))
+        pts[37, 1] = np.nan
+        metric = FiniteMetric.from_points(lp_space(2, 3), pts, np.arange(0, 100, 10))
+        lo, hi = metric.bounds(0)
+        assert np.isnan(lo[3]) and np.isnan(hi[3])
+        assert not np.isnan(np.delete(lo, 3)).any() and not np.isnan(np.delete(hi, 3)).any()
+        lo, hi = metric.bounds(37)
+        assert np.isnan(lo).all() and np.isnan(hi).all()
+
+
+HAND_NETS = {
+    3: np.array([[0, 0, 0], [2, 0, 0], [1, 1.8, 0], [1, 0.6, 1.7], [-1.5, 1, 0.5]]),
+    4: np.array([[0, 0, 0, 0], [2, 0, 0, 0], [1, 1.8, 0, 0], [1, 0.6, 1.2, 0],
+                 [-1.5, 1, 0, 0.5]]),
+}
+
+
+@pytest.fixture(scope="module", params=["lp:2:3", "lp:inf:3", "lp:1:3", "l1sum:lp:2:2+lp:1:1"])
+def product_instance(request):
+    """The two audits of audit_product_map on a placed 5-point hand net:
+    (make the hop metric, positions, space) for G_M and for H."""
+    space = parse_space(request.param)
+    ng = net_graph_from_net(Net(space, 1.0, 4.0, HAND_NETS[space.dim], 1.0))
+    emb = place_edges(space, ng, practical_params(beta=0.02, seed=9),
+                      np.random.default_rng([9, 1]))
+    m_val = 2 * ng.graph.edge_count + 1
+    h = build_gadget(ng.graph, m_val)
+    sub, pos = mg_positions(emb, m_val)
+    images, factor, target, _ = product_positions(h, pos, space)
+    return [(sub.hop_metric, pos / factor, space), (h.hop_metric, images, target)]
+
+
+class TestBlockedAuditEqualsWholeRows:
+    @pytest.mark.parametrize("block", [3, 32])
+    @pytest.mark.parametrize("pair_cap", [10**6, 60])  # exhaustive, sampled
+    @pytest.mark.parametrize("edit", ["none", "duplicate", "nan"])
+    def test_reports_equal(self, product_instance, block, pair_cap, edit):
+        for make, pts, space in product_instance:
+            pts = pts.copy()
+            n = len(pts)
+            if edit == "duplicate":  # a zero target distance: infinite inverse
+                pts[n - 2] = pts[n // 3]
+            elif edit == "nan":
+                pts[n // 2, 0] = np.nan
+            with mock.patch.object(gadgets, "_BLOCK", block):
+                hops = make()
+            got = outcome(audit, hops, FiniteMetric.from_points(space, pts, hops.blocks),
+                          np.arange(n), pair_cap, np.random.default_rng(4))
+            want = outcome(whole_row_audit, hops, FiniteMetric.from_points(space, pts),
+                           np.arange(n), pair_cap, np.random.default_rng(4))
+            assert got == want
+            if edit != "none" and pair_cap > n:
+                assert "lip_inverse=inf" in got
+
+    def test_unequal_blocks_read_whole_rows(self, product_instance, monkeypatch):
+        make, pts, space = product_instance[1]
+        hops = make()
+        target = FiniteMetric.from_points(space, pts, hops.blocks[::2])
+        monkeypatch.setattr(FiniteMetric, "at", None)  # any gather fails
+        want = whole_row_audit(hops, target, np.arange(len(pts)), 10**6, None)
+        assert audit(hops, target, np.arange(len(pts)), 10**6) == want
 
 
 class TestSerialization:
