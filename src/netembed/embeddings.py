@@ -649,9 +649,9 @@ def audit_tg(emb: PolylineEmbedding, interior_samples: int,
     space = emb.space
     g = emb.netgraph.graph
     tg = ThickenedGraph(g)
-    vertices = audit(FiniteMetric(g.n, tg.hops.__getitem__),
-                     FiniteMetric.from_points(space, emb.netgraph.points),
-                     np.arange(g.n), pair_cap=g.n)
+    pts = emb.netgraph.points
+    vertices = audit(FiniteMetric(g.n, lambda i, idx: tg.hops[i, idx]),
+                     FiniteMetric.from_points(space, pts), pair_cap=g.n)
     lip_f, lip_i = vertices.lip_forward, vertices.lip_inverse
     n_edges = len(emb.edge_list)
     done = 0
@@ -672,7 +672,10 @@ def audit_tg(emb: PolylineEmbedding, interior_samples: int,
         done += k
     fwd_bound = max(4.0, 3.0 + 2.0 * emb.params.mu)
     inv_bound = 1.0 + 6.0 / emb.params.gamma
-    max_len = max(emb.curve_length(j) for j in range(n_edges))
+    # curve_length of every edge, in two norms calls
+    ends, ws = np.array(emb.edge_list, dtype=np.int64).reshape(-1, 2), emb.breakpoints
+    max_len = float(np.max(norms(space, ws - pts[ends[:, 0]])
+                           + norms(space, pts[ends[:, 1]] - ws)))
     return TgAudit(
         lip_forward=lip_f, lip_inverse=lip_i, distortion=lip_f * lip_i,
         forward_bound=fwd_bound, inverse_bound=inv_bound,

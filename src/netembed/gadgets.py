@@ -118,8 +118,9 @@ class _ChainGraph:
         return _chain_edges(hub[:, :1], self.interior, hub[:, 1:])
 
     def hop_metric(self) -> FiniteMetric:
-        """Exact float64 hop rows, in closed form from the hub distances
-        (no BFS; self.graph is not read), with chain-aligned blocks.
+        """Exact float64 hop distances, in closed form from the hub
+        distances (no BFS; self.graph is not read), with chain-aligned
+        blocks.
 
         The step-t vertex of chain j is entered from a_j's hub (t more hops)
         or b_j's (M - t); a source on chain j itself also reaches it in
@@ -133,30 +134,17 @@ class _ChainGraph:
         maximum at the apex clipped into the run, min(d_a + t1, d_b + M -
         t0, (d_a + d_b + M) / 2); the source's own chain gets lower bound 0.
         The hub distances of the last source are kept for the at() and
-        row() calls on it.
+        bounds() calls on it.
         """
         hubs, M = self.hubs, self.M
         hub_distances = self._hub_distances()
         a, b = self._hub_ends.T
-        steps = np.arange(1, M, dtype=np.float64)
         last = [None, None]  # [source, its hub distances]
 
         def dist(s):
             if last[0] != s:
                 last[:] = s, hub_distances(s)
             return last[1]
-
-        def row(s):
-            d = dist(s)
-            out = np.empty(self.n, dtype=np.float64)
-            out[:hubs] = d
-            inner = out[hubs:].reshape(len(a), M - 1)
-            np.add(d[a][:, None], steps, out=inner)
-            np.minimum(inner, d[b][:, None] + (M - steps), out=inner)
-            if s >= hubs:
-                j0, t0 = self._chain_step(s)
-                np.minimum(inner[j0], np.abs(steps - t0), out=inner[j0])
-            return out
 
         def at(s, idx):
             d = dist(s)
@@ -192,7 +180,7 @@ class _ChainGraph:
             return (np.concatenate([np.minimum.reduceat(d, hub_starts), lo.ravel()]),
                     np.concatenate([np.maximum.reduceat(d, hub_starts), hi.ravel()]))
 
-        return FiniteMetric(self.n, row, at, blocks, bounds)
+        return FiniteMetric(self.n, at, blocks, bounds)
 
 
 @dataclass(frozen=True)
@@ -361,8 +349,8 @@ def audit_anchor_map(h: GadgetGraph, enforce: bool = True) -> DistortionReport:
         raise InternalConsistencyError(
             f"anchor-map bound failed on pair ({u},{v}): "
             f"d_G={d_g[u, v]}, d_H={d_h[u, v]}, M={h.M}, e={e}")
-    return audit(FiniteMetric(n, d_g.__getitem__), FiniteMetric(n, d_h.__getitem__),
-                 np.arange(n), pair_cap=n)
+    return audit(FiniteMetric(n, lambda i, idx: d_g[i, idx]),
+                 FiniteMetric(n, lambda i, idx: d_h[i, idx]), pair_cap=n)
 
 
 def _h_to_sub(h: GadgetGraph, sub: SubdividedGraph) -> np.ndarray:
@@ -384,9 +372,10 @@ def product_positions(h: GadgetGraph, sub_positions: np.ndarray,
     (position of its base vertex, i); a long-path vertex goes to (position
     of its subdivided-edge vertex, label of its long path).  Positions are
     rescaled by the largest image distance across subdivided edges when that
-    exceeds 1, so the result is 1-Lipschitz; the factor is returned.
+    exceeds 1, so the result is 1-Lipschitz.
 
-    Returns (positions, factor, target_space, sub).
+    Returns (positions, sub_scaled, factor, target_space, sub): sub_scaled
+    is sub_positions divided by the factor (1 when no rescaling is needed).
     """
     if h.M <= 2 * len(h.edge_list):
         raise ValidationError("need M > 2*e(base) for the product map")
@@ -409,7 +398,7 @@ def product_positions(h: GadgetGraph, sub_positions: np.ndarray,
     labels = np.arange(1, len(h.edge_list) + 1, dtype=np.float64)
     out[h.short_ids, space.dim] = labels
     out[h.long_interior, space.dim] = labels[:, None]
-    return out, factor, direct_sum_l1(space, lp_space(1, 1)), sub
+    return out, pos, factor, direct_sum_l1(space, lp_space(1, 1)), sub
 
 
 @dataclass(frozen=True)
@@ -438,14 +427,13 @@ def audit_product_map(h: GadgetGraph, sub_positions: np.ndarray,
     Both audits run on the hop metrics' chain blocks, bounded on the
     position side by bounding boxes (FiniteMetric.from_points).
     """
-    pos, factor, target, sub = product_positions(h, sub_positions, space)
-    scaled = sub_positions / factor
+    pos, scaled, factor, target, sub = product_positions(h, sub_positions, space)
     d_sub, d_h = sub.hop_metric(), h.hop_metric()
     sub_report = audit(d_sub, FiniteMetric.from_points(space, scaled, d_sub.blocks),
-                       np.arange(sub.n), pair_cap=pair_cap, rng=rng)
+                       pair_cap=pair_cap, rng=rng)
     lip0_inv = sub_report.lip_inverse
     report = audit(d_h, FiniteMetric.from_points(target, pos, d_h.blocks),
-                   np.arange(h.n), pair_cap=pair_cap, rng=rng)
+                   pair_cap=pair_cap, rng=rng)
     bound = 2.0 * lip0_inv
     return ProductAudit(
         report=report, factor=factor, lip_positions_inverse=lip0_inv,
@@ -464,18 +452,16 @@ def verify_product_cases(h: GadgetGraph, sub_positions: np.ndarray,
     already satisfy ||img(w) - img(z)|| > d_H/2 through the label
     coordinate.
     """
-    pos, factor, target, sub = product_positions(h, sub_positions, space)
+    pos, scaled, _, target, sub = product_positions(h, sub_positions, space)
     mapping = _h_to_sub(h, sub)
     d_h = h.hop_metric()
     d_sub = sub.hop_metric()
-    scaled = sub_positions / factor
-    sub_report = audit(d_sub, FiniteMetric.from_points(space, scaled),
-                       np.arange(sub.n))
-    lip0_inv = sub_report.lip_inverse
+    lip0_inv = audit(d_sub, FiniteMetric.from_points(space, scaled)).lip_inverse
     for w in range(h.n):
         img_d = norms(target, pos[w + 1:] - pos[w])
-        dh = d_h.row(w)[w + 1:]
-        near = d_sub.row(int(mapping[w]))[mapping[w + 1:]] >= 0.5 * dh
+        later = np.arange(w + 1, h.n)
+        dh = d_h.at(w, later)
+        near = d_sub.at(int(mapping[w]), mapping[later]) >= 0.5 * dh
         need = np.where(near, 0.5 * dh / lip0_inv * (1 - tol), 0.5 * dh * (1 - tol))
         if np.any(img_d < need):
             return False

@@ -4,12 +4,12 @@ bilipschitz-distortion auditor.
 Hop distances are exact integers (BFS); distortion ratios are formed in
 double precision.  The auditor is exhaustive over all vertex pairs up to a
 configurable cap and switches to seeded source sampling above it, reporting
-how many pairs it covered.  Metrics that share a block partition of their
-ids with certified per-block bounds (the chain blocks of the gadget hop
-metrics and the bounding boxes of point metrics) let it evaluate only the
-pairs the bounds do not certify below the running maxima; the report is the
-one a pass over whole rows gives, and pairs_checked counts every pair
-covered, evaluated or certified.
+how many pairs it covered.  It reads every distance through
+FiniteMetric.at.  Metrics that share a block partition of their ids with
+certified per-block bounds (the chain blocks of the gadget hop metrics and
+the bounding boxes of point metrics) let it evaluate only the pairs the
+bounds do not certify below the running maxima; pairs_checked counts every
+pair covered, evaluated or certified.
 """
 
 from __future__ import annotations
@@ -112,11 +112,11 @@ _BOUND_SLACK = 1e-9
 
 
 class FiniteMetric:
-    """A finite metric exposed as distance rows, computed on each request.
+    """A finite metric evaluated on request: at(i, idx) gives the distances
+    from id i to the ids idx, and row(i) is at(i, all ids).
 
-    Rows are not kept: the audits read each row once, so keeping the rows
-    of a large graph would only cost memory.  at(i, idx) gives the entries
-    of row i at the ids idx; row(i) equals at(i, all ids) bit for bit.
+    Nothing is kept: the audits read each source once, so keeping rows of a
+    large graph would only cost memory.
 
     A metric may carry a block partition of its ids: blocks holds the
     sorted first ids of the blocks (blocks[0] == 0), and bounds(i) returns
@@ -125,41 +125,33 @@ class FiniteMetric:
     running maxima.
     """
 
-    def __init__(self, size: int, row_fn, at_fn=None, blocks=None, bounds_fn=None):
+    def __init__(self, size: int, at_fn, blocks=None, bounds_fn=None):
         self.size = size
-        self._row_fn = row_fn
         self._at_fn = at_fn
         self.blocks = blocks
         self._bounds_fn = bounds_fn
 
-    def row(self, i: int) -> np.ndarray:
-        return self._row_fn(i)
-
     def at(self, i: int, idx: np.ndarray) -> np.ndarray:
-        if self._at_fn is None:
-            return self._row_fn(i)[idx]
         return self._at_fn(i, idx)
+
+    def row(self, i: int) -> np.ndarray:
+        return self.at(i, np.arange(self.size))
 
     def bounds(self, i: int) -> tuple:
         return self._bounds_fn(i)
 
     @staticmethod
     def from_graph(g: Graph) -> "FiniteMetric":
-        def row(i):
+        def at(i, idx):
             r = bfs_from(g, i)
             if np.any(r < 0):
                 raise ValidationError("graph metric requires a connected graph")
-            return r.astype(np.float64)
-        return FiniteMetric(g.n, row)
+            return r[idx].astype(np.float64)
+        return FiniteMetric(g.n, at)
 
     @staticmethod
     def from_points(space: NormedSpace, pts, blocks=None) -> "FiniteMetric":
-        """Rows norms(space, pts - pts[i]), bit for bit.
-
-        The subtraction runs on a flat view of 64 points a row: numpy's
-        inner loop over one point of a few coordinates costs about as much
-        as the norms themselves.  Subtraction is elementwise, so the
-        differences, and the norms of them, keep their bits.
+        """Distances norms(space, pts[idx] - pts[i]).
 
         blocks (sorted first ids, from 0) gives the metric a block
         partition, bounded through each block's bounding box.  Rounding is
@@ -173,15 +165,6 @@ class FiniteMetric:
         """
         pts = np.ascontiguousarray(pts, dtype=np.float64)
         n = pts.shape[0]
-        head = n - n % 64
-
-        def row(i):
-            diff = np.empty_like(pts)
-            if head:  # no row width can be inferred from zero rows
-                np.subtract(pts[:head].reshape(head // 64, -1), np.tile(pts[i], 64),
-                            out=diff[:head].reshape(head // 64, -1))
-            np.subtract(pts[head:], pts[i], out=diff[head:])
-            return norms(space, diff)
 
         def at(i, idx):
             diff = pts[idx]
@@ -189,7 +172,7 @@ class FiniteMetric:
             return norms(space, diff)
 
         if blocks is None or space.kind == "custom":
-            return FiniteMetric(n, row, at)
+            return FiniteMetric(n, at)
         blocks = np.asarray(blocks, dtype=np.int64)
         # corners as (dim, blocks) rows, so the reductions run along blocks
         box_lo = np.ascontiguousarray(np.minimum.reduceat(pts, blocks, axis=0).T)
@@ -205,7 +188,7 @@ class FiniteMetric:
                 far = np.maximum(above, -below).max(axis=0)
                 np.maximum(gap, 0.0, out=gap)  # NaN propagates
             return gap * lo_scale, far * hi_scale
-        return FiniteMetric(n, row, at, blocks, bounds)
+        return FiniteMetric(n, at, blocks, bounds)
 
 
 @dataclass(frozen=True)
@@ -237,32 +220,25 @@ def _kept_ids(starts: np.ndarray, ends: np.ndarray, keep: np.ndarray) -> np.ndar
     return np.arange(offsets.size) + offsets
 
 
-def audit(source: FiniteMetric, target: FiniteMetric, vertex_map,
-          pair_cap: int = 2000, rng: Optional[np.random.Generator] = None) -> DistortionReport:
-    """Bilipschitz constants of i -> vertex_map[i] from source to target.
+def audit(source: FiniteMetric, target: FiniteMetric, pair_cap: int = 2000,
+          rng: Optional[np.random.Generator] = None) -> DistortionReport:
+    """Bilipschitz constants of the identity map from source to target.
 
     lip_forward is the largest d_target/d_source ratio, lip_inverse the
     largest reciprocal; distortion is their product (scale invariant).
-    Exhaustive over all pairs when source.size <= pair_cap, otherwise all
-    pairs from a seeded sample of source vertices.
+    Exhaustive over all pairs (i, j > i) when source.size <= pair_cap,
+    otherwise all pairs (i, j != i) from a seeded sample of sources i.
 
-    When vertex_map is the identity and both metrics carry the same block
-    partition, each source row skips the blocks whose bounds certify that
+    Each source reads the ids of its blocks through at(), in increasing
+    order, so the first-index maxima, the witnesses and a zero-distance
+    error name the first such pair.  When both metrics carry the same
+    block partition, a source skips the blocks whose bounds certify that
     no pair in them reaches the running maxima: t_hi < lip_f * s_lo and
-    s_hi < lip_i * t_lo, both True (a NaN bound keeps its block).  The
-    kept pairs are evaluated with at(), in increasing id order, so the
-    first-index maxima, the witnesses and a zero-distance error name the
-    pairs a whole-row pass names.  A row with no block certified, and
-    every row of other metrics or maps, is read whole.  pairs_checked
-    counts every pair covered, evaluated or certified.
+    s_hi < lip_i * t_lo, both True (a NaN bound keeps its block).  Other
+    metrics form one block [0, n).  pairs_checked counts every pair
+    covered, evaluated or certified.
     """
     n = source.size
-    fmap = np.asarray(vertex_map, dtype=np.int64)
-    if fmap.shape[0] != n:
-        raise ValidationError("vertex_map must cover every source vertex")
-    image = np.sort(fmap)
-    if np.any(image[1:] == image[:-1]):
-        raise ValidationError("vertex_map must be injective")
     if n < 2:
         raise ValidationError("audit needs at least two points")
     if pair_cap < 1:
@@ -275,59 +251,34 @@ def audit(source: FiniteMetric, target: FiniteMetric, vertex_map,
         rng = rng or np.random.default_rng(0)
         want = max(2, min(n, (pair_cap * pair_cap) // n))
         sources = sorted(rng.choice(n, size=want, replace=False).tolist())
-    identity = np.array_equal(fmap, np.arange(n))
-    blocked = (identity and source.blocks is not None and target.blocks is not None
+    blocked = (source.blocks is not None and target.blocks is not None
                and np.array_equal(source.blocks, target.blocks))
-    if blocked:
-        starts = source.blocks
-        ends = np.append(starts[1:], n)
+    starts = source.blocks if blocked else np.zeros(1, dtype=np.int64)
+    ends = np.append(starts[1:], n)
 
     lip_f, lip_i = 0.0, 0.0
     wit_f = wit_i = (0, 1)
     pairs = 0
     for i in sources:
         pairs += n - 1 - i if exhaustive else n - 1
-        # exhaustive: pairs (i, j > i), from lo = i + 1; sampled: pairs
-        # (i, j != i), from lo = 0 with the self pair excluded
-        lo = i + 1 if exhaustive else 0
-        ids = None
+        keep = ends > (i + 1 if exhaustive else 0)
         if blocked:
             s_lo, s_hi = source.bounds(i)
             t_lo, t_hi = target.bounds(i)
             with np.errstate(invalid="ignore"):  # inf * 0
-                drop = (t_hi < lip_f * s_lo) & (s_hi < lip_i * t_lo)
-            live = ends > lo
-            drop &= live
-            if drop.any():  # else no pair is certified: read whole rows
-                ids = _kept_ids(starts, ends, live & ~drop)
-                ids = ids[ids > i] if exhaustive else ids[ids != i]
-                if ids.size == 0:
-                    continue
-        self_pair = False  # a sampled whole row holds the pair (i, i)
-        if ids is None:
-            ids = range(lo, n)
-            ds = source.row(i)[lo:]
-            dt = target.row(int(fmap[i]))
-            dt = dt[lo:n] if identity else dt[fmap[lo:]]
-            self_pair = not exhaustive
-        else:
-            ds, dt = source.at(i, ids), target.at(i, ids)
-        # when every pair's two distances are positive, no source distance is
-        # zero and ds / dt needs no np.where: two min passes replace four
-        parts = (ds[:i], ds[i + 1:], dt[:i], dt[i + 1:]) if self_pair else (ds, dt)
-        positive = all(p.size == 0 or p.min() > 0 for p in parts)
-        if not positive:
-            zero = ds == 0
-            if self_pair:
-                zero[i] = False
-            if zero.any():
-                raise ValidationError("zero source distance between distinct points "
-                                      f"{i},{int(ids[int(np.argmax(zero))])}")
-        with np.errstate(divide="ignore", invalid="ignore"):  # the self pair, sampled
+                keep &= ~((t_hi < lip_f * s_lo) & (s_hi < lip_i * t_lo))
+        ids = _kept_ids(starts, ends, keep)
+        ids = ids[ids > i] if exhaustive else ids[ids != i]
+        if ids.size == 0:
+            continue
+        ds, dt = source.at(i, ids), target.at(i, ids)
+        zero = ds == 0
+        if zero.any():
+            raise ValidationError("zero source distance between distinct points "
+                                  f"{i},{int(ids[int(np.argmax(zero))])}")
+        with np.errstate(divide="ignore", invalid="ignore"):
             fwd = dt / ds
-            inv = ds / dt if positive else np.where(dt > 0, ds / dt, np.inf)
-        if self_pair:
-            fwd[i] = inv[i] = -np.inf
+            inv = np.where(dt > 0, ds / dt, np.inf)
         k = int(np.argmax(fwd))
         if fwd[k] > lip_f:
             lip_f, wit_f = float(fwd[k]), (i, int(ids[k]))
@@ -343,7 +294,7 @@ def audit_pair_rows(source: FiniteMetric, target: FiniteMetric, vertex_map):
     fmap = np.asarray(vertex_map, dtype=np.int64)
     for i in range(source.size):
         ds = source.row(i)
-        dt = target.row(int(fmap[i]))[fmap]
+        dt = target.at(int(fmap[i]), fmap)
         for j in range(i + 1, source.size):
             ratio = float(dt[j] / ds[j]) if ds[j] > 0 else float("inf")
             yield i, j, float(ds[j]), float(dt[j]), ratio

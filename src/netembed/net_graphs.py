@@ -133,8 +133,7 @@ def audit_identity_embedding(ng: NetGraph, enforce: bool = True) -> DistortionRe
     if ng.net.size < 2:
         raise ValidationError("audit needs at least two vertices")
     report = audit(FiniteMetric.from_graph(ng.graph),
-                   FiniteMetric.from_points(ng.space, ng.points),
-                   np.arange(ng.net.size))
+                   FiniteMetric.from_points(ng.space, ng.points))
     if enforce and report.distortion > 3.0 * (1 + 1e-9):
         raise InternalConsistencyError(
             f"identity embedding distortion {report.distortion} exceeds 3")
@@ -152,7 +151,8 @@ def net_graph_from_json(obj: dict) -> NetGraph:
     """The net graph of a net_graph_to_json document.  Its edge_threshold
     must be 3 * rho and its edges exactly the pairs within it: the unit
     scale of placement and the audits' bounds (identity distortion <= 3,
-    the path bound, the TG forward bound 4) presume the graph it defines."""
+    the path bound, the TG forward bound max(4, 3 + 2*mu)) presume the
+    graph it defines."""
     try:
         net = net_from_json(obj["net"])
         thr = float(obj["edge_threshold"])

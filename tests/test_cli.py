@@ -72,6 +72,31 @@ class TestSubcommands:
         header = csv_path.read_text().splitlines()[0]
         assert header == "pair_u,pair_v,d_source,d_target,ratio"
 
+    @pytest.mark.parametrize("base", ["C5", "K4"])
+    def test_audit_psi_csv_against_networkx(self, base, tmp_path):
+        # every CSV row against distances computed apart from netembed's metrics
+        nx = pytest.importorskip("networkx")
+        from netembed import anchor_map, build_gadget, from_edges
+        gx = nx.cycle_graph(5) if base == "C5" else nx.complete_graph(4)
+        n, edges = gx.number_of_nodes(), sorted(tuple(sorted(e)) for e in gx.edges)
+        m_val = 2 * len(edges) + 1
+        g_path, csv_path = tmp_path / "g.json", tmp_path / "psi.csv"
+        g_path.write_text(json.dumps({"n": n, "edges": edges}))
+        assert run_cli("audit-psi", "--graph", str(g_path), "--M", str(m_val),
+                       "-o", str(tmp_path / "psi.json"), "--csv", str(csv_path)) == 0
+        h = build_gadget(from_edges(n, edges), m_val)
+        anchors = anchor_map(h).tolist()
+        hx = nx.Graph(h.graph.edges)
+        d_g = dict(nx.all_pairs_shortest_path_length(gx))
+        lines = csv_path.read_text().splitlines()
+        assert len(lines) == 1 + n * (n - 1) // 2
+        for line in lines[1:]:
+            u, v, d_source, d_target, ratio = line.split(",")
+            u, v, d_source, d_target = int(u), int(v), float(d_source), float(d_target)
+            assert d_source == d_g[u][v]
+            assert d_target == nx.shortest_path_length(hx, anchors[u], anchors[v])
+            assert float(ratio) == d_target / d_source
+
     def test_embed_audit_tg_montecarlo_phi(self, workdir, tmp_path):
         emb_path = tmp_path / "emb.json"
         assert run_cli("embed", "--graph", str(workdir / "G.json"),

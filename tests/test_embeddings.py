@@ -518,6 +518,20 @@ class TestTgAudit:
         assert rep.vertex_pairs == ball_emb.netgraph.graph.n * (
             ball_emb.netgraph.graph.n - 1) // 2
 
+    @pytest.mark.parametrize("desc", ["lp:2:3", "lp:inf:3", "lp:1:3", "l1sum:lp:2:2+lp:1:1"])
+    def test_max_curve_length_is_the_longest_curve(self, desc):
+        # the batched lengths over all edges keep curve_length's bits; the
+        # breakpoints are arbitrary, as audit_tg does not re-verify them
+        space = parse_space(desc)
+        ng = build_net_graph(space, 1.0, 2.0)  # 15 to 57 points
+        rng = np.random.default_rng(len(desc))
+        edges = tuple(ng.graph.edges)
+        emb = PolylineEmbedding(ng, practical_params(), edges,
+                                rng.normal(size=(len(edges), space.dim)) * 3,
+                                np.ones(len(edges), dtype=np.int64), 1.0)
+        rep = audit_tg(emb, 0, rng)
+        assert rep.max_curve_length == max(emb.curve_length(j) for j in range(len(edges)))
+
     def test_vertex_ratios_match_identity_audit(self, triangle_emb, ball_emb):
         rep = audit_tg(triangle_emb, 0, np.random.default_rng(0))
         pts = triangle_emb.netgraph.points

@@ -401,9 +401,10 @@ class TestProductMap:
         m_val = 2 * g.edge_count + 1
         h = build_gadget(g, m_val)
         sub, pos = mg_positions(emb, m_val)
-        images, factor, _, _ = product_positions(h, pos, space)
+        images, scaled, factor, _, _ = product_positions(h, pos, space)
+        assert np.array_equal(scaled, pos / factor)
         assert np.array_equal(images[:, space.dim], loop_labels(h))
-        assert np.array_equal(images[:, :space.dim], (pos / factor)[loop_h_to_sub(h, sub)])
+        assert np.array_equal(images[:, :space.dim], scaled[loop_h_to_sub(h, sub)])
 
     def test_needs_large_m(self, small_embedding):
         space, emb = small_embedding
@@ -419,7 +420,7 @@ class TestProductMap:
         m_val = 2 * g.edge_count + 1
         h = build_gadget(g, m_val)
         sub, pos = mg_positions(emb, m_val)
-        images, factor, target, _ = product_positions(h, pos, space)
+        images, _, _, target, _ = product_positions(h, pos, space)
         for u, v in h.graph.edges:
             assert norm(target, images[u] - images[v]) <= 1.0 + 1e-9
 
@@ -429,7 +430,7 @@ class TestProductMap:
         m_val = 2 * g.edge_count + 1
         h = build_gadget(g, m_val)
         sub, pos = mg_positions(emb, m_val)
-        images, factor, target, _ = product_positions(h, pos, space)
+        images, _, _, target, _ = product_positions(h, pos, space)
         u = 0
         row = h.short_ids[u]
         for i in range(len(row) - 1):
@@ -447,7 +448,8 @@ class TestProductMap:
         monkeypatch.setattr(gadgets, "from_edges", None)  # any Graph build fails
         monkeypatch.setattr(gadgets, "subdivide", None)
         got = product_positions(h, pos, space)
-        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
 
     def test_audit_bounds(self, small_embedding):
         space, emb = small_embedding
@@ -460,9 +462,9 @@ class TestProductMap:
         assert pa.forward_ok and pa.inverse_ok
 
     def test_audit_evaluates_few_pairs_exactly(self, monkeypatch):
-        # the criterion-6 instance, exhaustive: both audits evaluate the pairs
-        # their block bounds leave open, and read a row whole only where
-        # none is certified (the first rows, before the maxima build up)
+        # the criterion-6 instance, exhaustive: both audits evaluate only the
+        # pairs their block bounds leave open, and a source keeps every block
+        # only while the maxima build up (the first rows)
         space = lp_space(2, 3)
         ng = build_net_graph(space, 1.0, 1.44)
         emb = place_edges(space, ng, practical_params(beta=0.02, seed=5),
@@ -470,27 +472,23 @@ class TestProductMap:
         m_val = 2 * ng.graph.edge_count + 1
         h = build_gadget(ng.graph, m_val)
         sub, pos = mg_positions(emb, m_val)
-        gathered, whole = {sub.n: [], h.n: []}, {sub.n: [], h.n: []}
-        at, row = FiniteMetric.at, FiniteMetric.row
+        gathered, whole = {sub.n: [], h.n: []}, {sub.n: 0, h.n: 0}
+        at = FiniteMetric.at
 
         def counted_at(self, i, idx):
             gathered[self.size].append(len(idx))
+            whole[self.size] += len(idx) == self.size - 1 - i  # every pair (i, j > i)
             return at(self, i, idx)
 
-        def counted_row(self, i):
-            whole[self.size].append(self.size - 1 - i)  # the pairs (i, j > i)
-            return row(self, i)
-
         monkeypatch.setattr(FiniteMetric, "at", counted_at)
-        monkeypatch.setattr(FiniteMetric, "row", counted_row)
+        monkeypatch.setattr(FiniteMetric, "row", None)  # the audits read no whole row
         pa = audit_product_map(h, pos, space, pair_cap=3000)
         assert pa.report.exhaustive and pa.forward_ok and pa.inverse_ok
         for n in (sub.n, h.n):
             # source and target alike: two calls a row
-            assert gathered[n] and max(gathered[n]) < n
-            assert len(whole[n]) / 2 < 0.1 * (n - 1)  # 95 of 2600 G_M rows, 72 of 2915 H rows
-            evaluated = (sum(gathered[n]) + sum(whole[n])) / 2
-            assert evaluated < 0.5 * n * (n - 1) / 2  # 23% of G_M's pairs, 8% of H's
+            assert gathered[n]
+            assert whole[n] / 2 < 0.1 * (n - 1)  # 95 of 2600 G_M rows, 72 of 2915 H rows
+            assert sum(gathered[n]) / 2 < 0.5 * n * (n - 1) / 2  # 23% of G_M's pairs, 8% of H's
 
     def test_case_split_small_instance(self, triangle_embedding):
         space, emb = triangle_embedding

@@ -147,15 +147,15 @@ class TestPointRows:
 class TestAudit:
     def test_identity_isometry(self):
         m = FiniteMetric.from_graph(cycle_graph(6))
-        rep = audit(m, m, np.arange(6))
+        rep = audit(m, m)
         assert rep.distortion == 1.0
         assert rep.exhaustive
 
     def test_scaling_is_distortion_free(self):
         g = path_graph(5)
         m = FiniteMetric.from_graph(g)
-        scaled = FiniteMetric(5, lambda i: m.row(i) * 7.0)
-        rep = audit(m, scaled, np.arange(5))
+        scaled = FiniteMetric(5, lambda i, idx: m.at(i, idx) * 7.0)
+        rep = audit(m, scaled)
         assert rep.lip_forward == pytest.approx(7.0)
         assert rep.lip_inverse == pytest.approx(1 / 7.0)
         assert rep.distortion == pytest.approx(1.0, abs=1e-12)
@@ -165,7 +165,7 @@ class TestAudit:
         source = FiniteMetric.from_graph(path_graph(3))
         target = FiniteMetric.from_points(lp_space(2, 1),
                                           np.array([[0.0], [1.0], [1.5]]))
-        rep = audit(source, target, np.arange(3))
+        rep = audit(source, target)
         assert rep.lip_forward == pytest.approx(1.0)
         assert rep.lip_inverse == pytest.approx(2.0)  # pair (1,2)
         assert rep.distortion == pytest.approx(2.0)
@@ -177,25 +177,20 @@ class TestAudit:
         source = FiniteMetric.from_graph(complete_graph(12))
         t1 = FiniteMetric.from_points(lp_space(2, 3), pts)
         t2 = FiniteMetric.from_points(lp_space(2, 3), pts * 137.0)
-        r1 = audit(source, t1, np.arange(12))
-        r2 = audit(source, t2, np.arange(12))
+        r1 = audit(source, t1)
+        r2 = audit(source, t2)
         assert r1.distortion == pytest.approx(r2.distortion, rel=1e-12)
 
-    def test_non_injective_rejected(self):
-        m = FiniteMetric.from_graph(path_graph(3))
-        with pytest.raises(ValidationError):
-            audit(m, m, [0, 1, 1])
-
     def test_zero_source_distance_rejected(self):
-        bad = FiniteMetric(3, lambda i: np.zeros(3))
+        bad = FiniteMetric(3, lambda i, idx: np.zeros(len(idx)))
         good = FiniteMetric.from_graph(path_graph(3))
         with pytest.raises(ValidationError):
-            audit(bad, good, np.arange(3))
+            audit(bad, good)
 
     def test_sampled_mode_reports(self):
         g = path_graph(150)
         m = FiniteMetric.from_graph(g)
-        rep = audit(m, m, np.arange(150), pair_cap=50,
+        rep = audit(m, m, pair_cap=50,
                     rng=np.random.default_rng(0))
         assert not rep.exhaustive
         assert rep.pairs_checked > 0
@@ -206,7 +201,14 @@ class TestAudit:
         # a cap below one used to sample two sources and report a partial audit
         m = FiniteMetric.from_graph(path_graph(10))
         with pytest.raises(ValidationError, match="pair_cap must be >= 1"):
-            audit(m, m, np.arange(10), pair_cap=cap)
+            audit(m, m, pair_cap=cap)
+
+
+def relabelled(target, vertex_map):
+    """The target read through vertex_map: t'(i, j) = t(fmap[i], fmap[j]),
+    the metric graphs.audit compares with the references below."""
+    fmap = np.asarray(vertex_map, dtype=np.int64)
+    return FiniteMetric(len(fmap), lambda i, idx: target.at(int(fmap[i]), fmap[idx]))
 
 
 def masked_audit(source, target, vertex_map, pair_cap, rng):
@@ -287,13 +289,13 @@ class TestAuditAgainstMaskedLoop:
     def test_report_matches(self, case):
         src, tgt, fmap, pair_cap, seed = case
         before = src.copy(), tgt.copy()
-        # rows are views into the tables: the audit must not write into them
-        source = FiniteMetric(len(src), lambda i: src[i])
-        target = FiniteMetric(len(tgt), lambda i: tgt[i])
-        got = outcome(audit, source, target, fmap, pair_cap, np.random.default_rng(seed))
+        source, target = table_metric(src), table_metric(tgt)
+        got = outcome(audit, source, relabelled(target, fmap), pair_cap,
+                      np.random.default_rng(seed))
         want = outcome(masked_audit, source, target, fmap, pair_cap,
                        np.random.default_rng(seed))
         assert got == want
+        # the audit must not write into the tables
         assert np.array_equal(src, before[0]) and np.array_equal(tgt, before[1])
 
     def test_sampled_float_rows(self):
@@ -303,7 +305,7 @@ class TestAuditAgainstMaskedLoop:
         target = FiniteMetric.from_points(lp_space(2, 3), pts)
         perm = np.random.default_rng(5).permutation(40)
         for fmap in (np.arange(40), perm):
-            got = audit(source, target, fmap, 12, np.random.default_rng(6))
+            got = audit(source, relabelled(target, fmap), 12, np.random.default_rng(6))
             want = masked_audit(source, target, fmap, 12, np.random.default_rng(6))
             assert not got.exhaustive and got.pairs_checked == want.pairs_checked
             assert got == want
@@ -351,7 +353,7 @@ def whole_row_audit(source, target, vertex_map, pair_cap, rng):
 
 
 def table_metric(table):
-    return FiniteMetric(len(table), lambda i: table[i])
+    return FiniteMetric(len(table), lambda i, idx: table[i, idx])
 
 
 def random_tables(seed, n, size):
@@ -371,7 +373,7 @@ class TestAuditAgainstWholeRowLoop:
         src, tgt = random_tables(seed, 40, 47)
         fmaps = (np.arange(40), np.random.default_rng(seed).permutation(47)[:40])
         for fmap in fmaps:
-            got = audit(table_metric(src), table_metric(tgt), fmap, pair_cap,
+            got = audit(table_metric(src), relabelled(table_metric(tgt), fmap), pair_cap,
                         np.random.default_rng(seed))
             want = whole_row_audit(table_metric(src), table_metric(tgt), fmap, pair_cap,
                                    np.random.default_rng(seed))
@@ -381,7 +383,7 @@ class TestAuditAgainstWholeRowLoop:
     @staticmethod
     def both(src, tgt, pair_cap, seed=1):
         fmap = np.arange(len(src))
-        return (outcome(audit, table_metric(src), table_metric(tgt), fmap, pair_cap,
+        return (outcome(audit, table_metric(src), table_metric(tgt), pair_cap,
                         np.random.default_rng(seed)),
                 outcome(whole_row_audit, table_metric(src), table_metric(tgt), fmap,
                         pair_cap, np.random.default_rng(seed)))
@@ -430,7 +432,7 @@ class TestAuditAgainstWholeRowLoop:
         space = custom_space(3, norm_fn, box_factor=1.0, vectorized=True)
         src = table_metric(random_tables(10, 40, 40)[0])
         target = FiniteMetric.from_points(space, pts)
-        got = outcome(audit, src, target, np.arange(40), pair_cap, np.random.default_rng(0))
+        got = outcome(audit, src, target, pair_cap, np.random.default_rng(0))
         want = outcome(whole_row_audit, src, target, np.arange(40), pair_cap,
                        np.random.default_rng(0))
         assert got == want
@@ -528,8 +530,8 @@ def product_instance(request):
     m_val = 2 * ng.graph.edge_count + 1
     h = build_gadget(ng.graph, m_val)
     sub, pos = mg_positions(emb, m_val)
-    images, factor, target, _ = product_positions(h, pos, space)
-    return [(sub.hop_metric, pos / factor, space), (h.hop_metric, images, target)]
+    images, scaled, _, target, _ = product_positions(h, pos, space)
+    return [(sub.hop_metric, scaled, space), (h.hop_metric, images, target)]
 
 
 class TestBlockedAuditEqualsWholeRows:
@@ -547,7 +549,7 @@ class TestBlockedAuditEqualsWholeRows:
             with mock.patch.object(gadgets, "_BLOCK", block):
                 hops = make()
             got = outcome(audit, hops, FiniteMetric.from_points(space, pts, hops.blocks),
-                          np.arange(n), pair_cap, np.random.default_rng(4))
+                          pair_cap, np.random.default_rng(4))
             want = outcome(whole_row_audit, hops, FiniteMetric.from_points(space, pts),
                            np.arange(n), pair_cap, np.random.default_rng(4))
             assert got == want
@@ -555,12 +557,21 @@ class TestBlockedAuditEqualsWholeRows:
                 assert "lip_inverse=inf" in got
 
     def test_unequal_blocks_read_whole_rows(self, product_instance, monkeypatch):
+        # unequal partitions drop no block: each source reads every id > i
         make, pts, space = product_instance[1]
         hops = make()
         target = FiniteMetric.from_points(space, pts, hops.blocks[::2])
-        monkeypatch.setattr(FiniteMetric, "at", None)  # any gather fails
-        want = whole_row_audit(hops, target, np.arange(len(pts)), 10**6, None)
-        assert audit(hops, target, np.arange(len(pts)), 10**6) == want
+        n = len(pts)
+        want = whole_row_audit(hops, target, np.arange(n), 10**6, None)
+        at, read = FiniteMetric.at, []
+
+        def counted_at(self, i, idx):
+            read.append((i, idx.tolist()))
+            return at(self, i, idx)
+
+        monkeypatch.setattr(FiniteMetric, "at", counted_at)
+        assert audit(hops, target, 10**6) == want
+        assert read == [(i, list(range(i + 1, n))) for i in range(n - 1) for _ in "st"]
 
 
 class TestSerialization:
