@@ -2,19 +2,18 @@
 bilipschitz-distortion auditor.
 
 Hop distances are exact integers (BFS); distortion ratios are formed in
-double precision.  The auditor is exhaustive over all vertex pairs up to a
-configurable cap and switches to seeded source sampling above it, reporting
-how many pairs it covered.  It reads every distance through
-FiniteMetric.at.  Metrics that share a block partition of their ids with
-certified per-block bounds (the chain blocks of the gadget hop metrics and
-the bounding boxes of point metrics) let it evaluate only the pairs the
-bounds do not certify below the running maxima; pairs_checked counts every
-pair covered, evaluated or certified.
+double precision.  The auditor reads every distance through
+FiniteMetric.at, over all pairs up to a configurable cap and from seeded
+sampled sources above it.  Metrics sharing a block partition with
+certified per-block bounds (the gadget hop metrics' chain blocks, the
+point metrics' box norms) let it evaluate only the pairs the bounds leave
+open below the running maxima, which a seeded first row raises early;
+pairs_checked counts every pair covered, evaluated or certified.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,9 +37,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adj) // 2
-
-    def degree(self, u: int) -> int:
-        return len(self.adj[u])
 
 
 def from_edges(n: int, edges, coords=None) -> Graph:
@@ -106,8 +102,7 @@ def max_degree(g: Graph) -> int:
     return max(len(a) for a in g.adj)
 
 
-# Relative slack on the block bounds of point metrics: it covers the rounding
-# of the norm evaluations and of the products audit compares them with.
+# Relative slack on point metrics' block bounds: the rounding of norms and of audit's products.
 _BOUND_SLACK = 1e-9
 
 
@@ -154,14 +149,13 @@ class FiniteMetric:
         """Distances norms(space, pts[idx] - pts[i]).
 
         blocks (sorted first ids, from 0) gives the metric a block
-        partition, bounded through each block's bounding box.  Rounding is
-        monotone, so the box corners' offsets from pts[i] bound the
-        computed differences coordinate by coordinate.  With g their
-        sup-norm gap and f their farthest sup-norm offset, every value in
-        the block lies in [g / box_factor, linf_factor * f], the
-        certificate spaces.box_near rests on; both ends carry
-        _BOUND_SLACK.  Custom norms get no blocks: a norm_fn may return
-        NaN, which no bound contains.
+        partition, bounded by each block's bounding box [lo, hi].  Rounded
+        subtraction is monotone, so each computed offset from p = pts[i]
+        lies between gap = max(lo - p, p - hi, 0) and far = max(hi - p, p -
+        lo) in magnitude, coordinate by coordinate.  lp norms and their l1
+        sums are monotone in each magnitude: the block's values lie in
+        [norms(gap), norms(far)], widened by _BOUND_SLACK for the norms'
+        own rounding.  Custom norms get no blocks: norm_fn may return NaN.
         """
         pts = np.ascontiguousarray(pts, dtype=np.float64)
         n = pts.shape[0]
@@ -174,20 +168,16 @@ class FiniteMetric:
         if blocks is None or space.kind == "custom":
             return FiniteMetric(n, at)
         blocks = np.asarray(blocks, dtype=np.int64)
-        # corners as (dim, blocks) rows, so the reductions run along blocks
-        box_lo = np.ascontiguousarray(np.minimum.reduceat(pts, blocks, axis=0).T)
-        box_hi = np.ascontiguousarray(np.maximum.reduceat(pts, blocks, axis=0).T)
-        lo_scale = (1.0 - _BOUND_SLACK) / space.box_factor
-        hi_scale = (1.0 + _BOUND_SLACK) * space.linf_factor
+        box_lo = np.minimum.reduceat(pts, blocks, axis=0)
+        box_hi = np.maximum.reduceat(pts, blocks, axis=0)
 
         def bounds(i):
-            p = pts[i][:, None]
             with np.errstate(invalid="ignore"):  # inf - inf on infinite points
-                below, above = box_lo - p, box_hi - p
-                gap = np.maximum(below, -above).max(axis=0)
-                far = np.maximum(above, -below).max(axis=0)
-                np.maximum(gap, 0.0, out=gap)  # NaN propagates
-            return gap * lo_scale, far * hi_scale
+                below, above = box_lo - pts[i], pts[i] - box_hi
+                gap = np.maximum(np.maximum(below, above), 0.0)  # NaN propagates
+                far = np.maximum(-above, -below)
+            lo, hi = norms(space, np.concatenate([gap, far])).reshape(2, -1)
+            return lo * (1.0 - _BOUND_SLACK), hi * (1.0 + _BOUND_SLACK)
         return FiniteMetric(n, at, blocks, bounds)
 
 
@@ -202,15 +192,8 @@ class DistortionReport:
     exhaustive: bool
 
     def to_json(self) -> dict:
-        return {
-            "lip_forward": self.lip_forward,
-            "lip_inverse": self.lip_inverse,
-            "distortion": self.distortion,
-            "witness_forward": list(self.witness_forward),
-            "witness_inverse": list(self.witness_inverse),
-            "pairs_checked": self.pairs_checked,
-            "exhaustive": self.exhaustive,
-        }
+        return {**asdict(self), "witness_forward": list(self.witness_forward),
+                "witness_inverse": list(self.witness_inverse)}
 
 
 def _kept_ids(starts: np.ndarray, ends: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -233,10 +216,15 @@ def audit(source: FiniteMetric, target: FiniteMetric, pair_cap: int = 2000,
     order, so the first-index maxima, the witnesses and a zero-distance
     error name the first such pair.  When both metrics carry the same
     block partition, a source skips the blocks whose bounds certify that
-    no pair in them reaches the running maxima: t_hi < lip_f * s_lo and
-    s_hi < lip_i * t_lo, both True (a NaN bound keeps its block).  Other
-    metrics form one block [0, n).  pairs_checked counts every pair
-    covered, evaluated or certified.
+    no pair in them reaches the thresholds (the running maxima, or seeds
+    if larger): t_hi < thr_f * s_lo and s_hi < thr_i * t_lo (a NaN bound
+    keeps its block).  The seeds are the largest ratios of the first
+    source with all bounds finite over its top blocks by max(t_hi / s_lo,
+    s_hi / t_lo): its own, which scores inf, and 2% more.  Finite bounds
+    hold finite distances, so that row has no NaN ratio and counts
+    (argmax lands on a NaN): a seed is at most the final maximum, and the
+    strict test reads every maximizing pair.  Other metrics form one block
+    [0, n); pairs_checked counts every pair covered, evaluated or certified.
     """
     n = source.size
     if n < 2:
@@ -256,7 +244,15 @@ def audit(source: FiniteMetric, target: FiniteMetric, pair_cap: int = 2000,
     starts = source.blocks if blocked else np.zeros(1, dtype=np.int64)
     ends = np.append(starts[1:], n)
 
-    lip_f, lip_i = 0.0, 0.0
+    def read(i, keep):  # the partners in the kept blocks, d_s, d_t / d_s, d_s / d_t
+        ids = _kept_ids(starts, ends, keep)
+        ids = ids[ids > i] if exhaustive else ids[ids != i]
+        ds, dt = source.at(i, ids), target.at(i, ids)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return ids, ds, dt / ds, np.where(dt > 0, ds / dt, np.inf)
+
+    lip_f = lip_i = seed_f = seed_i = 0.0
+    seeded = False
     wit_f = wit_i = (0, 1)
     pairs = 0
     for i in sources:
@@ -265,20 +261,22 @@ def audit(source: FiniteMetric, target: FiniteMetric, pair_cap: int = 2000,
         if blocked:
             s_lo, s_hi = source.bounds(i)
             t_lo, t_hi = target.bounds(i)
-            with np.errstate(invalid="ignore"):  # inf * 0
-                keep &= ~((t_hi < lip_f * s_lo) & (s_hi < lip_i * t_lo))
-        ids = _kept_ids(starts, ends, keep)
-        ids = ids[ids > i] if exhaustive else ids[ids != i]
-        if ids.size == 0:
-            continue
-        ds, dt = source.at(i, ids), target.at(i, ids)
+            with np.errstate(divide="ignore", invalid="ignore"):  # x / 0, inf * 0
+                if not seeded and np.isfinite([s_lo, s_hi, t_lo, t_hi]).all():
+                    seeded = True
+                    score = np.where(keep, np.maximum(t_hi / s_lo, s_hi / t_lo), -np.inf)
+                    k = 1 + max(1, int(keep.sum()) // 50)  # the own block, then 2%
+                    top = score >= np.sort(score)[max(0, score.size - k)]
+                    seed_f, seed_i = (float(np.max(r, initial=0.0)) for r in read(i, top)[2:])
+                keep &= ~((t_hi < max(lip_f, seed_f) * s_lo)
+                          & (s_hi < max(lip_i, seed_i) * t_lo))
+        ids, ds, fwd, inv = read(i, keep)
         zero = ds == 0
         if zero.any():
             raise ValidationError("zero source distance between distinct points "
                                   f"{i},{int(ids[int(np.argmax(zero))])}")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fwd = dt / ds
-            inv = np.where(dt > 0, ds / dt, np.inf)
+        if ids.size == 0:
+            continue
         k = int(np.argmax(fwd))
         if fwd[k] > lip_f:
             lip_f, wit_f = float(fwd[k]), (i, int(ids[k]))

@@ -387,6 +387,30 @@ def loop_labels(h):
     return labels
 
 
+def product_instance_at(r, seed):
+    """The pipeline's gadget on lp:2:3 at delta 1: (H, G_M, the G_M
+    positions, the space), placed as pipeline --r r --seed seed places."""
+    space = lp_space(2, 3)
+    ng = build_net_graph(space, 1.0, r)
+    emb = place_edges(space, ng, practical_params(beta=0.02, seed=seed),
+                      np.random.default_rng([seed, 1]))
+    m_val = 2 * ng.graph.edge_count + 1
+    sub, pos = mg_positions(emb, m_val)
+    return build_gadget(ng.graph, m_val), sub, pos, space
+
+
+def counted_reads(monkeypatch):
+    """Patch FiniteMetric.at to record (source, ids) per call, by metric size."""
+    reads, at = {}, FiniteMetric.at
+
+    def counted_at(self, i, idx):
+        reads.setdefault(self.size, []).append((i, np.asarray(idx)))
+        return at(self, i, idx)
+
+    monkeypatch.setattr(FiniteMetric, "at", counted_at)
+    return reads
+
+
 class TestProductMap:
     @pytest.mark.parametrize("base", [k2(), k3(), star(3)], ids=["k2", "k3", "star3"])
     @pytest.mark.parametrize("m_val", [1, 2, 5])
@@ -463,32 +487,38 @@ class TestProductMap:
 
     def test_audit_evaluates_few_pairs_exactly(self, monkeypatch):
         # the criterion-6 instance, exhaustive: both audits evaluate only the
-        # pairs their block bounds leave open, and a source keeps every block
-        # only while the maxima build up (the first rows)
-        space = lp_space(2, 3)
-        ng = build_net_graph(space, 1.0, 1.44)
-        emb = place_edges(space, ng, practical_params(beta=0.02, seed=5),
-                          np.random.default_rng([5, 1]))
-        m_val = 2 * ng.graph.edge_count + 1
-        h = build_gadget(ng.graph, m_val)
-        sub, pos = mg_positions(emb, m_val)
-        gathered, whole = {sub.n: [], h.n: []}, {sub.n: 0, h.n: 0}
-        at = FiniteMetric.at
-
-        def counted_at(self, i, idx):
-            gathered[self.size].append(len(idx))
-            whole[self.size] += len(idx) == self.size - 1 - i  # every pair (i, j > i)
-            return at(self, i, idx)
-
-        monkeypatch.setattr(FiniteMetric, "at", counted_at)
+        # pairs their block bounds leave open, and the rows that read all
+        # their partners lie at the end of the ids, where they fall on the
+        # row's own chain (lower bound 0) and the last one
+        h, sub, pos, space = product_instance_at(1.44, 5)
+        reads = counted_reads(monkeypatch)
         monkeypatch.setattr(FiniteMetric, "row", None)  # the audits read no whole row
         pa = audit_product_map(h, pos, space, pair_cap=3000)
         assert pa.report.exhaustive and pa.forward_ok and pa.inverse_ok
         for n in (sub.n, h.n):
-            # source and target alike: two calls a row
-            assert gathered[n]
-            assert whole[n] / 2 < 0.1 * (n - 1)  # 95 of 2600 G_M rows, 72 of 2915 H rows
-            assert sum(gathered[n]) / 2 < 0.5 * n * (n - 1) / 2  # 23% of G_M's pairs, 8% of H's
+            calls = reads[n][::2]  # source and target alike: two calls a row
+            whole = [len(idx) for i, idx in calls if len(idx) == n - 1 - i]
+            assert max(whole, default=0) < 2 * h.M  # 78 G_M rows, 71 H rows
+            # 27% of G_M's pairs, 3.5% of H's
+            assert sum(len(idx) for _, idx in calls) < 0.5 * n * (n - 1) / 2
+
+    @pytest.mark.parametrize("r, seed, pair_cap", [(1.44, 5, 300), (2.0, 3, 2000)],
+                             ids=["criterion-6", "pipeline-l2"])
+    def test_sampled_rows_read_fewer_than_all_partners(self, monkeypatch, r, seed, pair_cap):
+        # the first row too: it evaluates its most promising blocks first.  On
+        # pipeline-l2 (seed 3) the audits evaluate 96,400 G_M and 30,434 H
+        # distances a metric, against 380,079 and 129,419 with bounds from
+        # sup-norm factors and a first row read whole
+        h, sub, pos, space = product_instance_at(r, seed)
+        reads = counted_reads(monkeypatch)
+        pa = audit_product_map(h, pos, space, pair_cap=pair_cap,
+                               rng=np.random.default_rng([seed, 3]))
+        assert not pa.report.exhaustive
+        for n in (sub.n, h.n):
+            assert all(len(idx) < n - 1 for _, idx in reads[n])
+        if r == 2.0:
+            assert sum(len(idx) for _, idx in reads[sub.n]) // 2 <= 100_000
+            assert sum(len(idx) for _, idx in reads[h.n]) // 2 <= 35_000
 
     def test_case_split_small_instance(self, triangle_embedding):
         space, emb = triangle_embedding

@@ -439,7 +439,7 @@ class TestAuditAgainstWholeRowLoop:
         assert "lip_inverse=inf" in got
 
 
-BLOCK_SPACES = {d: parse_space(d) for d in ("lp:2:3", "lp:inf:3", "lp:1:3",
+BLOCK_SPACES = {d: parse_space(d) for d in ("lp:2:3", "lp:inf:3", "lp:1:3", "lp:3:3",
                                             "l1sum:lp:2:2+lp:1:1")}
 BLOCK_SPACES["custom-l3"] = L3_CUSTOM
 
@@ -453,6 +453,17 @@ def grid(dim, side=5, step=0.1):
     differences round."""
     axes = np.meshgrid(*[np.arange(side) * step] * dim, indexing="ij")
     return np.stack(axes).reshape(dim, -1).T
+
+
+def factor_bounds(space, pts, blocks, i):
+    """The block bounds from_points gave before its exact box norms: the
+    sup-norm gap to the box over box_factor, and linf_factor times the
+    farthest sup-norm offset, each with the same relative slack."""
+    box_lo = np.minimum.reduceat(pts, blocks, axis=0) - pts[i]
+    box_hi = np.maximum.reduceat(pts, blocks, axis=0) - pts[i]
+    gap = np.maximum(np.maximum(box_lo, -box_hi), 0.0).max(axis=1)
+    far = np.maximum(box_hi, -box_lo).max(axis=1)
+    return gap * (1 - 1e-9) / space.box_factor, far * (1 + 1e-9) * space.linf_factor
 
 
 class TestPointMetricBlocks:
@@ -483,6 +494,7 @@ class TestPointMetricBlocks:
             pts = (centers[rng.integers(0, 40, 600)]
                    + rng.normal(size=(600, space.dim)) * 10.0 ** rng.uniform(-3, 1, (600, 1)))
         n = len(pts)
+        tighter = False
         for blocks in (np.arange(n), np.unique(np.r_[0, rng.integers(1, n, size=n // 10)])):
             metric = FiniteMetric.from_points(space, pts, blocks)
             assert np.array_equal(metric.blocks, blocks)
@@ -492,9 +504,15 @@ class TestPointMetricBlocks:
                 assert lo.shape == hi.shape == blocks.shape
                 assert np.all(lo <= np.minimum.reduceat(row, blocks))
                 assert np.all(np.maximum.reduceat(row, blocks) <= hi)
-                if blocks.size == n:  # one point a block: near what the factors allow
-                    assert np.all(lo >= 0.99 * row / (space.linf_factor * space.box_factor))
-                    assert np.all(hi <= 1.01 * row * space.linf_factor * space.box_factor)
+                if blocks.size == n:  # one point a block: the value, up to the slack
+                    assert np.all(lo >= row * (1 - 2e-9)) and np.all(hi <= row * (1 + 2e-9))
+                # no looser than the factor bounds, up to a few ulps of the
+                # norms' rounding (sqrt(3 x^2) against sqrt(3) x, say)
+                old_lo, old_hi = factor_bounds(space, pts, blocks, i)
+                assert np.all(lo >= old_lo * (1 - 1e-15)) and np.all(hi <= old_hi * (1 + 1e-15))
+                tighter |= bool(np.any(lo > old_lo * 1.01) or np.any(hi < old_hi * 0.99))
+        # the factors are exact for the sup norm alone
+        assert tighter == (desc != "lp:inf:3")
 
     def test_custom_norms_get_no_blocks(self):
         # a norm_fn may return NaN, which no bound contains: whole rows only
@@ -555,6 +573,20 @@ class TestBlockedAuditEqualsWholeRows:
             assert got == want
             if edit != "none" and pair_cap > n:
                 assert "lip_inverse=inf" in got
+
+    @pytest.mark.parametrize("blocks", [[0], [0, 1], [0, 20, 39]])
+    @pytest.mark.parametrize("pair_cap", [10**6, 15])  # exhaustive, sampled
+    def test_fewer_blocks_than_a_seed_takes(self, blocks, pair_cap):
+        # the first row seeds from its own block and at least one more
+        rng = np.random.default_rng(11)
+        pts = rng.normal(size=(40, 3))
+        near = pts + rng.normal(size=(40, 3)) * 0.1
+        spaces = (lp_space(2, 3), lp_space(1, 3))
+        got = audit(*(FiniteMetric.from_points(sp, x, blocks) for sp, x in zip(spaces, (near, pts))),
+                    pair_cap, np.random.default_rng(2))
+        want = whole_row_audit(*(FiniteMetric.from_points(sp, x) for sp, x in zip(spaces, (near, pts))),
+                               np.arange(40), pair_cap, np.random.default_rng(2))
+        assert got == want
 
     def test_unequal_blocks_read_whole_rows(self, product_instance, monkeypatch):
         # unequal partitions drop no block: each source reads every id > i
