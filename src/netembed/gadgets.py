@@ -47,8 +47,9 @@ from .graphs import (DistortionReport, FiniteMetric, Graph, audit, bfs_apsp,
 from .spaces import NormedSpace, direct_sum_l1, lp_space, norms
 
 # Block length, in ids, of the hop metrics' block partition (hub runs and
-# chain runs): of 16 to 128, 64 gave pipeline-l2's product-map audit fastest.
-_BLOCK = 64
+# chain runs): 16, 32 and 64 gave product-map audits equally fast, within
+# noise, on the pipeline's lp:2:3, lp:1:3 and lp:inf:3 gadgets.
+_BLOCK = 32
 
 
 def _chain_edges(*columns) -> np.ndarray:

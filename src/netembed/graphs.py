@@ -13,7 +13,7 @@ pairs_checked counts every pair covered, evaluated or certified.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,6 +37,9 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adj) // 2
+
+    def degree(self, u: int) -> int:
+        return len(self.adj[u])
 
 
 def from_edges(n: int, edges, coords=None) -> Graph:
@@ -102,8 +105,14 @@ def max_degree(g: Graph) -> int:
     return max(len(a) for a in g.adj)
 
 
-# Relative slack on point metrics' block bounds: the rounding of norms and of audit's products.
+# Relative slack on the block bounds of point metrics: it covers the rounding
+# of the norm evaluations and of the products audit compares them with.
 _BOUND_SLACK = 1e-9
+
+
+def _monotone(space: NormedSpace) -> bool:
+    """Whether space's norm is monotone in each |x_k|: lp and l1 sums of lp."""
+    return space.kind == "lp" or (space.kind == "l1sum" and all(map(_monotone, space.parts)))
 
 
 class FiniteMetric:
@@ -155,7 +164,9 @@ class FiniteMetric:
         lo) in magnitude, coordinate by coordinate.  lp norms and their l1
         sums are monotone in each magnitude: the block's values lie in
         [norms(gap), norms(far)], widened by _BOUND_SLACK for the norms'
-        own rounding.  Custom norms get no blocks: norm_fn may return NaN.
+        own rounding.  A space with a custom part gets no blocks: its
+        norm_fn need not be monotone so (|x| + |y| + |x + y| is not) and
+        may return NaN, which no bound contains.
         """
         pts = np.ascontiguousarray(pts, dtype=np.float64)
         n = pts.shape[0]
@@ -165,7 +176,7 @@ class FiniteMetric:
             diff -= pts[i]
             return norms(space, diff)
 
-        if blocks is None or space.kind == "custom":
+        if blocks is None or not _monotone(space):
             return FiniteMetric(n, at)
         blocks = np.asarray(blocks, dtype=np.int64)
         box_lo = np.minimum.reduceat(pts, blocks, axis=0)
@@ -192,8 +203,15 @@ class DistortionReport:
     exhaustive: bool
 
     def to_json(self) -> dict:
-        return {**asdict(self), "witness_forward": list(self.witness_forward),
-                "witness_inverse": list(self.witness_inverse)}
+        return {
+            "lip_forward": self.lip_forward,
+            "lip_inverse": self.lip_inverse,
+            "distortion": self.distortion,
+            "witness_forward": list(self.witness_forward),
+            "witness_inverse": list(self.witness_inverse),
+            "pairs_checked": self.pairs_checked,
+            "exhaustive": self.exhaustive,
+        }
 
 
 def _kept_ids(starts: np.ndarray, ends: np.ndarray, keep: np.ndarray) -> np.ndarray:

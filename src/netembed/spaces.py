@@ -184,11 +184,8 @@ def norms(space: NormedSpace, pts: np.ndarray) -> np.ndarray:
     if space.kind == "lp":
         if space.dim == 1 and space.p in (1.0, math.inf):
             return np.abs(pts[:, 0])  # the bits of the one-term sum or max, at a third of the cost
-        if math.isinf(space.p) or (space.p == 1.0 and space.dim < 8):
-            # over the rows of a contiguous |pts|.T, faster with the same bits: max
-            # is exact, and np.sum adds under 8 terms a row in order (pairwise from 8)
-            cols = np.abs(pts.T, order="C")
-            return cols.max(axis=0) if math.isinf(space.p) else cols.sum(axis=0)
+        if math.isinf(space.p):  # over a contiguous |pts|.T: faster, and max is exact
+            return np.abs(pts.T, order="C").max(axis=0)
         if space.p == 1.0:
             return np.sum(np.abs(pts), axis=1)
         if space.p == 2.0:

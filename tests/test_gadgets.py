@@ -499,14 +499,14 @@ class TestProductMap:
             calls = reads[n][::2]  # source and target alike: two calls a row
             whole = [len(idx) for i, idx in calls if len(idx) == n - 1 - i]
             assert max(whole, default=0) < 2 * h.M  # 78 G_M rows, 71 H rows
-            # 27% of G_M's pairs, 3.5% of H's
+            # 10.5% of G_M's pairs, 2.4% of H's
             assert sum(len(idx) for _, idx in calls) < 0.5 * n * (n - 1) / 2
 
     @pytest.mark.parametrize("r, seed, pair_cap", [(1.44, 5, 300), (2.0, 3, 2000)],
                              ids=["criterion-6", "pipeline-l2"])
     def test_sampled_rows_read_fewer_than_all_partners(self, monkeypatch, r, seed, pair_cap):
         # the first row too: it evaluates its most promising blocks first.  On
-        # pipeline-l2 (seed 3) the audits evaluate 96,400 G_M and 30,434 H
+        # pipeline-l2 (seed 3) the audits evaluate 51,098 G_M and 27,906 H
         # distances a metric, against 380,079 and 129,419 with bounds from
         # sup-norm factors and a first row read whole
         h, sub, pos, space = product_instance_at(r, seed)

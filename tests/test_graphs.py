@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from netembed import gadgets
 from netembed import (DistortionReport, FiniteMetric, Net, ValidationError, audit,
                       audit_pair_rows, bfs_apsp, bfs_from, build_gadget, custom_space,
-                      from_edges, graph_from_json, graph_to_dot, graph_to_json,
+                      direct_sum_l1, from_edges, graph_from_json, graph_to_dot, graph_to_json,
                       is_connected, lp_space, max_degree, mg_positions, net_graph_from_net,
                       norms, parse_space, place_edges, practical_params, product_positions,
                       write_audit_csv)
@@ -442,6 +442,11 @@ class TestAuditAgainstWholeRowLoop:
 BLOCK_SPACES = {d: parse_space(d) for d in ("lp:2:3", "lp:inf:3", "lp:1:3", "lp:3:3",
                                             "l1sum:lp:2:2+lp:1:1")}
 BLOCK_SPACES["custom-l3"] = L3_CUSTOM
+# an l1 sum with a custom part whose norm is not monotone in each |x_k|:
+# |(1, -1)| = 2 < |(1, 1)| = 4
+HEXAGON = custom_space(2, lambda v: abs(v[0]) + abs(v[1]) + abs(v[0] + v[1]), box_factor=1.0)
+BLOCK_SPACES["l1sum-hexagon"] = direct_sum_l1(HEXAGON, lp_space(1, 1))
+CUSTOM_BLOCK_SPACES = {"custom-l3", "l1sum-hexagon"}
 
 
 def bits(x):
@@ -482,7 +487,7 @@ class TestPointMetricBlocks:
                                 rng.integers(0, n, size=50), np.arange(0)):
                         assert np.array_equal(bits(metric.at(i, idx)), bits(row[idx]))
 
-    @pytest.mark.parametrize("desc", sorted(set(BLOCK_SPACES) - {"custom-l3"}))
+    @pytest.mark.parametrize("desc", sorted(set(BLOCK_SPACES) - CUSTOM_BLOCK_SPACES))
     @pytest.mark.parametrize("layout", ["clusters", "grid"])
     def test_bounds_contain_every_value(self, desc, layout):
         space = BLOCK_SPACES[desc]
@@ -515,9 +520,14 @@ class TestPointMetricBlocks:
         assert tighter == (desc != "lp:inf:3")
 
     def test_custom_norms_get_no_blocks(self):
-        # a norm_fn may return NaN, which no bound contains: whole rows only
-        metric = FiniteMetric.from_points(L3_CUSTOM, grid(3), np.arange(0, 125, 5))
-        assert metric.blocks is None
+        # a norm_fn may return NaN, which no bound contains, and need not be
+        # monotone in each |x_k|, which the box norms rest on: whole rows
+        # only, for a custom space and for an l1 sum with a custom part
+        assert norms(HEXAGON, [[1.0, -1.0]])[0] < norms(HEXAGON, [[1.0, 1.0]])[0]
+        for desc in sorted(CUSTOM_BLOCK_SPACES):
+            space = BLOCK_SPACES[desc]
+            metric = FiniteMetric.from_points(space, grid(space.dim), np.arange(0, 125, 5))
+            assert metric.blocks is None
 
     def test_nan_point_gives_nan_bounds(self):
         pts = np.random.default_rng(3).normal(size=(100, 3))
