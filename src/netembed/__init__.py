@@ -8,7 +8,7 @@ from .embeddings import (EmbedParams, FractionEstimate, PolylineEmbedding,
                          default_strict_params, embedding_from_json,
                          embedding_to_json, estimate_suitable_fraction,
                          mg_positions, place_edges, practical_params,
-                         subdivision_tg_points, tg_distance, verify_embedding,
+                         subdivision_tg_points, verify_embedding,
                          wilson_interval)
 from .errors import (InternalConsistencyError, PlacementError, SamplingError,
                      ValidationError)
@@ -27,10 +27,9 @@ from .net_graphs import (NetGraph, PathBoundReport, audit_identity_embedding,
 from .nets import (Net, NetAudit, build_net, nearest_net_point, net_from_json,
                    net_to_json, verify_maximality, verify_net)
 from .spaces import (NormedSpace, Segment, as_vector, custom_space,
-                     direct_sum_l1, lp_space, norm, norms, parse_space,
-                     point_segment_distance, sample_ball, sample_ball_many,
-                     segment_ball_clip, segment_segment_distance,
-                     space_from_json, space_to_json,
-                     sphere_segment_intersections)
+                     direct_sum_l1, lp_space, norms, parse_space,
+                     point_segment_distance, sample_ball_many,
+                     segment_segment_distance, space_from_json,
+                     space_to_json)
 
 __version__ = "0.1.0"

@@ -393,16 +393,6 @@ class ThickenedGraph:
         return best
 
 
-def tg_distance(graph, p: TGPoint, q: TGPoint) -> float:
-    """Shortest-curve distance between two thickened-graph points.
-
-    Convenience wrapper; hold a ThickenedGraph when querying many pairs, the
-    hop table is rebuilt on every call here.
-    """
-    target = graph.graph if hasattr(graph, "graph") else graph
-    return ThickenedGraph(target).distance(p, q)
-
-
 @dataclass
 class PolylineEmbedding:
     """Per-edge two-segment curves realizing the thickened graph in space.
@@ -423,23 +413,10 @@ class PolylineEmbedding:
     def space(self) -> NormedSpace:
         return self.netgraph.space
 
-    def curve(self, j: int):
-        u, v = self.edge_list[j]
-        pts = self.netgraph.points
-        return pts[u], self.breakpoints[j], pts[v]
-
-    def curve_length(self, j: int) -> float:
-        u, w, v = self.curve(j)
-        return (float(norms(self.space, (w - u)[None, :])[0])
-                + float(norms(self.space, (v - w)[None, :])[0]))
-
-    def point_at(self, j: int, t: float) -> np.ndarray:
-        """Arclength parametrization: t in [0,1] along the two segments."""
-        return self.positions(np.array([j]), np.array([t], dtype=np.float64))[0]
-
     def positions(self, edges, ts) -> np.ndarray:
-        """point_at(edges[k], ts[k]) for every k: at arclength s = t*(l1 + l2)
-        the point lies on [u, w] while s <= l1, else on [w, v]."""
+        """The point at arclength fraction ts[k], in [0, 1], along the curve
+        of edge edges[k], for every k: at arclength s = t*(l1 + l2) the
+        point lies on [u, w] while s <= l1, else on [w, v]."""
         edges, ts = np.asarray(edges), np.asarray(ts, dtype=np.float64)
         pts, ws = self.netgraph.points, self.breakpoints
         ends = np.array(self.edge_list, dtype=np.int64).reshape(-1, 2)
@@ -672,7 +649,7 @@ def audit_tg(emb: PolylineEmbedding, interior_samples: int,
         done += k
     fwd_bound = max(4.0, 3.0 + 2.0 * emb.params.mu)
     inv_bound = 1.0 + 6.0 / emb.params.gamma
-    # curve_length of every edge, in two norms calls
+    # the length of every curve, in two norms calls
     ends, ws = np.array(emb.edge_list, dtype=np.int64).reshape(-1, 2), emb.breakpoints
     max_len = float(np.max(norms(space, ws - pts[ends[:, 0]])
                            + norms(space, pts[ends[:, 1]] - ws)))

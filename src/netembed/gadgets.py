@@ -70,9 +70,9 @@ class _ChainGraph:
     """Base edge j = (a_j, b_j), in the base graph's lexicographic edge
     order, as a chain of M unit edges between two hub vertices.
 
-    Vertex ids: 0..hubs-1 are the hubs; interior_id(j, k) = hubs + j*(M-1)
-    + k is the k-th interior vertex of chain j (k = 0..M-2, walking from
-    a_j's end).  A subclass defines hubs, _hub_ends (the (e, 2) hub ids at
+    Vertex ids: 0..hubs-1 are the hubs; interior[j, k] = hubs + j*(M-1) + k
+    is the k-th interior vertex of chain j (k = 0..M-2, walking from a_j's
+    end).  A subclass defines hubs, _hub_ends (the (e, 2) hub ids at
     the a_j and b_j ends of each chain), _hub_width (no hub run of
     hop_metric's blocks crosses a multiple of it) and _hub_distances.  The
     Graph itself is built on first use only.
@@ -93,9 +93,6 @@ class _ChainGraph:
     @property
     def n(self) -> int:
         return self.hubs + len(self.edge_list) * (self.M - 1)
-
-    def interior_id(self, j: int, k: int) -> int:
-        return int(self.interior[j, k])
 
     @property
     def interior(self) -> np.ndarray:
@@ -129,12 +126,14 @@ class _ChainGraph:
         Blocks: the hubs in runs of _BLOCK along each _hub_width ids, then
         each chain in runs of _BLOCK steps.  A hub run's bounds are its
         exact minimum and maximum.  Along a chain, f(t) = min(d_a + t,
-        d_b + M - t) is concave, so over a run [t0, t1] its minimum sits at
-        an end, min(f(t0), f(t1)) = min(d_a + t0, d_b + M - t1), and its
-        maximum at the apex clipped into the run, min(d_a + t1, d_b + M -
-        t0, (d_a + d_b + M) / 2); the source's own chain gets lower bound 0.
-        The hub distances of the last source are kept for the at() and
-        bounds() calls on it.
+        d_b + M - t) is concave, so over a run [t_lo, t_hi] its minimum
+        sits at an end, min(d_a + t_lo, d_b + M - t_hi), and its maximum
+        at the apex clipped into the run, min(d_a + t_hi, d_b + M - t_lo,
+        (d_a + d_b + M) / 2).  On the source's own chain the distance is
+        min(f(t), |t - t0|), so a run's minimum is the smaller of f's and
+        max(t_lo - t0, t0 - t_hi, 0), again exact; f's maximum stays an
+        upper bound there.  The hub distances of the last source are kept
+        for the at() and bounds() calls on it.
         """
         hubs, M = self.hubs, self.M
         hub_distances = self._hub_distances()
@@ -176,7 +175,8 @@ class _ChainGraph:
             lo = np.minimum(da + t_lo, db - t_hi)
             hi = np.minimum(np.minimum(da + t_hi, db - t_lo), 0.5 * (da + db))
             if s >= hubs:
-                lo[self._chain_step(s)[0]] = 0.0
+                j0, t0 = self._chain_step(s)
+                lo[j0] = np.minimum(lo[j0], np.maximum(np.maximum(t_lo - t0, t0 - t_hi), 0.0))
             return (np.concatenate([np.minimum.reduceat(d, hub_starts), lo.ravel()]),
                     np.concatenate([np.maximum.reduceat(d, hub_starts), hi.ravel()]))
 

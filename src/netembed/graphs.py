@@ -38,9 +38,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
-    def degree(self, u: int) -> int:
-        return len(self.adj[u])
-
 
 def from_edges(n: int, edges, coords=None) -> Graph:
     """Build a Graph, rejecting loops and duplicate edges."""

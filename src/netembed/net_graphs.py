@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
 from .graphs import (DistortionReport, FiniteMetric, Graph, audit, bfs_apsp,
-                     from_edges, graph_from_json, graph_to_json, is_connected,
-                     max_degree)
+                     from_edges, graph_from_json, graph_to_json, is_connected)
 from .nets import (_REL_TOL, Net, _pair_distances, build_net, net_from_json,
                    net_to_json)
 from .spaces import NormedSpace

@@ -114,9 +114,6 @@ class NormedSpace:
     l2_lower: float = 1.0
     l2_upper: float = 1.0
 
-    def norm(self, v) -> float:
-        return float(norms(self, as_vector(v, self.dim)[None, :])[0])
-
 
 def lp_space(p, dim: int) -> NormedSpace:
     """The space R^dim with the l_p norm, p in [1, inf]."""
@@ -197,11 +194,6 @@ def norms(space: NormedSpace, pts: np.ndarray) -> np.ndarray:
     if space.vectorized:
         return np.asarray(space.norm_fn(pts), dtype=np.float64)
     return np.array([float(space.norm_fn(row)) for row in pts], dtype=np.float64)
-
-
-def norm(space: NormedSpace, v) -> float:
-    """Norm of a single vector."""
-    return space.norm(v)
 
 
 @dataclass(frozen=True)
@@ -635,24 +627,6 @@ def ball_cuts(space: NormedSpace, a, b, center, radius: float):
     return lo, hi, meets
 
 
-def sphere_segment_intersections(space: NormedSpace, center, radius: float,
-                                 s: Segment) -> list[float]:
-    """Parameters t where ||s(t) - center|| = radius, in increasing order: at
-    most two by convexity, one at a tangency (the one-row _sphere_roots)."""
-    (vmin, v0, v1), roots = _sphere_roots(space, s.a[None], s.b[None],
-                                          as_vector(center, space.dim), radius)
-    hits = [float(t[0]) for t, v in zip(roots, (v0, v1)) if v[0] >= radius >= vmin[0]]
-    return list(dict.fromkeys(hits))  # merged roots count once
-
-
-def segment_ball_clip(space: NormedSpace, a, b, center, radius: float):
-    """The parameter interval (lo, hi) of [a, b] inside the closed ball, or
-    None when the segment misses it (the one-row ball_cuts)."""
-    a, b = (np.asarray(x, dtype=np.float64)[None] for x in (a, b))
-    lo, hi, meets = ball_cuts(space, a, b, as_vector(center, space.dim), radius)
-    return (float(lo[0]), float(hi[0])) if meets[0] else None
-
-
 def sample_ball_many(space: NormedSpace, center, radius: float, count: int,
                      rng: np.random.Generator, budget_per_point: int = 10_000):
     """count points uniform (volume) in the ball, by rejection from the
@@ -680,13 +654,6 @@ def sample_ball_many(space: NormedSpace, center, radius: float, count: int,
         out[got:got + take] = keep[:take]
         got += take
     return out
-
-
-def sample_ball(space: NormedSpace, center, radius: float,
-                rng: np.random.Generator, budget: int = 10_000) -> np.ndarray:
-    """One point uniform in the ball {x : ||x - center|| <= radius}."""
-    return sample_ball_many(space, center, radius, 1, rng,
-                            budget_per_point=budget)[0]
 
 
 # --- serialization ---------------------------------------------------------

@@ -12,8 +12,8 @@ from netembed import (EmbedParams, Net, PlacementError, PolylineEmbedding,
                       default_strict_params, embedding_from_json,
                       embedding_to_json, estimate_suitable_fraction,
                       from_edges, lp_space, mg_positions, net_graph_from_net,
-                      norm, norms, parse_space, place_edges, practical_params,
-                      rescaled_unit, sample_ball_many, segment_ball_clip,
+                      norms, parse_space, place_edges, practical_params,
+                      rescaled_unit, sample_ball_many,
                       subdivide, subdivision_tg_points, verify_embedding,
                       wilson_interval)
 from netembed import cli, embeddings, spaces
@@ -176,11 +176,10 @@ class TestChecks:
             w = 0.5 * (u + v) + rng.normal(size=3) * 0.2
             pieces, rows = _clip_curves(L23, u[None, :], v[None, :], w[None, :], 0.05)
             assert 1 <= len(pieces) <= 6 and np.all(rows == 0)
-            for piece in pieces:
-                # clipped pieces stay outside both endpoint balls
-                for c in (u, v):
-                    mid = 0.5 * (piece[0] + piece[1])
-                    assert norm(L23, mid - c) >= 0.05 - 1e-9
+            # clipped pieces stay outside both endpoint balls
+            mids = 0.5 * (pieces[:, 0] + pieces[:, 1])
+            for c in (u, v):
+                assert np.all(norms(L23, mids - c) >= 0.05 - 1e-9)
 
 
 class TestPlacement:
@@ -190,8 +189,8 @@ class TestPlacement:
                           np.random.default_rng([1, 1]))
         assert len(emb.edge_list) == 1
         assert emb.attempts[0] == 1  # nothing to collide with
-        u, w, v = emb.curve(0)
-        assert norm(L23, w - 0.5 * (u + v)) <= 0.25 + 1e-12
+        u, w, v = _curve(emb, 0)
+        assert norms(L23, (w - 0.5 * (u + v))[None])[0] <= 0.25 + 1e-12
 
     def test_dimension_guard(self):
         ng = build_net_graph(lp_space(2, 2), 1.0, 2.0)
@@ -208,17 +207,16 @@ class TestPlacement:
             assert np.all(norms(L23, pts[i + 1:] - pts[i]) >= 1.0 - 1e-12)
 
     def test_breakpoints_inside_mu_ball(self, ball_emb):
-        pts = ball_emb.netgraph.points
-        for j, (u, v) in enumerate(ball_emb.edge_list):
-            z = 0.5 * (pts[u] + pts[v])
-            assert norm(L23, ball_emb.breakpoints[j] - z) <= 0.25 + 1e-12
+        pts, ends = ball_emb.netgraph.points, np.array(ball_emb.edge_list)
+        z = 0.5 * (pts[ends[:, 0]] + pts[ends[:, 1]])
+        assert np.all(norms(L23, ball_emb.breakpoints - z) <= 0.25 + 1e-12)
 
     def test_curve_lengths_within_bounds(self, ball_emb):
-        pts = ball_emb.netgraph.points
-        for j, (u, v) in enumerate(ball_emb.edge_list):
-            length = ball_emb.curve_length(j)
-            direct = norm(L23, pts[v] - pts[u])
-            assert direct - 1e-12 <= length <= 3.5
+        pts, ends = ball_emb.netgraph.points, np.array(ball_emb.edge_list)
+        u, w, v = pts[ends[:, 0]], ball_emb.breakpoints, pts[ends[:, 1]]
+        length = norms(L23, w - u) + norms(L23, v - w)
+        direct = norms(L23, v - u)
+        assert np.all((direct - 1e-12 <= length) & (length <= 3.5))
 
     def test_posthoc_reverification(self, ball_emb):
         rep = verify_embedding(ball_emb)
@@ -373,13 +371,11 @@ class TestThickenedMetric:
         with pytest.raises(ValidationError):
             tg.distance(TGPoint(0, 1.2), TGPoint(0, 0.0))
 
-    def test_module_level_wrapper(self):
-        from netembed import tg_distance
-        g = from_edges(3, [(0, 1), (0, 2), (1, 2)])
-        assert tg_distance(g, TGPoint(0, 0.25), TGPoint(0, 0.75)) \
-            == pytest.approx(0.5)
-        ng = hand_triangle()
-        assert tg_distance(ng, TGPoint(0, 0.0), TGPoint(1, 1.0)) \
+    def test_triangle_points(self):
+        tg = ThickenedGraph(from_edges(3, [(0, 1), (0, 2), (1, 2)]))
+        assert tg.distance(TGPoint(0, 0.25), TGPoint(0, 0.75)) == pytest.approx(0.5)
+        tg = ThickenedGraph(hand_triangle().graph)
+        assert tg.distance(TGPoint(0, 0.0), TGPoint(1, 1.0)) \
             == pytest.approx(1.0)  # vertex 0 to vertex 2, one hop
 
 
@@ -395,15 +391,14 @@ class TestSubdivisionPositions:
                           np.random.default_rng([12, 1]))
         m_val = 4
         sub, pos = mg_positions(emb, m_val)
-        u, w, v = emb.curve(0)
-        length = emb.curve_length(0)
-        chain = [u] + [pos[sub.interior_id(0, k)] for k in range(m_val - 1)] + [v]
-        l1 = norm(L23, w - u)
+        u, w, v = _curve(emb, 0)
+        length = norms(L23, np.stack([w - u, v - w])).sum()
+        chain = np.concatenate([[u], pos[sub.interior[0]], [v]])
         for a, b in zip(chain, chain[1:]):
             # arclength between consecutive images is exactly length/M:
             # either they share a segment or the gap routes through w
-            direct = norm(L23, b - a)
-            via_w = norm(L23, a - w) + norm(L23, w - b)
+            direct = norms(L23, (b - a)[None])[0]
+            via_w = norms(L23, np.stack([a - w, w - b])).sum()
             got = min(direct if _same_side(a, b, u, w, v, L23) else math.inf,
                       via_w)
             assert got == pytest.approx(length / m_val, abs=1e-9)
@@ -417,17 +412,18 @@ class TestSubdivisionPositions:
             netgraph=ng, params=practical_params(beta=0.02),
             edge_list=((0, 1),), breakpoints=w[None, :],
             attempts=np.array([1]), scale=1.0)
-        assert norm(L23, pts[0] - w) == pytest.approx(norm(L23, pts[1] - w))
+        d0, d1 = norms(L23, pts[:2] - w)
+        assert d0 == pytest.approx(d1)
         sub, pos = mg_positions(emb, 2)
-        assert np.allclose(pos[sub.interior_id(0, 0)], w, atol=1e-12)
+        assert np.allclose(pos[sub.interior[0, 0]], w, atol=1e-12)
 
     @pytest.mark.parametrize("m_val", [1, 2, 5, 9])
-    def test_positions_match_point_at_bit_for_bit(self, ball_emb, m_val):
+    def test_mg_positions_match_one_row_positions(self, ball_emb, m_val):
         sub, pos = mg_positions(ball_emb, m_val)
         for j in range(len(ball_emb.edge_list)):
             for k in range(1, m_val):
-                assert np.array_equal(pos[sub.interior_id(j, k - 1)],
-                                      ball_emb.point_at(j, k / m_val))
+                one = ball_emb.positions(np.array([j]), np.array([k / m_val]))[0]
+                assert np.array_equal(pos[sub.interior[j, k - 1]], one)
 
     @pytest.mark.parametrize("at", ["u", "v", None])
     def test_positions_match_scalar_arclength(self, ball_emb, at):
@@ -466,9 +462,16 @@ class TestSubdivisionPositions:
                         tg.distance(marks[i], marks[j]), abs=1e-12)
 
 
+def _curve(emb, j):
+    """The points u, w_j, v of the curve of edge j = (u, v)."""
+    u, v = emb.edge_list[j]
+    pts = emb.netgraph.points
+    return pts[u], emb.breakpoints[j], pts[v]
+
+
 def _scalar_point_at(emb, j, t):
     """Arclength position written out one point at a time."""
-    u, w, v = emb.curve(j)
+    u, w, v = _curve(emb, j)
     if t <= 0.0:
         return u
     if t >= 1.0:
@@ -484,9 +487,10 @@ def _scalar_point_at(emb, j, t):
 def _same_side(a, b, u, w, v, space):
     """True when a and b lie on a common straight segment of the curve."""
     for s0, s1 in ((u, w), (w, v)):
-        d0 = norm(space, a - s0) + norm(space, s1 - a) - norm(space, s1 - s0)
-        d1 = norm(space, b - s0) + norm(space, s1 - b) - norm(space, s1 - s0)
-        if abs(d0) < 1e-9 and abs(d1) < 1e-9:
+        # the triangle-inequality slack of a and of b on [s0, s1]
+        slack = (norms(space, np.stack([a - s0, b - s0])) + norms(space, np.stack([s1 - a, s1 - b]))
+                 - norms(space, (s1 - s0)[None]))
+        if np.all(np.abs(slack) < 1e-9):
             return True
     return False
 
@@ -520,8 +524,9 @@ class TestTgAudit:
 
     @pytest.mark.parametrize("desc", ["lp:2:3", "lp:inf:3", "lp:1:3", "l1sum:lp:2:2+lp:1:1"])
     def test_max_curve_length_is_the_longest_curve(self, desc):
-        # the batched lengths over all edges keep curve_length's bits; the
-        # breakpoints are arbitrary, as audit_tg does not re-verify them
+        # the batched lengths over all edges keep the bits of one-row
+        # lengths; the breakpoints are arbitrary, as audit_tg does not
+        # re-verify them
         space = parse_space(desc)
         ng = build_net_graph(space, 1.0, 2.0)  # 15 to 57 points
         rng = np.random.default_rng(len(desc))
@@ -530,14 +535,16 @@ class TestTgAudit:
                                 rng.normal(size=(len(edges), space.dim)) * 3,
                                 np.ones(len(edges), dtype=np.int64), 1.0)
         rep = audit_tg(emb, 0, rng)
-        assert rep.max_curve_length == max(emb.curve_length(j) for j in range(len(edges)))
+        one_row = [float(norms(space, (w - u)[None])[0]) + float(norms(space, (v - w)[None])[0])
+                   for u, w, v in (_curve(emb, j) for j in range(len(edges)))]
+        assert rep.max_curve_length == max(one_row)
 
     def test_vertex_ratios_match_identity_audit(self, triangle_emb, ball_emb):
         rep = audit_tg(triangle_emb, 0, np.random.default_rng(0))
         pts = triangle_emb.netgraph.points
         hops = bfs_apsp(triangle_emb.netgraph.graph)
-        want_f = max(norm(L23, pts[i] - pts[j]) / hops[i, j]
-                     for i in range(3) for j in range(i + 1, 3))
+        i, j = np.triu_indices(3, 1)
+        want_f = np.max(norms(L23, pts[i] - pts[j]) / hops[i, j])
         assert rep.lip_forward >= want_f - 1e-12
         for emb in (triangle_emb, ball_emb):
             rep = audit_tg(emb, 0, np.random.default_rng(0))
@@ -871,7 +878,7 @@ def _subtract_interval(intervals, cut):
 def _row_at_a_time_clip(space, u, v, ws, beta):
     """_clip_curves as it was written before its one batched cut, kept as
     its reference: the segments the Euclidean screen cannot clear are cut
-    one at a time by segment_ball_clip and _subtract_interval."""
+    one at a time by a one-row ball_cuts and _subtract_interval."""
     m = len(ws)
     a, b, other = np.concatenate([u, ws]), np.concatenate([ws, v]), np.concatenate([v, u])
     length = norms(space, b - a)
@@ -889,9 +896,9 @@ def _row_at_a_time_clip(space, u, v, ws, beta):
     rows = [row[whole]]
     for i in np.flatnonzero(reach):
         intervals = [(t0[i], t1[i])]
-        cut = segment_ball_clip(space, a[i], b[i], other[i], beta)
-        if cut is not None:
-            intervals = _subtract_interval(intervals, cut)
+        lo, hi, meets = spaces.ball_cuts(space, a[i:i + 1], b[i:i + 1], other[i], beta)
+        if meets[0]:
+            intervals = _subtract_interval(intervals, (lo[0], hi[0]))
         for (s0, s1) in intervals:
             if s1 - s0 > 1e-12:
                 pieces.append(np.stack([a[i] + s0 * d[i], a[i] + s1 * d[i]])[None])

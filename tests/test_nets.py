@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netembed import (Net, ValidationError, build_net, custom_space, lp_space,
-                      nearest_net_point, net_from_json, net_to_json, norm, norms,
+                      nearest_net_point, net_from_json, net_to_json, norms,
                       parse_space, verify_maximality, verify_net)
 from netembed import nets
 from netembed.nets import lattice_candidates
@@ -28,12 +28,12 @@ def greedy_oracle(space, delta, r, k):
     stack = [()]
     for _ in range(space.dim):
         stack = [t + (x,) for t in stack for x in axis]
-    cands += [c for c in sorted(stack)
-              if norm(space, list(c)) <= r * (1 + 1e-12) and any(c)]
+    stack = sorted(stack)
+    inside = norms(space, np.array(stack)) <= r * (1 + 1e-12)
+    cands += [c for c, ok in zip(stack, inside) if ok and any(c)]
     kept = []
     for c in cands:
-        if all(norm(space, np.array(c) - np.array(p)) >= rho * (1 - 1e-12)
-               for p in kept):
+        if not kept or np.all(norms(space, np.array(c) - np.array(kept)) >= rho * (1 - 1e-12)):
             kept.append(c)
     return kept, rho
 
@@ -206,11 +206,9 @@ class TestNearestNetPoint:
         for _ in range(300):
             y = rng.uniform(-2, 2, size=2)
             got = nearest_net_point(net, y)
-            dists = [norm(net.space, y - p) for p in net.points]
-            best = min(dists)
-            # ties break to the lowest index
-            idx = dists.index(best)
-            assert np.allclose(got, net.points[idx])
+            dists = norms(net.space, y - net.points)
+            # ties break to the lowest index, as argmin's do
+            assert np.allclose(got, net.points[np.argmin(dists)])
 
     def test_tie_breaks_to_lowest_index(self):
         net = build_net(lp_space(math.inf, 1), 1.0, 2.0, 4)

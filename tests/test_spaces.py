@@ -6,15 +6,14 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from netembed import (SamplingError, Segment, ValidationError, custom_space,
-                      direct_sum_l1,
-                      lp_space, norm, norms, parse_space,
-                      point_segment_distance, sample_ball, sample_ball_many,
-                      segment_ball_clip, segment_segment_distance,
-                      space_from_json, space_to_json,
-                      sphere_segment_intersections)
+from netembed import (SamplingError, Segment, ValidationError, as_vector,
+                      custom_space, direct_sum_l1,
+                      lp_space, norms, parse_space,
+                      point_segment_distance, sample_ball_many,
+                      segment_segment_distance,
+                      space_from_json, space_to_json)
 from netembed import spaces
-from netembed.spaces import (PARAM_TOL, _norms_nd, _ternary_batch,
+from netembed.spaces import (PARAM_TOL, _norms_nd, _ternary_batch, ball_cuts,
                              points_segment_distance, segment_pairs_distance)
 
 
@@ -24,24 +23,23 @@ def seg(a, b):
 
 class TestNorms:
     def test_l2_pythagorean(self):
-        assert norm(lp_space(2, 2), [3, 4]) == pytest.approx(5.0, abs=1e-12)
+        assert norms(lp_space(2, 2), np.array([[3.0, 4.0]])) == pytest.approx([5.0], abs=1e-12)
 
     def test_l1sum_of_l2_and_r(self):
         s = direct_sum_l1(lp_space(2, 2), lp_space(1, 1))
-        assert norm(s, [3, 4, -2]) == pytest.approx(7.0, abs=1e-12)
-        assert norm(s, [0, 0, 5]) == pytest.approx(5.0)
-        assert norm(s, [3, 4, 0]) == pytest.approx(5.0)
+        got = norms(s, np.array([[3.0, 4.0, -2.0], [0.0, 0.0, 5.0], [3.0, 4.0, 0.0]]))
+        assert got == pytest.approx([7.0, 5.0, 5.0], abs=1e-12)
 
     def test_linf_max_modulus(self):
-        assert norm(lp_space(math.inf, 3), [1, -3, 2]) == pytest.approx(3.0)
+        assert norms(lp_space(math.inf, 3), np.array([[1.0, -3.0, 2.0]])) == pytest.approx([3.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            norm(lp_space(2, 3), [1, 2])
+            norms(lp_space(2, 3), np.array([[1.0, 2.0]]))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
-            norm(lp_space(2, 2), [1, float("nan")])
+            as_vector([1, float("nan")])
 
     def test_l1sum_matches_direct_l13(self):
         # l1 sum of (l1^2, l1^1) must agree with l1^3 everywhere
@@ -115,7 +113,7 @@ class TestNorms:
     def test_custom_space_needs_box_factor(self):
         hexagon = custom_space(2, lambda v: abs(v[0]) + abs(v[1]) + abs(v[0] + v[1]),
                                box_factor=1.0)
-        assert norm(hexagon, [1, 1]) == pytest.approx(4.0)
+        assert norms(hexagon, np.array([[1.0, 1.0]])) == pytest.approx([4.0])
         assert hexagon.linf_factor == pytest.approx(4.0)  # sum of basis norms
 
     def test_custom_space_rejects_a_box_factor_the_basis_refutes(self):
@@ -151,7 +149,7 @@ class TestPointSegment:
             for _ in range(200):
                 a, b, p = rng.normal(size=(3, 3))
                 d = point_segment_distance(space, p, Segment(a, b))
-                cap = min(norm(space, p - a), norm(space, p - b))
+                cap = norms(space, np.stack([p - a, p - b])).min()
                 assert d <= cap + 1e-8
 
     def test_random_grid_cross_check(self):
@@ -164,7 +162,7 @@ class TestPointSegment:
                 got = point_segment_distance(space, p, Segment(a, b))
                 # the grid overestimates by at most its resolution times the
                 # segment's Lipschitz constant; ternary is never below truth
-                grid_err = norm(space, b - a) / 20_000
+                grid_err = norms(space, (b - a)[None])[0] / 20_000
                 assert brute - grid_err - 1e-9 <= got <= brute + 1e-8
 
 
@@ -273,7 +271,7 @@ class TestPolyhedralKernels:
                 b = a.copy()
             brute = float(np.min(norms(space, a + t[:, None] * (b - a) - p)))
             got, err = points_segment_distance(space, p[None], a, b)
-            grid_err = norm(space, b - a) / 20_000
+            grid_err = norms(space, (b - a)[None])[0] / 20_000
             assert np.isfinite(err[0])
             assert brute - grid_err - 1e-12 <= got[0] <= brute + 1e-12
 
@@ -313,22 +311,30 @@ class TestPolyhedralKernels:
                                   spaces._segment_pairs_search(space, a1, b1, a2, b2, 52)[0])
 
 
+def sphere_roots(space, center, radius, s):
+    """The parameters t where ||s(t) - center|| = radius, in increasing
+    order, from one row of _sphere_roots: a side holds a root where vmin <=
+    radius <= its end value, and the two roots of a tangency, merged, count
+    once."""
+    (vmin, v0, v1), roots = spaces._sphere_roots(space, s.a[None], s.b[None],
+                                                 np.asarray(center, dtype=float), radius)
+    hits = [float(t[0]) for t, v in zip(roots, (v0, v1)) if v[0] >= radius >= vmin[0]]
+    return list(dict.fromkeys(hits))
+
+
 class TestSphereSegment:
     def test_horizontal_chord(self):
-        roots = sphere_segment_intersections(lp_space(2, 2), [0, 0], 1.0,
-                                             seg([-2, 0], [2, 0]))
+        roots = sphere_roots(lp_space(2, 2), [0, 0], 1.0, seg([-2, 0], [2, 0]))
         assert roots == pytest.approx([0.25, 0.75], abs=1e-9)
 
     def test_segment_outside_ball(self):
-        roots = sphere_segment_intersections(lp_space(2, 2), [0, 0], 1.0,
-                                             seg([2, 2], [3, 2]))
+        roots = sphere_roots(lp_space(2, 2), [0, 0], 1.0, seg([2, 2], [3, 2]))
         assert roots == []
 
     def test_l1_crossings_analytic(self):
         # segment (-2,-1) -> (2,1) passes through the origin; the l1 norm
         # along it is 6|t - 1/2|, so the unit sphere is hit at 1/3 and 2/3
-        roots = sphere_segment_intersections(lp_space(1, 2), [0, 0], 1.0,
-                                             seg([-2, -1], [2, 1]))
+        roots = sphere_roots(lp_space(1, 2), [0, 0], 1.0, seg([-2, -1], [2, 1]))
         assert roots == pytest.approx([1 / 3, 2 / 3], abs=1e-9)
 
     def test_l1_face_parallel_segment_misses_smaller_sphere(self):
@@ -336,10 +342,10 @@ class TestSphereSegment:
         # so it meets no sphere of radius < 2 and re-evaluates to 2 on hits
         space = lp_space(1, 2)
         s = seg([0, -2], [2, 0])
-        assert sphere_segment_intersections(space, [0, 0], 1.0, s) == []
-        roots = sphere_segment_intersections(space, [0, 0], 2.0, s)
+        assert sphere_roots(space, [0, 0], 1.0, s) == []
+        roots = sphere_roots(space, [0, 0], 2.0, s)
         for t in roots:
-            assert norm(space, s.point(t)) == pytest.approx(2.0, abs=1e-8)
+            assert norms(space, s.point(t)[None])[0] == pytest.approx(2.0, abs=1e-8)
 
     def test_roots_reevaluate_to_radius(self):
         rng = np.random.default_rng(5)
@@ -348,26 +354,23 @@ class TestSphereSegment:
             for _ in range(200):
                 a, b = rng.normal(size=(2, 3)) * 2
                 radius = float(rng.uniform(0.3, 2.0))
-                for t in sphere_segment_intersections(space, [0, 0, 0], radius,
-                                                      Segment(a, b)):
+                for t in sphere_roots(space, [0, 0, 0], radius, Segment(a, b)):
                     hits += 1
-                    assert norm(space, a + t * (b - a)) == pytest.approx(
+                    assert norms(space, (a + t * (b - a))[None])[0] == pytest.approx(
                         radius, abs=1e-7)
             assert hits > 50  # the sweep actually exercised crossings
 
     def test_ball_clip_interval(self):
-        space = lp_space(2, 2)
-        cut = segment_ball_clip(space, np.array([-2.0, 0.0]), np.array([2.0, 0.0]),
-                                [0, 0], 1.0)
-        assert cut == pytest.approx((0.25, 0.75), abs=1e-9)
-        assert segment_ball_clip(space, np.array([2.0, 2.0]), np.array([3.0, 2.0]),
-                                 [0, 0], 1.0) is None
+        lo, hi, meets = ball_cuts(lp_space(2, 2), np.array([[-2.0, 0.0], [2.0, 2.0]]),
+                                  np.array([[2.0, 0.0], [3.0, 2.0]]), np.zeros(2), 1.0)
+        assert meets.tolist() == [True, False]
+        assert (lo[0], hi[0]) == pytest.approx((0.25, 0.75), abs=1e-9)
 
 
 def scalar_sphere_roots(space, center, radius, s, tol=PARAM_TOL):
-    """sphere_segment_intersections as it was written before the batched
-    root finder, kept as its reference: a ternary search for the minimum,
-    then a scalar bisection of each side that reaches the radius."""
+    """sphere_roots as it was written before the batched root finder, kept
+    as its reference: a ternary search for the minimum, then a scalar
+    bisection of each side that reaches the radius."""
     center = np.asarray(center, dtype=np.float64)
     a = s.a
 
@@ -406,12 +409,13 @@ def scalar_sphere_roots(space, center, radius, s, tol=PARAM_TOL):
 
 
 def scalar_ball_clip(space, a, b, center, radius):
-    """segment_ball_clip as it was written before the batched cut, from the
-    roots' count and which ends lie inside; kept as its reference (it takes
-    a lone left root for the end of the cut when a lies on the sphere)."""
+    """The cut of one segment by a ball, (lo, hi) or None, as it was written
+    before ball_cuts, from the roots' count and which ends lie inside; kept
+    as its reference (it takes a lone left root for the end of the cut when
+    a lies on the sphere)."""
     s = seg(a, b)
     roots = scalar_sphere_roots(space, center, radius, s)
-    va, vb = (norm(space, x - np.asarray(center, dtype=float)) for x in (s.a, s.b))
+    va, vb = (norms(space, (x - np.asarray(center, dtype=float))[None])[0] for x in (s.a, s.b))
     inside_a, inside_b = va <= radius, vb <= radius
     if not roots:
         return (0.0, 1.0) if inside_a and inside_b else None
@@ -448,7 +452,7 @@ class TestBatchedBallCut:
         a, b, radius = _random_segments(1)
         counts = set()
         for k in range(len(a)):
-            got = sphere_segment_intersections(space, [0, 0, 0], radius[k], seg(a[k], b[k]))
+            got = sphere_roots(space, [0, 0, 0], radius[k], seg(a[k], b[k]))
             want = scalar_sphere_roots(space, np.zeros(3), radius[k], seg(a[k], b[k]))
             assert np.array_equal(np.array(got), np.array(want))
             counts.add(len(got))
@@ -471,9 +475,12 @@ class TestBatchedBallCut:
         # sphere at 1/2 -+ 1e-10, closer than PARAM_TOL: one root, the
         # midpoint, with the scalar merge's bits
         s = seg([-5e9, 0.0], [5e9, 0.0])
-        got = sphere_segment_intersections(space, [0, 0], 1.0, s)
+        got = sphere_roots(space, [0, 0], 1.0, s)
         assert got == scalar_sphere_roots(space, np.zeros(2), 1.0, s)
         assert len(got) == 1 and got[0] == pytest.approx(0.5, abs=1e-9)
+        # the merge is _sphere_roots' own: ball_cuts' cut shrinks to that root
+        lo, hi, meets = ball_cuts(space, s.a[None], s.b[None], np.zeros(2), 1.0)
+        assert meets[0] and lo[0] == hi[0] == got[0]
 
     @REFERENCE_SPACES
     def test_clip_bitwise_equal_to_the_scalar_clip(self, space):
@@ -491,10 +498,12 @@ class TestBatchedBallCut:
 
     def test_start_on_the_sphere_and_end_inside_is_wholly_inside(self):
         # the scalar clip returned (0, 5.55e-17) for the l2 case
-        assert segment_ball_clip(lp_space(2, 2), [1, 0], [0, 0.5], [0, 0], 1.0) == (0.0, 1.0)
-        assert segment_ball_clip(lp_space(1, 3), [0.25, 0.25, 0.5], [0, 0, 0.5],
-                                 [0, 0, 0], 1.0) == (0.0, 1.0)
-        assert segment_ball_clip(lp_space(2, 2), [0, 0.5], [1, 0], [0, 0], 1.0) == (0.0, 1.0)
+        for space, a, b in ((lp_space(2, 2), [1, 0], [0, 0.5]),
+                            (lp_space(1, 3), [0.25, 0.25, 0.5], [0, 0, 0.5]),
+                            (lp_space(2, 2), [0, 0.5], [1, 0])):
+            lo, hi, meets = ball_cuts(space, np.array([a], dtype=float),
+                                      np.array([b], dtype=float), np.zeros(space.dim), 1.0)
+            assert meets[0] and (lo[0], hi[0]) == (0.0, 1.0)
 
     @pytest.mark.parametrize("space", [lp_space(2, 2), lp_space(1, 2), lp_space(math.inf, 2)],
                              ids=["lp:2:2", "lp:1:2", "lp:inf:2"])
@@ -507,19 +516,19 @@ class TestBatchedBallCut:
               math.inf: [[1, 0.5], [-0.25, 1], [1, -1], [-1, 0]]}[space.p]
         rng = np.random.default_rng(3)
         t = np.linspace(0.0, 1.0, 4001)
+        ends = [(a, b) for x in map(np.array, on)
+                for y in rng.normal(size=(25, 2)) * rng.uniform(0.1, 2.0, (25, 1))
+                for a, b in ((x, y), (y, x))]
+        a, b = (np.array(z) for z in zip(*ends))
         cases = 0
-        for x in map(np.array, on):
-            for y in rng.normal(size=(25, 2)) * rng.uniform(0.1, 2.0, (25, 1)):
-                for a, b in ((x, y), (y, x)):
-                    cut = segment_ball_clip(space, a, b, [0, 0], 1.0)
-                    f = norms(space, a + t[:, None] * (b - a))
-                    if cut is None:
-                        assert not np.any(f < 1.0 - 1e-9)
-                        continue
-                    lo, hi = cut
-                    assert np.all((t >= lo - 1e-6) & (t <= hi + 1e-6) | (f > 1.0 - 1e-9))
-                    assert np.all(f[(t >= lo) & (t <= hi)] <= 1.0 + 1e-9)
-                    cases += 1
+        for k, (lo, hi, meets) in enumerate(zip(*ball_cuts(space, a, b, np.zeros(2), 1.0))):
+            f = norms(space, a[k] + t[:, None] * (b[k] - a[k]))
+            if not meets:
+                assert not np.any(f < 1.0 - 1e-9)
+                continue
+            assert np.all((t >= lo - 1e-6) & (t <= hi + 1e-6) | (f > 1.0 - 1e-9))
+            assert np.all(f[(t >= lo) & (t <= hi)] <= 1.0 + 1e-9)
+            cases += 1
         assert cases > 120
 
 
@@ -711,8 +720,8 @@ class TestSampling:
 
     def test_single_sample(self):
         rng = np.random.default_rng(5)
-        p = sample_ball(lp_space(math.inf, 2), [0, 0], 2.0, rng)
-        assert norm(lp_space(math.inf, 2), p) <= 2.0
+        p = sample_ball_many(lp_space(math.inf, 2), [0, 0], 2.0, 1, rng)
+        assert p.shape == (1, 2) and norms(lp_space(math.inf, 2), p)[0] <= 2.0
 
 
 class TestSerialization:
