@@ -48,7 +48,7 @@ pa = audit_product_map(h, pos, space, pair_cap=3000)
 print(f"  base graph: {g.n} vertices, {g.edge_count} edges; M = {m_val}; "
       f"|V(H)| = {h.n}")
 print(f"  forward Lipschitz {pa.report.lip_forward:.6f} <= 1 "
-      f"(after normalization factor {pa.factor:.4f})")
+      f"(after normalization factor {pa.normalization_factor:.4f})")
 print(f"  inverse Lipschitz {pa.report.lip_inverse:.2f} <= "
       f"2 x {pa.lip_positions_inverse:.2f} = {pa.inverse_bound:.2f}")
 print(f"  exhaustive over {pa.report.pairs_checked} vertex pairs: "

@@ -23,10 +23,6 @@ class Classification:
     certificate: Optional[dict]
     both: bool
 
-    def to_json(self) -> dict:
-        return {"verdict": self.verdict, "certificate": self.certificate,
-                "both": self.both}
-
 
 def _is_path(g: Graph) -> bool:
     if g.n == 1:

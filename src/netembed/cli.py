@@ -12,9 +12,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
+from .classify import classify
+from .embeddings import (audit_tg, default_strict_params, embedding_from_json,
+                         embedding_to_json, estimate_suitable_fraction,
+                         mg_positions, place_edges, practical_params,
+                         verify_embedding)
 from .errors import ValidationError
+from .gadgets import (anchor_map, audit_anchor_map, audit_product_map,
+                      build_gadget, edges_to_json, gadget_to_json, subdivide)
+from .graphs import (FiniteMetric, graph_from_json, graph_to_dot, max_degree,
+                     write_audit_csv)
+from .net_graphs import (NetGraph, audit_identity_embedding, build_net_graph,
+                         degree_bound, net_graph_from_json, net_graph_from_net,
+                         net_graph_to_json, verify_path_bound)
+from .nets import build_net, net_from_json, net_to_json
+from .spaces import parse_space
 
 
 def _load_json(path, what):
@@ -40,8 +57,6 @@ def _dump_json(obj, path):
 
 
 def _load_graph(path):
-    from .graphs import graph_from_json
-    from .net_graphs import net_graph_from_json
     obj = _load_json(path, "graph")
     if not isinstance(obj, dict):
         raise ValidationError(f"graph file {path} must hold a JSON object")
@@ -51,7 +66,6 @@ def _load_graph(path):
 
 
 def _rng(seed, stream=0):
-    import numpy as np
     return np.random.default_rng([int(seed), int(stream)])
 
 
@@ -59,7 +73,6 @@ def _rng(seed, stream=0):
 
 def _params(args, dim):
     """The placement params of --mode, --beta and --seed."""
-    from .embeddings import default_strict_params, practical_params
     if args.mode == "strict":
         return default_strict_params(dim, seed=args.seed)
     return practical_params(beta=args.beta, seed=args.seed)
@@ -67,13 +80,10 @@ def _params(args, dim):
 
 def _graph_doc(ng):
     """The graph.json document: the net graph and its audits."""
-    from .graphs import max_degree
-    from .net_graphs import (audit_identity_embedding, degree_bound,
-                             net_graph_to_json, verify_path_bound)
     obj = net_graph_to_json(ng)
     pb = verify_path_bound(ng)
     obj["audit"] = {
-        "identity": audit_identity_embedding(ng).to_json() if ng.net.size > 1 else None,
+        "identity": asdict(audit_identity_embedding(ng)) if ng.net.size > 1 else None,
         "path_bound_ok": pb.ok,
         "max_forward_ratio": pb.max_forward_ratio,
         "max_degree": max_degree(ng.graph),
@@ -85,25 +95,20 @@ def _graph_doc(ng):
 def _tg_audit(emb, samples, seed):
     """The distortion audit on RNG stream 2, as JSON, and whether every
     breakpoint re-verifies."""
-    from .embeddings import audit_tg, verify_embedding
-    return audit_tg(emb, samples, _rng(seed, 2)).to_json(), verify_embedding(emb)["ok"]
+    return asdict(audit_tg(emb, samples, _rng(seed, 2))), verify_embedding(emb)["ok"]
 
 
 def _phi_audit(emb, h, pair_cap, seed):
     """The audit of the gadget h placed along the embedding's curves, on RNG
     stream 3, as JSON."""
-    from .embeddings import mg_positions
-    from .gadgets import audit_product_map
     _, pos = mg_positions(emb, h.M)
-    return audit_product_map(h, pos, emb.space, pair_cap=pair_cap,
-                             rng=_rng(seed, 3)).to_json()
+    return asdict(audit_product_map(h, pos, emb.space, pair_cap=pair_cap,
+                                    rng=_rng(seed, 3)))
 
 
 # --- subcommand bodies -------------------------------------------------------
 
 def _cmd_net(args):
-    from .nets import build_net, net_to_json
-    from .spaces import parse_space
     space = parse_space(args.space)
     net = build_net(space, args.delta, args.r, args.mesh)
     _dump_json(net_to_json(net), args.output)
@@ -111,9 +116,6 @@ def _cmd_net(args):
 
 
 def _cmd_graph(args):
-    from .graphs import graph_to_dot
-    from .net_graphs import net_graph_from_net
-    from .nets import net_from_json
     ng = net_graph_from_net(net_from_json(_load_json(args.net, "net")))
     _dump_json(_graph_doc(ng), args.output)
     if args.dot:
@@ -122,7 +124,6 @@ def _cmd_graph(args):
 
 
 def _cmd_subdivide(args):
-    from .gadgets import edges_to_json, subdivide
     g = _graph_of(_load_graph(args.graph))
     sub = subdivide(g, args.M)
     obj = edges_to_json(sub.n, sub.edge_ends())
@@ -134,12 +135,10 @@ def _cmd_subdivide(args):
 
 
 def _graph_of(loaded):
-    from .net_graphs import NetGraph
     return loaded.graph if isinstance(loaded, NetGraph) else loaded
 
 
 def _cmd_gadget(args):
-    from .gadgets import build_gadget, gadget_to_json
     g = _graph_of(_load_graph(args.graph))
     h = build_gadget(g, args.M)
     _dump_json(gadget_to_json(h), args.output)
@@ -147,12 +146,10 @@ def _cmd_gadget(args):
 
 
 def _cmd_audit_psi(args):
-    from .gadgets import anchor_map, audit_anchor_map, build_gadget
-    from .graphs import FiniteMetric, write_audit_csv
     g = _graph_of(_load_graph(args.graph))
     h = build_gadget(g, args.M)
     report = audit_anchor_map(h)
-    obj = {"report": report.to_json(), "M": h.M, "edges": len(h.edge_list),
+    obj = {"report": asdict(report), "M": h.M, "edges": len(h.edge_list),
            "psi_anchor": h.psi_anchor,
            "max_degree_H": h.max_degree(),
            "lip_bound": 2 * len(h.edge_list) + h.M,
@@ -165,29 +162,24 @@ def _cmd_audit_psi(args):
 
 
 def _cmd_audit_phi(args):
-    from .embeddings import embedding_from_json
-    from .gadgets import build_gadget
     emb = embedding_from_json(_load_json(args.embedding, "embedding"))
     g = emb.netgraph.graph
     m_val = args.M if args.M is not None else 2 * g.edge_count + 1
     obj = _phi_audit(emb, build_gadget(g, m_val), args.pair_cap, args.seed)
     obj["M"] = m_val
-    obj["params"] = emb.params.to_json()
+    obj["params"] = asdict(emb.params)
     _dump_json(obj, args.output)
     return 0
 
 
 def _cmd_embed(args):
-    from .embeddings import EmbedParams, embedding_to_json, place_edges
-    from .net_graphs import NetGraph
     loaded = _load_graph(args.graph)
     if not isinstance(loaded, NetGraph):
         raise ValidationError("embed needs a net-graph JSON (produced by `graph`)")
     space = loaded.space
-    params = _params(args, space.dim)
     overrides = {name: getattr(args, name) for name in ("alpha", "gamma", "mu", "retry_cap")
                  if getattr(args, name) is not None}
-    params = EmbedParams(**{**params.to_json(), **overrides})
+    params = replace(_params(args, space.dim), **overrides)
     emb = place_edges(space, loaded, params, _rng(args.seed, 1),
                       edge_limit=args.limit)
     _dump_json(embedding_to_json(emb), args.output)
@@ -195,11 +187,10 @@ def _cmd_embed(args):
 
 
 def _cmd_audit_tg(args):
-    from .embeddings import embedding_from_json
     emb = embedding_from_json(_load_json(args.embedding, "embedding"))
     obj, reverified = _tg_audit(emb, args.samples, args.seed)
     obj["reverified"] = reverified
-    obj["params"] = emb.params.to_json()
+    obj["params"] = asdict(emb.params)
     obj["samples_requested"] = args.samples
     obj["seed"] = args.seed
     _dump_json(obj, args.output)
@@ -207,12 +198,11 @@ def _cmd_audit_tg(args):
 
 
 def _cmd_montecarlo(args):
-    from .embeddings import embedding_from_json, estimate_suitable_fraction
     emb = embedding_from_json(_load_json(args.embedding, "embedding"))
     est = estimate_suitable_fraction(emb, args.edge, args.samples,
                                      _rng(args.seed, 4))
-    obj = est.to_json()
-    obj["params"] = emb.params.to_json()
+    obj = asdict(est)
+    obj["params"] = asdict(emb.params)
     obj["edge"] = args.edge
     obj["seed"] = args.seed
     _dump_json(obj, args.output)
@@ -220,20 +210,14 @@ def _cmd_montecarlo(args):
 
 
 def _cmd_classify(args):
-    from .classify import classify
     g = _graph_of(_load_graph(args.graph))
-    _dump_json(classify(g).to_json(), args.output)
+    _dump_json(asdict(classify(g)), args.output)
     return 0
 
 
 def _cmd_pipeline(args):
     """net -> graph -> embed -> gadget -> dossier.  Each artifact is what its
     subcommand writes from the artifacts before it."""
-    from .embeddings import embedding_to_json, place_edges
-    from .gadgets import audit_anchor_map, build_gadget, gadget_to_json
-    from .net_graphs import build_net_graph
-    from .nets import net_to_json
-    from .spaces import parse_space
 
     # every argument is checked before the first artifact is written
     space = parse_space(args.space)
@@ -270,7 +254,7 @@ def _cmd_pipeline(args):
                    "mesh": args.mesh, "seed": args.seed, "mode": args.mode,
                    "M": m_val, "tg_samples": args.samples,
                    "pair_cap": args.pair_cap,
-                   "params": params.to_json()},
+                   "params": asdict(params)},
         "net": {"points": ng.net.size, "rho": ng.net.rho},
         "graph": {"vertices": ng.graph.n, "edges": e_count,
                   "edge_threshold": ng.edge_threshold,
@@ -285,7 +269,7 @@ def _cmd_pipeline(args):
                       "tg_audit": tg_report},
         "gadget": {"vertices": h.n, "M": m_val,
                    "max_degree": h.max_degree(),
-                   "psi_audit": psi_report.to_json(),
+                   "psi_audit": asdict(psi_report),
                    "psi_lip_bound": 2 * e_count + m_val,
                    "phi_audit": phi_audit},
     }

@@ -35,7 +35,7 @@ but never accept a bad one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -107,12 +107,6 @@ class EmbedParams:
                 raise ValidationError("practical mode needs gamma, alpha <= beta < mu")
         else:
             raise ValidationError(f"unknown mode {self.mode!r}")
-
-    def to_json(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma,
-                "mu": self.mu, "mode": self.mode, "retry_cap": self.retry_cap,
-                "seed": self.seed, "tolerance": self.tolerance,
-                "gamma_constant": self.gamma_constant}
 
 
 def default_strict_params(dim: int, seed: int = 0) -> EmbedParams:
@@ -603,12 +597,6 @@ class TgAudit:
     interior_pairs: int
     max_curve_length: float
 
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("lip_forward", "lip_inverse", "distortion", "forward_bound",
-                 "inverse_bound", "forward_ok", "inverse_ok", "vertex_pairs",
-                 "interior_pairs", "max_curve_length")}
-
 
 def audit_tg(emb: PolylineEmbedding, interior_samples: int,
              rng: np.random.Generator) -> TgAudit:
@@ -672,21 +660,16 @@ class FractionEstimate:
     samples: int
     successes: int
 
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("fraction", "ci_low", "ci_high", "half_width", "samples",
-                 "successes")}
 
-
-def wilson_interval(successes: int, samples: int, z: float = _Z95):
+def wilson_interval(successes: int, samples: int):
     """Wilson score interval; returns (center, half_width)."""
     if samples < 1:
         raise ValidationError("need at least one sample")
     phat = successes / samples
-    denom = 1.0 + z * z / samples
-    center = (phat + z * z / (2 * samples)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / samples
-                         + z * z / (4 * samples * samples)) / denom
+    denom = 1.0 + _Z95 * _Z95 / samples
+    center = (phat + _Z95 * _Z95 / (2 * samples)) / denom
+    half = _Z95 * math.sqrt(phat * (1 - phat) / samples
+                            + _Z95 * _Z95 / (4 * samples * samples)) / denom
     return center, half
 
 
@@ -720,7 +703,7 @@ def estimate_suitable_fraction(emb: PolylineEmbedding, edge_index: int,
 def embedding_to_json(emb: PolylineEmbedding) -> dict:
     return {
         "net_graph": net_graph_to_json(emb.netgraph),
-        "params": emb.params.to_json(),
+        "params": asdict(emb.params),
         "scale": emb.scale,
         "edges": [{"u": int(u), "v": int(v),
                    "w": [float(x) for x in emb.breakpoints[j]],

@@ -50,6 +50,7 @@ from .spaces import NormedSpace, direct_sum_l1, lp_space, norms
 # chain runs): 16, 32 and 64 gave product-map audits equally fast, within
 # noise, on the pipeline's lp:2:3, lp:1:3 and lp:inf:3 gadgets.
 _BLOCK = 32
+_TOL = 1e-9  # relative slack of the product-map bounds
 
 
 def _chain_edges(*columns) -> np.ndarray:
@@ -131,9 +132,10 @@ class _ChainGraph:
         at the apex clipped into the run, min(d_a + t_hi, d_b + M - t_lo,
         (d_a + d_b + M) / 2).  On the source's own chain the distance is
         min(f(t), |t - t0|), so a run's minimum is the smaller of f's and
-        max(t_lo - t0, t0 - t_hi, 0), again exact; f's maximum stays an
-        upper bound there.  The hub distances of the last source are kept
-        for the at() and bounds() calls on it.
+        max(t_lo - t0, t0 - t_hi, 0), again exact, and its maximum is at
+        most the smaller of f's and max(t_hi - t0, t0 - t_lo).  The hub
+        distances of the last source are kept for the at() and bounds()
+        calls on it.
         """
         hubs, M = self.hubs, self.M
         hub_distances = self._hub_distances()
@@ -177,6 +179,7 @@ class _ChainGraph:
             if s >= hubs:
                 j0, t0 = self._chain_step(s)
                 lo[j0] = np.minimum(lo[j0], np.maximum(np.maximum(t_lo - t0, t0 - t_hi), 0.0))
+                hi[j0] = np.minimum(hi[j0], np.maximum(t_hi - t0, t0 - t_lo))
             return (np.concatenate([np.minimum.reduceat(d, hub_starts), lo.ravel()]),
                     np.concatenate([np.maximum.reduceat(d, hub_starts), hi.ravel()]))
 
@@ -333,7 +336,7 @@ def anchor_map(h: GadgetGraph) -> np.ndarray:
     return h.short_ids[:, h.psi_anchor - 1]
 
 
-def audit_anchor_map(h: GadgetGraph, enforce: bool = True) -> DistortionReport:
+def audit_anchor_map(h: GadgetGraph) -> DistortionReport:
     """Exhaustive audit of the anchor map G -> H.
 
     Per pair: M*d_G <= d_H <= (2e + M)*d_G, hence lip <= 2e+M and inverse
@@ -344,7 +347,7 @@ def audit_anchor_map(h: GadgetGraph, enforce: bool = True) -> DistortionReport:
     # copied out, so that no (n, e) port array outlives its row
     d_h = np.array([h.port_rows(int(a))[:, h.psi_anchor - 1].copy() for a in anchor_map(h)])
     bad = np.triu((h.M * d_g > d_h) | (d_h > (2 * e + h.M) * d_g), 1)
-    if enforce and bad.any():
+    if bad.any():
         u, v = np.argwhere(bad)[0]  # the first failing pair u < v, row-major
         raise InternalConsistencyError(
             f"anchor-map bound failed on pair ({u},{v}): "
@@ -404,22 +407,16 @@ def product_positions(h: GadgetGraph, sub_positions: np.ndarray,
 @dataclass(frozen=True)
 class ProductAudit:
     report: DistortionReport
-    factor: float
+    normalization_factor: float
     lip_positions_inverse: float
     inverse_bound: float
     forward_ok: bool
     inverse_ok: bool
 
-    def to_json(self) -> dict:
-        return {"report": self.report.to_json(), "normalization_factor": self.factor,
-                "lip_positions_inverse": self.lip_positions_inverse,
-                "inverse_bound": self.inverse_bound,
-                "forward_ok": self.forward_ok, "inverse_ok": self.inverse_ok}
-
 
 def audit_product_map(h: GadgetGraph, sub_positions: np.ndarray,
                       space: NormedSpace, pair_cap: int = 2000,
-                      rng=None, tol: float = 1e-9) -> ProductAudit:
+                      rng=None) -> ProductAudit:
     """Audit the product map H -> space + R.
 
     Checks lip <= 1 (after normalization) and inverse lip <= 2x the inverse
@@ -436,15 +433,15 @@ def audit_product_map(h: GadgetGraph, sub_positions: np.ndarray,
                    pair_cap=pair_cap, rng=rng)
     bound = 2.0 * lip0_inv
     return ProductAudit(
-        report=report, factor=factor, lip_positions_inverse=lip0_inv,
+        report=report, normalization_factor=factor, lip_positions_inverse=lip0_inv,
         inverse_bound=bound,
-        forward_ok=report.lip_forward <= 1.0 + tol,
-        inverse_ok=report.lip_inverse <= bound * (1 + tol),
+        forward_ok=report.lip_forward <= 1.0 + _TOL,
+        inverse_ok=report.lip_inverse <= bound * (1 + _TOL),
     )
 
 
 def verify_product_cases(h: GadgetGraph, sub_positions: np.ndarray,
-                         space: NormedSpace, tol: float = 1e-9) -> bool:
+                         space: NormedSpace) -> bool:
     """Per-pair case split behind the inverse bound (small instances only).
 
     Pairs with d_sub(w', z') >= d_H(w, z)/2 must satisfy
@@ -462,7 +459,7 @@ def verify_product_cases(h: GadgetGraph, sub_positions: np.ndarray,
         later = np.arange(w + 1, h.n)
         dh = d_h.at(w, later)
         near = d_sub.at(int(mapping[w]), mapping[later]) >= 0.5 * dh
-        need = np.where(near, 0.5 * dh / lip0_inv * (1 - tol), 0.5 * dh * (1 - tol))
+        need = np.where(near, 0.5 * dh / lip0_inv * (1 - _TOL), 0.5 * dh * (1 - _TOL))
         if np.any(img_d < need):
             return False
     return True

@@ -199,17 +199,6 @@ class DistortionReport:
     pairs_checked: int
     exhaustive: bool
 
-    def to_json(self) -> dict:
-        return {
-            "lip_forward": self.lip_forward,
-            "lip_inverse": self.lip_inverse,
-            "distortion": self.distortion,
-            "witness_forward": list(self.witness_forward),
-            "witness_inverse": list(self.witness_inverse),
-            "pairs_checked": self.pairs_checked,
-            "exhaustive": self.exhaustive,
-        }
-
 
 def _kept_ids(starts: np.ndarray, ends: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """The ids of the kept blocks [starts[k], ends[k]), in increasing order."""
@@ -339,8 +328,8 @@ def graph_from_json(obj: dict) -> Graph:
     return from_edges(n, edges, coords=coords)
 
 
-def graph_to_dot(g: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def graph_to_dot(g: Graph) -> str:
+    lines = ["graph G {"]
     for u in range(g.n):
         if g.coords is not None and g.coords.shape[1] == 2:
             x, y = g.coords[u]

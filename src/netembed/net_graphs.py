@@ -127,13 +127,13 @@ def degree_bound(ng: NetGraph) -> int:
     return 7 ** ng.space.dim
 
 
-def audit_identity_embedding(ng: NetGraph, enforce: bool = True) -> DistortionReport:
+def audit_identity_embedding(ng: NetGraph) -> DistortionReport:
     """Distortion of the identity map (V, d_G) -> (V, ||.||); must be <= 3."""
     if ng.net.size < 2:
         raise ValidationError("audit needs at least two vertices")
     report = audit(FiniteMetric.from_graph(ng.graph),
                    FiniteMetric.from_points(ng.space, ng.points))
-    if enforce and report.distortion > 3.0 * (1 + 1e-9):
+    if report.distortion > 3.0 * (1 + 1e-9):
         raise InternalConsistencyError(
             f"identity embedding distortion {report.distortion} exceeds 3")
     return report

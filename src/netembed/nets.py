@@ -33,6 +33,7 @@ from .spaces import (NormedSpace, as_vector, norms, sample_ball_many,
 
 _REL_TOL = 1e-12
 _PAIR_BUDGET = 1 << 16  # candidate-point pairs per norms call in the blocked scans
+_CANDIDATE_CAP = 1_000_000  # lattice candidates a net may be built from
 
 
 @dataclass(frozen=True)
@@ -93,15 +94,15 @@ def _nearest_distances(space: NormedSpace, xs: np.ndarray, ys: np.ndarray) -> np
 
 
 def lattice_candidates(space: NormedSpace, delta: float, r: float,
-                       mesh_divisor: int, candidate_cap: int = 1_000_000) -> np.ndarray:
+                       mesh_divisor: int) -> np.ndarray:
     """All points of (delta/k) * Z^n inside r*B(X), in lexicographic order."""
     h = delta / mesh_divisor
     half = int(np.floor(r * space.box_factor / h + _REL_TOL))
     per_axis = 2 * half + 1
-    if per_axis ** space.dim > candidate_cap:
+    if per_axis ** space.dim > _CANDIDATE_CAP:
         raise ValidationError(
             f"lattice would have {per_axis}^{space.dim} candidates, "
-            f"over the cap {candidate_cap}; coarsen the mesh or shrink r/delta")
+            f"over the cap {_CANDIDATE_CAP}; coarsen the mesh or shrink r/delta")
     axis = h * np.arange(-half, half + 1, dtype=np.float64)
     grids = np.meshgrid(*([axis] * space.dim), indexing="ij")
     cand = np.stack([g.ravel() for g in grids], axis=1)
@@ -110,8 +111,7 @@ def lattice_candidates(space: NormedSpace, delta: float, r: float,
     return cand[order]
 
 
-def build_net(space: NormedSpace, delta: float, r: float, mesh_divisor: int = 4,
-              candidate_cap: int = 1_000_000) -> Net:
+def build_net(space: NormedSpace, delta: float, r: float, mesh_divisor: int = 4) -> Net:
     """Greedy maximal separated subset of the lattice, origin first.
 
     Deterministic: the origin is kept unconditionally, then candidates are
@@ -130,7 +130,7 @@ def build_net(space: NormedSpace, delta: float, r: float, mesh_divisor: int = 4,
         raise ValidationError("mesh_divisor must be >= 2")
     h = delta / mesh_divisor
     rho = delta + h * space.linf_factor
-    cand = lattice_candidates(space, delta, r, mesh_divisor, candidate_cap)
+    cand = lattice_candidates(space, delta, r, mesh_divisor)
     cand = cand[np.any(cand, axis=1)]  # the origin goes in first, unconditionally
 
     kept = np.zeros((cand.shape[0] + 1, space.dim))
@@ -183,10 +183,9 @@ def verify_net(net: Net, probe_count: int, rng: np.random.Generator) -> NetAudit
     return NetAudit(min_separation=min_sep, max_probe_gap=gap, probes=probe_count)
 
 
-def verify_maximality(net: Net, mesh_divisor: int = 4,
-                      candidate_cap: int = 1_000_000) -> bool:
+def verify_maximality(net: Net, mesh_divisor: int = 4) -> bool:
     """No lattice candidate could be added without breaking the separation."""
-    cand = lattice_candidates(net.space, net.delta, net.r, mesh_divisor, candidate_cap)
+    cand = lattice_candidates(net.space, net.delta, net.r, mesh_divisor)
     return not np.any(_nearest_distances(net.space, cand, net.points)
                       >= net.rho * (1 + _REL_TOL))
 

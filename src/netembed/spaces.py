@@ -65,6 +65,7 @@ _ENUM_POINTS = 16384
 # Pairs whose coordinates points_clear and segments_clear gather at a time:
 # bounds the coordinates and kernel temporaries they hold at once.
 _CLEAR_PAIRS = 1024
+_SAMPLE_BUDGET = 10_000  # box draws per requested ball sample
 
 
 def as_vector(coords, dim: Optional[int] = None) -> np.ndarray:
@@ -628,9 +629,10 @@ def ball_cuts(space: NormedSpace, a, b, center, radius: float):
 
 
 def sample_ball_many(space: NormedSpace, center, radius: float, count: int,
-                     rng: np.random.Generator, budget_per_point: int = 10_000):
+                     rng: np.random.Generator):
     """count points uniform (volume) in the ball, by rejection from the
-    enclosing box of half-width radius * box_factor."""
+    enclosing box of half-width radius * box_factor; SamplingError after
+    _SAMPLE_BUDGET * count draws."""
     if radius <= 0:
         raise ValidationError("radius must be positive")
     center = as_vector(center, space.dim)
@@ -638,7 +640,7 @@ def sample_ball_many(space: NormedSpace, center, radius: float, count: int,
     out = np.empty((count, space.dim))
     got = 0
     draws = 0
-    limit = budget_per_point * count
+    limit = _SAMPLE_BUDGET * count
     while got < count:
         chunk = max(128, 2 * (count - got))
         if draws + chunk > limit:

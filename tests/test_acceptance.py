@@ -60,7 +60,7 @@ def test_criterion_1_identity_distortion(ball_graphs):
     t0 = time.perf_counter()
     worst = 0.0
     for (name, r), ng in built.items():
-        rep = audit_identity_embedding(ng, enforce=False)
+        rep = audit_identity_embedding(ng)
         assert rep.exhaustive
         assert rep.distortion <= 3.0 * (1 + 1e-12), (name, r, rep.distortion)
         worst = max(worst, rep.distortion)
@@ -160,7 +160,7 @@ def test_criterion_6_product_composition():
     h = build_gadget(g, m_val)
     assert h.graph.n <= 3000
     sub, pos = mg_positions(emb, m_val)
-    pa = audit_product_map(h, pos, space, pair_cap=3000, tol=1e-9)
+    pa = audit_product_map(h, pos, space, pair_cap=3000)
     assert pa.report.exhaustive
     assert pa.forward_ok, pa.report.lip_forward
     assert pa.inverse_ok, (pa.report.lip_inverse, pa.inverse_bound)

@@ -641,6 +641,54 @@ class TestPipeline:
         assert phi.pop("M") == d["config"]["M"] and phi.pop("params") == d["config"]["params"]
         assert phi == d["gadget"]["phi_audit"]
 
+    def test_report_keys(self, tmp_path):
+        # the reports are asdict() of their dataclasses: their keys are the fields
+        distortion = {"lip_forward", "lip_inverse", "distortion", "witness_forward",
+                      "witness_inverse", "pairs_checked", "exhaustive"}
+        tg = {"lip_forward", "lip_inverse", "distortion", "forward_bound",
+              "inverse_bound", "forward_ok", "inverse_ok", "vertex_pairs",
+              "interior_pairs", "max_curve_length"}
+        phi = {"report", "normalization_factor", "lip_positions_inverse",
+               "inverse_bound", "forward_ok", "inverse_ok"}
+        params = {"alpha", "beta", "gamma", "mu", "mode", "retry_cap", "seed",
+                  "tolerance", "gamma_constant"}
+        run = tmp_path / "run"
+        assert run_cli("pipeline", "--space", "lp:2:3", "--delta", "1", "--r", "1.44",
+                       "--seed", "3", "--samples", "200", "--pair-cap", "200",
+                       "--out", str(run)) == 0
+        d = read(run / "dossier.json")
+        assert set(d["graph"]["identity_audit"]) == distortion
+        assert set(d["embedding"]["tg_audit"]) == tg
+        assert set(d["gadget"]["psi_audit"]) == distortion
+        assert set(d["gadget"]["phi_audit"]) == phi
+        assert set(d["gadget"]["phi_audit"]["report"]) == distortion
+        assert set(d["config"]["params"]) == params
+
+        graph, emb = str(run / "graph.json"), str(run / "embedding.json")
+        commands = {
+            "audit-tg": ("--embedding", emb, "--samples", "100"),
+            "montecarlo": ("--embedding", emb, "--edge", "3", "--samples", "100"),
+            "classify": ("--graph", graph),
+            "audit-psi": ("--graph", graph, "--M", "5"),
+            "audit-phi": ("--embedding", emb, "--pair-cap", "200"),
+        }
+        out = {}
+        for name, argv in commands.items():
+            assert run_cli(name, *argv, "-o", str(tmp_path / f"{name}.json")) == 0, name
+            out[name] = read(tmp_path / f"{name}.json")
+        assert set(out["audit-tg"]) == tg | {"reverified", "params", "samples_requested",
+                                             "seed"}
+        assert set(out["montecarlo"]) == {"fraction", "ci_low", "ci_high", "half_width",
+                                          "samples", "successes", "params", "edge", "seed"}
+        assert set(out["classify"]) == {"verdict", "certificate", "both"}
+        assert set(out["audit-psi"]) == {"report", "M", "edges", "psi_anchor",
+                                         "max_degree_H", "lip_bound", "lip_inverse_bound"}
+        assert set(out["audit-psi"]["report"]) == distortion
+        assert set(out["audit-phi"]) == phi | {"M", "params"}
+        assert set(out["audit-phi"]["report"]) == distortion
+        for name in ("audit-tg", "montecarlo", "audit-phi"):
+            assert set(out[name]["params"]) == params, name
+
 
 def reference_text(obj):
     return json.dumps(obj, sort_keys=True) + "\n"

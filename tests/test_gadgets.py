@@ -1,3 +1,4 @@
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -178,6 +179,9 @@ class TestHopBlocks:
                 own = owner[starts] == owner[s] if s >= hubs else np.zeros(starts.size, bool)
                 assert np.all(lo == row_lo)
                 assert np.all((hi - row_hi <= 0.5) | own)
+                # on its own chain, no run is farther than its farthest step
+                steps = np.maximum.reduceat(np.abs(ids - s), starts)
+                assert np.all(hi[own] <= steps[own])
                 for idx in (ids, rng.integers(0, n, size=30), ids[::-1]):
                     assert np.array_equal(bits(metric.at(s, idx)), bits(row[idx]))
 
@@ -269,7 +273,7 @@ class TestJsonLayout:
         assert long == h.long_interior.tolist()
 
 
-def loop_anchor_report(h, enforce=True):
+def loop_anchor_report(h):
     """Scalar pair-by-pair reference for audit_anchor_map, on full hop rows."""
     e = len(h.edge_list)
     amap = anchor_map(h)
@@ -282,7 +286,7 @@ def loop_anchor_report(h, enforce=True):
         for v in range(u + 1, h.base.n):
             dh, dg = int(d_h[int(amap[u])][int(amap[v])]), int(d_g[u, v])
             pairs += 1
-            if enforce and not (h.M * dg <= dh <= (2 * e + h.M) * dg):
+            if not (h.M * dg <= dh <= (2 * e + h.M) * dg):
                 raise InternalConsistencyError(
                     f"anchor-map bound failed on pair ({u},{v}): "
                     f"d_G={dg}, d_H={dh}, M={h.M}, e={e}")
@@ -302,7 +306,7 @@ class TestAnchorMap:
         h = build_gadget(g, m_val, psi_anchor=min(anchor, g.edge_count))
         got, want = audit_anchor_map(h), loop_anchor_report(h)
         assert got == want
-        assert got.to_json() == want.to_json()
+        assert asdict(got) == asdict(want)
 
     @pytest.mark.parametrize("skew, message", [
         (lambda r: r - 1, "pair (0,1): d_G=1, d_H=2, M=3, e=3"),  # M*d_G <= d_H, by one
@@ -318,7 +322,6 @@ class TestAnchorMap:
             loop_anchor_report(h)
         assert str(got.value) == str(want.value)
         assert str(got.value) == "anchor-map bound failed on " + message
-        assert audit_anchor_map(h, enforce=False) == loop_anchor_report(h, enforce=False)
 
     def test_k2_m5_distance(self):
         h = build_gadget(k2(), 5)

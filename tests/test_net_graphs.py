@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from netembed import (Net, NetGraph, audit_identity_embedding, bfs_apsp,
+from netembed import (InternalConsistencyError, Net, NetGraph,
+                      audit_identity_embedding, bfs_apsp,
                       build_net, build_net_graph, degree_bound, from_edges,
                       lp_space, max_degree,
                       net_graph_from_json, net_graph_from_net,
@@ -109,6 +110,18 @@ class TestFailures:
         assert not rep.ok and rep.pairs_checked == 21
         assert rep.violation == {"u": 0, "v": 1, "norm_distance": 1.0, "hops": 2,
                                  "bound": 1}
+
+    def test_identity_audit_raises_over_three(self):
+        # points 0, 1 and 10 on a line, joined as a path: the pair (1, 2) is
+        # one hop but 9 apart, so the distortion is 9
+        space = lp_space(2, 3)
+        points = np.array([[0.0, 0, 0], [1.0, 0, 0], [10.0, 0, 0]])
+        net = Net(space, 1.0, 10.0, points, 1.0)
+        ng = NetGraph(graph=from_edges(3, [(0, 1), (1, 2)], coords=points), net=net,
+                      edge_threshold=3.0)
+        with pytest.raises(InternalConsistencyError,
+                           match=r"^identity embedding distortion 9\.0 exceeds 3$"):
+            audit_identity_embedding(ng)
 
 
 class TestDistortion:

@@ -705,7 +705,7 @@ class TestSampling:
 
     def test_loose_box_factor_exhausts_the_budget(self):
         # a unit ball filling ~5e-10 of its box: the sampler must give up
-        # after budget_per_point * count draws, not loop
+        # after _SAMPLE_BUDGET * count draws, not loop
         drawn = [0]
 
         def l2(x):
