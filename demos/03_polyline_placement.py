@@ -25,7 +25,7 @@ params = practical_params(beta=0.02, seed=7)
 emb = place_edges(space, ng, params, np.random.default_rng([7, 1]))
 print(f"\npractical mode (beta = {params.beta}, alpha = {params.alpha}, "
       f"gamma = {params.gamma}):")
-print(f"  placed {len(emb.edge_list)} curves, attempts: "
+print(f"  placed {len(emb.ends)} curves, attempts: "
       f"max {emb.attempts.max()}, mean {emb.attempts.mean():.2f}")
 print(f"  independent re-verification of all three conditions: "
       f"{verify_embedding(emb)['ok']}")

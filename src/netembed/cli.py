@@ -24,9 +24,9 @@ from .embeddings import (audit_tg, default_strict_params, embedding_from_json,
                          verify_embedding)
 from .errors import ValidationError
 from .gadgets import (anchor_map, audit_anchor_map, audit_product_map,
-                      build_gadget, edges_to_json, gadget_to_json, subdivide)
-from .graphs import (FiniteMetric, graph_from_json, graph_to_dot, max_degree,
-                     write_audit_csv)
+                      build_gadget, gadget_to_json, subdivide)
+from .graphs import (FiniteMetric, from_edges, graph_from_json, graph_to_dot,
+                     graph_to_json, max_degree, write_audit_csv)
 from .net_graphs import (NetGraph, audit_identity_embedding, build_net_graph,
                          degree_bound, net_graph_from_json, net_graph_from_net,
                          net_graph_to_json, verify_path_bound)
@@ -119,17 +119,17 @@ def _cmd_graph(args):
     ng = net_graph_from_net(net_from_json(_load_json(args.net, "net")))
     _dump_json(_graph_doc(ng), args.output)
     if args.dot:
-        Path(args.dot).write_text(graph_to_dot(ng.graph), encoding="utf-8")
+        Path(args.dot).write_text(graph_to_dot(ng.graph, ng.points), encoding="utf-8")
     return 0
 
 
 def _cmd_subdivide(args):
     g = _graph_of(_load_graph(args.graph))
     sub = subdivide(g, args.M)
-    obj = edges_to_json(sub.n, sub.edge_ends())
+    obj = graph_to_json(from_edges(sub.n, sub.edge_ends()))
     obj["M"] = sub.M
     obj["base_n"] = sub.base.n
-    obj["edge_order"] = [[u, v] for u, v in sub.edge_list]
+    obj["edge_order"] = sub.base.ends.tolist()
     _dump_json(obj, args.output)
     return 0
 
@@ -149,10 +149,10 @@ def _cmd_audit_psi(args):
     g = _graph_of(_load_graph(args.graph))
     h = build_gadget(g, args.M)
     report = audit_anchor_map(h)
-    obj = {"report": asdict(report), "M": h.M, "edges": len(h.edge_list),
+    obj = {"report": asdict(report), "M": h.M, "edges": h.base.edge_count,
            "psi_anchor": h.psi_anchor,
            "max_degree_H": h.max_degree(),
-           "lip_bound": 2 * len(h.edge_list) + h.M,
+           "lip_bound": 2 * h.base.edge_count + h.M,
            "lip_inverse_bound": 1.0 / h.M}
     _dump_json(obj, args.output)
     if args.csv:

@@ -355,12 +355,10 @@ class ThickenedGraph:
     """Shortest-curve metric on the union of unit edges of a graph."""
 
     def __init__(self, graph: Graph):
-        self.graph = graph
-        self.edge_list = tuple(graph.edges)
         self.hops = bfs_apsp(graph).astype(np.float64)
-        self.ends = np.array(self.edge_list, dtype=np.int64).reshape(-1, 2)
+        self.ends = graph.ends
         self._incident = {}
-        for j, (a, b) in enumerate(self.edge_list):
+        for j, (a, b) in enumerate(self.ends.tolist()):
             self._incident.setdefault(a, (j, 0.0))
             self._incident.setdefault(b, (j, 1.0))
 
@@ -393,12 +391,11 @@ class PolylineEmbedding:
 
     Coordinates are at the unit scale (the input net graph rescaled by
     1/rho, recorded in `scale`); edge j runs [u, w_j] then [w_j, v] for the
-    j-th edge of the graph in lexicographic order.
+    j-th edge (u, v) = ends[j] of the graph in lexicographic order.
     """
 
     netgraph: NetGraph
     params: EmbedParams
-    edge_list: tuple
     breakpoints: np.ndarray
     attempts: np.ndarray
     scale: float
@@ -407,13 +404,17 @@ class PolylineEmbedding:
     def space(self) -> NormedSpace:
         return self.netgraph.space
 
+    @property
+    def ends(self) -> np.ndarray:
+        """The placed edges: a prefix of the graph's edges, one per breakpoint."""
+        return self.netgraph.graph.ends[:len(self.breakpoints)]
+
     def positions(self, edges, ts) -> np.ndarray:
         """The point at arclength fraction ts[k], in [0, 1], along the curve
         of edge edges[k], for every k: at arclength s = t*(l1 + l2) the
         point lies on [u, w] while s <= l1, else on [w, v]."""
         edges, ts = np.asarray(edges), np.asarray(ts, dtype=np.float64)
-        pts, ws = self.netgraph.points, self.breakpoints
-        ends = np.array(self.edge_list, dtype=np.int64).reshape(-1, 2)
+        pts, ws, ends = self.netgraph.points, self.breakpoints, self.ends
         us, vs = pts[ends[:, 0]], pts[ends[:, 1]]
         l1, l2 = norms(self.space, ws - us)[edges], norms(self.space, vs - ws)[edges]
         s = ts * (l1 + l2)
@@ -454,8 +455,8 @@ def place_edges(space: NormedSpace, ng: NetGraph, params: EmbedParams,
         raise ValidationError("edge_limit must be >= 1")
     ng_unit, scale = rescaled_unit(ng)
     pts = ng_unit.points
-    edges = ng_unit.graph.edges
-    if not edges:
+    edges = ng_unit.graph.ends
+    if not len(edges):
         raise ValidationError("place_edges: the net graph has no edges to place")
     if edge_limit is not None:
         edges = edges[:edge_limit]
@@ -468,8 +469,7 @@ def place_edges(space: NormedSpace, ng: NetGraph, params: EmbedParams,
         b = min(a + _WINDOW, len(edges))
         breakpoints[a:b], attempts[a:b] = _place_window(state, a, b, subs[a:b], params)
         state.add_edges(breakpoints[a:b])
-    return PolylineEmbedding(netgraph=ng_unit, params=params,
-                             edge_list=tuple(edges), breakpoints=breakpoints,
+    return PolylineEmbedding(netgraph=ng_unit, params=params, breakpoints=breakpoints,
                              attempts=attempts, scale=scale)
 
 
@@ -541,14 +541,13 @@ def verify_embedding(emb: PolylineEmbedding) -> dict:
     it (the construction order): one state holds every curve, and each
     stored breakpoint is checked in blocks against the curves of the edges
     before its own.  A failure names the first condition the edge fails."""
-    state = _PlacedState(emb.space, emb.netgraph.points, emb.edge_list,
-                         emb.params.beta)
+    state = _PlacedState(emb.space, emb.netgraph.points, emb.ends, emb.params.beta)
     state.add_edges(emb.breakpoints)
-    codes = check_breakpoints(state, np.arange(len(emb.edge_list)),
+    codes = check_breakpoints(state, np.arange(len(emb.ends)),
                               emb.breakpoints, emb.params)
-    failures = [{"edge": list(emb.edge_list[j]), "failed": [CONDITIONS[codes[j] - 1]]}
+    failures = [{"edge": emb.ends[j].tolist(), "failed": [CONDITIONS[codes[j] - 1]]}
                 for j in np.flatnonzero(codes)]
-    return {"ok": not failures, "edges_checked": len(emb.edge_list),
+    return {"ok": not failures, "edges_checked": len(emb.ends),
             "failures": failures}
 
 
@@ -561,7 +560,7 @@ def mg_positions(emb: PolylineEmbedding, M: int):
     if M < 1:
         raise ValidationError("M must be >= 1")
     g = emb.netgraph.graph
-    if len(emb.edge_list) != g.edge_count:
+    if len(emb.ends) != g.edge_count:
         raise ValidationError("mg_positions needs a fully placed embedding")
     sub = subdivide(g, M)
     pos = np.empty((sub.n, emb.space.dim))
@@ -618,7 +617,7 @@ def audit_tg(emb: PolylineEmbedding, interior_samples: int,
     vertices = audit(FiniteMetric(g.n, lambda i, idx: tg.hops[i, idx]),
                      FiniteMetric.from_points(space, pts), pair_cap=g.n)
     lip_f, lip_i = vertices.lip_forward, vertices.lip_inverse
-    n_edges = len(emb.edge_list)
+    n_edges = len(emb.ends)
     done = 0
     while done < interior_samples:
         k = min(4096, interior_samples - done)
@@ -638,7 +637,7 @@ def audit_tg(emb: PolylineEmbedding, interior_samples: int,
     fwd_bound = max(4.0, 3.0 + 2.0 * emb.params.mu)
     inv_bound = 1.0 + 6.0 / emb.params.gamma
     # the length of every curve, in two norms calls
-    ends, ws = np.array(emb.edge_list, dtype=np.int64).reshape(-1, 2), emb.breakpoints
+    ends, ws = emb.ends, emb.breakpoints
     max_len = float(np.max(norms(space, ws - pts[ends[:, 0]])
                            + norms(space, pts[ends[:, 1]] - ws)))
     return TgAudit(
@@ -678,16 +677,16 @@ def estimate_suitable_fraction(emb: PolylineEmbedding, edge_index: int,
     """Monte Carlo fraction of breakpoints w in B(midpoint, mu) that satisfy
     all three conditions for the given edge against the prefix placed before
     it, with a 95% Wilson interval."""
-    if not (0 <= edge_index < len(emb.edge_list)):
+    if not (0 <= edge_index < len(emb.ends)):
         raise ValidationError("edge_index outside the placed edge list")
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     space = emb.space
     pts = emb.netgraph.points
     params = emb.params
-    state = _PlacedState(space, pts, emb.edge_list, params.beta)
+    state = _PlacedState(space, pts, emb.ends, params.beta)
     state.add_edges(emb.breakpoints[:edge_index])
-    ui, vi = emb.edge_list[edge_index]
+    ui, vi = emb.ends[edge_index]
     ws = sample_ball_many(space, 0.5 * (pts[ui] + pts[vi]), params.mu, samples, rng)
     successes = int(np.count_nonzero(check_breakpoints(state, edge_index, ws, params) == 0))
     center, half = wilson_interval(successes, samples)
@@ -708,7 +707,7 @@ def embedding_to_json(emb: PolylineEmbedding) -> dict:
         "edges": [{"u": int(u), "v": int(v),
                    "w": [float(x) for x in emb.breakpoints[j]],
                    "attempts": int(emb.attempts[j])}
-                  for j, (u, v) in enumerate(emb.edge_list)],
+                  for j, (u, v) in enumerate(emb.ends.tolist())],
     }
 
 
@@ -717,22 +716,21 @@ def embedding_from_json(obj: dict) -> PolylineEmbedding:
         ng = net_graph_from_json(obj["net_graph"])
         params = params_from_json(obj["params"])
         scale = float(obj["scale"])
-        edge_list = tuple((as_int(e["u"], "u"), as_int(e["v"], "v")) for e in obj["edges"])
+        ends = np.array([[as_int(e[k], k) for k in "uv"] for e in obj["edges"]], dtype=np.int64)
         breakpoints = np.array([[float(x) for x in e["w"]] for e in obj["edges"]])
         attempts = np.array([as_int(e["attempts"], "attempts") for e in obj["edges"]],
                             dtype=np.int64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed embedding JSON: {exc}") from exc
     dim = ng.space.dim
     params.validate(dim)
-    if not edge_list or list(edge_list) != ng.graph.edges[:len(edge_list)]:
+    if not len(ends) or not np.array_equal(ends, ng.graph.ends[:len(ends)]):
         raise ValidationError("embedding JSON: edges must be a non-empty prefix "
                               "of the net graph's edge list")
-    if breakpoints.shape != (len(edge_list), dim) or not np.isfinite(breakpoints).all():
+    if breakpoints.shape != (len(ends), dim) or not np.isfinite(breakpoints).all():
         raise ValidationError(f"embedding JSON: each edge needs a finite breakpoint "
                               f"of dimension {dim}")
     if (attempts < 1).any():
         raise ValidationError("embedding JSON: attempts must be >= 1")
-    return PolylineEmbedding(netgraph=ng, params=params, edge_list=edge_list,
-                             breakpoints=breakpoints, attempts=attempts,
-                             scale=scale)
+    return PolylineEmbedding(netgraph=ng, params=params, breakpoints=breakpoints,
+                             attempts=attempts, scale=scale)

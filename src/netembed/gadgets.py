@@ -60,16 +60,10 @@ def _chain_edges(*columns) -> np.ndarray:
     return np.stack([chain[:, :-1], chain[:, 1:]], axis=2).reshape(-1, 2)
 
 
-def edges_to_json(n: int, ends: np.ndarray) -> dict:
-    """graph_to_json's {"n", "edges"} listing, without building the graph."""
-    ends = np.sort(ends, axis=1)
-    return {"n": n, "edges": ends[np.lexsort(ends.T[::-1])].tolist()}
-
-
 @dataclass(frozen=True)
 class _ChainGraph:
-    """Base edge j = (a_j, b_j), in the base graph's lexicographic edge
-    order, as a chain of M unit edges between two hub vertices.
+    """Base edge j = (a_j, b_j) = base.ends[j] as a chain of M unit edges
+    between two hub vertices.
 
     Vertex ids: 0..hubs-1 are the hubs; interior[j, k] = hubs + j*(M-1) + k
     is the k-th interior vertex of chain j (k = 0..M-2, walking from a_j's
@@ -82,23 +76,14 @@ class _ChainGraph:
     base: Graph
     M: int
 
-    @cached_property
-    def edge_list(self) -> tuple:
-        return tuple(self.base.edges)  # already (u, v) with u < v, lexicographic
-
-    @cached_property
-    def _ends(self) -> np.ndarray:
-        """The base edges as an (e, 2) array, edge j = (a_j, b_j)."""
-        return np.array(self.edge_list, dtype=np.int64).reshape(-1, 2)
-
     @property
     def n(self) -> int:
-        return self.hubs + len(self.edge_list) * (self.M - 1)
+        return self.hubs + self.base.edge_count * (self.M - 1)
 
     @property
     def interior(self) -> np.ndarray:
         """The (e, M-1) interior ids, chain by chain."""
-        e = len(self.edge_list)
+        e = self.base.edge_count
         return self.hubs + np.arange(e * (self.M - 1)).reshape(e, self.M - 1)
 
     def _chain_step(self, s: int) -> tuple:
@@ -108,7 +93,7 @@ class _ChainGraph:
 
     @cached_property
     def graph(self) -> Graph:
-        return from_edges(self.n, [tuple(e) for e in self.edge_ends().tolist()])
+        return from_edges(self.n, self.edge_ends())
 
     def edge_ends(self) -> np.ndarray:
         """(e * M, 2) endpoints of the chains' unit edges, from a_j's end."""
@@ -197,7 +182,7 @@ class SubdividedGraph(_ChainGraph):
 
     @property
     def _hub_ends(self) -> np.ndarray:
-        return self._ends
+        return self.base.ends
 
     @property
     def _hub_width(self) -> int:
@@ -216,7 +201,7 @@ class SubdividedGraph(_ChainGraph):
         a_j (t0 hops) or b_j (M - t0)."""
         M = self.M
         hops = bfs_apsp(self.base).astype(np.int64) * M
-        a, b = self._ends.T
+        a, b = self.base.ends.T
 
         def dist(s):
             if s < self.hubs:
@@ -249,7 +234,7 @@ class GadgetGraph(_ChainGraph):
 
     @property
     def hubs(self) -> int:
-        return self.base.n * len(self.edge_list)
+        return self.base.n * self.base.edge_count
 
     @property
     def short_ids(self) -> np.ndarray:
@@ -260,19 +245,25 @@ class GadgetGraph(_ChainGraph):
     @property
     def _hub_width(self) -> int:
         """Hub runs stay within one short path."""
-        return len(self.edge_list)
+        return self.base.edge_count
 
     @property
     def _hub_ends(self) -> np.ndarray:
-        e = len(self.edge_list)
-        return self._ends * e + np.arange(e)[:, None]
+        e = self.base.edge_count
+        return self.base.ends * e + np.arange(e)[:, None]
 
     def edge_ends(self) -> np.ndarray:
         """Endpoints of the unit edges: the short paths, then the long paths."""
         return np.concatenate([_chain_edges(self.short_ids), super().edge_ends()])
 
     def max_degree(self) -> int:
-        return int(np.bincount(self.edge_ends().ravel(), minlength=self.n).max())
+        """From the layout: a port has a short-path neighbour on each side of
+        its label within 1..e, and one per long path it ends; interiors 2."""
+        e = self.base.edge_count
+        lab = np.arange(e)
+        ports = (np.bincount(self._hub_ends.ravel(), minlength=self.hubs).reshape(-1, e)
+                 + (lab > 0) + (lab < e - 1))
+        return max(int(ports.max()), 2 if self.M > 1 else 0)
 
     def port_rows(self, s: int) -> np.ndarray:
         """Hop distances from vertex s to the ports: the (n, e) int64 array
@@ -285,8 +276,8 @@ class GadgetGraph(_ChainGraph):
         (a_j, j) and (b_j, j) of every long path j.  A source inside long
         path j0 starts from both of its end ports.
         """
-        n, e, M = self.base.n, len(self.edge_list), self.M
-        a, b = self._ends.T
+        n, e, M = self.base.n, self.base.edge_count, self.M
+        a, b = self.base.ends.T
         lab = np.arange(e)
         unreached = np.iinfo(np.int64).max // 4
         d = np.full((n, e), unreached, dtype=np.int64)
@@ -312,7 +303,7 @@ class GadgetGraph(_ChainGraph):
 
 
 def build_gadget(g: Graph, M: int, psi_anchor: int = 1) -> GadgetGraph:
-    """Construct the gadget; asserts max degree <= 3 from the edge array.
+    """Construct the gadget; asserts max degree <= 3 from the layout.
     H is connected as the base is: long path j joins the short paths of
     the ends of base edge j."""
     if M < 1:
@@ -342,7 +333,7 @@ def audit_anchor_map(h: GadgetGraph) -> DistortionReport:
     Per pair: M*d_G <= d_H <= (2e + M)*d_G, hence lip <= 2e+M and inverse
     lip <= 1/M.
     """
-    e, n = len(h.edge_list), h.base.n
+    e, n = h.base.edge_count, h.base.n
     d_g = bfs_apsp(h.base).astype(np.int64)
     # copied out, so that no (n, e) port array outlives its row
     d_h = np.array([h.port_rows(int(a))[:, h.psi_anchor - 1].copy() for a in anchor_map(h)])
@@ -362,7 +353,7 @@ def _h_to_sub(h: GadgetGraph, sub: SubdividedGraph) -> np.ndarray:
     Short-path vertices of u collapse onto the base vertex u; both layouts
     number the chain interiors alike after their hubs.
     """
-    return np.concatenate([np.arange(h.hubs) // len(h.edge_list),
+    return np.concatenate([np.arange(h.hubs) // h.base.edge_count,
                            np.arange(sub.hubs, sub.n)])
 
 
@@ -380,7 +371,7 @@ def product_positions(h: GadgetGraph, sub_positions: np.ndarray,
     Returns (positions, sub_scaled, factor, target_space, sub): sub_scaled
     is sub_positions divided by the factor (1 when no rescaling is needed).
     """
-    if h.M <= 2 * len(h.edge_list):
+    if h.M <= 2 * h.base.edge_count:
         raise ValidationError("need M > 2*e(base) for the product map")
     sub = SubdividedGraph(base=h.base, M=h.M)
     sub_positions = np.asarray(sub_positions, dtype=np.float64)
@@ -398,7 +389,7 @@ def product_positions(h: GadgetGraph, sub_positions: np.ndarray,
     mapping = _h_to_sub(h, sub)
     out = np.empty((h.n, space.dim + 1))
     out[:, :space.dim] = pos[mapping]
-    labels = np.arange(1, len(h.edge_list) + 1, dtype=np.float64)
+    labels = np.arange(1, h.base.edge_count + 1, dtype=np.float64)
     out[h.short_ids, space.dim] = labels
     out[h.long_interior, space.dim] = labels[:, None]
     return out, pos, factor, direct_sum_l1(space, lp_space(1, 1)), sub
@@ -467,7 +458,7 @@ def verify_product_cases(h: GadgetGraph, sub_positions: np.ndarray,
 
 def gadget_to_json(h: GadgetGraph) -> dict:
     return {
-        "graph": edges_to_json(h.n, h.edge_ends()),
+        "graph": graph_to_json(from_edges(h.n, h.edge_ends())),
         "base": graph_to_json(h.base),
         "M": h.M,
         "psi_anchor": h.psi_anchor,

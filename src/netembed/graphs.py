@@ -14,6 +14,7 @@ pairs_checked counts every pair covered, evaluated or certified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -24,44 +25,48 @@ from .spaces import NormedSpace, as_int, norms
 
 @dataclass(eq=False)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with sorted adjacency."""
+    """Simple undirected graph on vertices 0..n-1: ends is the (E, 2) int64
+    array of its edges (u, v), u < v, in lexicographic order."""
 
     n: int
-    adj: tuple
-    coords: Optional[np.ndarray] = None
+    ends: np.ndarray
 
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
+    @cached_property
+    def adj(self) -> tuple:
+        """Sorted neighbour tuples, built on first use: a stable sort by
+        vertex lists its smaller neighbours, then its larger ones."""
+        src = np.concatenate([self.ends[:, 1], self.ends[:, 0]])
+        nbrs = np.concatenate(self.ends.T)[np.argsort(src, kind="stable")].tolist()
+        stops = np.cumsum(np.bincount(src, minlength=self.n)).tolist()
+        return tuple(tuple(nbrs[a:b]) for a, b in zip([0] + stops, stops))
 
     @property
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return len(self.ends)
 
 
-def from_edges(n: int, edges, coords=None) -> Graph:
-    """Build a Graph, rejecting loops and duplicate edges."""
+def from_edges(n: int, edges) -> Graph:
+    """Build a Graph, rejecting loops, ends out of range and duplicate edges
+    (in either orientation), naming the first bad edge in input order."""
     if n < 1:
         raise ValidationError("graph needs at least one vertex")
-    adj = [set() for _ in range(n)]
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if u == v:
-            raise ValidationError(f"loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValidationError(f"edge ({u},{v}) out of range for n={n}")
-        if v in adj[u]:
-            raise ValidationError(f"duplicate edge ({u},{v})")
-        adj[u].add(v)
-        adj[v].add(u)
-    if coords is not None:
-        try:
-            coords = np.asarray(coords, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"coords must be rows of numbers: {exc}") from exc
-        if coords.ndim != 2 or coords.shape[0] != n:
-            raise ValidationError("coords must have one row per vertex")
-    return Graph(n, tuple(tuple(sorted(a)) for a in adj), coords=coords)
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    bad = (pairs[:, 0] == pairs[:, 1]) | ((pairs < 0) | (pairs >= n)).any(axis=1)
+    if not bad.any():
+        keys = np.minimum(*pairs.T) * n + np.maximum(*pairs.T)
+        keys.sort(kind="stable")  # in place; timsort, as listings come in sorted runs
+        if not (keys[1:] == keys[:-1]).any():  # sorted, duplicates sit side by side
+            return Graph(n, np.stack(np.divmod(keys, n), axis=1))
+    # the first bad edge in input order: a repeat of an earlier edge, else edge k
+    k = int(np.argmax(bad)) if bad.any() else len(pairs)
+    _, first = np.unique(np.sort(pairs[:k], axis=1), axis=0, return_index=True)
+    repeats = np.setdiff1d(np.arange(k), first)
+    u, v = pairs[repeats[0] if repeats.size else k].tolist()
+    if repeats.size:
+        raise ValidationError(f"duplicate edge ({u},{v})")
+    if u == v:
+        raise ValidationError(f"loop at vertex {u}")
+    raise ValidationError(f"edge ({u},{v}) out of range for n={n}")
 
 
 def bfs_from(g: Graph, source: int) -> np.ndarray:
@@ -99,7 +104,7 @@ def is_connected(g: Graph) -> bool:
 
 
 def max_degree(g: Graph) -> int:
-    return max(len(a) for a in g.adj)
+    return int(np.bincount(g.ends.ravel(), minlength=g.n).max())
 
 
 # Relative slack on the block bounds of point metrics: it covers the rounding
@@ -312,31 +317,29 @@ def write_audit_csv(path, source: FiniteMetric, target: FiniteMetric, vertex_map
 # --- serialization ---------------------------------------------------------
 
 def graph_to_json(g: Graph) -> dict:
-    obj = {"n": g.n, "edges": [[u, v] for u, v in g.edges]}
-    if g.coords is not None:
-        obj["coords"] = [[float(x) for x in row] for row in g.coords]
-    return obj
+    return {"n": g.n, "edges": g.ends.tolist()}
 
 
 def graph_from_json(obj: dict) -> Graph:
     try:
         n = as_int(obj["n"], "n")
-        edges = [(as_int(u, "edge end"), as_int(v, "edge end")) for u, v in obj["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        edges = np.array([(as_int(u, "edge end"), as_int(v, "edge end"))
+                          for u, v in obj["edges"]], dtype=np.int64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed graph JSON: {exc}") from exc
-    coords = obj.get("coords")
-    return from_edges(n, edges, coords=coords)
+    return from_edges(n, edges)
 
 
-def graph_to_dot(g: Graph) -> str:
+def graph_to_dot(g: Graph, points: Optional[np.ndarray] = None) -> str:
+    """DOT text of g; planar points (one row per vertex) pin the vertices."""
     lines = ["graph G {"]
     for u in range(g.n):
-        if g.coords is not None and g.coords.shape[1] == 2:
-            x, y = g.coords[u]
+        if points is not None and points.shape[1] == 2:
+            x, y = points[u]
             lines.append(f'  {u} [pos="{x},{y}!"];')
         else:
             lines.append(f"  {u};")
-    for u, v in g.edges:
+    for u, v in g.ends.tolist():
         lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"

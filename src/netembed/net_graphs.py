@@ -9,7 +9,7 @@ bound 7^dim, and the distortion <= 3 of the identity embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,7 +24,7 @@ from .spaces import NormedSpace
 
 @dataclass(frozen=True)
 class NetGraph:
-    """Graph on a net with the 3*rho edge rule; coords payload = net points."""
+    """Graph on a net with the 3*rho edge rule; vertex i is net point i."""
 
     graph: Graph
     net: Net
@@ -56,7 +56,7 @@ def net_graph_from_net(net: Net) -> NetGraph:
     thr = 3.0 * net.rho
     m = net.size
     edges = _near_pairs(net, thr * (1 + _REL_TOL))
-    g = from_edges(m, edges, coords=net.points)
+    g = from_edges(m, edges)
     if m > 1 and not is_connected(g):
         raise InternalConsistencyError(
             "net graph is disconnected: covering certificate violated")
@@ -75,15 +75,14 @@ def rescaled_unit(ng: NetGraph) -> tuple[NetGraph, float]:
     if abs(scale - 1.0) < _REL_TOL:
         return ng, 1.0
     net = Net(ng.net.space, ng.net.delta * scale, ng.net.r * scale,
-              ng.net.points * scale, 1.0, origin_index=ng.net.origin_index)
-    g = replace(ng.graph, coords=net.points)
-    return NetGraph(graph=g, net=net, edge_threshold=3.0), scale
+              ng.net.points * scale, 1.0)
+    return NetGraph(graph=ng.graph, net=net, edge_threshold=3.0), scale
 
 
 def verify_edge_rule(ng: NetGraph) -> bool:
     """Edge {i,j} present iff the pair is within the threshold (all pairs)."""
     near = _near_pairs(ng.net, ng.edge_threshold * (1 + _REL_TOL))
-    return np.array_equal(near, np.reshape(ng.graph.edges, (-1, 2)))
+    return np.array_equal(near, ng.graph.ends)
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,7 @@ def net_graph_from_json(obj: dict) -> NetGraph:
     if not abs(thr - 3.0 * net.rho) <= _REL_TOL * 3.0 * net.rho:
         raise ValidationError(f"net-graph JSON: edge_threshold {thr} is not 3 * rho "
                               f"= {3.0 * net.rho}")
-    ng = NetGraph(graph=replace(g, coords=net.points), net=net, edge_threshold=thr)
+    ng = NetGraph(graph=g, net=net, edge_threshold=thr)
     if not verify_edge_rule(ng):
         raise ValidationError("net-graph JSON: the edges are not the pairs of net "
                               "points within edge_threshold")

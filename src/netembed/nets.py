@@ -41,9 +41,7 @@ class Net:
     """A separated, covering point set in r*B(space).
 
     points has one row per net point; rho is the certified covering radius
-    (max distance from any point of the ball to the net).  origin_index is
-    the row holding the zero vector when present; building always puts it
-    first.
+    (max distance from any point of the ball to the net).
     """
 
     space: NormedSpace
@@ -51,7 +49,6 @@ class Net:
     r: float
     points: np.ndarray
     rho: float
-    origin_index: Optional[int] = 0
 
     def __post_init__(self):
         if not all(0 < x < math.inf for x in (self.delta, self.r, self.rho)):
@@ -68,6 +65,12 @@ class Net:
     @property
     def size(self) -> int:
         return self.points.shape[0]
+
+    @property
+    def origin_index(self) -> Optional[int]:
+        """The first all-zero row, else None; build_net puts the origin first."""
+        zero = np.flatnonzero(~np.any(self.points, axis=1))
+        return int(zero[0]) if zero.size else None
 
 
 def _pair_distances(space: NormedSpace, pts: np.ndarray):
@@ -207,11 +210,7 @@ def net_from_json(obj: dict) -> Net:
         delta, r, rho = float(obj["delta"]), float(obj["r"]), float(obj["rho"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed net JSON: {exc}") from exc
-    origin = None
-    zero_rows = np.where(~np.any(pts, axis=1))[0]
-    if zero_rows.size:
-        origin = int(zero_rows[0])
-    net = Net(space, delta, r, pts, rho, origin_index=origin)
+    net = Net(space, delta, r, pts, rho)
     sep = rho * (1 - _REL_TOL)  # the separation build_net keeps
     for i, j, d in _pair_distances(space, net.points):
         bad = np.flatnonzero(d < sep)

@@ -121,7 +121,7 @@ def test_criterion_4_practical_placement_and_tg_audit():
         bound = 1 + 6 / params.gamma
         assert tga.lip_forward <= 4.0, (tag, tga.lip_forward)
         assert tga.lip_inverse <= bound, (tag, tga.lip_inverse)
-        details.append(f"{tag}: E={len(emb.edge_list)}, "
+        details.append(f"{tag}: E={len(emb.ends)}, "
                        f"fwd {tga.lip_forward:.2f}<=4, "
                        f"inv {tga.lip_inverse:.1f}<={bound:.0f}")
     elapsed = time.perf_counter() - t0

@@ -158,5 +158,5 @@ class TestCertificatesAndInvariance:
             base = classify(g).verdict
             for _ in range(5):
                 perm = rng.permutation(g.n)
-                edges = [(int(perm[u]), int(perm[v])) for u, v in g.edges]
+                edges = [(int(perm[u]), int(perm[v])) for u, v in g.ends]
                 assert classify(from_edges(g.n, edges)).verdict == base

@@ -187,7 +187,7 @@ class TestPlacement:
         ng = hand_edge()
         emb = place_edges(L23, ng, practical_params(beta=0.02, seed=1),
                           np.random.default_rng([1, 1]))
-        assert len(emb.edge_list) == 1
+        assert len(emb.ends) == 1
         assert emb.attempts[0] == 1  # nothing to collide with
         u, w, v = _curve(emb, 0)
         assert norms(L23, (w - 0.5 * (u + v))[None])[0] <= 0.25 + 1e-12
@@ -207,12 +207,12 @@ class TestPlacement:
             assert np.all(norms(L23, pts[i + 1:] - pts[i]) >= 1.0 - 1e-12)
 
     def test_breakpoints_inside_mu_ball(self, ball_emb):
-        pts, ends = ball_emb.netgraph.points, np.array(ball_emb.edge_list)
+        pts, ends = ball_emb.netgraph.points, ball_emb.ends
         z = 0.5 * (pts[ends[:, 0]] + pts[ends[:, 1]])
         assert np.all(norms(L23, ball_emb.breakpoints - z) <= 0.25 + 1e-12)
 
     def test_curve_lengths_within_bounds(self, ball_emb):
-        pts, ends = ball_emb.netgraph.points, np.array(ball_emb.edge_list)
+        pts, ends = ball_emb.netgraph.points, ball_emb.ends
         u, w, v = pts[ends[:, 0]], ball_emb.breakpoints, pts[ends[:, 1]]
         length = norms(L23, w - u) + norms(L23, v - w)
         direct = norms(L23, v - u)
@@ -221,7 +221,7 @@ class TestPlacement:
     def test_posthoc_reverification(self, ball_emb):
         rep = verify_embedding(ball_emb)
         assert rep["ok"]
-        assert rep["edges_checked"] == len(ball_emb.edge_list)
+        assert rep["edges_checked"] == len(ball_emb.ends)
 
     def test_determinism(self):
         ng = hand_triangle()
@@ -249,7 +249,7 @@ class TestPlacement:
         # a breakpoint inside the beta ball of u fails alpha, tested first
         emb = PolylineEmbedding(
             netgraph=hand_edge(), params=practical_params(beta=0.02),
-            edge_list=((0, 1),), breakpoints=np.array([[0.01, 0.0, 0.0]]),
+            breakpoints=np.array([[0.01, 0.0, 0.0]]),
             attempts=np.array([1]), scale=1.0)
         rep = verify_embedding(emb)
         assert not rep["ok"]
@@ -261,14 +261,13 @@ class TestPlacement:
         # sphere crossing must not divide by the zero segment length
         g = triangle_emb.netgraph
         breakpoints = triangle_emb.breakpoints.copy()
-        breakpoints[0] = g.points[triangle_emb.edge_list[0][at]]
+        breakpoints[0] = g.points[triangle_emb.ends[0][at]]
         emb = PolylineEmbedding(
-            netgraph=g, params=triangle_emb.params,
-            edge_list=triangle_emb.edge_list, breakpoints=breakpoints,
+            netgraph=g, params=triangle_emb.params, breakpoints=breakpoints,
             attempts=triangle_emb.attempts, scale=triangle_emb.scale)
         rep = verify_embedding(emb)
         assert not rep["ok"] and rep["edges_checked"] == 3
-        assert rep["failures"][0] == {"edge": list(emb.edge_list[0]),
+        assert rep["failures"][0] == {"edge": emb.ends[0].tolist(),
                                       "failed": ["alpha"]}
 
     def test_linf_placement_never_runs_the_nested_search(self, monkeypatch):
@@ -359,7 +358,7 @@ class TestThickenedMetric:
         t[50:60] = [[0.0, 1.0]] * 10
         got = tg.distances(e[:, 0], t[:, 0], e[:, 1], t[:, 1])
         for k in range(500):
-            (pu, pv), (qu, qv) = g.edges[e[k, 0]], g.edges[e[k, 1]]
+            (pu, pv), (qu, qv) = g.ends[e[k, 0]], g.ends[e[k, 1]]
             best = abs(t[k, 0] - t[k, 1]) if e[k, 0] == e[k, 1] else math.inf
             for off_p, end_p in ((t[k, 0], pu), (1.0 - t[k, 0], pv)):
                 for off_q, end_q in ((t[k, 1], qu), (1.0 - t[k, 1], qv)):
@@ -410,7 +409,7 @@ class TestSubdivisionPositions:
         # synthetic embedding with an equidistant breakpoint
         emb = PolylineEmbedding(
             netgraph=ng, params=practical_params(beta=0.02),
-            edge_list=((0, 1),), breakpoints=w[None, :],
+            breakpoints=w[None, :],
             attempts=np.array([1]), scale=1.0)
         d0, d1 = norms(L23, pts[:2] - w)
         assert d0 == pytest.approx(d1)
@@ -420,7 +419,7 @@ class TestSubdivisionPositions:
     @pytest.mark.parametrize("m_val", [1, 2, 5, 9])
     def test_mg_positions_match_one_row_positions(self, ball_emb, m_val):
         sub, pos = mg_positions(ball_emb, m_val)
-        for j in range(len(ball_emb.edge_list)):
+        for j in range(len(ball_emb.ends)):
             for k in range(1, m_val):
                 one = ball_emb.positions(np.array([j]), np.array([k / m_val]))[0]
                 assert np.array_equal(pos[sub.interior[j, k - 1]], one)
@@ -430,10 +429,10 @@ class TestSubdivisionPositions:
         emb = ball_emb
         if at is not None:  # a breakpoint on an endpoint: one zero-length segment
             emb = PolylineEmbedding(**{**emb.__dict__, "breakpoints": emb.breakpoints.copy()})
-            u, v = emb.edge_list[0]
+            u, v = emb.ends[0]
             emb.breakpoints[0] = emb.netgraph.points[u if at == "u" else v]
         rng = np.random.default_rng(4)
-        edges = rng.integers(0, len(emb.edge_list), 300)
+        edges = rng.integers(0, len(emb.ends), 300)
         edges[:4] = 0
         ts = np.concatenate([[0.0, 1.0, 0.3, 0.9], rng.uniform(0, 1, 296)])
         got = emb.positions(edges, ts)
@@ -464,7 +463,7 @@ class TestSubdivisionPositions:
 
 def _curve(emb, j):
     """The points u, w_j, v of the curve of edge j = (u, v)."""
-    u, v = emb.edge_list[j]
+    u, v = emb.ends[j]
     pts = emb.netgraph.points
     return pts[u], emb.breakpoints[j], pts[v]
 
@@ -530,8 +529,8 @@ class TestTgAudit:
         space = parse_space(desc)
         ng = build_net_graph(space, 1.0, 2.0)  # 15 to 57 points
         rng = np.random.default_rng(len(desc))
-        edges = tuple(ng.graph.edges)
-        emb = PolylineEmbedding(ng, practical_params(), edges,
+        edges = ng.graph.ends
+        emb = PolylineEmbedding(ng, practical_params(),
                                 rng.normal(size=(len(edges), space.dim)) * 3,
                                 np.ones(len(edges), dtype=np.int64), 1.0)
         rep = audit_tg(emb, 0, rng)
@@ -588,16 +587,16 @@ class TestPredicateBlocks:
         params = practical_params(beta=0.05, seed=3)
         ng = build_net_graph(space, 1.0, 2.0)
         ng_unit, _ = rescaled_unit(ng)
-        j = next(k for k, (a, _) in enumerate(ng_unit.graph.edges) if a != 0) + 1
+        j = next(k for k, (a, _) in enumerate(ng_unit.graph.ends) if a != 0) + 1
         emb = place_edges(space, ng, params, np.random.default_rng([3, 1]),
                           edge_limit=j + 1)
         pts = emb.netgraph.points
-        state = _PlacedState(space, pts, emb.edge_list, params.beta)
+        state = _PlacedState(space, pts, emb.ends, params.beta)
         state.add_edges(emb.breakpoints[:j])
-        ui, vi = emb.edge_list[j]
+        ui, vi = emb.ends[j]
         rng = np.random.default_rng(9)
         others = [k for k in range(len(pts)) if k not in (ui, vi)]
-        far = [k for k in range(j) if ui not in emb.edge_list[k] and vi not in emb.edge_list[k]]
+        far = [k for k in range(j) if ui not in emb.ends[k] and vi not in emb.ends[k]]
         ws = np.concatenate([
             sample_ball_many(space, 0.5 * (pts[ui] + pts[vi]), params.mu, 8, rng),
             pts[ui] + rng.uniform(-0.03, 0.03, (4, 3)),                    # alpha
@@ -623,7 +622,7 @@ def _prefix(space, extra, seed=3):
     params = practical_params(beta=0.05, seed=seed)
     ng = build_net_graph(space, 1.0, 2.0)
     ng_unit, _ = rescaled_unit(ng)
-    j = next(k for k, (a, _) in enumerate(ng_unit.graph.edges) if a != 0)
+    j = next(k for k, (a, _) in enumerate(ng_unit.graph.ends) if a != 0)
     emb = place_edges(space, ng, params, np.random.default_rng([seed, 1]),
                       edge_limit=j + extra)
     return emb, params
@@ -647,11 +646,11 @@ def _crowded_candidates(space):
     """(state, j, ws, params): the curves before edge j of a prefix, and
     candidates of edge j drawn in its ball and on the placed curves."""
     emb, params = _prefix(space, 2)
-    j = len(emb.edge_list) - 1
+    j = len(emb.ends) - 1
     pts = emb.netgraph.points
-    state = _PlacedState(space, pts, emb.edge_list, params.beta)
+    state = _PlacedState(space, pts, emb.ends, params.beta)
     state.add_edges(emb.breakpoints[:j])
-    ui, vi = emb.edge_list[j]
+    ui, vi = emb.ends[j]
     rng = np.random.default_rng(4)
     ws = np.concatenate([
         sample_ball_many(space, 0.5 * (pts[ui] + pts[vi]), params.mu, 24, rng),
@@ -678,7 +677,7 @@ class TestBatchedReverification:
     @SPACES
     def test_failures_match_single_checks_on_growing_prefixes(self, space):
         emb, params = _prefix(space, 4)
-        pts, edges = emb.netgraph.points, emb.edge_list
+        pts, edges = emb.netgraph.points, emb.ends.tolist()
         w = emb.breakpoints.copy()
         w[2] = pts[edges[2][0]] + 0.01 * params.beta                 # alpha
         w[4] = pts[edges[4][1]]                                      # on an endpoint
@@ -688,9 +687,9 @@ class TestBatchedReverification:
                         and np.linalg.norm(pts[k] - mid) < 2)]  # from u or v to crowd alpha
         g = len(edges) - 1
         w[g] = w[next(k for k in range(g) if not set(edges[k]) & set(edges[g]))] + 1e-3  # gamma
-        bad = PolylineEmbedding(netgraph=emb.netgraph, params=params, edge_list=edges,
-                                breakpoints=w, attempts=emb.attempts, scale=emb.scale)
-        state = _PlacedState(space, pts, edges, params.beta)
+        bad = PolylineEmbedding(netgraph=emb.netgraph, params=params, breakpoints=w,
+                                attempts=emb.attempts, scale=emb.scale)
+        state = _PlacedState(space, pts, emb.ends, params.beta)
         expected = []
         for j, (ui, vi) in enumerate(edges):
             code = code_of(state, j, w[j], params)
@@ -701,7 +700,7 @@ class TestBatchedReverification:
         assert rep["failures"] == expected
         assert not rep["ok"] and rep["edges_checked"] == len(edges)
         assert {f["failed"][0] for f in expected} == {"alpha", "beta", "gamma"}
-        assert {2, 4, 6, g} <= {edges.index(tuple(f["edge"])) for f in expected}
+        assert {2, 4, 6, g} <= {edges.index(f["edge"]) for f in expected}
 
     def test_pair_budget_and_block_count(self, monkeypatch):
         # the embed-linf benchmark's embed: 300 edges, Monte Carlo at edge 100
@@ -724,7 +723,7 @@ class TestBatchedReverification:
         assert len(blocks) <= emb.attempts.sum() / 5  # a few blocks per window
         del blocks[:]
         assert verify_embedding(emb)["ok"]
-        assert len(blocks) <= len(emb.edge_list) // 20
+        assert len(blocks) <= len(emb.ends) // 20
         del blocks[:]
         est = estimate_suitable_fraction(emb, 100, 2000, np.random.default_rng([0, 4]))
         assert 0 < est.successes < 2000 and len(blocks) <= 2000 // 50
@@ -737,11 +736,11 @@ def _one_at_a_time(space, ng, params, rng, edge_limit=None):
     substream checked alone against the curves placed before it.  Returns
     (breakpoints, attempts) or raises PlacementError as place_edges does."""
     ng_unit, _ = rescaled_unit(ng)
-    pts, edges = ng_unit.points, ng_unit.graph.edges[:edge_limit]
+    pts, edges = ng_unit.points, ng_unit.graph.ends[:edge_limit]
     state = _PlacedState(space, pts, edges, params.beta)
     subs = rng.spawn(len(edges))
     ws, attempts = np.empty((len(edges), space.dim)), np.zeros(len(edges), dtype=np.int64)
-    for j, (ui, vi) in enumerate(edges):
+    for j, (ui, vi) in enumerate(edges.tolist()):
         tally = dict.fromkeys(embeddings.CONDITIONS, 0)
         while attempts[j] < params.retry_cap:
             if attempts[j] % embeddings._CHUNK == 0:
@@ -1047,7 +1046,7 @@ class TestLargeMu:
                       "--limit", "600", "--seed", "1", "-o", out]):
             assert cli.main(argv) == 0
         emb = embedding_from_json(json.loads((tmp_path / "emb.json").read_text()))
-        pts, ends, ws = emb.netgraph.points, np.array(emb.edge_list), emb.breakpoints
+        pts, ends, ws = emb.netgraph.points, emb.ends, emb.breakpoints
         segs = np.stack([pts[ends[:, 0]], ws, ws, pts[ends[:, 1]]], axis=1).reshape(-1, 2, 3)
         gaps = _euclid_gaps(pts, segs)
         k = np.arange(len(segs))
@@ -1058,7 +1057,7 @@ class TestLargeMu:
 class TestSerialization:
     def test_roundtrip(self, triangle_emb):
         again = embedding_from_json(embedding_to_json(triangle_emb))
-        assert again.edge_list == triangle_emb.edge_list
+        assert np.array_equal(again.ends, triangle_emb.ends)
         assert np.array_equal(again.breakpoints, triangle_emb.breakpoints)
         assert again.params == triangle_emb.params
         assert again.scale == triangle_emb.scale

@@ -50,7 +50,7 @@ class TestSubdivide:
         g = star(3)
         sub = subdivide(g, 1)
         assert sub.graph.n == g.n
-        assert sub.graph.edges == g.edges
+        assert np.array_equal(sub.graph.ends, g.ends)
 
     def test_distance_scaling_property(self):
         rng = np.random.default_rng(13)
@@ -91,8 +91,8 @@ class TestSubdividedRows:
             row = rows.row(i)
             assert row.dtype == np.float64
             assert np.array_equal(row, bfs_from(sub.graph, i))
-        assert gadgets.edges_to_json(sub.n, sub.edge_ends()) == graph_to_json(sub.graph)
-        assert sub.edge_list == tuple(g.edges)
+        assert graph_to_json(sub.graph) == {
+            "n": sub.n, "edges": sorted(map(sorted, sub.edge_ends().tolist()))}
 
     def test_disconnected_base_raises(self):
         sub = subdivide(from_edges(4, [(0, 1), (2, 3)]), 3)
@@ -113,7 +113,8 @@ class TestGadgetRows:
             assert row.dtype == np.float64
             assert np.array_equal(row, bfs_from(h.graph, i))
         # the layout-derived listing, degree and connectivity match the graph
-        assert gadget_to_json(h)["graph"] == graph_to_json(h.graph)
+        assert gadget_to_json(h)["graph"] == {
+            "n": h.n, "edges": sorted(map(sorted, h.edge_ends().tolist()))}
         assert h.max_degree() == max_degree(h.graph)
         assert is_connected(h.graph)
 
@@ -216,17 +217,26 @@ class TestBuildGadget:
             assert max_degree(h.graph) <= 3
             assert is_connected(h.graph)
 
+    def test_degree_check_reads_the_layout(self, monkeypatch):
+        # on K3, port 1 (label 2 of vertex 0) already has degree 3: moving the
+        # end of long path 0 at port 3 onto it gives it a fourth neighbour
+        hub_ends = gadgets.GadgetGraph._hub_ends.fget
+        monkeypatch.setattr(gadgets.GadgetGraph, "_hub_ends",
+                            property(lambda h: np.where(hub_ends(h) == 3, 1, hub_ends(h))))
+        with pytest.raises(InternalConsistencyError, match="^gadget degree exceeded 3$"):
+            build_gadget(k3(), 3)
+
     def test_short_path_label_attachment(self):
         # vertex (u, label i) touches long path i exactly when edge i is
         # incident to u; otherwise its degree stays <= 2
         g = star(3)
         h = build_gadget(g, 4)
-        e = len(h.edge_list)
+        e = g.edge_count
         for u in range(g.n):
             for i in range(e):
                 vid = int(h.short_ids[u, i])
                 deg = len(h.graph.adj[vid])
-                incident = u in h.edge_list[i]
+                incident = u in g.ends[i]
                 chain = (2 if 0 < i < e - 1 else 1) if e > 1 else 0
                 assert deg == chain + (1 if incident else 0)
 
@@ -275,7 +285,7 @@ class TestJsonLayout:
 
 def loop_anchor_report(h):
     """Scalar pair-by-pair reference for audit_anchor_map, on full hop rows."""
-    e = len(h.edge_list)
+    e = h.base.edge_count
     amap = anchor_map(h)
     d_g, hops = bfs_apsp(h.base), h.hop_metric()
     d_h = {int(a): hops.row(int(a)) for a in amap}
@@ -375,7 +385,7 @@ def loop_h_to_sub(h, sub):
     out = np.empty(h.graph.n, dtype=np.int64)
     for u in range(h.base.n):
         out[h.short_ids[u]] = u
-    for j in range(len(h.edge_list)):
+    for j in range(h.base.edge_count):
         for k in range(h.M - 1):
             out[h.long_interior[j, k]] = sub.interior[j, k]
     return out
@@ -385,8 +395,8 @@ def loop_labels(h):
     """Scalar reference for the label coordinate of product_positions."""
     labels = np.empty(h.graph.n)
     for u in range(h.base.n):
-        labels[h.short_ids[u]] = np.arange(1, len(h.edge_list) + 1)
-    for j in range(len(h.edge_list)):
+        labels[h.short_ids[u]] = np.arange(1, h.base.edge_count + 1)
+    for j in range(h.base.edge_count):
         labels[h.long_interior[j]] = j + 1
     return labels
 
@@ -449,7 +459,7 @@ class TestProductMap:
         h = build_gadget(g, m_val)
         sub, pos = mg_positions(emb, m_val)
         images, _, _, target, _ = product_positions(h, pos, space)
-        ends = np.array(h.graph.edges)
+        ends = h.graph.ends
         assert np.all(norms(target, images[ends[:, 0]] - images[ends[:, 1]]) <= 1.0 + 1e-9)
 
     def test_short_path_steps_are_unit(self, small_embedding):
@@ -469,7 +479,7 @@ class TestProductMap:
         h = build_gadget(g, m_val)
         sub, pos = mg_positions(emb, m_val)
         want = product_positions(h, pos, space)
-        assert sorted(tuple(sorted(e)) for e in sub.edge_ends().tolist()) == sub.graph.edges
+        assert sorted(map(sorted, sub.edge_ends().tolist())) == sub.graph.ends.tolist()
         monkeypatch.setattr(gadgets, "from_edges", None)  # any Graph build fails
         monkeypatch.setattr(gadgets, "subdivide", None)
         got = product_positions(h, pos, space)

@@ -42,6 +42,39 @@ class TestConstruction:
             for v in g.adj[u]:
                 assert u in g.adj[v]
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                            .filter(lambda e: e[0] < e[1])),
+        st.randoms(use_true_random=False))))
+    def test_ends_and_adj_match_set_references(self, case):
+        # shuffled input, each pair in a random orientation
+        n, edges, rnd = case
+        pairs = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in edges]
+        rnd.shuffle(pairs)
+        g = from_edges(n, pairs)
+        assert g.ends.dtype == np.int64 and g.ends.shape == (len(edges), 2)
+        assert g.ends.tolist() == [list(e) for e in sorted(edges)]
+        nbrs = [set() for _ in range(n)]
+        for u, v in edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        assert g.adj == tuple(tuple(sorted(a)) for a in nbrs)
+        assert g.edge_count == len(edges)
+        assert max_degree(g) == max(map(len, nbrs))
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (2, 2), (1, 0), (5, 1)], "loop at vertex 2"),
+        ([(0, 1), (1, 0), (2, 2), (5, 1)], r"duplicate edge \(1,0\)"),
+        ([(0, 1), (5, 1), (1, 0), (2, 2)], r"edge \(5,1\) out of range for n=4"),
+        ([(2, 3), (0, 1), (3, 2), (1, 0)], r"duplicate edge \(3,2\)"),
+        ([(1, 2), (-1, 2), (2, 1)], r"edge \(-1,2\) out of range for n=4"),
+        ([(3, 3), (9, 9)], "loop at vertex 3"),
+    ])
+    def test_error_names_first_bad_edge_in_input_order(self, edges, message):
+        with pytest.raises(ValidationError, match=message):
+            from_edges(4, edges)
+
 
 class TestBfs:
     def test_path_end_to_end(self):
@@ -56,7 +89,7 @@ class TestBfs:
         # oracle: adjacency-matrix powers give the least k with (A^k)[i,j] > 0
         g = cycle_graph(6)
         a = np.zeros((6, 6), dtype=np.int64)
-        for u, v in g.edges:
+        for u, v in g.ends:
             a[u, v] = a[v, u] = 1
         want = np.full((6, 6), -1)
         np.fill_diagonal(want, 0)
@@ -618,15 +651,25 @@ class TestBlockedAuditEqualsWholeRows:
 
 class TestSerialization:
     def test_json_roundtrip(self):
-        g = from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)],
-                       coords=np.eye(4, 2) * 2)
+        g = from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        assert graph_to_json(g) == {"n": 4, "edges": [[0, 1], [0, 3], [1, 2], [2, 3]]}
         again = graph_from_json(graph_to_json(g))
-        assert again.n == g.n and again.edges == g.edges
-        assert np.allclose(again.coords, g.coords)
+        assert again.n == g.n and np.array_equal(again.ends, g.ends)
+
+    def test_json_ignores_coords(self):
+        # documents that still carry the vertex coordinates load unchanged
+        obj = {**graph_to_json(cycle_graph(4)), "coords": [[0.0, 0.0]] * 4}
+        assert np.array_equal(graph_from_json(obj).ends, cycle_graph(4).ends)
 
     def test_dot_contains_edges(self):
         text = graph_to_dot(path_graph(3))
         assert "0 -- 1;" in text and "1 -- 2;" in text
+        assert "pos" not in text
+
+    def test_dot_pins_planar_points(self):
+        text = graph_to_dot(path_graph(2), np.array([[0.0, 1.5], [2.0, -1.0]]))
+        assert '  0 [pos="0.0,1.5!"];' in text and '  1 [pos="2.0,-1.0!"];' in text
+        assert "pos" not in graph_to_dot(path_graph(2), np.zeros((2, 3)))
 
     def test_csv_rows(self, tmp_path):
         g = path_graph(3)

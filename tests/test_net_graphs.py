@@ -74,7 +74,7 @@ class TestPathBound:
 
 def _with_edges(ng, edges):
     """ng with its graph replaced by one on the given edges."""
-    g = from_edges(ng.net.size, edges, coords=ng.points)
+    g = from_edges(ng.net.size, edges)
     return NetGraph(graph=g, net=ng.net, edge_threshold=ng.edge_threshold)
 
 
@@ -83,7 +83,7 @@ class TestFailures:
 
     def test_edge_rule_rejects_a_dropped_edge(self):
         ng = build_net_graph(lp_space(2, 2), 1.0, 2.5)
-        edges = ng.graph.edges
+        edges = ng.graph.ends.tolist()
         assert verify_edge_rule(ng)
         for k in (0, len(edges) // 2, len(edges) - 1):
             assert not verify_edge_rule(_with_edges(ng, edges[:k] + edges[k + 1:]))
@@ -95,9 +95,9 @@ class TestFailures:
                > ng.edge_threshold * (1 + 1e-12)]
         assert far
         for pair in (far[0], far[-1]):
-            assert not verify_edge_rule(_with_edges(ng, ng.graph.edges + [pair]))
+            assert not verify_edge_rule(_with_edges(ng, ng.graph.ends.tolist() + [pair]))
             # as many edges as the rule gives, one of them in the wrong place
-            assert not verify_edge_rule(_with_edges(ng, ng.graph.edges[1:] + [pair]))
+            assert not verify_edge_rule(_with_edges(ng, ng.graph.ends[1:].tolist() + [pair]))
 
     def test_path_bound_reports_a_near_pair_two_hops_apart(self):
         # seven points one apart on a line with rho = 1: edges join points
@@ -106,7 +106,7 @@ class TestFailures:
         net = Net(space, 0.5, 6.0, np.arange(7.0)[:, None], 1.0)
         ng = net_graph_from_net(net)
         assert verify_path_bound(ng).ok
-        rep = verify_path_bound(_with_edges(ng, ng.graph.edges[1:]))
+        rep = verify_path_bound(_with_edges(ng, ng.graph.ends[1:]))
         assert not rep.ok and rep.pairs_checked == 21
         assert rep.violation == {"u": 0, "v": 1, "norm_distance": 1.0, "hops": 2,
                                  "bound": 1}
@@ -117,7 +117,7 @@ class TestFailures:
         space = lp_space(2, 3)
         points = np.array([[0.0, 0, 0], [1.0, 0, 0], [10.0, 0, 0]])
         net = Net(space, 1.0, 10.0, points, 1.0)
-        ng = NetGraph(graph=from_edges(3, [(0, 1), (1, 2)], coords=points), net=net,
+        ng = NetGraph(graph=from_edges(3, [(0, 1), (1, 2)]), net=net,
                       edge_threshold=3.0)
         with pytest.raises(InternalConsistencyError,
                            match=r"^identity embedding distortion 9\.0 exceeds 3$"):
@@ -164,13 +164,15 @@ class TestRescale:
             d = norms(unit.space, unit.points[i + 1:] - unit.points[i])
             assert np.all(d >= 1.0 - 1e-12)
         # same combinatorics
-        assert unit.graph.edges == ng.graph.edges
+        assert unit.graph is ng.graph
 
 
 class TestSerialization:
     def test_roundtrip(self):
         ng = build_net_graph(lp_space(2, 2), 1.0, 2.0)
-        again = net_graph_from_json(net_graph_to_json(ng))
-        assert again.graph.edges == ng.graph.edges
+        obj = net_graph_to_json(ng)
+        assert "coords" not in obj  # the points live in obj["net"] only
+        again = net_graph_from_json(obj)
+        assert np.array_equal(again.graph.ends, ng.graph.ends)
         assert again.edge_threshold == ng.edge_threshold
         assert np.array_equal(again.points, ng.points)

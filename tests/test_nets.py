@@ -175,7 +175,7 @@ class TestBuildNet:
         # the dropped point is a lattice candidate rho away from the rest
         net = build_net(lp_space(2, 3), 1.0, 2.0)
         pts = np.delete(net.points, drop % net.size, axis=0)
-        thinned = Net(net.space, net.delta, net.r, pts, net.rho, origin_index=None)
+        thinned = Net(net.space, net.delta, net.r, pts, net.rho)
         assert not verify_maximality(thinned)
 
     def test_candidate_cap_guard(self):
@@ -194,6 +194,19 @@ class TestNearestNetPoint:
         net = build_net(lp_space(2, 2), 1.0, 2.0)
         y = np.array([5.0, 5.0])
         assert np.all(nearest_net_point(net, y) == 0.0)
+
+    def test_origin_found_in_any_row(self):
+        # the fallback is the zero row, wherever it sits, and never another point
+        net = Net(lp_space(2, 2), 1.0, 2.0, [[1.5, 0.0], [0.0, 0.0]], 1.0)
+        assert net.origin_index == 1
+        assert np.array_equal(nearest_net_point(net, [5.0, 0.0]), [0.0, 0.0])
+
+    def test_no_origin_raises_outside_ball(self):
+        net = Net(lp_space(2, 2), 1.0, 2.0, [[1.5, 0.0], [0.0, 1.5]], 1.0)
+        assert net.origin_index is None
+        assert np.array_equal(nearest_net_point(net, [0.0, 1.0]), [0.0, 1.5])
+        with pytest.raises(ValidationError, match="no origin point"):
+            nearest_net_point(net, [5.0, 0.0])
 
     def test_net_point_maps_to_itself(self):
         net = build_net(lp_space(2, 2), 1.0, 2.0)
