@@ -4,12 +4,11 @@ exact or Monte Carlo audits of every claimed bound."""
 
 from .classify import Classification, classify, embeddability_verdict
 from .embeddings import (EmbedParams, FractionEstimate, PolylineEmbedding,
-                         TGPoint, ThickenedGraph, TgAudit, audit_tg,
-                         default_strict_params, embedding_from_json,
-                         embedding_to_json, estimate_suitable_fraction,
-                         mg_positions, place_edges, practical_params,
-                         subdivision_tg_points, verify_embedding,
-                         wilson_interval)
+                         TgAudit, audit_tg, default_strict_params,
+                         embedding_from_json, embedding_to_json,
+                         estimate_suitable_fraction, mg_positions, place_edges,
+                         practical_params, subdivision_tg_points,
+                         tg_distances, verify_embedding, wilson_interval)
 from .errors import (InternalConsistencyError, PlacementError, SamplingError,
                      ValidationError)
 from .gadgets import (GadgetGraph, ProductAudit, SubdividedGraph, anchor_map,
@@ -17,7 +16,7 @@ from .gadgets import (GadgetGraph, ProductAudit, SubdividedGraph, anchor_map,
                       gadget_to_json, product_positions, subdivide,
                       verify_product_cases)
 from .graphs import (DistortionReport, FiniteMetric, Graph, audit,
-                     audit_pair_rows, bfs_apsp, bfs_from, from_edges,
+                     audit_pair_rows, bfs_from, from_edges,
                      graph_from_json, graph_to_dot, graph_to_json,
                      is_connected, max_degree, write_audit_csv)
 from .net_graphs import (NetGraph, PathBoundReport, audit_identity_embedding,

@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import PlacementError, ValidationError
 from .gadgets import SubdividedGraph, subdivide
-from .graphs import FiniteMetric, Graph, audit, bfs_apsp
+from .graphs import FiniteMetric, Graph, audit
 from .net_graphs import (NetGraph, net_graph_from_json, net_graph_to_json,
                          rescaled_unit)
 from .spaces import (NormedSpace, as_int, ball_cuts, box_near, norms,
@@ -344,45 +344,29 @@ def _check_block(state: _PlacedState, edges: np.ndarray, ws: np.ndarray,
 
 # --- the embedding -----------------------------------------------------------
 
-class TGPoint(NamedTuple):
-    """A point of the thickened graph: position t in [0,1] along an edge."""
+def _edge_indices(edges, count: int) -> np.ndarray:
+    """edges as an array, rejecting any index outside [0, count)."""
+    edges = np.asarray(edges)
+    if np.any((edges < 0) | (edges >= count)):
+        raise ValidationError(f"edge index out of range for {count} edges")
+    return edges
 
-    edge: int
-    t: float
 
-
-class ThickenedGraph:
-    """Shortest-curve metric on the union of unit edges of a graph."""
-
-    def __init__(self, graph: Graph):
-        self.hops = bfs_apsp(graph).astype(np.float64)
-        self.ends = graph.ends
-        self._incident = {}
-        for j, (a, b) in enumerate(self.ends.tolist()):
-            self._incident.setdefault(a, (j, 0.0))
-            self._incident.setdefault(b, (j, 1.0))
-
-    def vertex_point(self, u: int) -> TGPoint:
-        j, t = self._incident[u]
-        return TGPoint(j, t)
-
-    def distance(self, p: TGPoint, q: TGPoint) -> float:
-        return float(self.distances(np.array([p.edge]), np.array([p.t]),
-                                    np.array([q.edge]), np.array([q.t]))[0])
-
-    def distances(self, e1, t1, e2, t2) -> np.ndarray:
-        """Distances between the points (e1[k], t1[k]) and (e2[k], t2[k]):
-        the best of the four routes through the edges' endpoints, and the
-        direct route along a shared edge."""
-        t1, t2 = np.asarray(t1, dtype=np.float64), np.asarray(t2, dtype=np.float64)
-        if not (np.all((0.0 <= t1) & (t1 <= 1.0)) and np.all((0.0 <= t2) & (t2 <= 1.0))):
-            raise ValidationError("TG parameter must lie in [0, 1]")
-        p_ends, q_ends = self.ends[e1], self.ends[e2]
-        best = np.where(np.asarray(e1) == np.asarray(e2), np.abs(t1 - t2), math.inf)
-        for off_p, end_p in ((t1, p_ends[:, 0]), (1.0 - t1, p_ends[:, 1])):
-            for off_q, end_q in ((t2, q_ends[:, 0]), (1.0 - t2, q_ends[:, 1])):
-                best = np.minimum(best, off_p + self.hops[end_p, end_q] + off_q)
-        return best
+def tg_distances(g: Graph, e1, t1, e2, t2) -> np.ndarray:
+    """Thickened-graph distances, on the union of g's edges as unit
+    segments, between the points (e1[k], t1[k]) and (e2[k], t2[k]): the
+    best of the four routes through the edges' endpoints (g.hops), and the
+    direct route along a shared edge."""
+    e1, e2 = _edge_indices(e1, g.edge_count), _edge_indices(e2, g.edge_count)
+    t1, t2 = np.asarray(t1, dtype=np.float64), np.asarray(t2, dtype=np.float64)
+    if not (np.all((0.0 <= t1) & (t1 <= 1.0)) and np.all((0.0 <= t2) & (t2 <= 1.0))):
+        raise ValidationError("TG parameter must lie in [0, 1]")
+    p_ends, q_ends = g.ends[e1], g.ends[e2]
+    best = np.where(e1 == e2, np.abs(t1 - t2), math.inf)
+    for off_p, end_p in ((t1, p_ends[:, 0]), (1.0 - t1, p_ends[:, 1])):
+        for off_q, end_q in ((t2, q_ends[:, 0]), (1.0 - t2, q_ends[:, 1])):
+            best = np.minimum(best, off_p + g.hops[end_p, end_q] + off_q)
+    return best
 
 
 @dataclass
@@ -413,7 +397,8 @@ class PolylineEmbedding:
         """The point at arclength fraction ts[k], in [0, 1], along the curve
         of edge edges[k], for every k: at arclength s = t*(l1 + l2) the
         point lies on [u, w] while s <= l1, else on [w, v]."""
-        edges, ts = np.asarray(edges), np.asarray(ts, dtype=np.float64)
+        edges = _edge_indices(edges, len(self.breakpoints))
+        ts = np.asarray(ts, dtype=np.float64)
         pts, ws, ends = self.netgraph.points, self.breakpoints, self.ends
         us, vs = pts[ends[:, 0]], pts[ends[:, 1]]
         l1, l2 = norms(self.space, ws - us)[edges], norms(self.space, vs - ws)[edges]
@@ -554,33 +539,29 @@ def verify_embedding(emb: PolylineEmbedding) -> dict:
 # --- derived objects and audits ----------------------------------------------
 
 def mg_positions(emb: PolylineEmbedding, M: int):
-    """Positions for the M-fold subdivision: the step-k vertex of edge uv
-    sits at arclength fraction k/M along the edge's curve; original
-    vertices map to themselves.  Returns (SubdividedGraph, positions)."""
+    """Positions for the M-fold subdivision: each vertex at its point of
+    subdivision_tg_points along the curves, so original vertices map to
+    themselves.  Returns (SubdividedGraph, positions)."""
     if M < 1:
         raise ValidationError("M must be >= 1")
     g = emb.netgraph.graph
     if len(emb.ends) != g.edge_count:
         raise ValidationError("mg_positions needs a fully placed embedding")
     sub = subdivide(g, M)
-    pos = np.empty((sub.n, emb.space.dim))
-    pos[:g.n] = emb.netgraph.points
-    pos[g.n:] = emb.positions(np.repeat(np.arange(g.edge_count), M - 1),
-                              np.tile(np.arange(1, M) / M, g.edge_count))
-    return sub, pos
+    return sub, emb.positions(*subdivision_tg_points(sub))
 
 
-def subdivision_tg_points(sub: SubdividedGraph, tg: ThickenedGraph) -> list[TGPoint]:
-    """The thickened-graph point carried by each subdivision vertex."""
-    out = []
-    for vid in range(sub.n):
-        kind = sub.vertex_kind(vid)
-        if kind[0] == "orig":
-            out.append(tg.vertex_point(kind[1]))
-        else:
-            _, j, step = kind
-            out.append(TGPoint(j, step / sub.M))
-    return out
+def subdivision_tg_points(sub: SubdividedGraph) -> tuple:
+    """(edges, ts): the thickened-graph point (edges[k], ts[k]) of each
+    subdivision vertex k.  Base vertex u sits at its end (t = 0 or 1) of
+    the first edge it ends; step k of chain j at (j, k/M)."""
+    base, M = sub.base, sub.M
+    found, first = np.unique(base.ends.ravel(), return_index=True)
+    if found.size != base.n:
+        raise ValidationError("every base vertex must end an edge")
+    e = base.edge_count
+    return (np.concatenate([first // 2, np.repeat(np.arange(e), M - 1)]),
+            np.concatenate([first % 2.0, np.tile(np.arange(1, M) / M, e)]))
 
 
 @dataclass(frozen=True)
@@ -612,10 +593,9 @@ def audit_tg(emb: PolylineEmbedding, interior_samples: int,
         raise ValidationError("interior_samples must be >= 0")
     space = emb.space
     g = emb.netgraph.graph
-    tg = ThickenedGraph(g)
     pts = emb.netgraph.points
-    vertices = audit(FiniteMetric(g.n, lambda i, idx: tg.hops[i, idx]),
-                     FiniteMetric.from_points(space, pts), pair_cap=g.n)
+    vertices = audit(FiniteMetric.from_graph(g), FiniteMetric.from_points(space, pts),
+                     pair_cap=g.n)
     lip_f, lip_i = vertices.lip_forward, vertices.lip_inverse
     n_edges = len(emb.ends)
     done = 0
@@ -623,7 +603,7 @@ def audit_tg(emb: PolylineEmbedding, interior_samples: int,
         k = min(4096, interior_samples - done)
         e_idx = rng.integers(0, n_edges, size=(k, 2))
         t_val = rng.uniform(0.0, 1.0, size=(k, 2))
-        d_tg = tg.distances(e_idx[:, 0], t_val[:, 0], e_idx[:, 1], t_val[:, 1])
+        d_tg = tg_distances(g, e_idx[:, 0], t_val[:, 0], e_idx[:, 1], t_val[:, 1])
         keep = d_tg >= 1e-12
         d_tg = d_tg[keep]
         e_idx, t_val = e_idx[keep], t_val[keep]

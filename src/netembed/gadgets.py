@@ -42,8 +42,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
-from .graphs import (DistortionReport, FiniteMetric, Graph, audit, bfs_apsp,
-                     from_edges, graph_to_json, is_connected)
+from .graphs import (DistortionReport, FiniteMetric, Graph, audit, from_edges,
+                     graph_to_json, is_connected)
 from .spaces import NormedSpace, direct_sum_l1, lp_space, norms
 
 # Block length, in ids, of the hop metrics' block partition (hub runs and
@@ -188,19 +188,12 @@ class SubdividedGraph(_ChainGraph):
     def _hub_width(self) -> int:
         return self.hubs
 
-    def vertex_kind(self, vid: int):
-        """("orig", u) or ("edge", j, step) with step in 1..M-1 from the
-        smaller endpoint."""
-        if vid < self.hubs:
-            return ("orig", vid)
-        return ("edge", *self._chain_step(vid))
-
     def _hub_distances(self):
         """Paths between base vertices run along whole subdivided edges: M
         times the base hops.  A source at step t0 of edge j leaves through
         a_j (t0 hops) or b_j (M - t0)."""
         M = self.M
-        hops = bfs_apsp(self.base).astype(np.int64) * M
+        hops = self.base.hops.astype(np.int64) * M
         a, b = self.base.ends.T
 
         def dist(s):
@@ -334,7 +327,7 @@ def audit_anchor_map(h: GadgetGraph) -> DistortionReport:
     lip <= 1/M.
     """
     e, n = h.base.edge_count, h.base.n
-    d_g = bfs_apsp(h.base).astype(np.int64)
+    d_g = h.base.hops.astype(np.int64)
     # copied out, so that no (n, e) port array outlives its row
     d_h = np.array([h.port_rows(int(a))[:, h.psi_anchor - 1].copy() for a in anchor_map(h)])
     bad = np.triu((h.M * d_g > d_h) | (d_h > (2 * e + h.M) * d_g), 1)
@@ -343,7 +336,7 @@ def audit_anchor_map(h: GadgetGraph) -> DistortionReport:
         raise InternalConsistencyError(
             f"anchor-map bound failed on pair ({u},{v}): "
             f"d_G={d_g[u, v]}, d_H={d_h[u, v]}, M={h.M}, e={e}")
-    return audit(FiniteMetric(n, lambda i, idx: d_g[i, idx]),
+    return audit(FiniteMetric.from_graph(h.base),
                  FiniteMetric(n, lambda i, idx: d_h[i, idx]), pair_cap=n)
 
 

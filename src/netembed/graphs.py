@@ -40,6 +40,18 @@ class Graph:
         stops = np.cumsum(np.bincount(src, minlength=self.n)).tolist()
         return tuple(tuple(nbrs[a:b]) for a, b in zip([0] + stops, stops))
 
+    @cached_property
+    def hops(self) -> np.ndarray:
+        """The (n, n) int32 all-pairs hop table, one bfs_from row per vertex,
+        built on first use and read-only; raises on disconnected input."""
+        table = np.empty((self.n, self.n), dtype=np.int32)
+        for s in range(self.n):
+            table[s] = bfs_from(self, s)
+            if table[s].min() < 0:
+                raise ValidationError("graph is disconnected")
+        table.setflags(write=False)
+        return table
+
     @property
     def edge_count(self) -> int:
         return len(self.ends)
@@ -88,17 +100,6 @@ def bfs_from(g: Graph, source: int) -> np.ndarray:
     return np.array(dist, dtype=np.int32)
 
 
-def bfs_apsp(g: Graph) -> np.ndarray:
-    """All-pairs hop distances; raises on disconnected input."""
-    table = np.empty((g.n, g.n), dtype=np.int32)
-    for s in range(g.n):
-        row = bfs_from(g, s)
-        if np.any(row < 0):
-            raise ValidationError("graph is disconnected")
-        table[s] = row
-    return table
-
-
 def is_connected(g: Graph) -> bool:
     return bool(np.all(bfs_from(g, 0) >= 0))
 
@@ -121,8 +122,9 @@ class FiniteMetric:
     """A finite metric evaluated on request: at(i, idx) gives the distances
     from id i to the ids idx, and row(i) is at(i, all ids).
 
-    Nothing is kept: the audits read each source once, so keeping rows of a
-    large graph would only cost memory.
+    The point and chain metrics keep nothing: the audits read each source
+    once, so keeping their rows would only cost memory.  A graph's metric
+    reads the graph's cached hop table.
 
     A metric may carry a block partition of its ids: blocks holds the
     sorted first ids of the blocks (blocks[0] == 0), and bounds(i) returns
@@ -148,12 +150,7 @@ class FiniteMetric:
 
     @staticmethod
     def from_graph(g: Graph) -> "FiniteMetric":
-        def at(i, idx):
-            r = bfs_from(g, i)
-            if np.any(r < 0):
-                raise ValidationError("graph metric requires a connected graph")
-            return r[idx].astype(np.float64)
-        return FiniteMetric(g.n, at)
+        return FiniteMetric(g.n, lambda i, idx: g.hops[i, idx])
 
     @staticmethod
     def from_points(space: NormedSpace, pts, blocks=None) -> "FiniteMetric":

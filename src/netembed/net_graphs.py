@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
-from .graphs import (DistortionReport, FiniteMetric, Graph, audit, bfs_apsp,
-                     from_edges, graph_from_json, graph_to_json, is_connected)
+from .graphs import (DistortionReport, FiniteMetric, Graph, audit, from_edges,
+                     graph_from_json, graph_to_json, is_connected)
 from .nets import (_REL_TOL, Net, _pair_distances, build_net, net_from_json,
                    net_to_json)
 from .spaces import NormedSpace
@@ -100,7 +100,7 @@ def verify_path_bound(ng: NetGraph) -> PathBoundReport:
     count must not exceed floor(||u - v|| / rho).  Also tracks the largest
     forward ratio ||u - v|| / d_G, which the edge rule caps at 3*rho.
     """
-    hops = bfs_apsp(ng.graph)
+    hops = ng.graph.hops
     rho = ng.net.rho
     thr = ng.edge_threshold * (1 + _REL_TOL)
     worst = None

@@ -26,14 +26,13 @@ import time
 import numpy as np
 import pytest
 
-from netembed import (ThickenedGraph,
-                      audit_anchor_map, audit_identity_embedding,
-                      audit_product_map, audit_tg, bfs_apsp, build_gadget,
+from netembed import (audit_anchor_map, audit_identity_embedding,
+                      audit_product_map, audit_tg, build_gadget,
                       build_net_graph, classify, default_strict_params,
                       degree_bound, estimate_suitable_fraction, from_edges,
                       lp_space, max_degree, mg_positions, place_edges,
                       practical_params, subdivide, subdivision_tg_points,
-                      verify_embedding, verify_path_bound)
+                      tg_distances, verify_embedding, verify_path_bound)
 from netembed.cli import main as cli_main
 
 INF = math.inf
@@ -90,7 +89,7 @@ def test_criterion_3_gadget_degree_and_anchor_bounds():
     checked = []
     for g, tag in ((k3, "K3"), (ball, "G(l2^2,1,2)")):
         e = g.edge_count
-        d_g = bfs_apsp(g)
+        d_g = g.hops
         for m_val in (e, e + 1, 10 * e):
             h = build_gadget(g, m_val)
             assert max_degree(h.graph) <= 3, (tag, m_val)
@@ -174,16 +173,13 @@ def test_criterion_6_product_composition():
 def test_criterion_7_subdivision_thickening_isometry():
     t0 = time.perf_counter()
     k3 = from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    tg = ThickenedGraph(k3)
     worst = 0.0
     for m_val in range(1, 9):
         sub = subdivide(k3, m_val)
-        marks = subdivision_tg_points(sub, tg)
-        hops = bfs_apsp(sub.graph)
-        for i in range(sub.graph.n):
-            for j in range(i + 1, sub.graph.n):
-                gap = abs(hops[i, j] / m_val - tg.distance(marks[i], marks[j]))
-                worst = max(worst, gap)
+        edges, ts = subdivision_tg_points(sub)
+        i, j = np.triu_indices(sub.n, 1)
+        d_tg = tg_distances(k3, edges[i], ts[i], edges[j], ts[j])
+        worst = max(worst, float(np.max(np.abs(sub.graph.hops[i, j] / m_val - d_tg))))
     elapsed = time.perf_counter() - t0
     report(7, worst <= 1e-12 and elapsed < 10.0,
            f"K3, M<=8: max |d_MG/M - d_TG| = {worst:.2e} <= 1e-12, "

@@ -609,6 +609,19 @@ class TestPipeline:
         assert d["embedding"]["reverified"]
         assert d["config"]["params"]["gamma_constant"] == 1.0
 
+    def test_one_hop_table_per_run(self, tmp_path, monkeypatch):
+        # the path bound, identity, TG, anchor and subdivision metrics all
+        # read the base graph's one cached hop table: n BFS rows, plus the
+        # is_connected checks of net_graph_from_net and build_gadget
+        from netembed import graphs
+        bfs, calls = graphs.bfs_from, []
+        monkeypatch.setattr(graphs, "bfs_from", lambda g, s: calls.append(s) or bfs(g, s))
+        out = tmp_path / "run"
+        assert run_cli("pipeline", "--space", "lp:2:3", "--delta", "1",
+                       "--r", "1.44", "--seed", "3", "--samples", "200",
+                       "--out", str(out)) == 0
+        assert len(calls) == read(out / "dossier.json")["graph"]["vertices"] + 2
+
     def test_artifacts_equal_the_subcommands_output(self, tmp_path):
         run, seed = tmp_path / "run", "3"
         assert run_cli("pipeline", "--space", "lp:2:3", "--delta", "1", "--r", "1.44",

@@ -7,15 +7,14 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from netembed import (EmbedParams, Net, PlacementError, PolylineEmbedding,
-                      TGPoint, ThickenedGraph, ValidationError, audit_tg,
-                      bfs_apsp, build_net_graph, custom_space,
+                      ValidationError, audit_tg, build_net_graph, custom_space,
                       default_strict_params, embedding_from_json,
                       embedding_to_json, estimate_suitable_fraction,
                       from_edges, lp_space, mg_positions, net_graph_from_net,
                       norms, parse_space, place_edges, practical_params,
                       rescaled_unit, sample_ball_many,
-                      subdivide, subdivision_tg_points, verify_embedding,
-                      wilson_interval)
+                      subdivide, subdivision_tg_points, tg_distances,
+                      verify_embedding, wilson_interval)
 from netembed import cli, embeddings, spaces
 from netembed.embeddings import (ALPHA, BETA, GAMMA, _clip_curves,
                                  _PlacedState, check_breakpoints)
@@ -316,65 +315,95 @@ class TestPlacement:
         assert len(blocks) <= 2 * math.log2(params.retry_cap)
 
 
+def tg_distance(g, p, q):
+    """The thickened-graph distance between the points p = (edge, t) and q,
+    as a one-row tg_distances call."""
+    return float(tg_distances(g, [p[0]], [p[1]], [q[0]], [q[1]])[0])
+
+
+def tg_point_rows(sub):
+    """subdivision_tg_points(sub) as a list of (edge, t) pairs."""
+    return list(zip(*(a.tolist() for a in subdivision_tg_points(sub))))
+
+
+def reference_tg_points(sub):
+    """Per-vertex reference for subdivision_tg_points: a base vertex at its
+    end of the first edge (in edge order) that it ends, step k of chain j
+    at (j, k/M)."""
+    incident = {}
+    for j, (a, b) in enumerate(sub.base.ends.tolist()):
+        incident.setdefault(a, (j, 0.0))
+        incident.setdefault(b, (j, 1.0))
+    out = [incident[u] for u in range(sub.base.n)]
+    for j in range(sub.base.edge_count):
+        out += [(j, k / sub.M) for k in range(1, sub.M)]
+    return out
+
+
 class TestThickenedMetric:
     def test_same_edge_offset(self):
-        tg = ThickenedGraph(from_edges(2, [(0, 1)]))
-        assert tg.distance(TGPoint(0, 0.2), TGPoint(0, 0.7)) == pytest.approx(0.5)
+        g = from_edges(2, [(0, 1)])
+        assert tg_distance(g, (0, 0.2), (0, 0.7)) == pytest.approx(0.5)
 
     def test_vertex_to_vertex_is_graph_distance(self):
         g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        tg = ThickenedGraph(g)
-        d = bfs_apsp(g)
+        marks = tg_point_rows(subdivide(g, 1))  # the vertices' points
         for u in range(4):
             for v in range(4):
-                got = tg.distance(tg.vertex_point(u), tg.vertex_point(v))
-                assert got == pytest.approx(float(d[u, v]), abs=1e-12)
+                got = tg_distance(g, marks[u], marks[v])
+                assert got == pytest.approx(float(g.hops[u, v]), abs=1e-12)
 
     def test_adjacent_edges_route(self):
         g = from_edges(3, [(0, 1), (1, 2)])
-        tg = ThickenedGraph(g)
         # t=0.9 toward the shared vertex, then 0.1 into the next edge
-        assert tg.distance(TGPoint(0, 0.9), TGPoint(1, 0.1)) == pytest.approx(0.2)
+        assert tg_distance(g, (0, 0.9), (1, 0.1)) == pytest.approx(0.2)
 
     def test_triangle_inequality_random_triples(self):
         g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)])
-        tg = ThickenedGraph(g)
         rng = np.random.default_rng(6)
-        e = g.edge_count
-        pts = [TGPoint(int(i), float(t))
-               for i, t in zip(rng.integers(0, e, 30_000), rng.uniform(0, 1, 30_000))]
-        for k in range(10_000):
-            p, q, r = pts[3 * k], pts[3 * k + 1], pts[3 * k + 2]
-            assert (tg.distance(p, r)
-                    <= tg.distance(p, q) + tg.distance(q, r) + 1e-9)
+        e = rng.integers(0, g.edge_count, (10_000, 3))
+        t = rng.uniform(0, 1, (10_000, 3))
+
+        def d(a, b):
+            return tg_distances(g, e[:, a], t[:, a], e[:, b], t[:, b])
+        assert np.all(d(0, 2) <= d(0, 1) + d(1, 2) + 1e-9)
 
     def test_batched_distances_match_scalar_routes(self):
         g = build_net_graph(L23, 1.0, 2.0).graph
-        tg = ThickenedGraph(g)
         rng = np.random.default_rng(6)
         e = rng.integers(0, g.edge_count, (500, 2))
         e[:50, 1] = e[:50, 0]                                   # shared edges
         t = rng.uniform(0, 1, (500, 2))
         t[50:60] = [[0.0, 1.0]] * 10
-        got = tg.distances(e[:, 0], t[:, 0], e[:, 1], t[:, 1])
+        got = tg_distances(g, e[:, 0], t[:, 0], e[:, 1], t[:, 1])
         for k in range(500):
             (pu, pv), (qu, qv) = g.ends[e[k, 0]], g.ends[e[k, 1]]
             best = abs(t[k, 0] - t[k, 1]) if e[k, 0] == e[k, 1] else math.inf
             for off_p, end_p in ((t[k, 0], pu), (1.0 - t[k, 0], pv)):
                 for off_q, end_q in ((t[k, 1], qu), (1.0 - t[k, 1], qv)):
-                    best = min(best, off_p + float(tg.hops[end_p, end_q]) + off_q)
+                    best = min(best, off_p + float(g.hops[end_p, end_q]) + off_q)
             assert got[k] == best
 
     def test_parameter_range_validated(self):
-        tg = ThickenedGraph(from_edges(2, [(0, 1)]))
+        g = from_edges(2, [(0, 1)])
         with pytest.raises(ValidationError):
-            tg.distance(TGPoint(0, 1.2), TGPoint(0, 0.0))
+            tg_distance(g, (0, 1.2), (0, 0.0))
+
+    @pytest.mark.parametrize("bad", [-1, -2, 2, 3])
+    def test_edge_index_out_of_range(self, bad):
+        # on the path 0-1-2 a negative index used to wrap around to the
+        # last edge: edge -1 answered as edge 1
+        g = from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValidationError, match="edge index out of range"):
+            tg_distances(g, [bad], [0.5], [0], [0.5])
+        with pytest.raises(ValidationError, match="edge index out of range"):
+            tg_distances(g, [0, 1], [0.5, 0.5], [1, bad], [0.5, 0.5])
 
     def test_triangle_points(self):
-        tg = ThickenedGraph(from_edges(3, [(0, 1), (0, 2), (1, 2)]))
-        assert tg.distance(TGPoint(0, 0.25), TGPoint(0, 0.75)) == pytest.approx(0.5)
-        tg = ThickenedGraph(hand_triangle().graph)
-        assert tg.distance(TGPoint(0, 0.0), TGPoint(1, 1.0)) \
+        g = from_edges(3, [(0, 1), (0, 2), (1, 2)])
+        assert tg_distance(g, (0, 0.25), (0, 0.75)) == pytest.approx(0.5)
+        g = hand_triangle().graph
+        assert tg_distance(g, (0, 0.0), (1, 1.0)) \
             == pytest.approx(1.0)  # vertex 0 to vertex 2, one hop
 
 
@@ -439,6 +468,14 @@ class TestSubdivisionPositions:
         for k in range(len(ts)):
             assert np.array_equal(got[k], _scalar_point_at(emb, edges[k], ts[k]))
 
+    @pytest.mark.parametrize("bad", [-1, "placed"])
+    def test_edge_index_out_of_range(self, ball_emb, bad):
+        # a negative index used to wrap around to the last placed edge
+        placed = len(ball_emb.breakpoints)
+        bad = placed if bad == "placed" else bad
+        with pytest.raises(ValidationError, match="edge index out of range"):
+            ball_emb.positions(np.array([0, bad]), np.array([0.5, 0.5]))
+
     def test_requires_full_embedding(self, ball_emb):
         ng = build_net_graph(L23, 1.0, 2.0)
         partial = place_edges(L23, ng, practical_params(beta=0.02, seed=3),
@@ -450,15 +487,41 @@ class TestSubdivisionPositions:
         # (1/M) * d_MG  equals the thickened-graph distance on subdivision
         # points, for every M up to 8 on K3
         k3 = from_edges(3, [(0, 1), (0, 2), (1, 2)])
-        tg = ThickenedGraph(k3)
         for m_val in range(1, 9):
             sub = subdivide(k3, m_val)
-            marks = subdivision_tg_points(sub, tg)
-            hops = bfs_apsp(sub.graph)
+            marks = tg_point_rows(sub)
+            hops = sub.graph.hops
             for i in range(sub.graph.n):
                 for j in range(i + 1, sub.graph.n):
                     assert hops[i, j] / m_val == pytest.approx(
-                        tg.distance(marks[i], marks[j]), abs=1e-12)
+                        tg_distance(k3, marks[i], marks[j]), abs=1e-12)
+
+    def test_tg_points_match_per_vertex_reference(self):
+        k3 = from_edges(3, [(0, 1), (0, 2), (1, 2)])
+        for m_val in range(1, 9):
+            sub = subdivide(k3, m_val)
+            edges, ts = subdivision_tg_points(sub)
+            assert edges.dtype == np.int64 and ts.dtype == np.float64
+            assert tg_point_rows(sub) == reference_tg_points(sub)
+
+    def test_tg_points_random_graphs(self):
+        # every vertex of a random connected graph, in any edge order
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            n = int(rng.integers(2, 12))
+            pairs = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+            extra = rng.integers(0, n, (int(rng.integers(0, 10)), 2))
+            pairs += [(int(a), int(b)) for a, b in extra if a != b]
+            g = from_edges(n, list({tuple(sorted(p)) for p in pairs}))
+            sub = subdivide(g, int(rng.integers(1, 5)))
+            assert tg_point_rows(sub) == reference_tg_points(sub)
+
+    def test_tg_points_reject_a_vertex_on_no_edge(self):
+        # vertex 3 ends no edge: its row would be missing, and every later
+        # row would shift by one
+        sub = subdivide(from_edges(4, [(0, 1), (0, 2)]), 3)
+        with pytest.raises(ValidationError, match="every base vertex must end an edge"):
+            subdivision_tg_points(sub)
 
 
 def _curve(emb, j):
@@ -498,7 +561,7 @@ def loop_vertex_ratios(emb):
     """Row-by-row reference for audit_tg's vertex pairs:
     (lip_forward, lip_inverse, pairs)."""
     space, pts = emb.space, emb.netgraph.points
-    hops = bfs_apsp(emb.netgraph.graph).astype(np.float64)
+    hops = emb.netgraph.graph.hops.astype(np.float64)
     lip_f = lip_i = 0.0
     pairs = 0
     for i in range(len(pts)):
@@ -541,7 +604,7 @@ class TestTgAudit:
     def test_vertex_ratios_match_identity_audit(self, triangle_emb, ball_emb):
         rep = audit_tg(triangle_emb, 0, np.random.default_rng(0))
         pts = triangle_emb.netgraph.points
-        hops = bfs_apsp(triangle_emb.netgraph.graph)
+        hops = triangle_emb.netgraph.graph.hops
         i, j = np.triu_indices(3, 1)
         want_f = np.max(norms(L23, pts[i] - pts[j]) / hops[i, j])
         assert rep.lip_forward >= want_f - 1e-12

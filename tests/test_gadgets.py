@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from netembed import gadgets
 from netembed import (DistortionReport, FiniteMetric, InternalConsistencyError,
                       ValidationError, anchor_map,
-                      audit_anchor_map, audit_product_map, bfs_apsp, bfs_from,
+                      audit_anchor_map, audit_product_map, bfs_from,
                       build_gadget, build_net_graph, from_edges,
                       gadget_to_json, graph_to_json, is_connected, lp_space,
                       max_degree,
@@ -33,13 +33,13 @@ class TestSubdivide:
     def test_k2_becomes_path(self):
         sub = subdivide(k2(), 3)
         assert sub.graph.n == 4
-        assert bfs_apsp(sub.graph)[0, 1] == 3
+        assert sub.graph.hops[0, 1] == 3
 
     def test_c3_doubling_gives_c6(self):
         c3 = k3()
         sub = subdivide(c3, 2)
-        d = bfs_apsp(sub.graph)
-        base_d = bfs_apsp(c3)
+        d = sub.graph.hops
+        base_d = c3.hops
         for u in range(3):
             for v in range(3):
                 assert d[u, v] == 2 * base_d[u, v]
@@ -65,8 +65,8 @@ class TestSubdivide:
             m_val = int(rng.integers(2, 6))
             sub = subdivide(g, m_val)
             assert sub.graph.n == g.n + (m_val - 1) * g.edge_count
-            d_base = bfs_apsp(g)
-            d_sub = bfs_apsp(sub.graph)
+            d_base = g.hops
+            d_sub = sub.graph.hops
             assert np.array_equal(d_sub[:n, :n], m_val * d_base)
 
 
@@ -287,7 +287,7 @@ def loop_anchor_report(h):
     """Scalar pair-by-pair reference for audit_anchor_map, on full hop rows."""
     e = h.base.edge_count
     amap = anchor_map(h)
-    d_g, hops = bfs_apsp(h.base), h.hop_metric()
+    d_g, hops = h.base.hops, h.hop_metric()
     d_h = {int(a): hops.row(int(a)) for a in amap}
     lip_f = lip_i = 0.0
     wit_f = wit_i = (0, 1)
@@ -336,7 +336,7 @@ class TestAnchorMap:
     def test_k2_m5_distance(self):
         h = build_gadget(k2(), 5)
         amap = anchor_map(h)
-        d = bfs_apsp(h.graph)
+        d = h.graph.hops
         assert d[amap[0], amap[1]] == 5  # within [M, 2e+M] = [5, 7]
 
     def test_bounds_hold_exhaustively(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from netembed import gadgets
 from netembed import (DistortionReport, FiniteMetric, Net, ValidationError, audit,
-                      audit_pair_rows, bfs_apsp, bfs_from, build_gadget, custom_space,
+                      audit_pair_rows, bfs_from, build_gadget, custom_space,
                       direct_sum_l1, from_edges, graph_from_json, graph_to_dot, graph_to_json,
                       is_connected, lp_space, max_degree, mg_positions, net_graph_from_net,
                       norms, parse_space, place_edges, practical_params, product_positions,
@@ -78,10 +78,10 @@ class TestConstruction:
 
 class TestBfs:
     def test_path_end_to_end(self):
-        assert bfs_apsp(path_graph(4))[0, 3] == 3
+        assert path_graph(4).hops[0, 3] == 3
 
     def test_complete_all_ones(self):
-        d = bfs_apsp(complete_graph(5))
+        d = complete_graph(5).hops
         off = ~np.eye(5, dtype=bool)
         assert np.all(d[off] == 1)
 
@@ -98,14 +98,44 @@ class TestBfs:
             power = power @ a
             newly = (power > 0) & (want < 0)
             want[newly] = k
-        assert np.array_equal(bfs_apsp(g), want)
+        assert np.array_equal(g.hops, want)
         assert want[0, 3] == 3
 
     def test_disconnected_raises(self):
         g = from_edges(4, [(0, 1), (2, 3)])
         assert not is_connected(g)
-        with pytest.raises(ValidationError):
-            bfs_apsp(g)
+        with pytest.raises(ValidationError, match="graph is disconnected"):
+            g.hops
+        with pytest.raises(ValidationError, match="graph is disconnected"):
+            FiniteMetric.from_graph(g).at(0, np.arange(4))
+
+    def test_hops_is_one_read_only_table(self):
+        g = cycle_graph(7)
+        table = g.hops
+        assert table is g.hops and table.dtype == np.int32 and table.shape == (7, 7)
+        for s in range(7):
+            assert np.array_equal(table[s], bfs_from(g, s))
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 1] = 5
+        row = FiniteMetric.from_graph(g).row(0)
+        row[:] = -1  # a metric row is a copy: the table keeps its values
+        assert np.array_equal(g.hops[0], bfs_from(g, 0))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 14).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, 1 << 30), min_size=n, max_size=n),
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20))))
+    def test_hops_against_networkx_hypothesis(self, case):
+        # a spanning tree (vertex v hangs off a smaller vertex) plus extra pairs
+        nx = pytest.importorskip("networkx")
+        n, parents, extra = case
+        edges = {(p % v, v) for v, p in enumerate(parents) if v}
+        edges |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
+        g = from_edges(n, sorted(edges))
+        gx = nx.Graph(list(edges))
+        gx.add_nodes_from(range(n))
+        theirs = dict(nx.all_pairs_shortest_path_length(gx))
+        assert g.hops.tolist() == [[theirs[i][j] for j in range(n)] for i in range(n)]
 
     def test_unreachable_marked_minus_one(self):
         g = from_edges(6, [(0, 1), (1, 2), (3, 4)])
@@ -123,14 +153,14 @@ class TestBfs:
             if not nx.is_connected(gx):
                 gx = nx.compose(gx, nx.path_graph(n))
             g = from_edges(n, list(gx.edges()))
-            ours = bfs_apsp(g)
+            ours = g.hops
             theirs = dict(nx.all_pairs_shortest_path_length(gx))
             for i in range(n):
                 for j in range(n):
                     assert ours[i, j] == theirs[i][j]
 
     def test_triangle_inequality_integer(self):
-        d = bfs_apsp(cycle_graph(9))
+        d = cycle_graph(9).hops
         n = 9
         for i in range(n):
             for j in range(n):

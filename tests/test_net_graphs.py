@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netembed import (InternalConsistencyError, Net, NetGraph,
-                      audit_identity_embedding, bfs_apsp,
+                      audit_identity_embedding,
                       build_net, build_net_graph, degree_bound, from_edges,
                       lp_space, max_degree,
                       net_graph_from_json, net_graph_from_net,
@@ -36,7 +36,7 @@ class TestConstruction:
         # are 1.25 apart, every pair is within threshold 3.75 except the
         # extremes when r grows; recompute hops exhaustively
         ng = build_net_graph(lp_space(2, 1), 1.0, 2.0)
-        hops = bfs_apsp(ng.graph)
+        hops = ng.graph.hops
         pts = ng.points[:, 0]
         for i in range(ng.graph.n):
             for j in range(ng.graph.n):
@@ -59,7 +59,7 @@ class TestPathBound:
 
     def test_adjacent_iff_within_threshold(self):
         ng = build_net_graph(lp_space(math.inf, 2), 1.0, 3.0)
-        hops = bfs_apsp(ng.graph)
+        hops = ng.graph.hops
         m = ng.net.size
         for i in range(m):
             d = norms(ng.space, ng.points - ng.points[i])
