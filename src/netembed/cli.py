@@ -10,6 +10,8 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
 from dataclasses import asdict, replace
@@ -44,16 +46,67 @@ def _load_json(path, what):
         raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
+# Rows of an integer array encoded per write: bounds the writer's memory
+# whatever the length of a listing.
+_WRITE_ROWS = 1 << 12
+
+
+def _mark(nonce: int) -> str:
+    """The string that stands in for an integer array while obj is encoded."""
+    return f"\x00{nonce}"
+
+
+def _encode_around_arrays(obj) -> tuple:
+    """Encode obj as _dump_json writes it, cut where its integer arrays go.
+
+    Returns (pieces, arrays): json.dumps(obj, sort_keys=True) plus a
+    newline, cut into len(arrays) + 1 pieces around the integer ndarrays
+    it holds, listed in text order.  Each array is encoded as the stand-in
+    string _mark(nonce).  A user string can hold the stand-in's token only
+    inside its own string token, so the cut is exact when it gives one
+    piece more than there are arrays; otherwise the next nonce is tried."""
+    for nonce in itertools.count():
+        arrays = []
+
+        def stand_in(o):
+            if isinstance(o, np.ndarray) and o.dtype.kind in "iu":
+                arrays.append(o)
+                return _mark(nonce)
+            return json.JSONEncoder().default(o)  # json.dumps's own TypeError
+
+        pieces = (json.dumps(obj, sort_keys=True, default=stand_in) + "\n").split(
+            json.dumps(_mark(nonce)))
+        if len(pieces) == len(arrays) + 1:
+            return pieces, arrays
+
+
+def _write_ints(write, a: np.ndarray) -> None:
+    """Write json.dumps(a.tolist()), encoding _WRITE_ROWS rows at a time."""
+    if a.ndim == 0:
+        write(json.dumps(a.tolist()))
+        return
+    write("[")
+    for start in range(0, len(a), _WRITE_ROWS):
+        rows = json.dumps(a[start:start + _WRITE_ROWS].tolist())[1:-1]
+        write(", " + rows if start else rows)
+    write("]")
+
+
 def _dump_json(obj, path):
-    """Write obj as json.dumps(obj, sort_keys=True) plus a newline: the
-    standard library's C encoder, sorted keys, no indentation.  The text is
-    encoded before the file is opened, so a value json cannot encode leaves
-    no file behind."""
-    text = json.dumps(obj, sort_keys=True) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+    """Write obj as json.dumps(obj, sort_keys=True) plus a newline, an
+    integer ndarray counting as its .tolist(): the standard library's C
+    encoder, sorted keys, no indentation.  Integer arrays are encoded a
+    chunk of rows at a time as they are written; everything else is
+    encoded before the file is opened, so a value json cannot encode
+    leaves no file behind."""
+    pieces, arrays = _encode_around_arrays(obj)
+    out = (contextlib.nullcontext(sys.stdout) if path is None or path == "-"
+           else open(path, "w", encoding="utf-8"))
+    with out as fh:
+        fh.write(pieces[0])
+        for a, piece in zip(arrays, pieces[1:]):
+            _write_ints(fh.write, a)
+            fh.write(piece)
 
 
 def _load_graph(path):
@@ -129,7 +182,7 @@ def _cmd_subdivide(args):
     obj = graph_to_json(from_edges(sub.n, sub.edge_ends()))
     obj["M"] = sub.M
     obj["base_n"] = sub.base.n
-    obj["edge_order"] = sub.base.ends.tolist()
+    obj["edge_order"] = sub.base.ends
     _dump_json(obj, args.output)
     return 0
 

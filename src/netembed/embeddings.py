@@ -56,6 +56,9 @@ _BOX_TESTS = 1 << 17
 # breakpoints a seed gives), and edges placed together (which does not).
 _CHUNK = 2
 _WINDOW = 32
+# Curve points computed together by PolylineEmbedding.positions: bounds its
+# temporaries on the M-fold subdivision of a large graph.
+_POSITION_ROWS = 1 << 12
 
 
 # --- parameters -------------------------------------------------------------
@@ -396,24 +399,29 @@ class PolylineEmbedding:
     def positions(self, edges, ts) -> np.ndarray:
         """The point at arclength fraction ts[k], in [0, 1], along the curve
         of edge edges[k], for every k: at arclength s = t*(l1 + l2) the
-        point lies on [u, w] while s <= l1, else on [w, v]."""
+        point lies on [u, w] while s <= l1, else on [w, v].  Computed
+        _POSITION_ROWS points at a time, each by the same operations."""
         edges = _edge_indices(edges, len(self.breakpoints))
         ts = np.asarray(ts, dtype=np.float64)
         pts, ws, ends = self.netgraph.points, self.breakpoints, self.ends
         us, vs = pts[ends[:, 0]], pts[ends[:, 1]]
-        l1, l2 = norms(self.space, ws - us)[edges], norms(self.space, vs - ws)[edges]
-        s = ts * (l1 + l2)
-        at_u = ts <= 0.0
-        at_v = ~at_u & (ts >= 1.0)
-        first = ~at_u & ~at_v & (s <= l1)
-        second = ~(at_u | at_v | first)
+        lens1, lens2 = norms(self.space, ws - us), norms(self.space, vs - ws)
         out = np.empty((len(ts), self.space.dim))
-        out[at_u] = us[edges[at_u]]
-        out[at_v] = vs[edges[at_v]]
-        u, w = us[edges[first]], ws[edges[first]]
-        out[first] = u + (s[first] / l1[first])[:, None] * (w - u)
-        w, v = ws[edges[second]], vs[edges[second]]
-        out[second] = w + ((s[second] - l1[second]) / l2[second])[:, None] * (v - w)
+        for start in range(0, len(ts), _POSITION_ROWS):
+            rows = slice(start, start + _POSITION_ROWS)
+            e, t, o = edges[rows], ts[rows], out[rows]
+            l1, l2 = lens1[e], lens2[e]
+            s = t * (l1 + l2)
+            at_u = t <= 0.0
+            at_v = ~at_u & (t >= 1.0)
+            first = ~at_u & ~at_v & (s <= l1)
+            second = ~(at_u | at_v | first)
+            o[at_u] = us[e[at_u]]
+            o[at_v] = vs[e[at_v]]
+            u, w = us[e[first]], ws[e[first]]
+            o[first] = u + (s[first] / l1[first])[:, None] * (w - u)
+            w, v = ws[e[second]], vs[e[second]]
+            o[second] = w + ((s[second] - l1[second]) / l2[second])[:, None] * (v - w)
         return out
 
 

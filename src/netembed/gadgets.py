@@ -51,6 +51,9 @@ from .spaces import NormedSpace, direct_sum_l1, lp_space, norms
 # noise, on the pipeline's lp:2:3, lp:1:3 and lp:inf:3 gadgets.
 _BLOCK = 32
 _TOL = 1e-9  # relative slack of the product-map bounds
+# Rows per pass of product_positions' whole-graph loops: bounds their
+# temporaries on large gadgets.
+_ROWS = 1 << 12
 
 
 def _chain_edges(*columns) -> np.ndarray:
@@ -340,14 +343,29 @@ def audit_anchor_map(h: GadgetGraph) -> DistortionReport:
                  FiniteMetric(n, lambda i, idx: d_h[i, idx]), pair_cap=n)
 
 
-def _h_to_sub(h: GadgetGraph, sub: SubdividedGraph) -> np.ndarray:
-    """Gadget vertex -> corresponding subdivided-graph vertex.
+def _h_to_sub(h: GadgetGraph, sub: SubdividedGraph, ids: np.ndarray) -> tuple:
+    """(subdivided-graph vertex, label) of each gadget vertex in ids.
 
-    Short-path vertices of u collapse onto the base vertex u; both layouts
-    number the chain interiors alike after their hubs.
+    The short-path vertex u*e + i collapses onto the base vertex u and
+    carries label i + 1; both layouts number the chain interiors alike
+    after their hubs, and those of long path j carry label j + 1.
     """
-    return np.concatenate([np.arange(h.hubs) // h.base.edge_count,
-                           np.arange(sub.hubs, sub.n)])
+    port, chain = ids < h.hubs, ids - h.hubs
+    e = h.base.edge_count
+    return (np.where(port, ids // e, chain + sub.hubs),
+            np.where(port, ids % e, chain // max(h.M - 1, 1)) + 1)
+
+
+def _max_edge_gap(sub: SubdividedGraph, positions: np.ndarray,
+                  space: NormedSpace) -> float:
+    """The largest image distance across the unit edges of sub (NaN if one
+    is NaN), or 1.0 without edges, over _ROWS edges at a time."""
+    ends = sub.edge_ends()
+    gaps = []
+    for start in range(0, len(ends), _ROWS):
+        u, v = ends[start:start + _ROWS].T
+        gaps.append(norms(space, positions[u] - positions[v]).max())
+    return float(np.max(gaps)) if gaps else 1.0
 
 
 def product_positions(h: GadgetGraph, sub_positions: np.ndarray,
@@ -373,18 +391,16 @@ def product_positions(h: GadgetGraph, sub_positions: np.ndarray,
             f"positions shape {sub_positions.shape} does not match the "
             f"subdivided graph ({sub.n} vertices, dim {space.dim})")
 
-    ends = sub.edge_ends()
-    edge_gaps = norms(space, sub_positions[ends[:, 0]] - sub_positions[ends[:, 1]])
-    factor = float(edge_gaps.max()) if edge_gaps.size else 1.0
+    factor = _max_edge_gap(sub, sub_positions, space)
     pos = sub_positions / factor if factor > 1.0 else sub_positions
     factor = factor if factor > 1.0 else 1.0
 
-    mapping = _h_to_sub(h, sub)
     out = np.empty((h.n, space.dim + 1))
-    out[:, :space.dim] = pos[mapping]
-    labels = np.arange(1, h.base.edge_count + 1, dtype=np.float64)
-    out[h.short_ids, space.dim] = labels
-    out[h.long_interior, space.dim] = labels[:, None]
+    for start in range(0, h.n, _ROWS):
+        rows = slice(start, min(start + _ROWS, h.n))
+        mapping, labels = _h_to_sub(h, sub, np.arange(rows.start, rows.stop))
+        out[rows, :space.dim] = pos[mapping]
+        out[rows, space.dim] = labels
     return out, pos, factor, direct_sum_l1(space, lp_space(1, 1)), sub
 
 
@@ -434,7 +450,7 @@ def verify_product_cases(h: GadgetGraph, sub_positions: np.ndarray,
     coordinate.
     """
     pos, scaled, _, target, sub = product_positions(h, sub_positions, space)
-    mapping = _h_to_sub(h, sub)
+    mapping, _ = _h_to_sub(h, sub, np.arange(h.n))
     d_h = h.hop_metric()
     d_sub = sub.hop_metric()
     lip0_inv = audit(d_sub, FiniteMetric.from_points(space, scaled)).lip_inverse

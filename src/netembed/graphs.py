@@ -13,8 +13,10 @@ pairs_checked counts every pair covered, evaluated or certified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -65,10 +67,14 @@ def from_edges(n: int, edges) -> Graph:
     pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     bad = (pairs[:, 0] == pairs[:, 1]) | ((pairs < 0) | (pairs >= n)).any(axis=1)
     if not bad.any():
-        keys = np.minimum(*pairs.T) * n + np.maximum(*pairs.T)
+        keys = np.minimum(*pairs.T)
+        keys *= n
+        keys += np.maximum(*pairs.T)
         keys.sort(kind="stable")  # in place; timsort, as listings come in sorted runs
         if not (keys[1:] == keys[:-1]).any():  # sorted, duplicates sit side by side
-            return Graph(n, np.stack(np.divmod(keys, n), axis=1))
+            ends = np.empty((len(keys), 2), dtype=np.int64)
+            np.divmod(keys, n, out=(ends[:, 0], ends[:, 1]))
+            return Graph(n, ends)
     # the first bad edge in input order: a repeat of an earlier edge, else edge k
     k = int(np.argmax(bad)) if bad.any() else len(pairs)
     _, first = np.unique(np.sort(pairs[:k], axis=1), axis=0, return_index=True)
@@ -101,12 +107,17 @@ def bfs_from(g: Graph, source: int) -> np.ndarray:
 
 
 def is_connected(g: Graph) -> bool:
-    return bool(np.all(bfs_from(g, 0) >= 0))
+    """Fewer than n - 1 edges cannot connect n vertices: no BFS then."""
+    return g.edge_count >= g.n - 1 and bool(np.all(bfs_from(g, 0) >= 0))
 
 
 def max_degree(g: Graph) -> int:
     return int(np.bincount(g.ends.ravel(), minlength=g.n).max())
 
+
+# Partner ids audit reads from a source at a time: bounds its temporaries
+# when a source reads a whole row of a large metric.
+_READ_IDS = 1 << 12
 
 # Relative slack on the block bounds of point metrics: it covers the rounding
 # of the norm evaluations and of the products audit compares them with.
@@ -202,11 +213,27 @@ class DistortionReport:
     exhaustive: bool
 
 
-def _kept_ids(starts: np.ndarray, ends: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The ids of the kept blocks [starts[k], ends[k]), in increasing order."""
+def _kept_ids(starts: np.ndarray, ends: np.ndarray, keep: np.ndarray):
+    """The ids of the kept blocks [starts[k], ends[k]), in increasing order,
+    _READ_IDS at a time."""
     starts, lengths = starts[keep], (ends - starts)[keep]
-    offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    return np.arange(offsets.size) + offsets
+    places = np.cumsum(lengths) - lengths  # of each kept block's first id
+    total = int(lengths.sum())
+    for first in range(0, total, _READ_IDS):
+        place = np.arange(first, min(first + _READ_IDS, total))
+        k = np.searchsorted(places, place, side="right") - 1
+        yield starts[k] + (place - places[k])
+
+
+def _fold_max(best, ratio: np.ndarray, ids: np.ndarray):
+    """best, (value, id), updated with the first maximum of ratio: the
+    fold of np.argmax over a row read in chunks, a NaN counting as the
+    largest value, as argmax lands on the first NaN."""
+    k = int(np.argmax(ratio))
+    value = float(ratio[k])
+    if best is None or (not math.isnan(best[0]) and not value <= best[0]):
+        return value, int(ids[k])
+    return best
 
 
 def audit(source: FiniteMetric, target: FiniteMetric, pair_cap: int = 2000,
@@ -219,12 +246,13 @@ def audit(source: FiniteMetric, target: FiniteMetric, pair_cap: int = 2000,
     otherwise all pairs (i, j != i) from a seeded sample of sources i.
 
     Each source reads the ids of its blocks through at(), in increasing
-    order, so the first-index maxima, the witnesses and a zero-distance
-    error name the first such pair.  When both metrics carry the same
-    block partition, a source skips the blocks whose bounds certify that
-    no pair in them reaches the thresholds (the running maxima, or seeds
-    if larger): t_hi < thr_f * s_lo and s_hi < thr_i * t_lo (a NaN bound
-    keeps its block).  The seeds are the largest ratios of the first
+    order and _READ_IDS at a time, and folds its maxima across the reads
+    with a strict >, so the first-index maxima, the witnesses and a
+    zero-distance error name the first such pair.  When both metrics
+    carry the same block partition, a source skips the blocks whose
+    bounds certify that no pair in them reaches the thresholds (the
+    running maxima, or seeds if larger): t_hi < thr_f * s_lo and s_hi <
+    thr_i * t_lo (a NaN bound keeps its block).  The seeds are the largest ratios of the first
     source with all bounds finite over its top blocks by max(t_hi / s_lo,
     s_hi / t_lo): its own, which scores inf, and 2% more.  Finite bounds
     hold finite distances, so that row has no NaN ratio and counts
@@ -250,12 +278,13 @@ def audit(source: FiniteMetric, target: FiniteMetric, pair_cap: int = 2000,
     starts = source.blocks if blocked else np.zeros(1, dtype=np.int64)
     ends = np.append(starts[1:], n)
 
-    def read(i, keep):  # the partners in the kept blocks, d_s, d_t / d_s, d_s / d_t
-        ids = _kept_ids(starts, ends, keep)
-        ids = ids[ids > i] if exhaustive else ids[ids != i]
-        ds, dt = source.at(i, ids), target.at(i, ids)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return ids, ds, dt / ds, np.where(dt > 0, ds / dt, np.inf)
+    def read(i, keep):  # chunks of (partners in kept blocks, d_s, d_t / d_s, d_s / d_t)
+        for ids in _kept_ids(starts, ends, keep):
+            ids = ids[ids > i] if exhaustive else ids[ids != i]
+            if ids.size:
+                ds, dt = source.at(i, ids), target.at(i, ids)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    yield ids, ds, dt / ds, np.where(dt > 0, ds / dt, np.inf)
 
     lip_f = lip_i = seed_f = seed_i = 0.0
     seeded = False
@@ -273,22 +302,25 @@ def audit(source: FiniteMetric, target: FiniteMetric, pair_cap: int = 2000,
                     score = np.where(keep, np.maximum(t_hi / s_lo, s_hi / t_lo), -np.inf)
                     k = 1 + max(1, int(keep.sum()) // 50)  # the own block, then 2%
                     top = score >= np.sort(score)[max(0, score.size - k)]
-                    seed_f, seed_i = (float(np.max(r, initial=0.0)) for r in read(i, top)[2:])
+                    peaks = [(np.max(f, initial=0.0), np.max(v, initial=0.0))
+                             for *_, f, v in read(i, top)]
+                    seed_f, seed_i = np.max(np.reshape(peaks, (-1, 2)), axis=0,
+                                            initial=0.0).tolist()
                 keep &= ~((t_hi < max(lip_f, seed_f) * s_lo)
                           & (s_hi < max(lip_i, seed_i) * t_lo))
-        ids, ds, fwd, inv = read(i, keep)
-        zero = ds == 0
-        if zero.any():
-            raise ValidationError("zero source distance between distinct points "
-                                  f"{i},{int(ids[int(np.argmax(zero))])}")
-        if ids.size == 0:
+        best_f = best_i = None
+        for ids, ds, fwd, inv in read(i, keep):
+            zero = ds == 0
+            if zero.any():
+                raise ValidationError("zero source distance between distinct points "
+                                      f"{i},{int(ids[int(np.argmax(zero))])}")
+            best_f, best_i = _fold_max(best_f, fwd, ids), _fold_max(best_i, inv, ids)
+        if best_f is None:
             continue
-        k = int(np.argmax(fwd))
-        if fwd[k] > lip_f:
-            lip_f, wit_f = float(fwd[k]), (i, int(ids[k]))
-        k = int(np.argmax(inv))
-        if inv[k] > lip_i:
-            lip_i, wit_i = float(inv[k]), (i, int(ids[k]))
+        if best_f[0] > lip_f:
+            lip_f, wit_f = best_f[0], (i, best_f[1])
+        if best_i[0] > lip_i:
+            lip_i, wit_i = best_i[0], (i, best_i[1])
     return DistortionReport(lip_f, lip_i, lip_f * lip_i, wit_f, wit_i,
                             pairs, exhaustive)
 
@@ -314,14 +346,30 @@ def write_audit_csv(path, source: FiniteMetric, target: FiniteMetric, vertex_map
 # --- serialization ---------------------------------------------------------
 
 def graph_to_json(g: Graph) -> dict:
-    return {"n": g.n, "edges": g.ends.tolist()}
+    """The graph document; its edges are g's own int64 ends array, which
+    cli._dump_json writes as the listing json.dumps would."""
+    return {"n": g.n, "edges": g.ends}
+
+
+def _edge_array(edges) -> np.ndarray:
+    """The int64 array of an edge listing: graph_to_json's array, or pairs
+    of integers as json.load reads them.  One C-level pass over the types
+    picks numpy's conversion; the per-end loop runs only on other input, to
+    accept integral floats and name a bad value."""
+    if isinstance(edges, np.ndarray) and edges.dtype == np.int64 and edges.shape[1:] == (2,):
+        return edges
+    if (isinstance(edges, list) and set(map(type, edges)) <= {list}
+            and set(map(len, edges)) <= {2}
+            and set(map(type, chain.from_iterable(edges))) <= {int}):
+        return np.array(edges, dtype=np.int64)
+    return np.array([(as_int(u, "edge end"), as_int(v, "edge end")) for u, v in edges],
+                    dtype=np.int64)
 
 
 def graph_from_json(obj: dict) -> Graph:
     try:
         n = as_int(obj["n"], "n")
-        edges = np.array([(as_int(u, "edge end"), as_int(v, "edge end"))
-                          for u, v in obj["edges"]], dtype=np.int64)
+        edges = _edge_array(obj["edges"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed graph JSON: {exc}") from exc
     return from_edges(n, edges)

@@ -5,13 +5,19 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import netembed
+from netembed import build_gadget, cli, from_edges, gadget_to_json
 from netembed.cli import _dump_json, main
 
 
@@ -738,6 +744,43 @@ JSON_VALUES = st.recursive(
     max_leaves=25)
 
 
+# _WRITE_ROWS while the array tests run: their row counts straddle it
+SMALL_WRITE_ROWS = 3
+INT_DTYPES = [np.int64, np.int32, np.int8, np.uint8, np.uint32, np.uint64]
+
+
+@st.composite
+def int_arrays(draw):
+    """Integer arrays of every width, their extreme values included, with
+    row counts around SMALL_WRITE_ROWS."""
+    dtype = np.dtype(draw(st.sampled_from(INT_DTYPES)))
+    info = np.iinfo(dtype)
+    rows = draw(st.sampled_from([0, 1, SMALL_WRITE_ROWS - 1, SMALL_WRITE_ROWS,
+                                 SMALL_WRITE_ROWS + 1, 3 * SMALL_WRITE_ROWS + 2]))
+    shape = draw(st.sampled_from([(), (rows,), (rows, 2), (rows, 0), (rows, 2, 1)]))
+    values = st.sampled_from([info.min, info.max, 0]) | st.integers(info.min, info.max)
+    return draw(hnp.arrays(dtype, shape, elements=values))
+
+
+MARKS = st.sampled_from([cli._mark(k) for k in range(3)])  # the writer's stand-ins
+WITH_ARRAYS = st.recursive(
+    SCALARS | int_arrays() | MARKS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text() | MARKS, inner, max_size=3)),
+    max_leaves=12)
+
+
+def listed(obj):
+    """obj with each integer array replaced by its .tolist()."""
+    if isinstance(obj, np.ndarray) and obj.dtype.kind in "iu":
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: listed(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [listed(value) for value in obj]
+    return obj
+
+
 def redumps_to_its_bytes(path):
     text = path.read_text(encoding="utf-8")
     return reference_text(json.loads(text)) == text
@@ -779,6 +822,60 @@ class TestJsonWriter:
                 reference_text(obj)
             assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
             assert not path.exists()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(obj=WITH_ARRAYS)
+    def test_integer_arrays_written_as_their_lists(self, obj):
+        # a user string equal to a stand-in is written as itself
+        with mock.patch.object(cli, "_WRITE_ROWS", SMALL_WRITE_ROWS):
+            assert outcome(written_text, obj) == outcome(reference_text, listed(obj))
+
+    @pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 10_000])
+    def test_listing_rows_at_the_chunk_size(self, rows, tmp_path):
+        ends = np.arange(2 * rows, dtype=np.int64).reshape(rows, 2) * 7919
+        obj = {"n": 2 * rows, "edges": ends, "x": [ends[:, 0], cli._mark(0)]}
+        path = tmp_path / "out.json"
+        _dump_json(obj, path)
+        assert cli._WRITE_ROWS == 4096
+        assert path.read_text(encoding="utf-8") == reference_text(listed(obj))
+
+    def test_unsupported_arrays_fail_alike(self, tmp_path):
+        cyclic = []
+        cyclic.append(cyclic)
+        cyclic.append(np.arange(3))
+        path = tmp_path / "out.json"
+        for obj in ([np.arange(3), np.array([1.5])], {"a": np.array([True, False])},
+                    [np.int64(1)], {"a": np.arange(2), "b": {3}}, np.array(["x"]),
+                    np.array([[1, 2]], dtype=object), cyclic):
+            with pytest.raises((TypeError, ValueError)) as got:
+                _dump_json(obj, path)
+            with pytest.raises((TypeError, ValueError)) as want:
+                reference_text(obj if obj is cyclic else listed(obj))
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+            assert not path.exists()
+
+    def test_listing_memory_is_bounded_per_edge(self, tmp_path):
+        # The listing is one int64 array (16 B an edge; sorting it peaks at
+        # 41), and the writer holds one chunk of rows on top of it.  As
+        # lists, the listing and its encoding took 178 B an edge.
+        h = build_gadget(from_edges(3, [(0, 1), (0, 2), (1, 2)]), 30_001)
+        edges = 3 * 30_001 + 3 * 2
+        tracemalloc.start()
+        try:
+            obj = gadget_to_json(h)
+            built = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _dump_json(obj, tmp_path / "H.json")
+            written = tracemalloc.get_traced_memory()[1] - built
+            del obj
+            tracemalloc.reset_peak()
+            _dump_json(gadget_to_json(h), tmp_path / "H.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert written < 2_000_000, written
+        assert peak < 48 * edges + 2_000_000, peak / edges
+        assert redumps_to_its_bytes(tmp_path / "H.json")
 
     def test_pipeline_artifacts_redump_to_their_bytes(self, tmp_path):
         assert run_cli("pipeline", "--space", "lp:2:3", "--delta", "1",
@@ -842,15 +939,34 @@ class TestNoGadgetGraph:
                        "-o", str(tmp_path / "phi.json")) == 0
 
 
+def run_module(*argv, timeout=None):
+    """netembed.cli run as a module in a child process; the child imports
+    the same netembed as this process, installed or not."""
+    src = str(Path(netembed.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "netembed.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        # the child imports the same netembed as this process, installed or not
-        src = str(Path(netembed.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "netembed.cli", "net", "--space", "lp:inf:2",
-             "--delta", "1", "--r", "2", "-o", str(tmp_path / "n.json")],
-            capture_output=True, text=True, env=env)
+        proc = run_module("net", "--space", "lp:inf:2", "--delta", "1", "--r", "2",
+                          "-o", str(tmp_path / "n.json"))
         assert proc.returncode == 0
         assert (tmp_path / "n.json").exists()
+
+    @pytest.mark.parametrize("command", [("classify",), ("gadget", "--M", "3"),
+                                         ("audit-psi", "--M", "3")], ids=lambda c: c[0])
+    def test_too_few_edges_exit_2_at_once(self, tmp_path, command):
+        # fewer than n - 1 edges cannot connect n vertices: no BFS over the
+        # 10^8 vertices, which took 18-21 s
+        path = tmp_path / "G.json"
+        path.write_text(json.dumps({"n": 100_000_000, "edges": [[0, 1]]}))
+        start = time.monotonic()
+        proc = run_module(command[0], "--graph", str(path), *command[1:],
+                          "-o", str(tmp_path / "out.json"), timeout=10)
+        assert time.monotonic() - start < 2.0
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"]["type"] == "validation"
+        assert not (tmp_path / "out.json").exists()

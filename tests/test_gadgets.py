@@ -1,3 +1,4 @@
+import contextlib
 from dataclasses import asdict
 from unittest import mock
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netembed import gadgets
+from netembed import embeddings, gadgets, graphs
 from netembed import (DistortionReport, FiniteMetric, InternalConsistencyError,
                       ValidationError, anchor_map,
                       audit_anchor_map, audit_product_map, bfs_from,
@@ -91,8 +92,9 @@ class TestSubdividedRows:
             row = rows.row(i)
             assert row.dtype == np.float64
             assert np.array_equal(row, bfs_from(sub.graph, i))
-        assert graph_to_json(sub.graph) == {
-            "n": sub.n, "edges": sorted(map(sorted, sub.edge_ends().tolist()))}
+        obj = graph_to_json(sub.graph)
+        assert obj["n"] == sub.n
+        assert obj["edges"].tolist() == sorted(map(sorted, sub.edge_ends().tolist()))
 
     def test_disconnected_base_raises(self):
         sub = subdivide(from_edges(4, [(0, 1), (2, 3)]), 3)
@@ -113,8 +115,9 @@ class TestGadgetRows:
             assert row.dtype == np.float64
             assert np.array_equal(row, bfs_from(h.graph, i))
         # the layout-derived listing, degree and connectivity match the graph
-        assert gadget_to_json(h)["graph"] == {
-            "n": h.n, "edges": sorted(map(sorted, h.edge_ends().tolist()))}
+        listing = gadget_to_json(h)["graph"]
+        assert listing["n"] == h.n
+        assert listing["edges"].tolist() == sorted(map(sorted, h.edge_ends().tolist()))
         assert h.max_degree() == max_degree(h.graph)
         assert is_connected(h.graph)
 
@@ -278,7 +281,7 @@ class TestJsonLayout:
         h = build_gadget(g, M)
         obj = gadget_to_json(h)
         n, short, long, edges = layout_from_json(obj)
-        assert obj["graph"] == {"n": n, "edges": edges}
+        assert obj["graph"]["n"] == n and obj["graph"]["edges"].tolist() == edges
         assert short == h.short_ids.tolist()
         assert long == h.long_interior.tolist()
 
@@ -431,7 +434,9 @@ class TestProductMap:
     def test_vertex_map_matches_loop_reference(self, base, m_val):
         h = build_gadget(base, m_val)
         sub = subdivide(base, m_val)
-        assert np.array_equal(gadgets._h_to_sub(h, sub), loop_h_to_sub(h, sub))
+        mapping, labels = gadgets._h_to_sub(h, sub, np.arange(h.n))
+        assert np.array_equal(mapping, loop_h_to_sub(h, sub))
+        assert np.array_equal(labels, loop_labels(h))
 
     def test_labels_match_loop_reference(self, small_embedding):
         space, emb = small_embedding
@@ -537,3 +542,47 @@ class TestProductMap:
         sub, pos = mg_positions(emb, m_val)
         h = build_gadget(emb.netgraph.graph, m_val)
         assert verify_product_cases(h, pos, space)
+
+
+# The constants that chunk the whole-gadget passes, and one no pass reaches.
+CHUNK_CONSTANTS = [(embeddings, "_POSITION_ROWS"), (gadgets, "_ROWS"), (graphs, "_READ_IDS")]
+UNCHUNKED = 1 << 40
+
+
+@pytest.fixture(scope="module", params=["lp:2:3", "lp:inf:3", "l1sum:lp:2:2+lp:1:1"])
+def hand_embedding(request):
+    """Curves placed on a 5-point unit-scale hand net, so that exhaustive
+    audits of its gadget stay small."""
+    from netembed import Net, net_graph_from_net, parse_space
+    space = parse_space(request.param)
+    pts = np.array([[0, 0, 0], [2, 0, 0], [1, 1.8, 0], [1, 0.6, 1.7], [-1.5, 1, 0.5]])
+    ng = net_graph_from_net(Net(space, 1.0, 4.0, pts, 1.0))
+    emb = place_edges(space, ng, practical_params(beta=0.02, seed=9),
+                      np.random.default_rng([9, 1]))
+    return space, emb
+
+
+class TestChunkedPasses:
+    @pytest.mark.parametrize("pair_cap", [10**6, 60])  # exhaustive, sampled
+    def test_chunks_keep_every_bit(self, hand_embedding, pair_cap):
+        space, emb = hand_embedding
+        m_val = 2 * emb.netgraph.graph.edge_count + 1
+        h = build_gadget(emb.netgraph.graph, m_val)
+
+        def passes(chunk):
+            with contextlib.ExitStack() as stack:
+                for module, name in CHUNK_CONSTANTS:
+                    stack.enter_context(mock.patch.object(module, name, chunk))
+                sub, pos = mg_positions(emb, m_val)
+                images, scaled, factor, _, _ = product_positions(h, pos, space)
+                pa = audit_product_map(h, pos, space, pair_cap=pair_cap,
+                                       rng=np.random.default_rng(4))
+            return sub.n, [pos, images, scaled], factor, repr(pa)
+
+        n, want_arrays, *want = passes(UNCHUNKED)
+        for chunk in (3, 7):
+            assert chunk < n
+            _, got_arrays, *got = passes(chunk)
+            assert got == want
+            for a, b in zip(got_arrays, want_arrays):
+                assert np.array_equal(bits(a), bits(b))

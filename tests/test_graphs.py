@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netembed import gadgets
+from netembed import gadgets, graphs
 from netembed import (DistortionReport, FiniteMetric, Net, ValidationError, audit,
                       audit_pair_rows, bfs_from, build_gadget, custom_space,
                       direct_sum_l1, from_edges, graph_from_json, graph_to_dot, graph_to_json,
@@ -679,12 +679,91 @@ class TestBlockedAuditEqualsWholeRows:
         assert read == [(i, list(range(i + 1, n))) for i in range(n - 1) for _ in "st"]
 
 
+@st.composite
+def nan_audit_cases(draw):
+    """audit_cases with a float target holding NaNs where a custom norm
+    would put them: argmax lands on the first NaN of a row."""
+    src, tgt, fmap, pair_cap, seed = draw(audit_cases())
+    tgt = tgt.astype(np.float64)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, len(tgt) - 1),
+                                        st.integers(0, len(tgt) - 1)), max_size=3)):
+        tgt[i, j] = tgt[j, i] = np.nan
+    return src, tgt, fmap, pair_cap, seed
+
+
+class TestChunkedReads:
+    """audit reads a source's partners _READ_IDS at a time and folds the
+    maxima across the reads: every chunk size gives the whole-row report,
+    witnesses, pairs_checked and zero-distance error."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=audit_cases() | nan_audit_cases(), chunk=st.integers(1, 4))
+    def test_report_matches_masked_loop(self, case, chunk):
+        src, tgt, fmap, pair_cap, seed = case
+        with mock.patch.object(graphs, "_READ_IDS", chunk):
+            got = outcome(audit, table_metric(src), relabelled(table_metric(tgt), fmap),
+                          pair_cap, np.random.default_rng(seed))
+        want = outcome(masked_audit, table_metric(src), table_metric(tgt), fmap, pair_cap,
+                       np.random.default_rng(seed))
+        assert got == want
+
+    @pytest.mark.parametrize("pair_cap", [10**6, 60])  # exhaustive, sampled
+    @pytest.mark.parametrize("edit", ["none", "duplicate", "nan"])
+    def test_blocked_reports_equal(self, product_instance, pair_cap, edit):
+        # chunks of 7 ids end inside the 32-id blocks and inside the runs a
+        # source keeps
+        for make, pts, space in product_instance:
+            pts = pts.copy()
+            n = len(pts)
+            if edit == "duplicate":
+                pts[n - 2] = pts[n // 3]
+            elif edit == "nan":
+                pts[n // 2, 0] = np.nan
+            hops = make()
+            target = FiniteMetric.from_points(space, pts, hops.blocks)
+            reports = []
+            for chunk in (7, 1 << 40):
+                with mock.patch.object(graphs, "_READ_IDS", chunk):
+                    reports.append(outcome(audit, hops, target, pair_cap,
+                                           np.random.default_rng(4)))
+            assert reports[0] == reports[1]
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("edges, message", [
+        ([[0, True]], "malformed graph JSON: edge end must be an integer, got True"),
+        ([[0, "1"]], "malformed graph JSON: edge end must be an integer, got '1'"),
+        ([[0, 1.5]], "malformed graph JSON: edge end must be an integer, got 1.5"),
+        ([[0, None]], "malformed graph JSON: edge end must be an integer, got None"),
+        ([[0, 2 ** 63]], "malformed graph JSON: Python int too large to convert to C long"),
+        ([[0, -2 ** 63 - 1]], "malformed graph JSON: Python int too large to convert to C long"),
+        ([[0, 1, 2]], "malformed graph JSON: too many values to unpack (expected 2)"),
+        ([[0, 1], [2]], "malformed graph JSON: not enough values to unpack (expected 2, got 1)"),
+        ([0], "malformed graph JSON: cannot unpack non-iterable int object"),
+        (None, "malformed graph JSON: 'NoneType' object is not iterable"),
+    ], ids=repr)
+    def test_bad_edge_lists_name_the_value(self, edges, message):
+        with pytest.raises(ValidationError) as err:
+            graph_from_json({"n": 3, "edges": edges})
+        assert str(err.value) == message
+
+    def test_listings_parse_alike(self):
+        # numpy's conversion and the per-end loop read the same edges
+        g = cycle_graph(5)
+        for edges in (g.ends, g.ends.tolist(), [tuple(e) for e in g.ends.tolist()],
+                      g.ends.astype(float).tolist(), g.ends.astype(np.uint8),
+                      [[np.int64(u), v] for u, v in g.ends.tolist()], []):
+            n = 5 if len(edges) else 1
+            assert np.array_equal(graph_from_json({"n": n, "edges": edges}).ends,
+                                  g.ends if n == 5 else np.empty((0, 2), dtype=np.int64))
+
     def test_json_roundtrip(self):
         g = from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert graph_to_json(g) == {"n": 4, "edges": [[0, 1], [0, 3], [1, 2], [2, 3]]}
+        obj = graph_to_json(g)
+        assert obj["n"] == 4 and obj["edges"].tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]
         again = graph_from_json(graph_to_json(g))
         assert again.n == g.n and np.array_equal(again.ends, g.ends)
+        assert again.ends.dtype == np.int64 and again.ends is not g.ends
 
     def test_json_ignores_coords(self):
         # documents that still carry the vertex coordinates load unchanged
