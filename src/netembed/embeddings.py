@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PlacementError, ValidationError
-from .gadgets import SubdividedGraph, subdivide
+from .gadgets import SubdividedGraph, chain_distances, subdivide
 from .graphs import FiniteMetric, Graph, audit
 from .net_graphs import (NetGraph, net_graph_from_json, net_graph_to_json,
                          rescaled_unit)
@@ -358,18 +358,15 @@ def _edge_indices(edges, count: int) -> np.ndarray:
 def tg_distances(g: Graph, e1, t1, e2, t2) -> np.ndarray:
     """Thickened-graph distances, on the union of g's edges as unit
     segments, between the points (e1[k], t1[k]) and (e2[k], t2[k]): the
-    best of the four routes through the edges' endpoints (g.hops), and the
-    direct route along a shared edge."""
+    chain stage at M = 1 to the ends of the second point's edge (g.hops),
+    then to that point, a shared edge's direct route as the own-chain term."""
     e1, e2 = _edge_indices(e1, g.edge_count), _edge_indices(e2, g.edge_count)
     t1, t2 = np.asarray(t1, dtype=np.float64), np.asarray(t2, dtype=np.float64)
     if not (np.all((0.0 <= t1) & (t1 <= 1.0)) and np.all((0.0 <= t2) & (t2 <= 1.0))):
         raise ValidationError("TG parameter must lie in [0, 1]")
-    p_ends, q_ends = g.ends[e1], g.ends[e2]
-    best = np.where(e1 == e2, np.abs(t1 - t2), math.inf)
-    for off_p, end_p in ((t1, p_ends[:, 0]), (1.0 - t1, p_ends[:, 1])):
-        for off_q, end_q in ((t2, q_ends[:, 0]), (1.0 - t2, q_ends[:, 1])):
-            best = np.minimum(best, off_p + g.hops[end_p, end_q] + off_q)
-    return best
+    p, q = g.ends[e1], g.ends[e2]
+    to_q = chain_distances(g.hops[p[:, :1], q], g.hops[p[:, 1:], q], t1[:, None], 1)
+    return chain_distances(to_q[:, 0], to_q[:, 1], t2, 1, e1 == e2, t1)
 
 
 @dataclass
@@ -550,26 +547,18 @@ def mg_positions(emb: PolylineEmbedding, M: int):
     """Positions for the M-fold subdivision: each vertex at its point of
     subdivision_tg_points along the curves, so original vertices map to
     themselves.  Returns (SubdividedGraph, positions)."""
-    if M < 1:
-        raise ValidationError("M must be >= 1")
-    g = emb.netgraph.graph
-    if len(emb.ends) != g.edge_count:
+    sub = subdivide(emb.netgraph.graph, M)  # rejects M < 1 first
+    if len(emb.ends) != sub.base.edge_count:
         raise ValidationError("mg_positions needs a fully placed embedding")
-    sub = subdivide(g, M)
     return sub, emb.positions(*subdivision_tg_points(sub))
 
 
 def subdivision_tg_points(sub: SubdividedGraph) -> tuple:
     """(edges, ts): the thickened-graph point (edges[k], ts[k]) of each
-    subdivision vertex k.  Base vertex u sits at its end (t = 0 or 1) of
-    the first edge it ends; step k of chain j at (j, k/M)."""
-    base, M = sub.base, sub.M
-    found, first = np.unique(base.ends.ravel(), return_index=True)
-    if found.size != base.n:
-        raise ValidationError("every base vertex must end an edge")
-    e = base.edge_count
-    return (np.concatenate([first // 2, np.repeat(np.arange(e), M - 1)]),
-            np.concatenate([first % 2.0, np.tile(np.arange(1, M) / M, e)]))
+    subdivision vertex k, its address with the step divided by M: base vertex
+    u at its end (t = 0 or 1) of the first edge it ends, step k of chain j at (j, k/M)."""
+    j, t = sub.address(np.arange(sub.n))
+    return j, t / sub.M
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,17 @@ Two maps are audited:
 G_M and H share one layout (_ChainGraph): base edge j is a chain of M
 unit edges between two hub vertices, and the chain interiors are numbered
 chain by chain after the hubs, which are the n base vertices in G_M and
-the n*e short-path ("port") vertices in H.  Ids, unit edges, the JSON edge
-listing and the hop rows derive from that layout; neither graph's
-adjacency is built unless asked for.  A hop row fills the chains in closed
-form from the source's distances to the hubs: M times the base hop table
-for G_M, and for H a fixpoint over the ports (GadgetGraph.port_rows), whose
-short paths are unit-step paths and whose long paths act as weight-M edges.
-The anchor audit reads its entries from that port array.  No BFS runs on
-G_M or H.
+the n*e short-path ("port") vertices in H.  address(ids) gives the chain
+j and step t of interior ids, and in G_M of base vertices too.  Ids, unit
+edges, the JSON edge listing and the hop rows derive from that layout;
+neither graph's adjacency is built unless asked for, and neither may
+exceed _VERTEX_CAP vertices.  A hop row fills the chains in closed form
+(chain_distances, the one chain stage, which tg_distances also runs) from
+the source's distances to the hubs: M times the base hop table for G_M,
+and for H a fixpoint over the ports (GadgetGraph.port_rows), whose short
+paths are unit-step paths and whose long paths act as weight-M edges.  The
+anchor audit reads its entries from that port array.  No BFS runs on G_M
+or H.
 
 Short paths carry exactly e vertices (length e-1): a trailing unlabeled
 vertex would change no distance bound and is dropped.  The JSON document
@@ -37,7 +40,7 @@ above and are not listed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,6 +57,18 @@ _TOL = 1e-9  # relative slack of the product-map bounds
 # Rows per pass of product_positions' whole-graph loops: bounds their
 # temporaries on large gadgets.
 _ROWS = 1 << 12
+# Vertices a subdivided graph or gadget may have: the r=4 pipeline's gadget
+# has 18,224,050.  Checked before anything is allocated.
+_VERTEX_CAP = 30_000_000
+
+
+def chain_distances(d_a, d_b, t, M, own=None, t0=None):
+    """Distances to step t of chains of M unit steps whose ends lie d_a and
+    d_b away: min(d_a + t, d_b + (M - t)), and |t - t0| where own marks
+    the source's own chain (the source at its step t0).  Summed in this
+    order, thickened-graph distances keep their bits."""
+    d = np.minimum(d_a + t, d_b + (M - t))
+    return d if own is None else np.minimum(d, np.abs(t - t0), out=d, where=own)
 
 
 def _chain_edges(*columns) -> np.ndarray:
@@ -70,14 +85,20 @@ class _ChainGraph:
 
     Vertex ids: 0..hubs-1 are the hubs; interior[j, k] = hubs + j*(M-1) + k
     is the k-th interior vertex of chain j (k = 0..M-2, walking from a_j's
-    end).  A subclass defines hubs, _hub_ends (the (e, 2) hub ids at
-    the a_j and b_j ends of each chain), _hub_width (no hub run of
-    hop_metric's blocks crosses a multiple of it) and _hub_distances.  The
-    Graph itself is built on first use only.
+    end), at step t = k + 1 of the chain: its address (j, t).  A subclass
+    defines hubs, _hub_ends (the (e, 2) hub ids at the a_j and b_j ends of
+    each chain), _hub_width (no hub run of hop_metric's blocks crosses a
+    multiple of it) and _hub_distances.  Construction checks n against
+    _VERTEX_CAP; the Graph itself is built on first use only.
     """
 
     base: Graph
     M: int
+
+    def __post_init__(self):
+        if self.n > _VERTEX_CAP:
+            raise ValidationError(f"{type(self).__name__} would have {self.n} vertices, "
+                                  f"over the cap {_VERTEX_CAP}; lower M or the base graph")
 
     @property
     def n(self) -> int:
@@ -89,10 +110,12 @@ class _ChainGraph:
         e = self.base.edge_count
         return self.hubs + np.arange(e * (self.M - 1)).reshape(e, self.M - 1)
 
-    def _chain_step(self, s: int) -> tuple:
-        """(j, t) for an interior vertex s: step t in 1..M-1 of chain j."""
-        j, k = divmod(s - self.hubs, self.M - 1)
-        return j, k + 1
+    def address(self, ids) -> tuple:
+        """(j, t) of an interior id or each in an int array: step t in
+        1..M-1 of chain j (a hub gets a meaningless pair; M = 1 has none)."""
+        j, t = divmod(ids - self.hubs, max(self.M - 1, 1))
+        t += 1
+        return j, t
 
     @cached_property
     def graph(self) -> Graph:
@@ -104,13 +127,9 @@ class _ChainGraph:
         return _chain_edges(hub[:, :1], self.interior, hub[:, 1:])
 
     def hop_metric(self) -> FiniteMetric:
-        """Exact float64 hop distances, in closed form from the hub
-        distances (no BFS; self.graph is not read), with chain-aligned
-        blocks.
-
-        The step-t vertex of chain j is entered from a_j's hub (t more hops)
-        or b_j's (M - t); a source on chain j itself also reaches it in
-        |t - t0| hops along the chain.
+        """Exact float64 hop distances, with chain-aligned blocks: the chain
+        steps by chain_distances from the source's hub distances (no BFS;
+        self.graph is not read).
 
         Blocks: the hubs in runs of _BLOCK along each _hub_width ids, then
         each chain in runs of _BLOCK steps.  A hub run's bounds are its
@@ -121,34 +140,25 @@ class _ChainGraph:
         (d_a + d_b + M) / 2).  On the source's own chain the distance is
         min(f(t), |t - t0|), so a run's minimum is the smaller of f's and
         max(t_lo - t0, t0 - t_hi, 0), again exact, and its maximum is at
-        most the smaller of f's and max(t_hi - t0, t0 - t_lo).  The hub
-        distances of the last source are kept for the at() and bounds()
-        calls on it.
+        most the smaller of f's and max(t_hi - t0, t0 - t_lo).
         """
         hubs, M = self.hubs, self.M
         hub_distances = self._hub_distances()
         a, b = self._hub_ends.T
-        last = [None, None]  # [source, its hub distances]
 
-        def dist(s):
-            if last[0] != s:
-                last[:] = s, hub_distances(s)
-            return last[1]
+        @lru_cache(maxsize=1)
+        def source(s):  # the last source's hub distances and address ((None, None) on a hub)
+            return (hub_distances(s),) + (self.address(s) if s >= hubs else (None, None))
 
         def at(s, idx):
-            d = dist(s)
+            d, j0, t0 = source(s)
             idx = np.asarray(idx, dtype=np.int64)
             out = np.empty(idx.shape, dtype=np.float64)
             hub = idx < hubs
             out[hub] = d[idx[hub]]
-            j, t = np.divmod(idx[~hub] - hubs, M - 1)
-            t += 1
-            val = np.minimum(d[a[j]] + t, d[b[j]] + (M - t))
-            if s >= hubs:
-                j0, t0 = self._chain_step(s)
-                own = j == j0
-                val[own] = np.minimum(val[own], np.abs(t[own] - t0))
-            out[~hub] = val
+            j, t = self.address(idx[~hub])
+            own = None if j0 is None else j == j0
+            out[~hub] = chain_distances(d[a[j]], d[b[j]], t, M, own, t0)
             return out
 
         width = self._hub_width
@@ -160,12 +170,11 @@ class _ChainGraph:
         t_hi = np.minimum(t_lo + (_BLOCK - 1), M - 1)
 
         def bounds(s):
-            d = dist(s)
+            d, j0, t0 = source(s)
             da, db = d[a][:, None], d[b][:, None] + M  # f(t) = min(da + t, db - t)
             lo = np.minimum(da + t_lo, db - t_hi)
             hi = np.minimum(np.minimum(da + t_hi, db - t_lo), 0.5 * (da + db))
-            if s >= hubs:
-                j0, t0 = self._chain_step(s)
+            if j0 is not None:
                 lo[j0] = np.minimum(lo[j0], np.maximum(np.maximum(t_lo - t0, t0 - t_hi), 0.0))
                 hi[j0] = np.minimum(hi[j0], np.maximum(t_hi - t0, t0 - t_lo))
             return (np.concatenate([np.minimum.reduceat(d, hub_starts), lo.ravel()]),
@@ -191,19 +200,29 @@ class SubdividedGraph(_ChainGraph):
     def _hub_width(self) -> int:
         return self.hubs
 
+    def address(self, ids) -> tuple:
+        """(j, t), t in 0..M: interior ids as on any chain graph, and base
+        vertex u (in an array) at its end (t = 0 or M) of the first chain it ends."""
+        j, t = super().address(ids)
+        hub = np.flatnonzero(ids < self.hubs)
+        if hub.size:
+            found, first = np.unique(self.base.ends.ravel(), return_index=True)
+            if found.size != self.hubs:
+                raise ValidationError("every base vertex must end an edge")
+            j[hub], t[hub] = first[ids[hub]] // 2, first[ids[hub]] % 2 * self.M
+        return j, t
+
     def _hub_distances(self):
         """Paths between base vertices run along whole subdivided edges: M
-        times the base hops.  A source at step t0 of edge j leaves through
-        a_j (t0 hops) or b_j (M - t0)."""
-        M = self.M
-        hops = self.base.hops.astype(np.int64) * M
+        times the base hops; a source on a chain leaves through either end."""
+        hops = self.base.hops.astype(np.int64) * self.M
         a, b = self.base.ends.T
 
         def dist(s):
             if s < self.hubs:
                 return hops[s]
-            j, t0 = self._chain_step(s)
-            return np.minimum(hops[a[j]] + t0, hops[b[j]] + (M - t0))
+            j, t0 = self.address(s)
+            return chain_distances(hops[a[j]], hops[b[j]], t0, self.M)
 
         return dist
 
@@ -221,7 +240,7 @@ class GadgetGraph(_ChainGraph):
 
     The hubs are the ports: short_ids[u, i] = u*e + i is the short-path
     vertex of base vertex u carrying label i+1.  Long path j is chain j,
-    between the ports (a_j, j) and (b_j, j); long_interior holds its
+    between the ports (a_j, j) and (b_j, j); interior holds its
     interior ids.  psi_anchor is the label whose short-path vertices serve
     as images of the base vertices (default 1).
     """
@@ -235,8 +254,6 @@ class GadgetGraph(_ChainGraph):
     @property
     def short_ids(self) -> np.ndarray:
         return np.arange(self.hubs).reshape(self.base.n, -1)
-
-    long_interior = _ChainGraph.interior
 
     @property
     def _hub_width(self) -> int:
@@ -278,7 +295,7 @@ class GadgetGraph(_ChainGraph):
         unreached = np.iinfo(np.int64).max // 4
         d = np.full((n, e), unreached, dtype=np.int64)
         if s >= self.hubs:
-            j0, t0 = self._chain_step(s)
+            j0, t0 = self.address(s)
             d[a[j0], j0], d[b[j0], j0] = t0, M - t0
         else:
             d[divmod(s, e)] = 0
@@ -350,10 +367,9 @@ def _h_to_sub(h: GadgetGraph, sub: SubdividedGraph, ids: np.ndarray) -> tuple:
     carries label i + 1; both layouts number the chain interiors alike
     after their hubs, and those of long path j carry label j + 1.
     """
-    port, chain = ids < h.hubs, ids - h.hubs
-    e = h.base.edge_count
-    return (np.where(port, ids // e, chain + sub.hubs),
-            np.where(port, ids % e, chain // max(h.M - 1, 1)) + 1)
+    port, e = ids < h.hubs, h.base.edge_count
+    return (np.where(port, ids // e, ids - h.hubs + sub.hubs),
+            np.where(port, ids % e, h.address(ids)[0]) + 1)
 
 
 def _max_edge_gap(sub: SubdividedGraph, positions: np.ndarray,

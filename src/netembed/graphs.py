@@ -25,6 +25,12 @@ from .errors import ValidationError
 from .spaces import NormedSpace, as_int, norms
 
 
+# Entries n^2 an all-pairs hop table may have (int32, so 256 MiB; n <= 8192):
+# the net graph of l2^3 at r=5, delta 1 has 218 vertices.  Checked before
+# the table is built.
+_HOPS_CAP = 1 << 26
+
+
 @dataclass(eq=False)
 class Graph:
     """Simple undirected graph on vertices 0..n-1: ends is the (E, 2) int64
@@ -45,7 +51,11 @@ class Graph:
     @cached_property
     def hops(self) -> np.ndarray:
         """The (n, n) int32 all-pairs hop table, one bfs_from row per vertex,
-        built on first use and read-only; raises on disconnected input."""
+        built on first use and read-only; raises on disconnected input and
+        over _HOPS_CAP entries."""
+        if self.n ** 2 > _HOPS_CAP:
+            raise ValidationError(f"hop table would have {self.n}^2 entries, "
+                                  f"over the cap {_HOPS_CAP}")
         table = np.empty((self.n, self.n), dtype=np.int32)
         for s in range(self.n):
             table[s] = bfs_from(self, s)

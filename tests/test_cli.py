@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import netembed
-from netembed import build_gadget, cli, from_edges, gadget_to_json
+from netembed import build_gadget, cli, from_edges, gadget_to_json, gadgets
 from netembed.cli import _dump_json, main
 
 
@@ -969,4 +969,24 @@ class TestEntryPoint:
         assert time.monotonic() - start < 2.0
         assert proc.returncode == 2
         assert json.loads(proc.stderr)["error"]["type"] == "validation"
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command, base", [
+        (("subdivide", "--M", "1000000000000"), "k3"),
+        (("gadget", "--M", "1000000000000"), "k3"),
+        (("gadget", "--M", "3"), "path"),
+        (("audit-psi", "--M", "3"), "path")], ids=lambda c: c if isinstance(c, str) else c[0])
+    def test_sizes_over_the_cap_exit_2(self, tmp_path, command, base):
+        # the vertex count is checked before anything is allocated: these
+        # ended in MemoryErrors (21.8 TiB of ids; 11.9 GiB of ports)
+        n = 3 if base == "k3" else 40_000
+        edges = [[0, 1], [0, 2], [1, 2]] if base == "k3" else [[i, i + 1] for i in range(n - 1)]
+        path = tmp_path / "G.json"
+        path.write_text(json.dumps({"n": n, "edges": edges}))
+        proc = run_module(command[0], "--graph", str(path), *command[1:],
+                          "-o", str(tmp_path / "out.json"), timeout=10)
+        assert proc.returncode == 2
+        error = json.loads(proc.stderr)["error"]
+        assert error["type"] == "validation"
+        assert f"over the cap {gadgets._VERTEX_CAP}" in error["message"]
         assert not (tmp_path / "out.json").exists()

@@ -407,6 +407,33 @@ class TestThickenedMetric:
             == pytest.approx(1.0)  # vertex 0 to vertex 2, one hop
 
 
+def four_route_tg(g, e1, t1, e2, t2):
+    """The thickened-graph distances as four sums through the edges' ends,
+    (off_p + hops) + off_q, and the same-edge route."""
+    p, q = g.ends[e1], g.ends[e2]
+    best = np.where(e1 == e2, np.abs(t1 - t2), math.inf)
+    for off_p, end_p in ((t1, p[:, 0]), (1.0 - t1, p[:, 1])):
+        for off_q, end_q in ((t2, q[:, 0]), (1.0 - t2, q[:, 1])):
+            best = np.minimum(best, off_p + g.hops[end_p, end_q] + off_q)
+    return best
+
+
+class TestTwoStageTg:
+    def test_keeps_the_bits_of_the_four_route_sum(self):
+        # the chain stage, run to the second point's edge ends and then to
+        # the point, adds in the order of the four sums
+        g = build_net_graph(L23, 1.0, 2.0).graph
+        rng = np.random.default_rng(12)
+        e = rng.integers(0, g.edge_count, (200_000, 2))
+        e[:20_000, 1] = e[:20_000, 0]
+        t = rng.uniform(0, 1, (200_000, 2))
+        steps = rng.random(t.shape) < 0.2  # subdivision points and ends
+        t[steps] = rng.integers(0, 8, steps.sum()) / 7
+        got = tg_distances(g, e[:, 0], t[:, 0], e[:, 1], t[:, 1])
+        want = four_route_tg(g, e[:, 0], t[:, 0], e[:, 1], t[:, 1])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestSubdivisionPositions:
     def test_endpoints_exact(self, triangle_emb):
         sub, pos = mg_positions(triangle_emb, 4)

@@ -101,6 +101,22 @@ class TestSubdividedRows:
         with pytest.raises(ValidationError):
             sub.hop_metric()
 
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(g=connected_graphs().filter(lambda g: g.edge_count > 0), m_val=st.integers(1, 6))
+    def test_address_follows_the_layout(self, g, m_val):
+        # interior[j, k] is step k + 1 of chain j in both layouts; a base
+        # vertex of G_M sits at its end of the first chain it ends
+        for layout in (subdivide(g, m_val), build_gadget(g, m_val)):
+            j, t = layout.address(layout.interior.ravel())
+            assert np.array_equal(j, np.repeat(np.arange(g.edge_count), m_val - 1))
+            assert np.array_equal(t, np.tile(np.arange(1, m_val), g.edge_count))
+        sub = subdivide(g, m_val)
+        j, t = sub.address(np.arange(g.n))
+        ends = g.ends.ravel().tolist()
+        first = [ends.index(u) for u in range(g.n)]
+        assert j.tolist() == [f // 2 for f in first]
+        assert t.tolist() == [f % 2 * m_val for f in first]
+
 
 class TestGadgetRows:
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -188,6 +204,31 @@ class TestHopBlocks:
                 assert np.all(hi[own] <= steps[own])
                 for idx in (ids, rng.integers(0, n, size=30), ids[::-1]):
                     assert np.array_equal(bits(metric.at(s, idx)), bits(row[idx]))
+
+
+class TestVertexCap:
+    def test_subdivide_over_the_cap(self):
+        with pytest.raises(ValidationError,
+                           match=f"SubdividedGraph would have 3000000000000 vertices, "
+                                 f"over the cap {gadgets._VERTEX_CAP}"):
+            subdivide(k3(), 10**12)
+
+    def test_gadget_checked_before_its_degree(self, monkeypatch):
+        # 40,000 * 39,999 ports: max_degree's bincount would need 11.9 GiB
+        def no_degree(self):
+            raise AssertionError("max_degree ran over the cap")
+
+        monkeypatch.setattr(gadgets.GadgetGraph, "max_degree", no_degree)
+        path = from_edges(40_000, [(i, i + 1) for i in range(39_999)])
+        with pytest.raises(ValidationError, match=f"over the cap {gadgets._VERTEX_CAP}"):
+            build_gadget(path, 3)
+
+    def test_cap_admits_its_own_size(self, monkeypatch):
+        h = build_gadget(k3(), 4)  # 9 ports + 3 * 3 interior
+        monkeypatch.setattr(gadgets, "_VERTEX_CAP", h.n)
+        assert build_gadget(k3(), 4).n == 18
+        with pytest.raises(ValidationError, match="would have 21 vertices, over the cap 18"):
+            build_gadget(k3(), 5)
 
 
 class TestBuildGadget:
@@ -283,7 +324,7 @@ class TestJsonLayout:
         n, short, long, edges = layout_from_json(obj)
         assert obj["graph"]["n"] == n and obj["graph"]["edges"].tolist() == edges
         assert short == h.short_ids.tolist()
-        assert long == h.long_interior.tolist()
+        assert long == h.interior.tolist()
 
 
 def loop_anchor_report(h):
@@ -390,7 +431,7 @@ def loop_h_to_sub(h, sub):
         out[h.short_ids[u]] = u
     for j in range(h.base.edge_count):
         for k in range(h.M - 1):
-            out[h.long_interior[j, k]] = sub.interior[j, k]
+            out[h.interior[j, k]] = sub.interior[j, k]
     return out
 
 
@@ -400,7 +441,7 @@ def loop_labels(h):
     for u in range(h.base.n):
         labels[h.short_ids[u]] = np.arange(1, h.base.edge_count + 1)
     for j in range(h.base.edge_count):
-        labels[h.long_interior[j]] = j + 1
+        labels[h.interior[j]] = j + 1
     return labels
 
 
