@@ -13,7 +13,7 @@ from .errors import (InternalConsistencyError, PlacementError, SamplingError,
                      ValidationError)
 from .gadgets import (GadgetGraph, ProductAudit, SubdividedGraph, anchor_map,
                       audit_anchor_map, audit_product_map, build_gadget,
-                      gadget_to_json, product_positions, subdivide,
+                      gadget_to_json, product_metric, subdivide,
                       verify_product_cases)
 from .graphs import (DistortionReport, FiniteMetric, Graph, audit,
                      audit_pair_rows, bfs_from, from_edges,

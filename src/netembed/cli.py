@@ -125,10 +125,13 @@ def _rng(seed, stream=0):
 # --- stages shared by the subcommands and the pipeline ------------------------
 
 def _params(args, dim):
-    """The placement params of --mode, --beta and --seed."""
+    """The placement params of --mode, --beta (practical only) and --seed."""
     if args.mode == "strict":
+        if args.beta is not None:
+            raise ValidationError("--beta applies to --mode practical only: "
+                                  "strict mode sets beta = mu/546")
         return default_strict_params(dim, seed=args.seed)
-    return practical_params(beta=args.beta, seed=args.seed)
+    return practical_params(beta=0.02 if args.beta is None else args.beta, seed=args.seed)
 
 
 def _graph_doc(ng):
@@ -380,7 +383,7 @@ def _build_parser():
     sp.add_argument("--graph", required=True)
     sp.add_argument("--mode", choices=("strict", "practical"), default="practical")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--beta", type=float, default=0.02)
+    sp.add_argument("--beta", type=float, default=None)
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--gamma", type=float, default=None)
     sp.add_argument("--mu", type=float, default=None)
@@ -412,7 +415,7 @@ def _build_parser():
     sp.add_argument("--mesh", type=int, default=4)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--mode", choices=("strict", "practical"), default="practical")
-    sp.add_argument("--beta", type=float, default=0.02)
+    sp.add_argument("--beta", type=float, default=None)
     sp.add_argument("--samples", type=int, default=2000)
     sp.add_argument("--pair-cap", type=int, default=2000)
     sp.add_argument("--out", default="netembed-run")

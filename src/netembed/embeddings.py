@@ -56,7 +56,7 @@ _BOX_TESTS = 1 << 17
 # breakpoints a seed gives), and edges placed together (which does not).
 _CHUNK = 2
 _WINDOW = 32
-# Curve points computed together by PolylineEmbedding.positions: bounds its
+# Subdivision vertices placed together by mg_positions: bounds its
 # temporaries on the M-fold subdivision of a large graph.
 _POSITION_ROWS = 1 << 12
 
@@ -396,29 +396,23 @@ class PolylineEmbedding:
     def positions(self, edges, ts) -> np.ndarray:
         """The point at arclength fraction ts[k], in [0, 1], along the curve
         of edge edges[k], for every k: at arclength s = t*(l1 + l2) the
-        point lies on [u, w] while s <= l1, else on [w, v].  Computed
-        _POSITION_ROWS points at a time, each by the same operations."""
+        point lies on [u, w] while s <= l1, else on [w, v]."""
         edges = _edge_indices(edges, len(self.breakpoints))
-        ts = np.asarray(ts, dtype=np.float64)
+        t = np.asarray(ts, dtype=np.float64)
         pts, ws, ends = self.netgraph.points, self.breakpoints, self.ends
         us, vs = pts[ends[:, 0]], pts[ends[:, 1]]
-        lens1, lens2 = norms(self.space, ws - us), norms(self.space, vs - ws)
-        out = np.empty((len(ts), self.space.dim))
-        for start in range(0, len(ts), _POSITION_ROWS):
-            rows = slice(start, start + _POSITION_ROWS)
-            e, t, o = edges[rows], ts[rows], out[rows]
-            l1, l2 = lens1[e], lens2[e]
-            s = t * (l1 + l2)
-            at_u = t <= 0.0
-            at_v = ~at_u & (t >= 1.0)
-            first = ~at_u & ~at_v & (s <= l1)
-            second = ~(at_u | at_v | first)
-            o[at_u] = us[e[at_u]]
-            o[at_v] = vs[e[at_v]]
-            u, w = us[e[first]], ws[e[first]]
-            o[first] = u + (s[first] / l1[first])[:, None] * (w - u)
-            w, v = ws[e[second]], vs[e[second]]
-            o[second] = w + ((s[second] - l1[second]) / l2[second])[:, None] * (v - w)
+        l1, l2 = norms(self.space, ws - us)[edges], norms(self.space, vs - ws)[edges]
+        s = t * (l1 + l2)
+        at_u = t <= 0.0
+        at_v = ~at_u & (t >= 1.0)
+        first = ~at_u & ~at_v & (s <= l1)
+        second = ~(at_u | at_v | first)
+        out = np.empty((len(t), self.space.dim))
+        out[at_u], out[at_v] = us[edges[at_u]], vs[edges[at_v]]
+        u, w = us[edges[first]], ws[edges[first]]
+        out[first] = u + (s[first] / l1[first])[:, None] * (w - u)
+        w, v = ws[edges[second]], vs[edges[second]]
+        out[second] = w + ((s[second] - l1[second]) / l2[second])[:, None] * (v - w)
         return out
 
 
@@ -544,20 +538,25 @@ def verify_embedding(emb: PolylineEmbedding) -> dict:
 # --- derived objects and audits ----------------------------------------------
 
 def mg_positions(emb: PolylineEmbedding, M: int):
-    """Positions for the M-fold subdivision: each vertex at its point of
-    subdivision_tg_points along the curves, so original vertices map to
-    themselves.  Returns (SubdividedGraph, positions)."""
+    """(SubdividedGraph, positions) for the M-fold subdivision: each vertex at
+    its point of subdivision_tg_points along the curves, _POSITION_ROWS
+    vertices at a time, so original vertices map to themselves."""
     sub = subdivide(emb.netgraph.graph, M)  # rejects M < 1 first
     if len(emb.ends) != sub.base.edge_count:
         raise ValidationError("mg_positions needs a fully placed embedding")
-    return sub, emb.positions(*subdivision_tg_points(sub))
+    out = np.empty((sub.n, emb.space.dim))
+    for start in range(0, sub.n, _POSITION_ROWS):
+        ids = np.arange(start, min(start + _POSITION_ROWS, sub.n))
+        out[start:start + len(ids)] = emb.positions(*subdivision_tg_points(sub, ids))
+    return sub, out
 
 
-def subdivision_tg_points(sub: SubdividedGraph) -> tuple:
+def subdivision_tg_points(sub: SubdividedGraph, ids: np.ndarray) -> tuple:
     """(edges, ts): the thickened-graph point (edges[k], ts[k]) of each
-    subdivision vertex k, its address with the step divided by M: base vertex
-    u at its end (t = 0 or 1) of the first edge it ends, step k of chain j at (j, k/M)."""
-    j, t = sub.address(np.arange(sub.n))
+    subdivision vertex ids[k], its address with the step divided by M: base
+    vertex u at its end (t = 0 or 1) of the first edge it ends, step k of
+    chain j at (j, k/M)."""
+    j, t = sub.address(ids)
     return j, t / sub.M
 
 

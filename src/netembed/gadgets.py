@@ -10,10 +10,9 @@ Two maps are audited:
 
   anchor map    base vertex u -> the anchor-label vertex of u's short path;
                 hop distances satisfy M*d_G <= d_H <= (2e + M)*d_G.
-  product map   gadget vertex -> (positions on the subdivided graph) + label
-                in the l1 sum  X + R; 1-Lipschitz after normalization, with
-                inverse Lipschitz constant at most twice that of the
-                subdivided-graph positions.
+  product map   gadget vertex -> (image of its G_M vertex, label) in the l1
+                sum X + R; 1-Lipschitz after normalization, with inverse
+                Lipschitz constant at most twice that of G_M's image.
 
 G_M and H share one layout (_ChainGraph): base edge j is a chain of M
 unit edges between two hub vertices, and the chain interiors are numbered
@@ -28,7 +27,8 @@ the source's distances to the hubs: M times the base hop table for G_M,
 and for H a fixpoint over the ports (GadgetGraph.port_rows), whose short
 paths are unit-step paths and whose long paths act as weight-M edges.  The
 anchor audit reads its entries from that port array.  No BFS runs on G_M
-or H.
+or H.  GadgetGraph.to_sub addresses an H id as (G_M id, label): through
+it, product_metric reads H's image off G_M's, and no H positions exist.
 
 Short paths carry exactly e vertices (length e-1): a trailing unlabeled
 vertex would change no distance bound and is dropped.  The JSON document
@@ -47,14 +47,14 @@ import numpy as np
 from .errors import InternalConsistencyError, ValidationError
 from .graphs import (DistortionReport, FiniteMetric, Graph, audit, from_edges,
                      graph_to_json, is_connected)
-from .spaces import NormedSpace, direct_sum_l1, lp_space, norms
+from .spaces import NormedSpace, norms
 
 # Block length, in ids, of the hop metrics' block partition (hub runs and
 # chain runs): 16, 32 and 64 gave product-map audits equally fast, within
 # noise, on the pipeline's lp:2:3, lp:1:3 and lp:inf:3 gadgets.
 _BLOCK = 32
 _TOL = 1e-9  # relative slack of the product-map bounds
-# Rows per pass of product_positions' whole-graph loops: bounds their
+# G_M edges per pass of the product map's normalization: bounds its
 # temporaries on large gadgets.
 _ROWS = 1 << 12
 # Vertices a subdivided graph or gadget may have: the r=4 pipeline's gadget
@@ -278,6 +278,14 @@ class GadgetGraph(_ChainGraph):
                  + (lab > 0) + (lab < e - 1))
         return max(int(ports.max()), 2 if self.M > 1 else 0)
 
+    def to_sub(self, ids) -> tuple:
+        """(G_M id, label) of a gadget id or each in an int array, G_M =
+        subdivide(base, M): port u*e + i is base vertex u with label i + 1,
+        and step t of long path j is step t of G_M's chain j, with label j + 1."""
+        port, e = ids < self.hubs, self.base.edge_count
+        return (np.where(port, ids // e, ids - self.hubs + self.base.n),
+                np.where(port, ids % e, self.address(ids)[0]) + 1)
+
     def port_rows(self, s: int) -> np.ndarray:
         """Hop distances from vertex s to the ports: the (n, e) int64 array
         whose [u, i] entry is the distance to short_ids[u, i].
@@ -360,64 +368,61 @@ def audit_anchor_map(h: GadgetGraph) -> DistortionReport:
                  FiniteMetric(n, lambda i, idx: d_h[i, idx]), pair_cap=n)
 
 
-def _h_to_sub(h: GadgetGraph, sub: SubdividedGraph, ids: np.ndarray) -> tuple:
-    """(subdivided-graph vertex, label) of each gadget vertex in ids.
-
-    The short-path vertex u*e + i collapses onto the base vertex u and
-    carries label i + 1; both layouts number the chain interiors alike
-    after their hubs, and those of long path j carry label j + 1.
-    """
-    port, e = ids < h.hubs, h.base.edge_count
-    return (np.where(port, ids // e, ids - h.hubs + sub.hubs),
-            np.where(port, ids % e, h.address(ids)[0]) + 1)
-
-
-def _max_edge_gap(sub: SubdividedGraph, positions: np.ndarray,
-                  space: NormedSpace) -> float:
-    """The largest image distance across the unit edges of sub (NaN if one
-    is NaN), or 1.0 without edges, over _ROWS edges at a time."""
-    ends = sub.edge_ends()
-    gaps = []
-    for start in range(0, len(ends), _ROWS):
-        u, v = ends[start:start + _ROWS].T
-        gaps.append(norms(space, positions[u] - positions[v]).max())
-    return float(np.max(gaps)) if gaps else 1.0
-
-
-def product_positions(h: GadgetGraph, sub_positions: np.ndarray,
-                      space: NormedSpace):
-    """Images of gadget vertices in the l1 sum  space + R.
-
-    sub_positions holds one row per vertex of subdivide(base, M) (same M and
-    edge order as the gadget).  A short-path vertex with label i goes to
-    (position of its base vertex, i); a long-path vertex goes to (position
-    of its subdivided-edge vertex, label of its long path).  Positions are
-    rescaled by the largest image distance across subdivided edges when that
-    exceeds 1, so the result is 1-Lipschitz.
-
-    Returns (positions, sub_scaled, factor, target_space, sub): sub_scaled
-    is sub_positions divided by the factor (1 when no rescaling is needed).
-    """
+def _normalized(h: GadgetGraph, sub_positions: np.ndarray, space: NormedSpace) -> tuple:
+    """(G_M, positions, factor): G_M's positions divided by the largest image
+    gap across its unit edges (_ROWS at a time) when that exceeds 1, so the
+    product map is 1-Lipschitz; factor is that gap, else 1."""
     if h.M <= 2 * h.base.edge_count:
         raise ValidationError("need M > 2*e(base) for the product map")
     sub = SubdividedGraph(base=h.base, M=h.M)
-    sub_positions = np.asarray(sub_positions, dtype=np.float64)
-    if sub_positions.shape != (sub.n, space.dim):
-        raise ValidationError(
-            f"positions shape {sub_positions.shape} does not match the "
-            f"subdivided graph ({sub.n} vertices, dim {space.dim})")
+    pos = np.asarray(sub_positions, dtype=np.float64)
+    if pos.shape != (sub.n, space.dim):
+        raise ValidationError(f"positions shape {pos.shape} does not match the subdivided "
+                              f"graph ({sub.n} vertices, dim {space.dim})")
+    ends = sub.edge_ends()
+    gaps = [norms(space, pos[u] - pos[v]).max()
+            for u, v in (ends[k:k + _ROWS].T for k in range(0, len(ends), _ROWS))]
+    factor = float(np.max(gaps)) if gaps else 1.0  # NaN if a gap is NaN
+    return (sub, pos / factor, factor) if factor > 1.0 else (sub, pos, 1.0)
 
-    factor = _max_edge_gap(sub, sub_positions, space)
-    pos = sub_positions / factor if factor > 1.0 else sub_positions
-    factor = factor if factor > 1.0 else 1.0
 
-    out = np.empty((h.n, space.dim + 1))
-    for start in range(0, h.n, _ROWS):
-        rows = slice(start, min(start + _ROWS, h.n))
-        mapping, labels = _h_to_sub(h, sub, np.arange(rows.start, rows.stop))
-        out[rows, :space.dim] = pos[mapping]
-        out[rows, space.dim] = labels
-    return out, pos, factor, direct_sum_l1(space, lp_space(1, 1)), sub
+def product_metric(h: GadgetGraph, img: FiniteMetric) -> FiniteMetric:
+    """H's image under the product map, in the l1 sum of img's space and R:
+    id i goes to G_M vertex m_i with label l_i (h.to_sub), and at(i, idx) is
+    img.at(m_i, m_idx) + |l_idx - l_i|.  img, a metric on G_M's ids with
+    G_M's hop blocks or none, gives this one H's hop blocks or none.
+
+    H's chain runs are G_M's, id for id, each on one label: img's bounds
+    plus the label gap.  A hub run lies on one short path, so on one G_M
+    vertex: one exact img.at value, plus the run's nearest and farthest
+    label.  Rounding is monotone, so fl(lo + gap) <= fl(d + |l - l_i|)."""
+    @lru_cache(maxsize=1)
+    def source(i):
+        return tuple(int(x) for x in h.to_sub(i))
+
+    def at(i, idx):
+        m_i, l_i = source(i)
+        m, lab = h.to_sub(idx)
+        return img.at(m_i, m) + np.abs(lab - l_i)
+
+    if img.blocks is None:
+        return FiniteMetric(h.n, at)
+    blocks = h.hop_metric().blocks
+    on_hub = blocks < h.hubs  # the hub runs, then the chain runs
+    m, lab_lo = h.to_sub(blocks)
+    lab_hi = np.where(on_hub, np.minimum(lab_lo + (_BLOCK - 1), h.base.edge_count), lab_lo)
+    mid, half = 0.5 * (lab_lo + lab_hi), 0.5 * (lab_hi - lab_lo)  # exact halves
+    m, chains = m[on_hub], np.count_nonzero(~on_hub)
+
+    def bounds(i):
+        m_i, l_i = source(i)
+        lo, hi = img.bounds(m_i)
+        exact, k = img.at(m_i, m), len(lo) - chains  # G_M's chain runs from k on
+        d = np.abs(mid - l_i)  # the label gap is max(d - half, 0), the far one d + half
+        return (np.concatenate([exact, lo[k:]]) + np.maximum(d - half, 0.0),
+                np.concatenate([exact, hi[k:]]) + (d + half))
+
+    return FiniteMetric(h.n, at, blocks, bounds)
 
 
 @dataclass(frozen=True)
@@ -435,25 +440,20 @@ def audit_product_map(h: GadgetGraph, sub_positions: np.ndarray,
                       rng=None) -> ProductAudit:
     """Audit the product map H -> space + R.
 
-    Checks lip <= 1 (after normalization) and inverse lip <= 2x the inverse
-    Lipschitz constant of the normalized positions on the subdivided graph.
-    Both audits run on the hop metrics' chain blocks, bounded on the
-    position side by bounding boxes (FiniteMetric.from_points).
+    sub_positions has a row per vertex of G_M = subdivide(base, M).  Checks
+    lip <= 1 (after normalization) and inverse lip <= 2x the inverse
+    Lipschitz constant of the normalized positions on G_M.  Both audits run
+    on the hop metrics' chain blocks, bounded on the position side by
+    bounding boxes (FiniteMetric.from_points) and on H through product_metric.
     """
-    pos, scaled, factor, target, sub = product_positions(h, sub_positions, space)
+    sub, pos, factor = _normalized(h, sub_positions, space)
     d_sub, d_h = sub.hop_metric(), h.hop_metric()
-    sub_report = audit(d_sub, FiniteMetric.from_points(space, scaled, d_sub.blocks),
-                       pair_cap=pair_cap, rng=rng)
-    lip0_inv = sub_report.lip_inverse
-    report = audit(d_h, FiniteMetric.from_points(target, pos, d_h.blocks),
-                   pair_cap=pair_cap, rng=rng)
+    img = FiniteMetric.from_points(space, pos, d_sub.blocks)
+    lip0_inv = audit(d_sub, img, pair_cap=pair_cap, rng=rng).lip_inverse
+    report = audit(d_h, product_metric(h, img), pair_cap=pair_cap, rng=rng)
     bound = 2.0 * lip0_inv
-    return ProductAudit(
-        report=report, normalization_factor=factor, lip_positions_inverse=lip0_inv,
-        inverse_bound=bound,
-        forward_ok=report.lip_forward <= 1.0 + _TOL,
-        inverse_ok=report.lip_inverse <= bound * (1 + _TOL),
-    )
+    return ProductAudit(report, factor, lip0_inv, bound, report.lip_forward <= 1.0 + _TOL,
+                        report.lip_inverse <= bound * (1 + _TOL))
 
 
 def verify_product_cases(h: GadgetGraph, sub_positions: np.ndarray,
@@ -465,18 +465,15 @@ def verify_product_cases(h: GadgetGraph, sub_positions: np.ndarray,
     already satisfy ||img(w) - img(z)|| > d_H/2 through the label
     coordinate.
     """
-    pos, scaled, _, target, sub = product_positions(h, sub_positions, space)
-    mapping, _ = _h_to_sub(h, sub, np.arange(h.n))
-    d_h = h.hop_metric()
-    d_sub = sub.hop_metric()
-    lip0_inv = audit(d_sub, FiniteMetric.from_points(space, scaled)).lip_inverse
+    sub, pos, _ = _normalized(h, sub_positions, space)
+    d_h, d_sub, img = h.hop_metric(), sub.hop_metric(), FiniteMetric.from_points(space, pos)
+    lip0_inv, image = audit(d_sub, img).lip_inverse, product_metric(h, img)
     for w in range(h.n):
-        img_d = norms(target, pos[w + 1:] - pos[w])
         later = np.arange(w + 1, h.n)
         dh = d_h.at(w, later)
-        near = d_sub.at(int(mapping[w]), mapping[later]) >= 0.5 * dh
+        near = d_sub.at(int(h.to_sub(w)[0]), h.to_sub(later)[0]) >= 0.5 * dh
         need = np.where(near, 0.5 * dh / lip0_inv * (1 - _TOL), 0.5 * dh * (1 - _TOL))
-        if np.any(img_d < need):
+        if np.any(image.at(w, later) < need):
             return False
     return True
 

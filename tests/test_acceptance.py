@@ -176,7 +176,7 @@ def test_criterion_7_subdivision_thickening_isometry():
     worst = 0.0
     for m_val in range(1, 9):
         sub = subdivide(k3, m_val)
-        edges, ts = subdivision_tg_points(sub)
+        edges, ts = subdivision_tg_points(sub, np.arange(sub.n))
         i, j = np.triu_indices(sub.n, 1)
         d_tg = tg_distances(k3, edges[i], ts[i], edges[j], ts[j])
         worst = max(worst, float(np.max(np.abs(sub.graph.hops[i, j] / m_val - d_tg))))

@@ -395,6 +395,25 @@ class TestEmbeddingInput:
         assert err == {"type": "validation", "message": "pair_cap must be >= 1"}
         assert not (tmp_path / "run").exists()
 
+    def test_beta_under_strict_mode_exits_2(self, workdir, tmp_path, capsys):
+        # strict mode derives beta from mu: an explicit --beta is refused, not dropped
+        assert run_cli("embed", "--graph", str(workdir / "G.json"), "--mode", "strict",
+                       "--beta", "0.5", "-o", str(tmp_path / "emb.json")) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation" and "--beta" in err["message"]
+        assert not (tmp_path / "emb.json").exists()
+        assert run_cli("pipeline", "--space", "lp:2:3", "--delta", "1", "--r", "1.44",
+                       "--mode", "strict", "--beta", "0.5", "--out", str(tmp_path / "run")) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation" and "--beta" in err["message"]
+        assert not (tmp_path / "run").exists()
+        # without --beta: mu/546 in strict mode, 0.02 in practical mode
+        for command in (["embed", "--graph", "G.json"],
+                        ["pipeline", "--space", "lp:2:3", "--r", "1"]):
+            for mode, beta in (("strict", 0.25 / 546), ("practical", 0.02)):
+                args = cli._build_parser().parse_args(command + ["--mode", mode])
+                assert cli._params(args, 3).beta == beta
+
     def test_pipeline_checks_embed_params_first(self, tmp_path, capsys):
         # beta 0.5 >= mu violates the practical chain
         assert run_cli("pipeline", "--space", "lp:2:3", "--delta", "1",

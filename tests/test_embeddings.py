@@ -181,6 +181,48 @@ class TestChecks:
                 assert np.all(norms(L23, mids - c) >= 0.05 - 1e-9)
 
 
+def tolerance_case(condition, margin):
+    """(state, edge, w) whose distance for one condition is its constraint
+    plus margin, every other distance clearing its constraint plus
+    TestTolerance.TOL by far: PARAMS' alpha 0.1, beta 0.2, gamma 0.01."""
+    u, v, x = np.zeros(3), np.array([2.0, 0, 0]), np.array([1.0, 0, 0])
+    if condition == "alpha ball":  # |w - u|
+        return _PlacedState(L23, np.stack([u, v]), [(0, 1)], 0.2), 0, [0, 0.2 + margin, 0]
+    if condition == "alpha far segment":  # [w, v] from u; w is 1.06 from u
+        d = 0.2 + margin
+        h = 3 * d / math.sqrt(4 - d * d)  # the line through (-1, h) and v passes d from u
+        return _PlacedState(L23, np.stack([u, v]), [(0, 1)], 0.2), 0, [-1.0, h, 0]
+    if condition == "alpha crossing":  # the crossings of the two curves at u
+        theta = 2 * math.asin((0.1 + margin) / 0.4)  # chord of the 0.2-sphere
+        z = 2 * np.array([math.cos(theta), math.sin(theta), 0])
+        state = _PlacedState(L23, np.stack([u, v, z]), [(0, 1), (0, 2)], 0.2)
+        state.add_edges(x[None, :])
+        return state, 1, z / 2
+    if condition == "beta":  # vertex y from [u, w]
+        y = np.array([1.0, 0.2 + margin, 0])
+        return _PlacedState(L23, np.stack([u, v, y]), [(0, 1)], 0.2), 0, x
+    a, b = np.array([1.0, -1, 0.01 + margin]), np.array([1.0, 1, 0.01 + margin])
+    state = _PlacedState(L23, np.stack([u, v, a, b]), [(0, 1), (2, 3)], 0.2)
+    state.add_edges(x[None, :])  # gamma: the curve across [u, v], above x
+    return state, 1, (a + b) / 2
+
+
+class TestTolerance:
+    """Each comparison of _check_block needs the constraint plus the
+    tolerance: with a tolerance large enough to see, a candidate half a
+    tolerance over the constraint fails, and one two tolerances over passes."""
+
+    TOL = 0.05
+    PARAMS = EmbedParams(alpha=0.1, beta=0.2, gamma=0.01, tolerance=TOL)
+
+    @pytest.mark.parametrize("condition, code", [
+        ("alpha ball", ALPHA), ("alpha far segment", ALPHA), ("alpha crossing", ALPHA),
+        ("beta", BETA), ("gamma", GAMMA)])
+    def test_half_a_tolerance_over_fails(self, condition, code):
+        assert code_of(*tolerance_case(condition, self.TOL / 2), self.PARAMS) == code
+        assert code_of(*tolerance_case(condition, 2 * self.TOL), self.PARAMS) == 0
+
+
 class TestPlacement:
     def test_single_edge_first_candidate(self):
         ng = hand_edge()
@@ -322,8 +364,8 @@ def tg_distance(g, p, q):
 
 
 def tg_point_rows(sub):
-    """subdivision_tg_points(sub) as a list of (edge, t) pairs."""
-    return list(zip(*(a.tolist() for a in subdivision_tg_points(sub))))
+    """subdivision_tg_points of every vertex as a list of (edge, t) pairs."""
+    return list(zip(*(a.tolist() for a in subdivision_tg_points(sub, np.arange(sub.n)))))
 
 
 def reference_tg_points(sub):
@@ -527,7 +569,7 @@ class TestSubdivisionPositions:
         k3 = from_edges(3, [(0, 1), (0, 2), (1, 2)])
         for m_val in range(1, 9):
             sub = subdivide(k3, m_val)
-            edges, ts = subdivision_tg_points(sub)
+            edges, ts = subdivision_tg_points(sub, np.arange(sub.n))
             assert edges.dtype == np.int64 and ts.dtype == np.float64
             assert tg_point_rows(sub) == reference_tg_points(sub)
 
@@ -548,7 +590,7 @@ class TestSubdivisionPositions:
         # row would shift by one
         sub = subdivide(from_edges(4, [(0, 1), (0, 2)]), 3)
         with pytest.raises(ValidationError, match="every base vertex must end an edge"):
-            subdivision_tg_points(sub)
+            subdivision_tg_points(sub, np.arange(sub.n))
 
 
 def _curve(emb, j):

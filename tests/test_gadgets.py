@@ -12,10 +12,10 @@ from netembed import (DistortionReport, FiniteMetric, InternalConsistencyError,
                       ValidationError, anchor_map,
                       audit_anchor_map, audit_product_map, bfs_from,
                       build_gadget, build_net_graph, from_edges,
-                      gadget_to_json, graph_to_json, is_connected, lp_space,
-                      max_degree,
+                      custom_space, direct_sum_l1, gadget_to_json, graph_to_json,
+                      is_connected, lp_space, max_degree,
                       mg_positions, norms, place_edges, practical_params,
-                      product_positions, subdivide, verify_product_cases)
+                      product_metric, subdivide, verify_product_cases)
 
 
 def k2():
@@ -425,7 +425,7 @@ def triangle_embedding():
 
 
 def loop_h_to_sub(h, sub):
-    """Scalar reference for gadgets._h_to_sub."""
+    """Scalar reference for the G_M ids of GadgetGraph.to_sub."""
     out = np.empty(h.graph.n, dtype=np.int64)
     for u in range(h.base.n):
         out[h.short_ids[u]] = u
@@ -436,13 +436,25 @@ def loop_h_to_sub(h, sub):
 
 
 def loop_labels(h):
-    """Scalar reference for the label coordinate of product_positions."""
+    """Scalar reference for the labels of GadgetGraph.to_sub."""
     labels = np.empty(h.graph.n)
     for u in range(h.base.n):
         labels[h.short_ids[u]] = np.arange(1, h.base.edge_count + 1)
     for j in range(h.base.edge_count):
         labels[h.interior[j]] = j + 1
     return labels
+
+
+def loop_images(h, sub, pos):
+    """The product map's images from the loop references, one row per gadget
+    vertex: the position of its G_M vertex in pos, then its label."""
+    return np.column_stack([pos[loop_h_to_sub(h, sub)], loop_labels(h)])
+
+
+def reference_images(h, pos, space):
+    """loop_images of the normalized G_M positions, and their space."""
+    sub, scaled, _ = gadgets._normalized(h, pos, space)
+    return loop_images(h, sub, scaled), direct_sum_l1(space, lp_space(1, 1))
 
 
 def product_instance_at(r, seed):
@@ -475,28 +487,46 @@ class TestProductMap:
     def test_vertex_map_matches_loop_reference(self, base, m_val):
         h = build_gadget(base, m_val)
         sub = subdivide(base, m_val)
-        mapping, labels = gadgets._h_to_sub(h, sub, np.arange(h.n))
+        mapping, labels = h.to_sub(np.arange(h.n))
         assert np.array_equal(mapping, loop_h_to_sub(h, sub))
         assert np.array_equal(labels, loop_labels(h))
+        for i in range(h.n):  # one id at a time
+            assert h.to_sub(i) == (mapping[i], labels[i])
 
     def test_labels_match_loop_reference(self, small_embedding):
+        # the normalized G_M positions, and product_metric's distances against
+        # the images built from the loop references
         space, emb = small_embedding
         g = emb.netgraph.graph
         m_val = 2 * g.edge_count + 1
         h = build_gadget(g, m_val)
         sub, pos = mg_positions(emb, m_val)
-        images, scaled, factor, _, _ = product_positions(h, pos, space)
+        got_sub, scaled, factor = gadgets._normalized(h, pos, space)
+        assert got_sub == sub and factor >= 1.0
         assert np.array_equal(scaled, pos / factor)
-        assert np.array_equal(images[:, space.dim], loop_labels(h))
-        assert np.array_equal(images[:, :space.dim], scaled[loop_h_to_sub(h, sub)])
+        image = product_metric(h, FiniteMetric.from_points(space, scaled))
+        images, target = reference_images(h, pos, space)
+        ref = FiniteMetric.from_points(target, images)
+        ids = np.arange(h.n)
+        for i in range(0, h.n, 97):
+            assert np.array_equal(bits(image.at(i, ids)), bits(ref.at(i, ids)))
 
     def test_needs_large_m(self, small_embedding):
         space, emb = small_embedding
         g = emb.netgraph.graph
         h = build_gadget(g, 2)  # M <= 2e
         sub, pos = mg_positions(emb, 2)
-        with pytest.raises(ValidationError):
-            product_positions(h, pos, space)
+        for check in (audit_product_map, verify_product_cases):
+            with pytest.raises(ValidationError, match="need M > 2"):
+                check(h, pos, space)
+
+    def test_positions_shape_checked(self, small_embedding):
+        space, emb = small_embedding
+        g = emb.netgraph.graph
+        m_val = 2 * g.edge_count + 1
+        sub, pos = mg_positions(emb, m_val)
+        with pytest.raises(ValidationError, match="does not match the subdivided graph"):
+            audit_product_map(build_gadget(g, m_val), pos[1:], space)
 
     def test_adjacent_images_within_one(self, small_embedding):
         space, emb = small_embedding
@@ -504,7 +534,7 @@ class TestProductMap:
         m_val = 2 * g.edge_count + 1
         h = build_gadget(g, m_val)
         sub, pos = mg_positions(emb, m_val)
-        images, _, _, target, _ = product_positions(h, pos, space)
+        images, target = reference_images(h, pos, space)
         ends = h.graph.ends
         assert np.all(norms(target, images[ends[:, 0]] - images[ends[:, 1]]) <= 1.0 + 1e-9)
 
@@ -514,7 +544,7 @@ class TestProductMap:
         m_val = 2 * g.edge_count + 1
         h = build_gadget(g, m_val)
         sub, pos = mg_positions(emb, m_val)
-        images, _, _, target, _ = product_positions(h, pos, space)
+        images, target = reference_images(h, pos, space)
         gaps = np.diff(images[h.short_ids[0]], axis=0)
         assert norms(target, gaps) == pytest.approx(np.ones(len(gaps)), abs=1e-12)
 
@@ -524,13 +554,11 @@ class TestProductMap:
         m_val = 2 * g.edge_count + 1
         h = build_gadget(g, m_val)
         sub, pos = mg_positions(emb, m_val)
-        want = product_positions(h, pos, space)
+        want = repr(audit_product_map(h, pos, space, pair_cap=300))
         assert sorted(map(sorted, sub.edge_ends().tolist())) == sub.graph.ends.tolist()
         monkeypatch.setattr(gadgets, "from_edges", None)  # any Graph build fails
         monkeypatch.setattr(gadgets, "subdivide", None)
-        got = product_positions(h, pos, space)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert got[2] == want[2]
+        assert repr(audit_product_map(h, pos, space, pair_cap=300)) == want
 
     def test_audit_bounds(self, small_embedding):
         space, emb = small_embedding
@@ -590,17 +618,21 @@ CHUNK_CONSTANTS = [(embeddings, "_POSITION_ROWS"), (gadgets, "_ROWS"), (graphs, 
 UNCHUNKED = 1 << 40
 
 
-@pytest.fixture(scope="module", params=["lp:2:3", "lp:inf:3", "l1sum:lp:2:2+lp:1:1"])
-def hand_embedding(request):
+def place_hand(desc):
     """Curves placed on a 5-point unit-scale hand net, so that exhaustive
-    audits of its gadget stay small."""
+    audits of its gadget stay small: (space, embedding)."""
     from netembed import Net, net_graph_from_net, parse_space
-    space = parse_space(request.param)
+    space = parse_space(desc)
     pts = np.array([[0, 0, 0], [2, 0, 0], [1, 1.8, 0], [1, 0.6, 1.7], [-1.5, 1, 0.5]])
     ng = net_graph_from_net(Net(space, 1.0, 4.0, pts, 1.0))
     emb = place_edges(space, ng, practical_params(beta=0.02, seed=9),
                       np.random.default_rng([9, 1]))
     return space, emb
+
+
+@pytest.fixture(scope="module", params=["lp:2:3", "lp:inf:3", "l1sum:lp:2:2+lp:1:1"])
+def hand_embedding(request):
+    return place_hand(request.param)
 
 
 class TestChunkedPasses:
@@ -615,10 +647,10 @@ class TestChunkedPasses:
                 for module, name in CHUNK_CONSTANTS:
                     stack.enter_context(mock.patch.object(module, name, chunk))
                 sub, pos = mg_positions(emb, m_val)
-                images, scaled, factor, _, _ = product_positions(h, pos, space)
+                _, scaled, factor = gadgets._normalized(h, pos, space)
                 pa = audit_product_map(h, pos, space, pair_cap=pair_cap,
                                        rng=np.random.default_rng(4))
-            return sub.n, [pos, images, scaled], factor, repr(pa)
+            return sub.n, [pos, scaled], factor, repr(pa)
 
         n, want_arrays, *want = passes(UNCHUNKED)
         for chunk in (3, 7):
@@ -627,3 +659,69 @@ class TestChunkedPasses:
             assert got == want
             for a, b in zip(got_arrays, want_arrays):
                 assert np.array_equal(bits(a), bits(b))
+
+
+@pytest.fixture(scope="module", params=["lp:2:3", "lp:inf:3", "lp:1:3", "l1sum:lp:2:2+lp:1:1"])
+def hand_product(request):
+    """The gadget of a placed hand net, its G_M and the normalized G_M
+    positions: (h, sub, positions, space)."""
+    space, emb = place_hand(request.param)
+    m_val = 2 * emb.netgraph.graph.edge_count + 1
+    h = build_gadget(emb.netgraph.graph, m_val)
+    sub, pos, _ = gadgets._normalized(h, mg_positions(emb, m_val)[1], space)
+    return h, sub, pos, space
+
+
+def product_and_reference(h, sub, pos, space):
+    """product_metric over the blocked G_M point metric, and the point metric
+    of its images built from the loop references, on H's hop blocks."""
+    image = product_metric(h, FiniteMetric.from_points(space, pos, sub.hop_metric().blocks))
+    target = direct_sum_l1(space, lp_space(1, 1))
+    return image, FiniteMetric.from_points(target, loop_images(h, sub, pos), h.hop_metric().blocks)
+
+
+class TestProductMetric:
+    """product_metric reads H's image through G_M's: its values are the
+    images' point metric bit for bit, and its bounds hold every value and
+    are no looser than the images' box bounds."""
+
+    def test_at_equals_the_images_bit_for_bit(self, hand_product):
+        h = hand_product[0]
+        image, ref = product_and_reference(*hand_product)
+        ids = np.arange(h.n)
+        for i in range(h.n):
+            assert np.array_equal(bits(image.at(i, ids)), bits(ref.at(i, ids)))
+            assert np.array_equal(bits(image.at(i, ids[::-7])), bits(ref.at(i, ids[::-7])))
+
+    def test_bounds_hold_and_are_no_looser(self, hand_product):
+        h = hand_product[0]
+        image, ref = product_and_reference(*hand_product)
+        assert np.array_equal(image.blocks, h.hop_metric().blocks)
+        for i in range(h.n):
+            row = image.row(i)
+            lo, hi = image.bounds(i)
+            assert np.all(lo <= np.minimum.reduceat(row, image.blocks))
+            assert np.all(hi >= np.maximum.reduceat(row, image.blocks))
+            ref_lo, ref_hi = ref.bounds(i)
+            assert np.all(lo >= ref_lo) and np.all(hi <= ref_hi)
+
+    @pytest.mark.parametrize("where", ["hub", "chain"])
+    def test_nan_bounds_where_the_images_have_them(self, hand_product, where):
+        h, sub, pos, space = hand_product
+        pos = pos.copy()
+        pos[0 if where == "hub" else sub.n - 5, 1] = np.nan
+        image, ref = product_and_reference(h, sub, pos, space)
+        for i in range(0, h.n, 7):
+            for got, want in zip(image.bounds(i), ref.bounds(i)):
+                assert np.array_equal(np.isnan(got), np.isnan(want))
+                assert np.isnan(want).any()
+
+    def test_custom_part_gets_no_blocks(self, hand_product):
+        h, sub, pos, space = hand_product
+        l1 = custom_space(space.dim, lambda v: np.abs(v).sum(axis=1), box_factor=1.0,
+                          vectorized=True)
+        image = product_metric(h, FiniteMetric.from_points(l1, pos, sub.hop_metric().blocks))
+        assert image.blocks is None
+        ref = FiniteMetric.from_points(direct_sum_l1(l1, lp_space(1, 1)), loop_images(h, sub, pos))
+        for i in (0, h.n // 2, h.n - 1):
+            assert np.array_equal(bits(image.row(i)), bits(ref.row(i)))

@@ -10,8 +10,7 @@ from netembed import (DistortionReport, FiniteMetric, Net, ValidationError, audi
                       audit_pair_rows, bfs_from, build_gadget, custom_space,
                       direct_sum_l1, from_edges, graph_from_json, graph_to_dot, graph_to_json,
                       is_connected, lp_space, max_degree, mg_positions, net_graph_from_net,
-                      norms, parse_space, place_edges, practical_params, product_positions,
-                      write_audit_csv)
+                      norms, parse_space, place_edges, practical_params, write_audit_csv)
 
 
 def path_graph(n):
@@ -635,9 +634,12 @@ def product_instance(request):
                       np.random.default_rng([9, 1]))
     m_val = 2 * ng.graph.edge_count + 1
     h = build_gadget(ng.graph, m_val)
-    sub, pos = mg_positions(emb, m_val)
-    images, scaled, _, target, _ = product_positions(h, pos, space)
-    return [(sub.hop_metric, scaled, space), (h.hop_metric, images, target)]
+    _, pos = mg_positions(emb, m_val)
+    sub, scaled, _ = gadgets._normalized(h, pos, space)
+    m, labels = h.to_sub(np.arange(h.n))
+    images = np.column_stack([scaled[m], labels])  # the points of product_metric
+    return [(sub.hop_metric, scaled, space),
+            (h.hop_metric, images, direct_sum_l1(space, lp_space(1, 1)))]
 
 
 class TestBlockedAuditEqualsWholeRows:
