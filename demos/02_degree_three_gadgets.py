@@ -8,8 +8,6 @@ metric type at bounded distortion; composing with positions on the
 subdivided graph lands H in the l1 sum  X + R.
 """
 
-import numpy as np
-
 from netembed import (audit_anchor_map, audit_product_map, build_gadget,
                       build_net_graph, from_edges, lp_space, mg_positions,
                       place_edges, practical_params, subdivide)
@@ -38,8 +36,7 @@ print("Product map H -> X + R on a small ball net graph in l2^3")
 print("=" * 72)
 space = lp_space(2, 3)
 ng = build_net_graph(space, 1.0, 1.44)
-emb = place_edges(space, ng, practical_params(beta=0.02, seed=5),
-                  np.random.default_rng([5, 1]))
+emb = place_edges(ng, practical_params(beta=0.02, seed=5))
 g = emb.netgraph.graph
 m_val = 2 * g.edge_count + 1
 h = build_gadget(g, m_val)

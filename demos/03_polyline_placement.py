@@ -22,7 +22,7 @@ print(f"Ball net graph in l2^3: {ng.graph.n} vertices, "
 print("=" * 72)
 
 params = practical_params(beta=0.02, seed=7)
-emb = place_edges(space, ng, params, np.random.default_rng([7, 1]))
+emb = place_edges(ng, params)
 print(f"\npractical mode (beta = {params.beta}, alpha = {params.alpha}, "
       f"gamma = {params.gamma}):")
 print(f"  placed {len(emb.ends)} curves, attempts: "
@@ -39,11 +39,10 @@ print(f"  inverse Lipschitz {rep.lip_inverse:.1f} <= 1 + 6/gamma = "
 print("\n" + "=" * 72)
 print("Strict constants and the volume argument")
 print("=" * 72)
-strict = default_strict_params(3, seed=11)
+strict = default_strict_params(seed=11)
 print(f"  beta = {strict.beta:.3e}, alpha = {strict.alpha:.3e}, "
       f"gamma = {strict.gamma:.3e}")
-emb5 = place_edges(space, ng, strict, np.random.default_rng([11, 1]),
-                   edge_limit=5)
+emb5 = place_edges(ng, strict, edge_limit=5)
 print(f"  first five edges placed with attempts {list(map(int, emb5.attempts))}"
       f" (expected <= 4 each: over 1/4 of the ball stays suitable)")
 for j in range(3):

@@ -118,19 +118,19 @@ def _load_graph(path):
     return graph_from_json(obj)
 
 
-def _rng(seed, stream=0):
+def _rng(seed, stream):
     return np.random.default_rng([int(seed), int(stream)])
 
 
 # --- stages shared by the subcommands and the pipeline ------------------------
 
-def _params(args, dim):
+def _params(args):
     """The placement params of --mode, --beta (practical only) and --seed."""
     if args.mode == "strict":
         if args.beta is not None:
             raise ValidationError("--beta applies to --mode practical only: "
                                   "strict mode sets beta = mu/546")
-        return default_strict_params(dim, seed=args.seed)
+        return default_strict_params(seed=args.seed)
     return practical_params(beta=0.02 if args.beta is None else args.beta, seed=args.seed)
 
 
@@ -206,7 +206,6 @@ def _cmd_audit_psi(args):
     h = build_gadget(g, args.M)
     report = audit_anchor_map(h)
     obj = {"report": asdict(report), "M": h.M, "edges": h.base.edge_count,
-           "psi_anchor": h.psi_anchor,
            "max_degree_H": h.max_degree(),
            "lip_bound": 2 * h.base.edge_count + h.M,
            "lip_inverse_bound": 1.0 / h.M}
@@ -232,12 +231,9 @@ def _cmd_embed(args):
     loaded = _load_graph(args.graph)
     if not isinstance(loaded, NetGraph):
         raise ValidationError("embed needs a net-graph JSON (produced by `graph`)")
-    space = loaded.space
     overrides = {name: getattr(args, name) for name in ("alpha", "gamma", "mu", "retry_cap")
                  if getattr(args, name) is not None}
-    params = replace(_params(args, space.dim), **overrides)
-    emb = place_edges(space, loaded, params, _rng(args.seed, 1),
-                      edge_limit=args.limit)
+    emb = place_edges(loaded, replace(_params(args), **overrides), edge_limit=args.limit)
     _dump_json(embedding_to_json(emb), args.output)
     return 0
 
@@ -277,7 +273,7 @@ def _cmd_pipeline(args):
 
     # every argument is checked before the first artifact is written
     space = parse_space(args.space)
-    params = _params(args, space.dim)
+    params = _params(args)
     params.validate(space.dim)
     if args.samples < 0:
         raise ValidationError("interior_samples must be >= 0")
@@ -293,7 +289,7 @@ def _cmd_pipeline(args):
     gobj = _graph_doc(ng)
     _dump_json(gobj, out / "graph.json")
 
-    emb = place_edges(space, ng, params, _rng(args.seed, 1))
+    emb = place_edges(ng, params)
     _dump_json(embedding_to_json(emb), out / "embedding.json")
     tg_report, reverified = _tg_audit(emb, args.samples, args.seed)
 

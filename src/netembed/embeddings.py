@@ -25,11 +25,11 @@ breakpoints in a few blocked calls, each against its own prefix; the Monte
 Carlo estimate checks all its samples the same way.  Every comparison is
 tolerance inflated (pass needs the constraint plus the tolerance).  A
 bounding-box mask, spaces.box_near, drops the pairs that their boxes
-certify in any space (the mask is the only work that grows with the placed
-prefix); each condition sends the pairs left to one call of
+certify in any space; each condition sends the pairs left to one call of
 spaces.points_clear or spaces.segments_clear, which certify them as the
 spaces module describes, so floating error can reject a usable breakpoint
-but never accept a bad one.
+but never accept a bad one.  The box masks and the alpha step's masks over
+the placed crossings are the work that grows with the placed prefix.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ _POSITION_ROWS = 1 << 12
 @dataclass(frozen=True)
 class EmbedParams:
     """Placement constants.  mu is the breakpoint ball radius; alpha, beta,
-    gamma control the three avoidance conditions.  gamma_constant records
-    the convention used for the free constant in the strict gamma bound."""
+    gamma control the three avoidance conditions; seed fixes the curves
+    (place_edges draws from default_rng([seed, 1]))."""
 
     alpha: float
     beta: float
@@ -77,16 +77,13 @@ class EmbedParams:
     retry_cap: int = 10_000
     seed: int = 0
     tolerance: float = 1e-9
-    gamma_constant: float = 1.0
 
     def validate(self, dim: int) -> None:
         if dim < 3:
             raise ValidationError("edge placement needs dimension >= 3")
-        constants = (self.alpha, self.beta, self.gamma, self.mu, self.tolerance,
-                     self.gamma_constant)
+        constants = (self.alpha, self.beta, self.gamma, self.mu, self.tolerance)
         if not all(isinstance(c, (int, float)) and math.isfinite(c) for c in constants):
-            raise ValidationError("alpha, beta, gamma, mu, tolerance and "
-                                  "gamma_constant must be finite numbers")
+            raise ValidationError("alpha, beta, gamma, mu and tolerance must be finite numbers")
         if not (self.mu > 0):
             raise ValidationError("mu must be positive")
         if not (0 < self.gamma and 0 < self.alpha and 0 < self.beta):
@@ -112,12 +109,10 @@ class EmbedParams:
             raise ValidationError(f"unknown mode {self.mode!r}")
 
 
-def default_strict_params(dim: int, seed: int = 0) -> EmbedParams:
+def default_strict_params(seed: int = 0) -> EmbedParams:
     """The strict constants: beta = mu/546, alpha = beta/1232, and gamma the
     smallest of alpha, beta/20 and (beta*mu)^2/968 (free constant taken as
     1; smaller gamma only shrinks the excluded volume)."""
-    if dim < 3:
-        raise ValidationError("strict parameters need dimension >= 3")
     mu = 0.25
     beta = mu / 546
     alpha = beta / 1232
@@ -139,8 +134,7 @@ def params_from_json(obj: dict) -> EmbedParams:
             alpha=float(obj["alpha"]), beta=float(obj["beta"]),
             gamma=float(obj["gamma"]), mu=float(obj["mu"]),
             mode=str(obj["mode"]), retry_cap=as_int(obj["retry_cap"], "retry_cap"),
-            seed=as_int(obj["seed"], "seed"), tolerance=float(obj["tolerance"]),
-            gamma_constant=float(obj.get("gamma_constant", 1.0)))
+            seed=as_int(obj["seed"], "seed"), tolerance=float(obj["tolerance"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed params JSON: {exc}") from exc
 
@@ -287,8 +281,9 @@ def _check_block(state: _PlacedState, edges: np.ndarray, ws: np.ndarray,
 
     A pair of the candidate's curve with a placed segment, a placed piece
     or another vertex reaches points_clear or segments_clear only if
-    spaces.box_near keeps it at the condition's need; the box masks are the
-    only work that grows with the placed prefix."""
+    spaces.box_near keeps it at the condition's need.  The work that grows
+    with the placed prefix is the box masks and the alpha step's `before`
+    and `at ==` masks, (live, 2k) over every placed crossing."""
     space, pts, ends = state.space, state.points, state.ends
     beta, tol = params.beta, params.tolerance
     ui, vi = ends[edges, 0], ends[edges, 1]
@@ -416,24 +411,22 @@ class PolylineEmbedding:
         return out
 
 
-def place_edges(space: NormedSpace, ng: NetGraph, params: EmbedParams,
-                rng: np.random.Generator,
+def place_edges(ng: NetGraph, params: EmbedParams,
                 edge_limit: Optional[int] = None) -> PolylineEmbedding:
-    """Place curves in lexicographic edge order.
+    """Place curves in lexicographic edge order, in the net graph's space.
 
     The net graph is first rescaled to the unit normal form (separation 1,
     edge threshold 3) so the constants in params mean what they should.
     Edge j draws candidate breakpoints, uniform in the ball of radius mu
     around its midpoint, in chunks of _CHUNK from its own substream
-    rng.spawn(len(edges))[j], and takes the first one that check_breakpoints
-    accepts against the curves of the edges before it; its attempts count
-    the candidates up to that one.  No edge's candidates depend on another
-    edge, so the edges are placed _WINDOW at a time (_place_window) with
-    the result of placing them one at a time.  space must be the net
-    graph's space, the one the embedding records.
+    default_rng([params.seed, 1]).spawn(len(edges))[j], and takes the first
+    one that check_breakpoints accepts against the curves of the edges
+    before it; its attempts count the candidates up to that one.  So the
+    net graph, params and edge_limit fix the curves.  No edge's candidates
+    depend on another edge, so the edges are placed _WINDOW at a time
+    (_place_window) with the result of placing them one at a time.
     """
-    if space != ng.space or space.norm_fn is not ng.space.norm_fn:
-        raise ValidationError("place_edges: space differs from the net graph's space")
+    space = ng.space
     params.validate(space.dim)
     if edge_limit is not None and edge_limit < 1:
         raise ValidationError("edge_limit must be >= 1")
@@ -446,7 +439,7 @@ def place_edges(space: NormedSpace, ng: NetGraph, params: EmbedParams,
         edges = edges[:edge_limit]
 
     state = _PlacedState(space, pts, edges, params.beta)
-    subs = rng.spawn(len(edges))
+    subs = np.random.default_rng([params.seed, 1]).spawn(len(edges))
     breakpoints = np.empty((len(edges), space.dim))
     attempts = np.zeros(len(edges), dtype=np.int64)
     for a in range(0, len(edges), _WINDOW):

@@ -8,7 +8,7 @@ paths meet long paths only at matching labels, so the maximum degree is 3.
 
 Two maps are audited:
 
-  anchor map    base vertex u -> the anchor-label vertex of u's short path;
+  anchor map    base vertex u -> the label-1 vertex u*e of u's short path;
                 hop distances satisfy M*d_G <= d_H <= (2e + M)*d_G.
   product map   gadget vertex -> (image of its G_M vertex, label) in the l1
                 sum X + R; 1-Lipschitz after normalization, with inverse
@@ -32,8 +32,8 @@ it, product_metric reads H's image off G_M's, and no H positions exist.
 
 Short paths carry exactly e vertices (length e-1): a trailing unlabeled
 vertex would change no distance bound and is dropped.  The JSON document
-(gadget_to_json) holds the unit-edge listing, the base graph, M and
-psi_anchor; the ids of the short and long paths follow from the layout
+(gadget_to_json) holds the unit-edge listing, the base graph and M, which
+fix the gadget; the ids of the short and long paths follow from the layout
 above and are not listed.
 """
 
@@ -54,8 +54,8 @@ from .spaces import NormedSpace, norms
 # noise, on the pipeline's lp:2:3, lp:1:3 and lp:inf:3 gadgets.
 _BLOCK = 32
 _TOL = 1e-9  # relative slack of the product-map bounds
-# G_M edges per pass of the product map's normalization: bounds its
-# temporaries on large gadgets.
+# G_M unit edges, about, per pass of the product map's normalization:
+# bounds its temporaries on large gadgets.
 _ROWS = 1 << 12
 # Vertices a subdivided graph or gadget may have: the r=4 pipeline's gadget
 # has 18,224,050.  Checked before anything is allocated.
@@ -241,11 +241,8 @@ class GadgetGraph(_ChainGraph):
     The hubs are the ports: short_ids[u, i] = u*e + i is the short-path
     vertex of base vertex u carrying label i+1.  Long path j is chain j,
     between the ports (a_j, j) and (b_j, j); interior holds its
-    interior ids.  psi_anchor is the label whose short-path vertices serve
-    as images of the base vertices (default 1).
+    interior ids.  base and M fix the gadget.
     """
-
-    psi_anchor: int = 1
 
     @property
     def hubs(self) -> int:
@@ -323,7 +320,7 @@ class GadgetGraph(_ChainGraph):
         return lambda s: self.port_rows(s).ravel()
 
 
-def build_gadget(g: Graph, M: int, psi_anchor: int = 1) -> GadgetGraph:
+def build_gadget(g: Graph, M: int) -> GadgetGraph:
     """Construct the gadget; asserts max degree <= 3 from the layout.
     H is connected as the base is: long path j joins the short paths of
     the ends of base edge j."""
@@ -334,18 +331,15 @@ def build_gadget(g: Graph, M: int, psi_anchor: int = 1) -> GadgetGraph:
     e = g.edge_count
     if e < 1:
         raise ValidationError("base graph needs at least one edge")
-    if not (1 <= psi_anchor <= e):
-        raise ValidationError(f"psi_anchor must be a label in 1..{e}")
-
-    h = GadgetGraph(base=g, M=M, psi_anchor=psi_anchor)
+    h = GadgetGraph(base=g, M=M)
     if h.max_degree() > 3:
         raise InternalConsistencyError("gadget degree exceeded 3")
     return h
 
 
 def anchor_map(h: GadgetGraph) -> np.ndarray:
-    """Base vertex u -> the anchor-label vertex of u's short path."""
-    return h.short_ids[:, h.psi_anchor - 1]
+    """Base vertex u -> the label-1 vertex u*e of u's short path."""
+    return h.short_ids[:, 0]
 
 
 def audit_anchor_map(h: GadgetGraph) -> DistortionReport:
@@ -357,7 +351,7 @@ def audit_anchor_map(h: GadgetGraph) -> DistortionReport:
     e, n = h.base.edge_count, h.base.n
     d_g = h.base.hops.astype(np.int64)
     # copied out, so that no (n, e) port array outlives its row
-    d_h = np.array([h.port_rows(int(a))[:, h.psi_anchor - 1].copy() for a in anchor_map(h)])
+    d_h = np.array([h.port_rows(int(a))[:, 0].copy() for a in anchor_map(h)])
     bad = np.triu((h.M * d_g > d_h) | (d_h > (2 * e + h.M) * d_g), 1)
     if bad.any():
         u, v = np.argwhere(bad)[0]  # the first failing pair u < v, row-major
@@ -370,8 +364,10 @@ def audit_anchor_map(h: GadgetGraph) -> DistortionReport:
 
 def _normalized(h: GadgetGraph, sub_positions: np.ndarray, space: NormedSpace) -> tuple:
     """(G_M, positions, factor): G_M's positions divided by the largest image
-    gap across its unit edges (_ROWS at a time) when that exceeds 1, so the
-    product map is 1-Lipschitz; factor is that gap, else 1."""
+    gap across its unit edges when that exceeds 1, so the product map is
+    1-Lipschitz; factor is that gap, else 1.  The gaps are taken as
+    edge_ends orients them, chain by chain and about _ROWS edges a pass, so
+    G_M's whole edge list is never built."""
     if h.M <= 2 * h.base.edge_count:
         raise ValidationError("need M > 2*e(base) for the product map")
     sub = SubdividedGraph(base=h.base, M=h.M)
@@ -379,9 +375,13 @@ def _normalized(h: GadgetGraph, sub_positions: np.ndarray, space: NormedSpace) -
     if pos.shape != (sub.n, space.dim):
         raise ValidationError(f"positions shape {pos.shape} does not match the subdivided "
                               f"graph ({sub.n} vertices, dim {space.dim})")
-    ends = sub.edge_ends()
-    gaps = [norms(space, pos[u] - pos[v]).max()
-            for u, v in (ends[k:k + _ROWS].T for k in range(0, len(ends), _ROWS))]
+    hub, step = sub._hub_ends, max(1, _ROWS // h.M)  # step: chains per pass
+    gaps = []
+    for j in range(0, len(hub), step):
+        rows = np.arange(j, min(j + step, len(hub)))[:, None]
+        inner = sub.hubs + (h.M - 1) * rows + np.arange(h.M - 1)  # sub.interior[rows]
+        u, v = _chain_edges(hub[rows, 0], inner, hub[rows, 1]).T
+        gaps.append(norms(space, pos[u] - pos[v]).max())
     factor = float(np.max(gaps)) if gaps else 1.0  # NaN if a gap is NaN
     return (sub, pos / factor, factor) if factor > 1.0 else (sub, pos, 1.0)
 
@@ -483,5 +483,4 @@ def gadget_to_json(h: GadgetGraph) -> dict:
         "graph": graph_to_json(from_edges(h.n, h.edge_ends())),
         "base": graph_to_json(h.base),
         "M": h.M,
-        "psi_anchor": h.psi_anchor,
     }

@@ -29,6 +29,8 @@ from .spaces import NormedSpace, as_int, norms
 # the net graph of l2^3 at r=5, delta 1 has 218 vertices.  Checked before
 # the table is built.
 _HOPS_CAP = 1 << 26
+# Vertices a graph may have: from_edges keys an edge as u*n + v in int64.
+_MAX_N = math.isqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(eq=False)
@@ -74,6 +76,9 @@ def from_edges(n: int, edges) -> Graph:
     (in either orientation), naming the first bad edge in input order."""
     if n < 1:
         raise ValidationError("graph needs at least one vertex")
+    if n > _MAX_N:
+        raise ValidationError(f"graph has {n} vertices, over the cap {_MAX_N}; its edge "
+                              f"keys u*n + v would overflow int64")
     pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     bad = (pairs[:, 0] == pairs[:, 1]) | ((pairs < 0) | (pairs >= n)).any(axis=1)
     if not bad.any():

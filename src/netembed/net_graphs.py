@@ -28,7 +28,10 @@ class NetGraph:
 
     graph: Graph
     net: Net
-    edge_threshold: float
+
+    @property
+    def edge_threshold(self) -> float:
+        return 3.0 * self.net.rho
 
     @property
     def space(self) -> NormedSpace:
@@ -60,7 +63,7 @@ def net_graph_from_net(net: Net) -> NetGraph:
     if m > 1 and not is_connected(g):
         raise InternalConsistencyError(
             "net graph is disconnected: covering certificate violated")
-    return NetGraph(graph=g, net=net, edge_threshold=thr)
+    return NetGraph(graph=g, net=net)
 
 
 def build_net_graph(space: NormedSpace, delta: float, r: float,
@@ -76,7 +79,7 @@ def rescaled_unit(ng: NetGraph) -> tuple[NetGraph, float]:
         return ng, 1.0
     net = Net(ng.net.space, ng.net.delta * scale, ng.net.r * scale,
               ng.net.points * scale, 1.0)
-    return NetGraph(graph=ng.graph, net=net, edge_threshold=3.0), scale
+    return NetGraph(graph=ng.graph, net=net), scale
 
 
 def verify_edge_rule(ng: NetGraph) -> bool:
@@ -162,7 +165,7 @@ def net_graph_from_json(obj: dict) -> NetGraph:
     if not abs(thr - 3.0 * net.rho) <= _REL_TOL * 3.0 * net.rho:
         raise ValidationError(f"net-graph JSON: edge_threshold {thr} is not 3 * rho "
                               f"= {3.0 * net.rho}")
-    ng = NetGraph(graph=g, net=net, edge_threshold=thr)
+    ng = NetGraph(graph=g, net=net)
     if not verify_edge_rule(ng):
         raise ValidationError("net-graph JSON: the edges are not the pairs of net "
                               "points within edge_threshold")

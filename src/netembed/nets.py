@@ -102,7 +102,8 @@ def lattice_candidates(space: NormedSpace, delta: float, r: float,
     h = delta / mesh_divisor
     half = int(np.floor(r * space.box_factor / h + _REL_TOL))
     per_axis = 2 * half + 1
-    if per_axis ** space.dim > _CANDIDATE_CAP:
+    # with per_axis >= 2 any dim >= 64 is over the cap; a huge power is never formed
+    if per_axis > 1 and (space.dim >= 64 or per_axis ** space.dim > _CANDIDATE_CAP):
         raise ValidationError(
             f"lattice would have {per_axis}^{space.dim} candidates, "
             f"over the cap {_CANDIDATE_CAP}; coarsen the mesh or shrink r/delta")

@@ -112,7 +112,7 @@ def test_criterion_4_practical_placement_and_tg_audit():
         ng = build_net_graph(space, 1.0, 2.0)
         params = practical_params(beta=beta, seed=7)
         assert params.alpha == beta / 10 and params.gamma == beta / 20
-        emb = place_edges(space, ng, params, np.random.default_rng([7, 1]))
+        emb = place_edges(ng, params)
         assert np.all(emb.attempts <= params.retry_cap)
         rev = verify_embedding(emb)
         assert rev["ok"], (tag, rev["failures"][:3])
@@ -132,9 +132,8 @@ def test_criterion_5_strict_volume_bound():
     t0 = time.perf_counter()
     space = lp_space(2, 3)
     ng = build_net_graph(space, 1.0, 2.0)
-    params = default_strict_params(3, seed=11)
-    emb = place_edges(space, ng, params, np.random.default_rng([11, 1]),
-                      edge_limit=5)
+    params = default_strict_params(seed=11)
+    emb = place_edges(ng, params, edge_limit=5)
     worst_margin = math.inf
     for j in range(5):
         est = estimate_suitable_fraction(emb, j, 100_000,
@@ -152,8 +151,7 @@ def test_criterion_6_product_composition():
     t0 = time.perf_counter()
     space = lp_space(2, 3)
     ng = build_net_graph(space, 1.0, 1.44)
-    emb = place_edges(space, ng, practical_params(beta=0.02, seed=5),
-                      np.random.default_rng([5, 1]))
+    emb = place_edges(ng, practical_params(beta=0.02, seed=5))
     g = emb.netgraph.graph
     m_val = 2 * g.edge_count + 1
     h = build_gadget(g, m_val)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import netembed
-from netembed import build_gadget, cli, from_edges, gadget_to_json, gadgets
+from netembed import build_gadget, cli, from_edges, gadget_to_json, gadgets, graphs
 from netembed.cli import _dump_json, main
 
 
@@ -321,6 +321,16 @@ class TestEmbeddingInput:
     def test_unedited_embedding_loads(self, ten_edges, tmp_path, capsys):
         assert self._audit_tg_exit(ten_edges, tmp_path, capsys, lambda obj: None)[0] == 0
 
+    def test_retired_gamma_constant_key_is_ignored(self, ten_edges, tmp_path, capsys):
+        # params written while they still carried gamma_constant load, and
+        # audit as the same params without it
+        assert "gamma_constant" not in json.loads(ten_edges)["params"]
+        reports = []
+        for edit in (lambda obj: None, _set("params", "gamma_constant", value=1.0)):
+            assert self._audit_tg_exit(ten_edges, tmp_path, capsys, edit)[0] == 0
+            reports.append((tmp_path / "tg.json").read_bytes())
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("w", [[math.nan] * 3, [1.0, math.nan, 0.0],
                                    [math.inf, 0.0, 0.0]],
                              ids=["all-nan", "one-nan", "inf"])
@@ -344,10 +354,9 @@ class TestEmbeddingInput:
         _set("params", "tolerance", value=-1.0),
         _set("params", "tolerance", value=math.nan),
         _set("params", "mu", value=math.inf),
-        _set("params", "gamma_constant", value=math.inf),
     ], ids=["one-short-w", "all-short-w", "negative-alpha", "negative-gamma",
             "bogus-mode", "vertex-999", "swapped-edge", "no-edges", "zero-attempts",
-            "negative-tolerance", "nan-tolerance", "inf-mu", "inf-gamma-constant"])
+            "negative-tolerance", "nan-tolerance", "inf-mu"])
     def test_invalid_embedding_exits_2(self, ten_edges, tmp_path, capsys, edit):
         rc, err = self._audit_tg_exit(ten_edges, tmp_path, capsys, edit)
         assert rc == 2
@@ -412,7 +421,7 @@ class TestEmbeddingInput:
                         ["pipeline", "--space", "lp:2:3", "--r", "1"]):
             for mode, beta in (("strict", 0.25 / 546), ("practical", 0.02)):
                 args = cli._build_parser().parse_args(command + ["--mode", mode])
-                assert cli._params(args, 3).beta == beta
+                assert cli._params(args).beta == beta
 
     def test_pipeline_checks_embed_params_first(self, tmp_path, capsys):
         # beta 0.5 >= mu violates the practical chain
@@ -632,7 +641,6 @@ class TestPipeline:
         assert d["gadget"]["max_degree"] <= 3
         assert d["gadget"]["psi_audit"]["lip_forward"] <= d["gadget"]["psi_lip_bound"]
         assert d["embedding"]["reverified"]
-        assert d["config"]["params"]["gamma_constant"] == 1.0
 
     def test_one_hop_table_per_run(self, tmp_path, monkeypatch):
         # the path bound, identity, TG, anchor and subdivision metrics all
@@ -684,7 +692,7 @@ class TestPipeline:
         phi = {"report", "normalization_factor", "lip_positions_inverse",
                "inverse_bound", "forward_ok", "inverse_ok"}
         params = {"alpha", "beta", "gamma", "mu", "mode", "retry_cap", "seed",
-                  "tolerance", "gamma_constant"}
+                  "tolerance"}
         run = tmp_path / "run"
         assert run_cli("pipeline", "--space", "lp:2:3", "--delta", "1", "--r", "1.44",
                        "--seed", "3", "--samples", "200", "--pair-cap", "200",
@@ -714,8 +722,8 @@ class TestPipeline:
         assert set(out["montecarlo"]) == {"fraction", "ci_low", "ci_high", "half_width",
                                           "samples", "successes", "params", "edge", "seed"}
         assert set(out["classify"]) == {"verdict", "certificate", "both"}
-        assert set(out["audit-psi"]) == {"report", "M", "edges", "psi_anchor",
-                                         "max_degree_H", "lip_bound", "lip_inverse_bound"}
+        assert set(out["audit-psi"]) == {"report", "M", "edges", "max_degree_H", "lip_bound",
+                                         "lip_inverse_bound"}
         assert set(out["audit-psi"]["report"]) == distortion
         assert set(out["audit-phi"]) == phi | {"M", "params"}
         assert set(out["audit-phi"]["report"]) == distortion
@@ -1009,3 +1017,30 @@ class TestEntryPoint:
         assert error["type"] == "validation"
         assert f"over the cap {gadgets._VERTEX_CAP}" in error["message"]
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("n", ["1e30", "100000000000000000000"])
+    @pytest.mark.parametrize("command", [("classify",), ("subdivide", "--M", "2")],
+                             ids=lambda c: c[0])
+    def test_vertex_counts_over_int64_keys_exit_2(self, tmp_path, command, n):
+        # the edge keys u*n + v must fit in int64, so n is capped before any is built
+        path = tmp_path / "G.json"
+        path.write_text('{"n": %s, "edges": [[0, 1]]}' % n)
+        proc = run_module(command[0], "--graph", str(path), *command[1:],
+                          "-o", str(tmp_path / "out.json"), timeout=10)
+        assert proc.returncode == 2
+        error = json.loads(proc.stderr)["error"]
+        assert error["type"] == "validation"
+        assert f"over the cap {graphs._MAX_N}" in error["message"]
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command", ["net", "pipeline"])
+    def test_huge_dimension_exits_2(self, tmp_path, command):
+        # the lattice cap is decided without forming 17 ** 10**20
+        out = ["-o", str(tmp_path / "out.json")] if command == "net" else [
+            "--out", str(tmp_path / "run")]
+        proc = run_module(command, "--space", "lp:2:100000000000000000000", "--delta", "1",
+                          "--r", "2", *out, timeout=10)
+        assert proc.returncode == 2
+        error = json.loads(proc.stderr)["error"]
+        assert error["type"] == "validation" and "over the cap" in error["message"]
+        assert not (tmp_path / "out.json").exists() and not (tmp_path / "run").exists()

@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 from dataclasses import asdict
 from unittest import mock
 
@@ -292,8 +293,8 @@ class TestBuildGadget:
 
     def test_json_key_set(self):
         obj = gadget_to_json(build_gadget(k3(), 3))
-        assert set(obj) == {"graph", "base", "M", "psi_anchor"}
-        assert obj["M"] == 3 and obj["psi_anchor"] == 1
+        assert set(obj) == {"graph", "base", "M"}
+        assert obj["M"] == 3
 
 
 def layout_from_json(obj):
@@ -355,9 +356,9 @@ def loop_anchor_report(h):
 class TestAnchorMap:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(g=connected_graphs().filter(lambda g: g.edge_count > 0),
-           m_val=st.integers(1, 6), anchor=st.integers(1, 8))
-    def test_report_matches_loop_reference(self, g, m_val, anchor):
-        h = build_gadget(g, m_val, psi_anchor=min(anchor, g.edge_count))
+           m_val=st.integers(1, 6))
+    def test_report_matches_loop_reference(self, g, m_val):
+        h = build_gadget(g, m_val)
         got, want = audit_anchor_map(h), loop_anchor_report(h)
         assert got == want
         assert asdict(got) == asdict(want)
@@ -407,7 +408,7 @@ def small_embedding():
     space = lp_space(2, 3)
     ng = build_net_graph(space, 1.0, 1.44)
     params = practical_params(beta=0.02, seed=3)
-    emb = place_edges(space, ng, params, np.random.default_rng([3, 1]))
+    emb = place_edges(ng, params)
     return space, emb
 
 
@@ -419,8 +420,7 @@ def triangle_embedding():
     space = lp_space(2, 3)
     pts = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 1.8, 0.0]])
     ng = net_graph_from_net(Net(space, 1.0, 2.1, pts, 1.0))
-    emb = place_edges(space, ng, practical_params(beta=0.02, seed=9),
-                      np.random.default_rng([9, 1]))
+    emb = place_edges(ng, practical_params(beta=0.02, seed=9))
     return space, emb
 
 
@@ -462,8 +462,7 @@ def product_instance_at(r, seed):
     positions, the space), placed as pipeline --r r --seed seed places."""
     space = lp_space(2, 3)
     ng = build_net_graph(space, 1.0, r)
-    emb = place_edges(space, ng, practical_params(beta=0.02, seed=seed),
-                      np.random.default_rng([seed, 1]))
+    emb = place_edges(ng, practical_params(beta=0.02, seed=seed))
     m_val = 2 * ng.graph.edge_count + 1
     sub, pos = mg_positions(emb, m_val)
     return build_gadget(ng.graph, m_val), sub, pos, space
@@ -625,8 +624,7 @@ def place_hand(desc):
     space = parse_space(desc)
     pts = np.array([[0, 0, 0], [2, 0, 0], [1, 1.8, 0], [1, 0.6, 1.7], [-1.5, 1, 0.5]])
     ng = net_graph_from_net(Net(space, 1.0, 4.0, pts, 1.0))
-    emb = place_edges(space, ng, practical_params(beta=0.02, seed=9),
-                      np.random.default_rng([9, 1]))
+    emb = place_edges(ng, practical_params(beta=0.02, seed=9))
     return space, emb
 
 
@@ -659,6 +657,44 @@ class TestChunkedPasses:
             assert got == want
             for a, b in zip(got_arrays, want_arrays):
                 assert np.array_equal(bits(a), bits(b))
+
+
+def edge_list_factor(sub, pos, space):
+    """Reference for _normalized's factor: the largest gap pos[u] - pos[v]
+    over G_M's whole unit-edge list, or 1 when that is at most 1."""
+    ends = sub.edge_ends()
+    factor = float(norms(space, pos[ends[:, 0]] - pos[ends[:, 1]]).max())
+    return factor if factor > 1.0 else 1.0
+
+
+class TestNormalization:
+    @pytest.mark.parametrize("desc", ["lp:2:3", "lp:inf:3", "lp:1:3", "l1sum:lp:2:2+lp:1:1"])
+    @pytest.mark.parametrize("scale", [1.0, 40.0])
+    def test_factor_matches_the_edge_list(self, desc, scale):
+        # scaled by 40, the positions' gaps exceed 1 and set the factor
+        space, emb = place_hand(desc)
+        m_val = 2 * emb.netgraph.graph.edge_count + 1
+        h = build_gadget(emb.netgraph.graph, m_val)
+        pos = mg_positions(emb, m_val)[1] * scale
+        sub, scaled, factor = gadgets._normalized(h, pos, space)
+        want = edge_list_factor(sub, pos, space)
+        assert (want > 1.0) == (scale > 1.0)
+        assert bits(factor) == bits(want)
+        assert np.array_equal(bits(scaled), bits(pos / want if want > 1.0 else pos))
+
+    def test_memory_stays_far_under_the_edge_list(self):
+        # G_M of a 400-edge path at M = 801: its unit-edge list alone is 5.1 MB
+        base = from_edges(401, [(i, i + 1) for i in range(400)])
+        h = build_gadget(base, 801)
+        pos = np.random.default_rng(0).uniform(0.0, 0.5, (subdivide(base, 801).n, 3))
+        tracemalloc.start()
+        try:
+            _, scaled, factor = gadgets._normalized(h, pos, lp_space(2, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert factor == 1.0 and scaled is pos
+        assert peak < 16 * base.edge_count * h.M / 8
 
 
 @pytest.fixture(scope="module", params=["lp:2:3", "lp:inf:3", "lp:1:3", "l1sum:lp:2:2+lp:1:1"])

@@ -74,6 +74,17 @@ class TestConstruction:
         with pytest.raises(ValidationError, match=message):
             from_edges(4, edges)
 
+    def test_vertex_counts_whose_keys_overflow_int64_are_rejected(self):
+        # the edge keys u*n + v are int64: over the cap they would wrap
+        # around or overflow
+        cap = graphs._MAX_N
+        assert cap * cap <= np.iinfo(np.int64).max < (cap + 1) ** 2
+        for n in (cap + 1, 10 ** 10, 10 ** 20, int(1e30)):
+            with pytest.raises(ValidationError, match=f"over the cap {cap}"):
+                from_edges(n, [[3000000000, 3000000001], [0, 1]])
+        g = from_edges(cap, [[cap - 2, cap - 1], [0, 1]])  # the largest key fits
+        assert g.ends.tolist() == [[0, 1], [cap - 2, cap - 1]]
+
 
 class TestBfs:
     def test_path_end_to_end(self):
@@ -630,8 +641,7 @@ def product_instance(request):
     (make the hop metric, positions, space) for G_M and for H."""
     space = parse_space(request.param)
     ng = net_graph_from_net(Net(space, 1.0, 4.0, HAND_NETS[space.dim], 1.0))
-    emb = place_edges(space, ng, practical_params(beta=0.02, seed=9),
-                      np.random.default_rng([9, 1]))
+    emb = place_edges(ng, practical_params(beta=0.02, seed=9))
     m_val = 2 * ng.graph.edge_count + 1
     h = build_gadget(ng.graph, m_val)
     _, pos = mg_positions(emb, m_val)

@@ -75,7 +75,7 @@ class TestPathBound:
 def _with_edges(ng, edges):
     """ng with its graph replaced by one on the given edges."""
     g = from_edges(ng.net.size, edges)
-    return NetGraph(graph=g, net=ng.net, edge_threshold=ng.edge_threshold)
+    return NetGraph(graph=g, net=ng.net)
 
 
 class TestFailures:
@@ -117,8 +117,7 @@ class TestFailures:
         space = lp_space(2, 3)
         points = np.array([[0.0, 0, 0], [1.0, 0, 0], [10.0, 0, 0]])
         net = Net(space, 1.0, 10.0, points, 1.0)
-        ng = NetGraph(graph=from_edges(3, [(0, 1), (1, 2)]), net=net,
-                      edge_threshold=3.0)
+        ng = NetGraph(graph=from_edges(3, [(0, 1), (1, 2)]), net=net)
         with pytest.raises(InternalConsistencyError,
                            match=r"^identity embedding distortion 9\.0 exceeds 3$"):
             audit_identity_embedding(ng)
