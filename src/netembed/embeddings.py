@@ -300,9 +300,8 @@ def _check_block(state: _PlacedState, edges: np.ndarray, ws: np.ndarray,
         before = np.arange(len(state.crossings)) // 2 < edges[live, None]
         for vertex, end, dist in ((ui, u, du), (vi, v, dv)):
             i, c = np.nonzero((at == vertex[live, None]) & before)
-            r = live[i]
-            x = end[r] + (beta / dist[r])[:, None] * (ws[r] - end[r])
-            code[r[norms(space, state.crossings[c] - x) < params.alpha + tol]] = ALPHA
+            x = end[live] + (beta / dist[live])[:, None] * (ws[live] - end[live])
+            code[live[i[norms(space, state.crossings[c] - x[i]) < params.alpha + tol]]] = ALPHA
     live = np.flatnonzero(code == 0)
     if live.size:
         own = segs[live, ::-1].reshape(-1, 2, n)  # u with [w, v], v with [u, w]
@@ -316,7 +315,7 @@ def _check_block(state: _PlacedState, edges: np.ndarray, ws: np.ndarray,
         near = box_near(space, cand, pts, beta + tol)
         k = np.arange(len(cand))
         near[k, np.repeat(ui[live], 2)] = near[k, np.repeat(vi[live], 2)] = False
-        r, y = np.nonzero(near)
+        r, y = np.divmod(np.flatnonzero(near), len(pts))  # 2-d np.nonzero is slower
         code[live[~points_clear(space, pts, cand, y, r, r // 2, live.size,
                                 beta + tol)]] = BETA
 
@@ -327,12 +326,13 @@ def _check_block(state: _PlacedState, edges: np.ndarray, ws: np.ndarray,
     pieces, rows = _clip_curves(space, u[live], v[live], ws[live], beta)
     need = params.gamma + tol
     cand = segs[live].reshape(-1, 2, n)
-    earlier = edges[live, None]
-    # the pieces against the placed segments, the segments against the placed pieces
-    i, j = np.nonzero((np.arange(len(placed)) // 2 < earlier[rows])
-                      & box_near(space, pieces, placed, need))
-    ci, cj = np.nonzero((state.clip_edge < np.repeat(earlier, 2, axis=0))
-                        & box_near(space, cand, clipped, need))
+    edge = edges[live]
+    # the pieces against the placed segments, the segments against the placed
+    # pieces, of the curves before the candidate's
+    i, j = np.divmod(np.flatnonzero(box_near(space, pieces, placed, need)), len(placed))
+    ci, cj = np.divmod(np.flatnonzero(box_near(space, cand, clipped, need)), len(clipped))
+    keep, kept = j // 2 < edge[rows[i]], state.clip_edge[cj] < edge[ci // 2]
+    i, j, ci, cj = i[keep], j[keep], ci[kept], cj[kept]
     owner = np.concatenate([rows[i], ci // 2])
     i, j = np.concatenate([i, len(pieces) + ci]), np.concatenate([j, len(placed) + cj])
     p, q = np.concatenate([pieces, cand]), np.concatenate([placed, clipped])

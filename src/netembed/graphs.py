@@ -29,6 +29,8 @@ from .spaces import NormedSpace, as_int, norms
 # the net graph of l2^3 at r=5, delta 1 has 218 vertices.  Checked before
 # the table is built.
 _HOPS_CAP = 1 << 26
+# Entries of a level's temporaries in _bfs_rows.
+_HOP_ENTRIES = 1 << 20
 # Vertices a graph may have: from_edges keys an edge as u*n + v in int64.
 _MAX_N = math.isqrt(np.iinfo(np.int64).max)
 
@@ -42,27 +44,30 @@ class Graph:
     ends: np.ndarray
 
     @cached_property
-    def adj(self) -> tuple:
-        """Sorted neighbour tuples, built on first use: a stable sort by
-        vertex lists its smaller neighbours, then its larger ones."""
+    def csr(self) -> tuple:
+        """(nbrs, starts), built on first use: v's neighbours, sorted (the
+        stable sort puts the smaller first), are nbrs[starts[v]:starts[v+1]]."""
         src = np.concatenate([self.ends[:, 1], self.ends[:, 0]])
-        nbrs = np.concatenate(self.ends.T)[np.argsort(src, kind="stable")].tolist()
-        stops = np.cumsum(np.bincount(src, minlength=self.n)).tolist()
-        return tuple(tuple(nbrs[a:b]) for a, b in zip([0] + stops, stops))
+        nbrs = np.concatenate(self.ends.T)[np.argsort(src, kind="stable")]
+        return nbrs, np.cumsum(np.bincount(src + 1, minlength=self.n + 1))
+
+    @cached_property
+    def adj(self) -> tuple:
+        """The csr lists as sorted neighbour tuples, built on first use."""
+        nbrs, starts = (x.tolist() for x in self.csr)
+        return tuple(tuple(nbrs[a:b]) for a, b in zip(starts, starts[1:]))
 
     @cached_property
     def hops(self) -> np.ndarray:
-        """The (n, n) int32 all-pairs hop table, one bfs_from row per vertex,
-        built on first use and read-only; raises on disconnected input and
-        over _HOPS_CAP entries."""
+        """The (n, n) int32 all-pairs hop table, the rows of every source in
+        one _bfs_rows call, built on first use and read-only; raises over
+        _HOPS_CAP entries, before any allocation, and on disconnected input."""
         if self.n ** 2 > _HOPS_CAP:
             raise ValidationError(f"hop table would have {self.n}^2 entries, "
                                   f"over the cap {_HOPS_CAP}")
-        table = np.empty((self.n, self.n), dtype=np.int32)
-        for s in range(self.n):
-            table[s] = bfs_from(self, s)
-            if table[s].min() < 0:
-                raise ValidationError("graph is disconnected")
+        table = _bfs_rows(self, np.arange(self.n))
+        if (table < 0).any():
+            raise ValidationError("graph is disconnected")
         table.setflags(write=False)
         return table
 
@@ -102,23 +107,37 @@ def from_edges(n: int, edges) -> Graph:
     raise ValidationError(f"edge ({u},{v}) out of range for n={n}")
 
 
+def _bfs_rows(g: Graph, sources) -> np.ndarray:
+    """(len(sources), n) int32 hop distances from each source, -1 where
+    unreachable, one breadth-first pass per block of _HOP_ENTRIES // 2E
+    sources.  The frontier lists (row, vertex) pairs as keys row * n +
+    vertex, at most 2E a row; a level gathers their neighbour lists and
+    keeps the unvisited pairs once, and a full row drops out."""
+    (nbrs, starts), n = g.csr, g.n
+    deg, rows = starts[1:] - starts[:-1], np.full((len(sources), n), -1, dtype=np.int32)
+    step = max(1, _HOP_ENTRIES // max(1, len(nbrs)))
+    for lo in range(0, len(sources), step):
+        flat = rows[lo:lo + step].reshape(-1)  # a view: the block's rows are contiguous
+        key = np.arange(len(flat) // n) * n + sources[lo:lo + step]
+        flat[key], left, level = 0, np.full(len(key), n - 1), 0
+        while key.size:
+            level += 1
+            row, vertex = np.divmod(key, n)
+            cnt = deg[vertex]
+            key = (np.repeat(row * n, cnt)
+                   + nbrs[np.repeat(starts[vertex + 1] - np.cumsum(cnt), cnt) + np.arange(cnt.sum())])
+            key = key[flat[key] < 0]
+            flat[key] = mark = -2 - np.arange(len(key), dtype=np.int32)
+            key = key[flat[key] == mark]  # of a repeated key, the copy whose mark landed
+            flat[key], row = level, key // n
+            left -= np.bincount(row, minlength=len(left))
+            key = key[left[row] > 0]
+    return rows
+
+
 def bfs_from(g: Graph, source: int) -> np.ndarray:
     """Hop distances from source; -1 marks unreachable vertices."""
-    adj = g.adj
-    dist = [-1] * g.n
-    dist[source] = 0
-    frontier = [source]
-    level = 0
-    while frontier:
-        level += 1
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = level
-                    nxt.append(v)
-        frontier = nxt
-    return np.array(dist, dtype=np.int32)
+    return _bfs_rows(g, np.array([source]))[0]
 
 
 def is_connected(g: Graph) -> bool:

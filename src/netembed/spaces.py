@@ -9,7 +9,7 @@ Point-segment and segment-segment distances come from one kernel per kind
 of norm, each returning the distance (attained at a parameter in the box,
 hence an upper bound) and an error bound below it:
 
-  l2           closed forms (clamped stationary point and box edges);
+  l2           closed forms (the segment pair by clamp, project, clamp);
   polyhedral   l1, l-inf and l1 sums of them: t -> ||a + t*(b - a) - p|| and
                (s, t) -> ||w + s*u - t*v|| are convex and piecewise linear,
                linear on each cell of the arrangement of their kink lines
@@ -255,9 +255,10 @@ def _l2_segment_segment(a1, b1, a2, b2) -> np.ndarray:
     """Euclidean distance between [a1, b1] and [a2, b2], broadcasting over
     the leading axes.
 
-    The squared objective is a convex quadratic over the unit box, so the
-    minimum is either the clamped stationary point or lies on one of the
-    four box edges; all five candidates are evaluated.
+    The squared objective is a convex quadratic over the unit box: clamp,
+    project, clamp (Ericson, Real-Time Collision Detection, 5.1.9) finds its
+    minimum, but near parallel a*c - b*b cancels, so there the four box
+    edges' minima count too.  The value is one evaluated difference: attained.
     """
     u, v, w0 = b1 - a1, b2 - a2, a1 - a2
     a = np.maximum(_dot(u, u), 1e-300)
@@ -265,15 +266,17 @@ def _l2_segment_segment(a1, b1, a2, b2) -> np.ndarray:
     c = np.maximum(_dot(v, v), 1e-300)
     d = _dot(w0, u)
     e = _dot(v, w0)
-    safe = np.maximum(a * c - b * b, 1e-300)
-    zero, one = np.zeros_like(b), np.ones_like(b)
-    best = np.inf
-    for s, t in (((b * e - c * d) / safe, (a * e - b * d) / safe),
-                 (zero, e / c), (one, (e + b) / c),
-                 (-d / a, zero), ((b - d) / a, one)):
-        diff = (w0 + np.clip(s, 0.0, 1.0)[..., None] * u
-                - np.clip(t, 0.0, 1.0)[..., None] * v)
-        best = np.minimum(best, _dot(diff, diff))
+    den = a * c - b * b
+    s = np.clip((b * e - c * d) / np.maximum(den, 1e-300), 0.0, 1.0)
+    t = np.clip((b * s + e) / c, 0.0, 1.0)
+    s = np.clip((b * t - d) / a, 0.0, 1.0)
+    diff = w0 + s[..., None] * u - t[..., None] * v
+    best, near = _dot(diff, diff), den < 1e-6 * a * c  # the angle under ~1e-3
+    if near.any():
+        zero, one = np.zeros_like(b), np.ones_like(b)
+        for s, t in ((zero, e / c), (one, (e + b) / c), (-d / a, zero), ((b - d) / a, one)):
+            diff = w0 + np.clip(s, 0.0, 1.0)[..., None] * u - np.clip(t, 0.0, 1.0)[..., None] * v
+            best = np.where(near, np.minimum(best, _dot(diff, diff)), best)
     return np.sqrt(best)
 
 
@@ -537,8 +540,11 @@ def segments_clear(space: NormedSpace, p: np.ndarray, q: np.ndarray,
                    need: float) -> np.ndarray:
     """points_clear for pairs of segments: pair r is p[i[r]] against
     q[j[r]], of candidate owner[r]."""
+    p, q = p.reshape(-1, space.dim), q.reshape(-1, space.dim)  # segment r's ends: rows 2r, 2r + 1
+
     def pairs(k):
-        return p[i[k], 0], p[i[k], 1], q[j[k], 0], q[j[k], 1]
+        a, b = 2 * i[k], 2 * j[k]
+        return p.take(a, axis=0), p.take(a + 1, axis=0), q.take(b, axis=0), q.take(b + 1, axis=0)
 
     return _clear(space, pairs, owner, m, need, _l2_segment_segment, _segment_pairs_exact,
                   [functools.partial(_segment_pairs_search, iters=n) for n in (22, 52)])

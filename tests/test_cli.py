@@ -279,6 +279,22 @@ class TestErrors:
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("embed", "--graph", "gadget.json"),
+        ("audit-tg", "--embedding", "G.json"),
+        ("montecarlo", "--embedding", "G.json", "--edge", "0"),
+    ], ids=lambda a: a[0])
+    def test_artifact_of_another_kind_exits_2(self, workdir, tmp_path, capsys, argv):
+        # a gadget where a net graph belongs, a graph where an embedding does
+        assert run_cli("gadget", "--graph", str(workdir / "G.json"), "--M", "3",
+                       "-o", str(tmp_path / "gadget.json")) == 0
+        (tmp_path / "G.json").write_bytes((workdir / "G.json").read_bytes())
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        assert run_cli(argv[0], argv[1], str(tmp_path / argv[2]), *argv[3:], "-o", str(out)) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def ten_edges(workdir):
@@ -644,16 +660,19 @@ class TestPipeline:
 
     def test_one_hop_table_per_run(self, tmp_path, monkeypatch):
         # the path bound, identity, TG, anchor and subdivision metrics all
-        # read the base graph's one cached hop table: n BFS rows, plus the
-        # is_connected checks of net_graph_from_net and build_gadget
-        from netembed import graphs
-        bfs, calls = graphs.bfs_from, []
+        # read the base graph's one cached hop table: one pass over all n
+        # sources, plus the one-source BFS of the is_connected checks of
+        # net_graph_from_net and build_gadget
+        bfs, rows, calls, sources = graphs.bfs_from, graphs._bfs_rows, [], []
         monkeypatch.setattr(graphs, "bfs_from", lambda g, s: calls.append(s) or bfs(g, s))
+        monkeypatch.setattr(graphs, "_bfs_rows",
+                            lambda g, s: sources.append(len(s)) or rows(g, s))
         out = tmp_path / "run"
         assert run_cli("pipeline", "--space", "lp:2:3", "--delta", "1",
                        "--r", "1.44", "--seed", "3", "--samples", "200",
                        "--out", str(out)) == 0
-        assert len(calls) == read(out / "dossier.json")["graph"]["vertices"] + 2
+        n = read(out / "dossier.json")["graph"]["vertices"]
+        assert len(calls) == 2 and sorted(sources) == [1, 1, n]
 
     def test_artifacts_equal_the_subcommands_output(self, tmp_path):
         run, seed = tmp_path / "run", "3"

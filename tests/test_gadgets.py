@@ -152,15 +152,21 @@ class TestGadgetRows:
         m_val = 2 * emb.netgraph.graph.edge_count + 1
         sub, pos = mg_positions(emb, m_val)
         h = build_gadget(emb.netgraph.graph, m_val)
-        bfs = graphs.bfs_from
+        bfs, rows = graphs.bfs_from, graphs._bfs_rows
 
         def guarded(g, source):
             if g.n == h.graph.n:
                 raise AssertionError("BFS on the gadget")
             return bfs(g, source)
 
+        def guarded_rows(g, sources):
+            if g.n == h.graph.n:
+                raise AssertionError("BFS rows on the gadget")
+            return rows(g, sources)
+
         monkeypatch.setattr(graphs, "bfs_from", guarded)
         monkeypatch.setattr(gadgets, "bfs_from", guarded, raising=False)
+        monkeypatch.setattr(graphs, "_bfs_rows", guarded_rows)  # bfs_from and the hop table
         audit_anchor_map(h)
         pa = audit_product_map(h, pos, space)
         assert pa.forward_ok and pa.inverse_ok

@@ -25,6 +25,23 @@ def complete_graph(n):
     return from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def reference_bfs(g, source):
+    """Hop distances from source by a plain frontier BFS over g.adj, -1
+    where unreachable: the reference for graphs._bfs_rows."""
+    dist = [-1] * g.n
+    dist[source], frontier, level = 0, [source], 0
+    while frontier:
+        level += 1
+        nxt = []
+        for u in frontier:
+            for v in g.adj[u]:
+                if dist[v] < 0:
+                    dist[v] = level
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
 class TestConstruction:
     def test_rejects_loops(self):
         with pytest.raises(ValidationError):
@@ -40,6 +57,8 @@ class TestConstruction:
             assert list(g.adj[u]) == sorted(g.adj[u])
             for v in g.adj[u]:
                 assert u in g.adj[v]
+        nbrs, starts = g.csr  # edges (0,1), (0,2), (1,3)
+        assert nbrs.tolist() == [1, 2, 0, 3, 0, 1] and starts.tolist() == [0, 2, 4, 5, 6]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
@@ -147,6 +166,34 @@ class TestBfs:
         theirs = dict(nx.all_pairs_shortest_path_length(gx))
         assert g.hops.tolist() == [[theirs[i][j] for j in range(n)] for i in range(n)]
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 14).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                            max_size=30))),
+        st.sampled_from([1, 2, 3, 5, 1 << 20]))
+    def test_rows_against_reference_bfs(self, case, entries):
+        # _HOP_ENTRIES // 2E sources a block: small budgets end blocks anywhere
+        n, pairs = case
+        g = from_edges(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+        want = [reference_bfs(g, s) for s in range(n)]
+        with mock.patch.object(graphs, "_HOP_ENTRIES", entries):
+            assert [bfs_from(g, s).tolist() for s in range(n)] == want
+            if min(map(min, want)) < 0:
+                with pytest.raises(ValidationError, match="^graph is disconnected$"):
+                    g.hops
+            else:
+                assert g.hops.tolist() == want
+
+    @pytest.mark.parametrize("step", [1, 4, 7, 8, 9])
+    def test_hop_table_at_block_boundaries(self, step, monkeypatch):
+        # the 8-cycle has 2E = 16: blocks of step sources, the last ending at n = 8
+        # for steps 1, 4 and 8, one source past a block for 7, inside one for 9
+        monkeypatch.setattr(graphs, "_HOP_ENTRIES", 16 * step)
+        g = cycle_graph(8)
+        assert g.hops.tolist() == [reference_bfs(g, s) for s in range(8)]
+        one = from_edges(1, [])
+        assert one.hops.tolist() == [[0]] and bfs_from(one, 0).tolist() == [0]
+
     def test_unreachable_marked_minus_one(self):
         g = from_edges(6, [(0, 1), (1, 2), (3, 4)])
         row = bfs_from(g, 1)
@@ -184,10 +231,10 @@ class TestStructure:
         assert max_degree(from_edges(6, [(0, i) for i in range(1, 6)])) == 5
 
     def test_hop_table_cap_before_any_row(self, monkeypatch):
-        def no_bfs(g, source):
+        def no_bfs(g, sources):
             raise AssertionError("BFS ran over the cap")
 
-        monkeypatch.setattr(graphs, "bfs_from", no_bfs)
+        monkeypatch.setattr(graphs, "_bfs_rows", no_bfs)
         g = path_graph(40_000)
         with pytest.raises(ValidationError, match=f"40000\\^2 entries, over the cap {graphs._HOPS_CAP}"):
             g.hops

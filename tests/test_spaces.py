@@ -166,7 +166,68 @@ class TestPointSegment:
                 assert brute - grid_err - 1e-9 <= got <= brute + 1e-8
 
 
+def five_candidate_l2(a1, b1, a2, b2):
+    """The Euclidean distance between [a1, b1] and [a2, b2] row by row, as
+    the least of five candidates: the clamped stationary point and the
+    clamped optimum along each edge of the parameter box.  The reference
+    for spaces._l2_segment_segment."""
+    def dot(x, y):
+        return np.einsum("...j,...j->...", x, y)
+
+    u, v, w0 = b1 - a1, b2 - a2, a1 - a2
+    a, b, c = np.maximum(dot(u, u), 1e-300), dot(v, u), np.maximum(dot(v, v), 1e-300)
+    d, e = dot(w0, u), dot(v, w0)
+    safe = np.maximum(a * c - b * b, 1e-300)
+    zero, one = np.zeros_like(b), np.ones_like(b)
+    best = np.inf
+    for s, t in (((b * e - c * d) / safe, (a * e - b * d) / safe),
+                 (zero, e / c), (one, (e + b) / c), (-d / a, zero), ((b - d) / a, one)):
+        diff = w0 + np.clip(s, 0.0, 1.0)[..., None] * u - np.clip(t, 0.0, 1.0)[..., None] * v
+        best = np.minimum(best, dot(diff, diff))
+    return np.sqrt(best)
+
+
+def _segment_pair_family(kind, rng, k=4000):
+    """k segment pairs (a1, b1, a2, b2) in R^3 of one kind."""
+    a1, b1, a2, b2 = (rng.normal(size=(k, 3)) for _ in range(4))
+    direction = b1 - a1
+    if kind == "parallel":
+        b2 = a2 + rng.uniform(-2, 2, (k, 1)) * direction
+    elif kind == "near-parallel":
+        b2 = a2 + rng.uniform(-2, 2, (k, 1)) * direction + 1e-9 * rng.normal(size=(k, 3))
+    elif kind == "zero-length":
+        b1 = a1.copy()
+        b2[::2] = a2[::2]  # half the pairs are two points
+    elif kind == "collinear":
+        a2, b2 = (a1 + rng.normal(size=(k, 1)) * direction for _ in range(2))
+    elif kind == "shared-endpoint":
+        a2 = b1.copy()
+    elif kind == "touching":  # a2 on segment 1, b2 off its line by 1e-12 to 1e-2
+        a2 = a1 + rng.uniform(0, 1, (k, 1)) * direction
+        b2 = (a2 + rng.uniform(-2, 2, (k, 1)) * direction
+              + 10.0 ** rng.uniform(-12, -2, (k, 1)) * rng.normal(size=(k, 3)))
+    return a1, b1, a2, b2
+
+
 class TestSegmentSegment:
+    @pytest.mark.parametrize("kind", ["generic", "parallel", "near-parallel", "zero-length",
+                                      "collinear", "shared-endpoint"])
+    def test_l2_kernel_against_five_candidates(self, kind):
+        pairs = _segment_pair_family(kind, np.random.default_rng(11))
+        got, want = spaces._l2_segment_segment(*pairs), five_candidate_l2(*pairs)
+        assert np.all(np.abs(got - want) <= 1e-12 * (1 + want))
+        if kind == "shared-endpoint":
+            assert np.all(got <= 1e-12)
+
+    def test_l2_kernel_on_nearly_touching_pairs(self):
+        # near-parallel pairs whose minimum, about 0, lies on a box edge: a*c
+        # - b*b cancels, and the value must stay within the l2 kernel's error
+        # bound of the five-candidate minimum, or a touching pair could be
+        # certified clear
+        pairs = _segment_pair_family("touching", np.random.default_rng(12), k=20000)
+        got, err = spaces._segment_pairs_exact(lp_space(2, 3), *pairs)
+        assert np.all(got - err <= five_candidate_l2(*pairs))
+
     def test_intersecting(self):
         d = segment_segment_distance(lp_space(2, 2), seg([-1, -1], [1, 1]),
                                      seg([-1, 1], [1, -1]))
