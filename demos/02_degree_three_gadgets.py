@@ -4,13 +4,15 @@ Any connected graph G expands into a gadget H of maximum degree 3: a short
 path per vertex (one slot per edge of G) and a long path of M unit edges
 per edge of G, meeting only at matching slots.  The anchor map G -> H
 stretches distances by a factor between M and 2e(G) + M, so H inherits G's
-metric type at bounded distortion; composing with positions on the
-subdivided graph lands H in the l1 sum  X + R.
+metric type at bounded distortion; composing with the points of the
+subdivided graph along the placed curves lands H in the l1 sum  X + R.  The
+product-map audit takes the embedding and computes those points as it reads
+them.
 """
 
 from netembed import (audit_anchor_map, audit_product_map, build_gadget,
-                      build_net_graph, from_edges, lp_space, mg_positions,
-                      place_edges, practical_params, subdivide)
+                      build_net_graph, from_edges, lp_space, place_edges,
+                      practical_params, subdivide)
 
 k3 = from_edges(3, [(0, 1), (0, 2), (1, 2)])
 e = k3.edge_count
@@ -40,8 +42,7 @@ emb = place_edges(ng, practical_params(beta=0.02, seed=5))
 g = emb.netgraph.graph
 m_val = 2 * g.edge_count + 1
 h = build_gadget(g, m_val)
-sub, pos = mg_positions(emb, m_val)
-pa = audit_product_map(h, pos, space, pair_cap=3000)
+pa = audit_product_map(h, emb, pair_cap=3000)
 print(f"  base graph: {g.n} vertices, {g.edge_count} edges; M = {m_val}; "
       f"|V(H)| = {h.n}")
 print(f"  forward Lipschitz {pa.report.lip_forward:.6f} <= 1 "

@@ -6,7 +6,7 @@ from .classify import Classification, classify, embeddability_verdict
 from .embeddings import (EmbedParams, FractionEstimate, PolylineEmbedding,
                          TgAudit, audit_tg, default_strict_params,
                          embedding_from_json, embedding_to_json,
-                         estimate_suitable_fraction, mg_positions, place_edges,
+                         estimate_suitable_fraction, place_edges,
                          practical_params, subdivision_tg_points,
                          tg_distances, verify_embedding, wilson_interval)
 from .errors import (InternalConsistencyError, PlacementError, SamplingError,

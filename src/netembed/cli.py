@@ -22,8 +22,7 @@ import numpy as np
 from .classify import classify
 from .embeddings import (audit_tg, default_strict_params, embedding_from_json,
                          embedding_to_json, estimate_suitable_fraction,
-                         mg_positions, place_edges, practical_params,
-                         verify_embedding)
+                         place_edges, practical_params, verify_embedding)
 from .errors import ValidationError
 from .gadgets import (anchor_map, audit_anchor_map, audit_product_map,
                       build_gadget, gadget_to_json, subdivide)
@@ -80,14 +79,25 @@ def _encode_around_arrays(obj) -> tuple:
             return pieces, arrays
 
 
+def _template(shape) -> str:
+    """The %-template of an integer array of this shape as json.dumps
+    writes its .tolist(): %d per entry, nested in brackets."""
+    if not shape:
+        return "%d"
+    return "[" + ", ".join([_template(shape[1:])] * shape[0]) + "]"
+
+
 def _write_ints(write, a: np.ndarray) -> None:
-    """Write json.dumps(a.tolist()), encoding _WRITE_ROWS rows at a time."""
+    """Write json.dumps(a.tolist()), encoding _WRITE_ROWS rows at a time,
+    each chunk through one %-template of its rows."""
     if a.ndim == 0:
         write(json.dumps(a.tolist()))
         return
+    row = _template(a.shape[1:])
     write("[")
     for start in range(0, len(a), _WRITE_ROWS):
-        rows = json.dumps(a[start:start + _WRITE_ROWS].tolist())[1:-1]
+        chunk = a[start:start + _WRITE_ROWS]
+        rows = ", ".join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
         write(", " + rows if start else rows)
     write("]")
 
@@ -157,9 +167,7 @@ def _tg_audit(emb, samples, seed):
 def _phi_audit(emb, h, pair_cap, seed):
     """The audit of the gadget h placed along the embedding's curves, on RNG
     stream 3, as JSON."""
-    _, pos = mg_positions(emb, h.M)
-    return asdict(audit_product_map(h, pos, emb.space, pair_cap=pair_cap,
-                                    rng=_rng(seed, 3)))
+    return asdict(audit_product_map(h, emb, pair_cap=pair_cap, rng=_rng(seed, 3)))
 
 
 # --- subcommand bodies -------------------------------------------------------

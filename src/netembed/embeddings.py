@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -56,8 +57,8 @@ _BOX_TESTS = 1 << 17
 # breakpoints a seed gives), and edges placed together (which does not).
 _CHUNK = 2
 _WINDOW = 32
-# Subdivision vertices placed together by mg_positions: bounds its
-# temporaries on the M-fold subdivision of a large graph.
+# G_M points computed together by the passes of mg_image (the unit-edge gaps
+# and the run boxes): bounds their temporaries on a large subdivision.
 _POSITION_ROWS = 1 << 12
 
 
@@ -370,7 +371,9 @@ class PolylineEmbedding:
 
     Coordinates are at the unit scale (the input net graph rescaled by
     1/rho, recorded in `scale`); edge j runs [u, w_j] then [w_j, v] for the
-    j-th edge (u, v) = ends[j] of the graph in lexicographic order.
+    j-th edge (u, v) = ends[j] of the graph in lexicographic order.  The
+    segment lengths are computed on first use and kept (curve_lengths), so
+    the breakpoints must not change after that.
     """
 
     netgraph: NetGraph
@@ -388,27 +391,68 @@ class PolylineEmbedding:
         """The placed edges: a prefix of the graph's edges, one per breakpoint."""
         return self.netgraph.graph.ends[:len(self.breakpoints)]
 
+    @cached_property
+    def curve_lengths(self) -> tuple:
+        """(l1, l2): the norm lengths of every curve's segments [u, w] and
+        [w, v], each from one norms call over all curves."""
+        pts, ws, (a, b) = self.netgraph.points, self.breakpoints, self.ends.T
+        return norms(self.space, ws - pts[a]), norms(self.space, pts[b] - ws)
+
+    @cached_property
+    def _segments(self) -> tuple:
+        """(starts, steps): rows 2j and 2j + 1 are u and w, and w - u and
+        v - w, for the curve [u, w_j, v] of edge j."""
+        pts, ws, (a, b) = self.netgraph.points, self.breakpoints, self.ends.T
+        us, vs = pts[a], pts[b]
+        return (np.stack([us, ws], axis=1).reshape(-1, self.space.dim),
+                np.stack([ws - us, vs - ws], axis=1).reshape(-1, self.space.dim))
+
     def positions(self, edges, ts) -> np.ndarray:
         """The point at arclength fraction ts[k], in [0, 1], along the curve
         of edge edges[k], for every k: at arclength s = t*(l1 + l2) the
-        point lies on [u, w] while s <= l1, else on [w, v]."""
+        point lies on [u, w] while s <= l1, at u + (s/l1)*(w - u), else at
+        w + ((s - l1)/l2)*(v - w); t = 0 and 1 give u and v."""
         edges = _edge_indices(edges, len(self.breakpoints))
         t = np.asarray(ts, dtype=np.float64)
-        pts, ws, ends = self.netgraph.points, self.breakpoints, self.ends
-        us, vs = pts[ends[:, 0]], pts[ends[:, 1]]
-        l1, l2 = norms(self.space, ws - us)[edges], norms(self.space, vs - ws)[edges]
+        l1, l2 = (x[edges] for x in self.curve_lengths)
         s = t * (l1 + l2)
+        second = ~(s <= l1)
+        seg = 2 * edges + second
+        starts, steps = self._segments
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at an end, overwritten
+            frac = (s - np.where(second, l1, 0.0)) / np.where(second, l2, l1)
+        out = np.take(steps, seg, axis=0)
+        out *= frac[:, None]
+        out += np.take(starts, seg, axis=0)  # start + frac*step, as + commutes
         at_u = t <= 0.0
         at_v = ~at_u & (t >= 1.0)
-        first = ~at_u & ~at_v & (s <= l1)
-        second = ~(at_u | at_v | first)
-        out = np.empty((len(t), self.space.dim))
-        out[at_u], out[at_v] = us[edges[at_u]], vs[edges[at_v]]
-        u, w = us[edges[first]], ws[edges[first]]
-        out[first] = u + (s[first] / l1[first])[:, None] * (w - u)
-        w, v = ws[edges[second]], vs[edges[second]]
-        out[second] = w + ((s[second] - l1[second]) / l2[second])[:, None] * (v - w)
+        if at_u.any() or at_v.any():
+            pts, (a, b) = self.netgraph.points, self.ends.T
+            out[at_u], out[at_v] = pts[a[edges[at_u]]], pts[b[edges[at_v]]]
         return out
+
+    def mg_image(self, M: int) -> tuple:
+        """(G_M, image, factor) for G_M = subdivide(graph, M): image is the
+        FiniteMetric of G_M's vertices at their points along the curves
+        (_mg_points), divided by factor, on G_M's hop blocks, bounded by
+        _run_boxes; factor is _gap_factor's.  Points are computed for the
+        ids that each read asks for, element by element as positions
+        computes them, so every value keeps the bits it had off a whole
+        position array, which is never built."""
+        sub = subdivide(self.netgraph.graph, M)  # rejects M < 1 first
+        if len(self.ends) != sub.base.edge_count:
+            raise ValidationError("the G_M image needs a fully placed embedding")
+        factor = _gap_factor(self, sub)
+
+        def points(ids):
+            pts = _mg_points(self, sub, ids)
+            return pts if factor == 1.0 else pts / factor
+
+        def boxes(blocks):
+            lo, hi = _run_boxes(self, sub, blocks)
+            return (lo, hi) if factor == 1.0 else (lo / factor, hi / factor)
+
+        return sub, FiniteMetric.on_points(self.space, sub.n, points, sub.blocks, boxes), factor
 
 
 def place_edges(ng: NetGraph, params: EmbedParams,
@@ -530,18 +574,79 @@ def verify_embedding(emb: PolylineEmbedding) -> dict:
 
 # --- derived objects and audits ----------------------------------------------
 
-def mg_positions(emb: PolylineEmbedding, M: int):
-    """(SubdividedGraph, positions) for the M-fold subdivision: each vertex at
-    its point of subdivision_tg_points along the curves, _POSITION_ROWS
-    vertices at a time, so original vertices map to themselves."""
-    sub = subdivide(emb.netgraph.graph, M)  # rejects M < 1 first
-    if len(emb.ends) != sub.base.edge_count:
-        raise ValidationError("mg_positions needs a fully placed embedding")
-    out = np.empty((sub.n, emb.space.dim))
-    for start in range(0, sub.n, _POSITION_ROWS):
-        ids = np.arange(start, min(start + _POSITION_ROWS, sub.n))
-        out[start:start + len(ids)] = emb.positions(*subdivision_tg_points(sub, ids))
-    return sub, out
+def _mg_points(emb: PolylineEmbedding, sub: SubdividedGraph, ids) -> np.ndarray:
+    """The points along the curves of the vertices ids (an id or an int
+    array) of sub, the subdivision of emb's graph, as rows: positions at
+    subdivision_tg_points, so original vertices map to themselves."""
+    return emb.positions(*subdivision_tg_points(sub, np.atleast_1d(ids)))
+
+
+def _gap_factor(emb: PolylineEmbedding, sub: SubdividedGraph) -> float:
+    """The largest image gap across sub's unit edges when that exceeds 1,
+    else 1 (and 1 if a gap is NaN): the product map's normalization.
+
+    A unit edge's two points lie 1/M of their curve's norm length apart
+    along it, and a chord is no longer than its arc, so no gap exceeds
+    max_curve_length / M but for rounding: below M / 2, no gap is taken.
+    Otherwise the gaps are taken as chain_edges orients them, chain by
+    chain and about _POSITION_ROWS edges a pass."""
+    M = sub.M
+    if np.max(np.add(*emb.curve_lengths)) < 0.5 * M:
+        return 1.0
+    step, gaps = max(1, _POSITION_ROWS // M), []  # step: chains per pass
+    for j in range(0, sub.base.edge_count, step):
+        u, v = sub.chain_edges(slice(j, j + step)).T
+        diff = _mg_points(emb, sub, u)
+        diff -= _mg_points(emb, sub, v)
+        gaps.append(norms(emb.space, diff).max())
+    gap = float(np.max(gaps))
+    return gap if gap > 1.0 else 1.0
+
+
+def _breakpoint_steps(emb: PolylineEmbedding, M: int) -> np.ndarray:
+    """Per curve, the last step k in 0..M-1 whose point positions puts on
+    [u, w]: s = (k/M)*(l1 + l2) <= l1, rounded as positions rounds it,
+    which holds from k = 0 up to that step, as s does not fall as k grows.
+    Found by bisection."""
+    l1, l2 = emb.curve_lengths
+    total = l1 + l2
+    lo, hi = np.zeros(len(l1), dtype=np.int64), np.full(len(l1), M, dtype=np.int64)
+    while (hi - lo > 1).any():  # s(lo) <= l1, and hi == M or s(hi) > l1
+        mid = (lo + hi) // 2
+        first = mid / M * total <= l1
+        lo, hi = np.where(first, mid, lo), np.where(first, hi, mid)
+    return lo
+
+
+def _run_boxes(emb: PolylineEmbedding, sub: SubdividedGraph, blocks) -> tuple:
+    """(lo, hi): the bounding box of the points of each of sub's hop blocks
+    (the hub runs, then the chain runs), from a few points a block.
+
+    A hub run reads its points.  Along each segment of a curve, every
+    coordinate that positions computes is monotone in the step, as every
+    rounded operation on the way is.  So a chain run's box is the box of
+    its end steps and, when it straddles the breakpoint, of the steps k1
+    and k1 + 1 on the two sides of it (k1 from _breakpoint_steps): four
+    steps clipped into the run, which repeat its ends when it lies on one
+    segment.  About _POSITION_ROWS points a pass."""
+    lo, hi = np.empty((2, len(blocks), emb.space.dim))
+    k = np.count_nonzero(blocks < sub.hubs)
+    hub_points = _mg_points(emb, sub, np.arange(sub.hubs))
+    lo[:k] = np.minimum.reduceat(hub_points, blocks[:k], axis=0)
+    hi[:k] = np.maximum.reduceat(hub_points, blocks[:k], axis=0)
+    start, last = blocks[k:], np.append(blocks[1:], sub.n)[k:] - 1  # chain runs: first, last ids
+    j, t_lo = sub.address(start)
+    t_hi = sub.address(last)[1]
+    k1 = _breakpoint_steps(emb, sub.M)[j]
+    step = max(1, _POSITION_ROWS // 4)  # runs per pass, four points a run
+    for r in range(0, len(start), step):
+        run = slice(r, r + step)
+        a, b, c = t_lo[run, None], t_hi[run, None], k1[run, None]
+        steps = np.minimum(np.maximum(np.hstack([a, b, c, c + 1]), a), b)
+        p = _mg_points(emb, sub, (start[run, None] + (steps - a)).ravel())
+        p = p.reshape(-1, 4, emb.space.dim)
+        lo[k + r:k + r + len(p)], hi[k + r:k + r + len(p)] = p.min(axis=1), p.max(axis=1)
+    return lo, hi
 
 
 def subdivision_tg_points(sub: SubdividedGraph, ids: np.ndarray) -> tuple:
@@ -605,10 +710,7 @@ def audit_tg(emb: PolylineEmbedding, interior_samples: int,
         done += k
     fwd_bound = max(4.0, 3.0 + 2.0 * emb.params.mu)
     inv_bound = 1.0 + 6.0 / emb.params.gamma
-    # the length of every curve, in two norms calls
-    ends, ws = emb.ends, emb.breakpoints
-    max_len = float(np.max(norms(space, ws - pts[ends[:, 0]])
-                           + norms(space, pts[ends[:, 1]] - ws)))
+    max_len = float(np.max(np.add(*emb.curve_lengths)))
     return TgAudit(
         lip_forward=lip_f, lip_inverse=lip_i, distortion=lip_f * lip_i,
         forward_bound=fwd_bound, inverse_bound=inv_bound,

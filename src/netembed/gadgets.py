@@ -21,14 +21,21 @@ the n*e short-path ("port") vertices in H.  address(ids) gives the chain
 j and step t of interior ids, and in G_M of base vertices too.  Ids, unit
 edges, the JSON edge listing and the hop rows derive from that layout;
 neither graph's adjacency is built unless asked for, and neither may
-exceed _VERTEX_CAP vertices.  A hop row fills the chains in closed form
+exceed _VERTEX_CAP vertices.  H's listing (GadgetGraph.edge_ends) is read
+off the layout in from_edges' order, into the one array that the JSON
+document writes: no key sort.  A hop row fills the chains in closed form
 (chain_distances, the one chain stage, which tg_distances also runs) from
 the source's distances to the hubs: M times the base hop table for G_M,
 and for H a fixpoint over the ports (GadgetGraph.port_rows), whose short
 paths are unit-step paths and whose long paths act as weight-M edges.  The
 anchor audit reads its entries from that port array.  No BFS runs on G_M
-or H.  GadgetGraph.to_sub addresses an H id as (G_M id, label): through
-it, product_metric reads H's image off G_M's, and no H positions exist.
+or H.
+
+The product-map audit takes the embedding itself: G_M's image is
+PolylineEmbedding.mg_image, a metric that computes the points of the ids
+each read asks for, so no G_M position array exists.  GadgetGraph.to_sub
+addresses an H id as (G_M id, label): through it, product_metric reads H's
+image off G_M's, and no H positions exist either.
 
 Short paths carry exactly e vertices (length e-1): a trailing unlabeled
 vertex would change no distance bound and is dropped.  The JSON document
@@ -47,16 +54,12 @@ import numpy as np
 from .errors import InternalConsistencyError, ValidationError
 from .graphs import (DistortionReport, FiniteMetric, Graph, audit, from_edges,
                      graph_to_json, is_connected)
-from .spaces import NormedSpace, norms
 
 # Block length, in ids, of the hop metrics' block partition (hub runs and
 # chain runs): 16, 32 and 64 gave product-map audits equally fast, within
 # noise, on the pipeline's lp:2:3, lp:1:3 and lp:inf:3 gadgets.
 _BLOCK = 32
 _TOL = 1e-9  # relative slack of the product-map bounds
-# G_M unit edges, about, per pass of the product map's normalization:
-# bounds its temporaries on large gadgets.
-_ROWS = 1 << 12
 # Vertices a subdivided graph or gadget may have: the r=4 pipeline's gadget
 # has 18,224,050.  Checked before anything is allocated.
 _VERTEX_CAP = 30_000_000
@@ -121,19 +124,36 @@ class _ChainGraph:
     def graph(self) -> Graph:
         return from_edges(self.n, self.edge_ends())
 
+    def chain_edges(self, chains=slice(None)) -> np.ndarray:
+        """(k * M, 2) endpoints of the unit edges of the k chains
+        arange(e)[chains] (all by default), chain by chain from a_j's end."""
+        rows = np.arange(self.base.edge_count)[chains][:, None]
+        hub = self._hub_ends[rows[:, 0]]
+        return _chain_edges(hub[:, :1], self.hubs + (self.M - 1) * rows + np.arange(self.M - 1),
+                            hub[:, 1:])
+
     def edge_ends(self) -> np.ndarray:
         """(e * M, 2) endpoints of the chains' unit edges, from a_j's end."""
-        hub = self._hub_ends
-        return _chain_edges(hub[:, :1], self.interior, hub[:, 1:])
+        return self.chain_edges()
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """hop_metric's block partition, as sorted first ids: the hubs in
+        runs of _BLOCK along each _hub_width ids, then each chain in runs of
+        _BLOCK steps."""
+        width = self._hub_width
+        hub_starts = (np.arange(0, self.hubs, width)[:, None] + np.arange(0, width, _BLOCK)).ravel()
+        first = np.arange(1, self.M, _BLOCK)  # the first step of each chain run
+        chains = self.hubs + (self.M - 1) * np.arange(self.base.edge_count)[:, None]
+        return np.concatenate([hub_starts, (chains + (first - 1)).ravel()])
 
     def hop_metric(self) -> FiniteMetric:
         """Exact float64 hop distances, with chain-aligned blocks: the chain
         steps by chain_distances from the source's hub distances (no BFS;
         self.graph is not read).
 
-        Blocks: the hubs in runs of _BLOCK along each _hub_width ids, then
-        each chain in runs of _BLOCK steps.  A hub run's bounds are its
-        exact minimum and maximum.  Along a chain, f(t) = min(d_a + t,
+        Blocks: self.blocks.  A hub run's bounds are its exact minimum and
+        maximum.  Along a chain, f(t) = min(d_a + t,
         d_b + M - t) is concave, so over a run [t_lo, t_hi] its minimum
         sits at an end, min(d_a + t_lo, d_b + M - t_hi), and its maximum
         at the apex clipped into the run, min(d_a + t_hi, d_b + M - t_lo,
@@ -161,12 +181,9 @@ class _ChainGraph:
             out[~hub] = chain_distances(d[a[j]], d[b[j]], t, M, own, t0)
             return out
 
-        width = self._hub_width
-        hub_starts = (np.arange(0, hubs, width)[:, None] + np.arange(0, width, _BLOCK)).ravel()
-        first = np.arange(1, M, _BLOCK)  # the first step of each chain run
-        chain_starts = (hubs + (M - 1) * np.arange(len(a))[:, None] + (first - 1)).ravel()
-        blocks = np.concatenate([hub_starts, chain_starts])
-        t_lo = first.astype(np.float64)
+        blocks = self.blocks
+        hub_starts = blocks[blocks < hubs]
+        t_lo = np.arange(1, M, _BLOCK, dtype=np.float64)  # the first step of each chain run
         t_hi = np.minimum(t_lo + (_BLOCK - 1), M - 1)
 
         def bounds(s):
@@ -200,16 +217,22 @@ class SubdividedGraph(_ChainGraph):
     def _hub_width(self) -> int:
         return self.hubs
 
+    @cached_property
+    def _first_ends(self) -> np.ndarray:
+        """Per base vertex u, the first index of u in base.ends.ravel()."""
+        found, first = np.unique(self.base.ends.ravel(), return_index=True)
+        if found.size != self.hubs:
+            raise ValidationError("every base vertex must end an edge")
+        return first
+
     def address(self, ids) -> tuple:
         """(j, t), t in 0..M: interior ids as on any chain graph, and base
         vertex u (in an array) at its end (t = 0 or M) of the first chain it ends."""
         j, t = super().address(ids)
         hub = np.flatnonzero(ids < self.hubs)
         if hub.size:
-            found, first = np.unique(self.base.ends.ravel(), return_index=True)
-            if found.size != self.hubs:
-                raise ValidationError("every base vertex must end an edge")
-            j[hub], t[hub] = first[ids[hub]] // 2, first[ids[hub]] % 2 * self.M
+            first = self._first_ends[ids[hub]]
+            j[hub], t[hub] = first // 2, first % 2 * self.M
         return j, t
 
     def _hub_distances(self):
@@ -262,9 +285,39 @@ class GadgetGraph(_ChainGraph):
         e = self.base.edge_count
         return self.base.ends * e + np.arange(e)[:, None]
 
+    @cached_property
+    def graph(self) -> Graph:
+        """Built on first use; edge_ends is already in from_edges' order."""
+        return Graph(self.n, self.edge_ends())
+
     def edge_ends(self) -> np.ndarray:
-        """Endpoints of the unit edges: the short paths, then the long paths."""
-        return np.concatenate([_chain_edges(self.short_ids), super().edge_ends()])
+        """The (n*(e-1) + e*M, 2) unit edges in from_edges' order (by smaller
+        end, then larger), read off the layout into one array: port p's edge
+        (p, p+1) unless p ends its short path, then p's long-path edge, to
+        the nearest interior id of its chain or, at M = 1, to the chain's
+        other port; then each chain's interior steps (x, x+1), chain by
+        chain.  A chain's b-end edge is listed at its port, the smaller end,
+        and a port's interior neighbour lies above every port."""
+        n, e, M, hubs = self.base.n, self.base.edge_count, self.M, self.hubs
+        a, b = self._hub_ends.T  # a < b, as a_j < b_j
+        port = np.arange(hubs)
+        far = np.full(hubs, -1, dtype=np.int64)  # a port's long-path neighbour above it
+        if M > 1:
+            far[a] = hubs + (M - 1) * np.arange(e)
+            far[b] = far[a] + (M - 2)
+        else:
+            far[a] = b
+        pairs = np.empty((hubs, 2, 2), dtype=np.int64)
+        pairs[:, :, 0] = port[:, None]
+        pairs[:, 0, 1], pairs[:, 1, 1] = port + 1, far
+        runs = max(M - 2, 0)  # interior steps per chain
+        out = np.empty((n * (e - 1) + e * M, 2), dtype=np.int64)
+        k = len(out) - e * runs
+        out[:k] = pairs[np.stack([port % e != e - 1, far >= 0], axis=1)]
+        steps = out[k:].reshape(e, runs, 2)
+        np.add(hubs + (M - 1) * np.arange(e)[:, None], np.arange(runs), out=steps[..., 0])
+        np.add(steps[..., 0], 1, out=steps[..., 1])
+        return out
 
     def max_degree(self) -> int:
         """From the layout: a port has a short-path neighbour on each side of
@@ -362,28 +415,16 @@ def audit_anchor_map(h: GadgetGraph) -> DistortionReport:
                  FiniteMetric(n, lambda i, idx: d_h[i, idx]), pair_cap=n)
 
 
-def _normalized(h: GadgetGraph, sub_positions: np.ndarray, space: NormedSpace) -> tuple:
-    """(G_M, positions, factor): G_M's positions divided by the largest image
-    gap across its unit edges when that exceeds 1, so the product map is
-    1-Lipschitz; factor is that gap, else 1.  The gaps are taken as
-    edge_ends orients them, chain by chain and about _ROWS edges a pass, so
-    G_M's whole edge list is never built."""
+def _normalized(h: GadgetGraph, emb) -> tuple:
+    """emb.mg_image(M) for the gadget's G_M, after checking that M > 2e and
+    that the embedding's graph is the gadget's base: (G_M, its normalized
+    image metric, the normalization factor)."""
     if h.M <= 2 * h.base.edge_count:
         raise ValidationError("need M > 2*e(base) for the product map")
-    sub = SubdividedGraph(base=h.base, M=h.M)
-    pos = np.asarray(sub_positions, dtype=np.float64)
-    if pos.shape != (sub.n, space.dim):
-        raise ValidationError(f"positions shape {pos.shape} does not match the subdivided "
-                              f"graph ({sub.n} vertices, dim {space.dim})")
-    hub, step = sub._hub_ends, max(1, _ROWS // h.M)  # step: chains per pass
-    gaps = []
-    for j in range(0, len(hub), step):
-        rows = np.arange(j, min(j + step, len(hub)))[:, None]
-        inner = sub.hubs + (h.M - 1) * rows + np.arange(h.M - 1)  # sub.interior[rows]
-        u, v = _chain_edges(hub[rows, 0], inner, hub[rows, 1]).T
-        gaps.append(norms(space, pos[u] - pos[v]).max())
-    factor = float(np.max(gaps)) if gaps else 1.0  # NaN if a gap is NaN
-    return (sub, pos / factor, factor) if factor > 1.0 else (sub, pos, 1.0)
+    g = emb.netgraph.graph
+    if g.n != h.base.n or not np.array_equal(g.ends, h.base.ends):
+        raise ValidationError("the embedding's graph is not the gadget's base graph")
+    return emb.mg_image(h.M)
 
 
 def product_metric(h: GadgetGraph, img: FiniteMetric) -> FiniteMetric:
@@ -435,29 +476,24 @@ class ProductAudit:
     inverse_ok: bool
 
 
-def audit_product_map(h: GadgetGraph, sub_positions: np.ndarray,
-                      space: NormedSpace, pair_cap: int = 2000,
-                      rng=None) -> ProductAudit:
-    """Audit the product map H -> space + R.
+def audit_product_map(h: GadgetGraph, emb, pair_cap: int = 2000, rng=None) -> ProductAudit:
+    """Audit the product map H -> space + R, with G_M = subdivide(base, M)
+    placed along the curves of the PolylineEmbedding emb (its mg_image).
 
-    sub_positions has a row per vertex of G_M = subdivide(base, M).  Checks
-    lip <= 1 (after normalization) and inverse lip <= 2x the inverse
-    Lipschitz constant of the normalized positions on G_M.  Both audits run
-    on the hop metrics' chain blocks, bounded on the position side by
-    bounding boxes (FiniteMetric.from_points) and on H through product_metric.
+    Checks lip <= 1 (after normalization) and inverse lip <= 2x the inverse
+    Lipschitz constant of the normalized G_M image.  Both audits run on the
+    hop metrics' chain blocks, bounded on the image side by the G_M runs'
+    bounding boxes and on H through product_metric.
     """
-    sub, pos, factor = _normalized(h, sub_positions, space)
-    d_sub, d_h = sub.hop_metric(), h.hop_metric()
-    img = FiniteMetric.from_points(space, pos, d_sub.blocks)
-    lip0_inv = audit(d_sub, img, pair_cap=pair_cap, rng=rng).lip_inverse
-    report = audit(d_h, product_metric(h, img), pair_cap=pair_cap, rng=rng)
+    sub, img, factor = _normalized(h, emb)
+    lip0_inv = audit(sub.hop_metric(), img, pair_cap=pair_cap, rng=rng).lip_inverse
+    report = audit(h.hop_metric(), product_metric(h, img), pair_cap=pair_cap, rng=rng)
     bound = 2.0 * lip0_inv
     return ProductAudit(report, factor, lip0_inv, bound, report.lip_forward <= 1.0 + _TOL,
                         report.lip_inverse <= bound * (1 + _TOL))
 
 
-def verify_product_cases(h: GadgetGraph, sub_positions: np.ndarray,
-                         space: NormedSpace) -> bool:
+def verify_product_cases(h: GadgetGraph, emb) -> bool:
     """Per-pair case split behind the inverse bound (small instances only).
 
     Pairs with d_sub(w', z') >= d_H(w, z)/2 must satisfy
@@ -465,8 +501,8 @@ def verify_product_cases(h: GadgetGraph, sub_positions: np.ndarray,
     already satisfy ||img(w) - img(z)|| > d_H/2 through the label
     coordinate.
     """
-    sub, pos, _ = _normalized(h, sub_positions, space)
-    d_h, d_sub, img = h.hop_metric(), sub.hop_metric(), FiniteMetric.from_points(space, pos)
+    sub, img, _ = _normalized(h, emb)
+    d_h, d_sub = h.hop_metric(), sub.hop_metric()
     lip0_inv, image = audit(d_sub, img).lip_inverse, product_metric(h, img)
     for w in range(h.n):
         later = np.arange(w + 1, h.n)
@@ -479,8 +515,9 @@ def verify_product_cases(h: GadgetGraph, sub_positions: np.ndarray,
 
 
 def gadget_to_json(h: GadgetGraph) -> dict:
+    """The gadget document; its listing is edge_ends, already sorted."""
     return {
-        "graph": graph_to_json(from_edges(h.n, h.edge_ends())),
+        "graph": graph_to_json(Graph(h.n, h.edge_ends())),
         "base": graph_to_json(h.base),
         "M": h.M,
     }

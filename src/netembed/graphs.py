@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Optional
 
@@ -199,39 +199,51 @@ class FiniteMetric:
 
     @staticmethod
     def from_points(space: NormedSpace, pts, blocks=None) -> "FiniteMetric":
-        """Distances norms(space, pts[idx] - pts[i]).
+        """Distances norms(space, pts[idx] - pts[i]): on_points over the
+        rows of pts, each block bounded by its rows' bounding box."""
+        pts = np.ascontiguousarray(pts, dtype=np.float64)
+        return FiniteMetric.on_points(
+            space, len(pts), pts.__getitem__, blocks,
+            lambda b: (np.minimum.reduceat(pts, b, axis=0), np.maximum.reduceat(pts, b, axis=0)))
+
+    @staticmethod
+    def on_points(space: NormedSpace, n: int, points, blocks=None, boxes=None) -> "FiniteMetric":
+        """Distances norms(space, points(idx) - points(i)), where points(ids)
+        gives the points of an id or an int array of ids, as rows; the
+        metric keeps the last source's point and the boxes, nothing more.
 
         blocks (sorted first ids, from 0) gives the metric a block
-        partition, bounded by each block's bounding box [lo, hi].  Rounded
-        subtraction is monotone, so each computed offset from p = pts[i]
-        lies between gap = max(lo - p, p - hi, 0) and far = max(hi - p, p -
-        lo) in magnitude, coordinate by coordinate.  lp norms and their l1
-        sums are monotone in each magnitude: the block's values lie in
-        [norms(gap), norms(far)], widened by _BOUND_SLACK for the norms'
-        own rounding.  A space with a custom part gets no blocks: its
-        norm_fn need not be monotone so (|x| + |y| + |x + y| is not) and
-        may return NaN, which no bound contains.
+        partition, bounded by each block's bounding box [lo, hi], which
+        boxes(blocks) returns.  Rounded subtraction is monotone, so each
+        computed offset from p = points(i) lies between gap = max(lo - p,
+        p - hi, 0) and far = max(hi - p, p - lo) in magnitude, coordinate
+        by coordinate.  lp norms and their l1 sums are monotone in each
+        magnitude: the block's values lie in [norms(gap), norms(far)],
+        widened by _BOUND_SLACK for the norms' own rounding.  A space with
+        a custom part gets no blocks: its norm_fn need not be monotone so
+        (|x| + |y| + |x + y| is not) and may return NaN, which no bound
+        contains.
         """
-        pts = np.ascontiguousarray(pts, dtype=np.float64)
-        n = pts.shape[0]
+        source = lru_cache(maxsize=1)(points)
 
         def at(i, idx):
-            diff = pts[idx]
-            diff -= pts[i]
+            diff = points(idx)
+            diff -= source(i)
             return norms(space, diff)
 
         if blocks is None or not _monotone(space):
             return FiniteMetric(n, at)
         blocks = np.asarray(blocks, dtype=np.int64)
-        box_lo = np.minimum.reduceat(pts, blocks, axis=0)
-        box_hi = np.maximum.reduceat(pts, blocks, axis=0)
+        box_lo, box_hi = boxes(blocks)
 
-        def bounds(i):
+        def bounds(i):  # gap and far in one array, one temporary besides
+            p, off = source(i), np.empty((2,) + box_lo.shape)
             with np.errstate(invalid="ignore"):  # inf - inf on infinite points
-                below, above = box_lo - pts[i], pts[i] - box_hi
-                gap = np.maximum(np.maximum(below, above), 0.0)  # NaN propagates
-                far = np.maximum(-above, -below)
-            lo, hi = norms(space, np.concatenate([gap, far])).reshape(2, -1)
+                below, above = np.subtract(box_lo, p, out=off[0]), np.subtract(p, box_hi, out=off[1])
+                near = np.minimum(below, above)
+                np.maximum(np.maximum(below, above, out=below), 0.0, out=below)  # NaN propagates
+                np.negative(near, out=above)  # max(hi - p, p - lo)
+            lo, hi = norms(space, off.reshape(-1, off.shape[-1])).reshape(2, -1)
             return lo * (1.0 - _BOUND_SLACK), hi * (1.0 + _BOUND_SLACK)
         return FiniteMetric(n, at, blocks, bounds)
 

@@ -30,7 +30,7 @@ from netembed import (audit_anchor_map, audit_identity_embedding,
                       audit_product_map, audit_tg, build_gadget,
                       build_net_graph, classify, default_strict_params,
                       degree_bound, estimate_suitable_fraction, from_edges,
-                      lp_space, max_degree, mg_positions, place_edges,
+                      lp_space, max_degree, place_edges,
                       practical_params, subdivide, subdivision_tg_points,
                       tg_distances, verify_embedding, verify_path_bound)
 from netembed.cli import main as cli_main
@@ -156,8 +156,7 @@ def test_criterion_6_product_composition():
     m_val = 2 * g.edge_count + 1
     h = build_gadget(g, m_val)
     assert h.graph.n <= 3000
-    sub, pos = mg_positions(emb, m_val)
-    pa = audit_product_map(h, pos, space, pair_cap=3000)
+    pa = audit_product_map(h, emb, pair_cap=3000)
     assert pa.report.exhaustive
     assert pa.forward_ok, pa.report.lip_forward
     assert pa.inverse_ok, (pa.report.lip_inverse, pa.inverse_bound)

@@ -876,6 +876,22 @@ class TestJsonWriter:
         with mock.patch.object(cli, "_WRITE_ROWS", SMALL_WRITE_ROWS):
             assert outcome(written_text, obj) == outcome(reference_text, listed(obj))
 
+    @pytest.mark.parametrize("a", [
+        np.array(7), np.array(-3, dtype=np.int8), np.arange(5), np.arange(-6, 6).reshape(4, 3),
+        np.zeros((3, 0), dtype=np.int64), np.zeros(0, dtype=np.int64),
+        np.zeros((0, 2), dtype=np.int64), np.arange(-9, 0).reshape(3, 3, 1),
+        np.array([[np.iinfo(np.int64).min, np.iinfo(np.int64).max], [-1, 0]]),
+        np.array([2**63, 2**64 - 1, 0], dtype=np.uint64),
+    ], ids=["0-d", "0-d-int8", "1-d", "2-d", "k-by-0", "empty", "0-by-2", "3-d",
+            "int64-extremes", "uint64-over-int64"])
+    @pytest.mark.parametrize("rows", [SMALL_WRITE_ROWS, 4096])
+    def test_template_chunks_match_json_dumps(self, a, rows):
+        # each chunk is one %-template of its rows, formatted at once
+        out = []
+        with mock.patch.object(cli, "_WRITE_ROWS", rows):
+            cli._write_ints(out.append, a)
+        assert "".join(out) == json.dumps(a.tolist())
+
     @pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 10_000])
     def test_listing_rows_at_the_chunk_size(self, rows, tmp_path):
         ends = np.arange(2 * rows, dtype=np.int64).reshape(rows, 2) * 7919
@@ -901,9 +917,10 @@ class TestJsonWriter:
             assert not path.exists()
 
     def test_listing_memory_is_bounded_per_edge(self, tmp_path):
-        # The listing is one int64 array (16 B an edge; sorting it peaks at
-        # 41), and the writer holds one chunk of rows on top of it.  As
-        # lists, the listing and its encoding took 178 B an edge.
+        # The listing is one int64 array (16 B an edge), filled in
+        # from_edges' order with no sort, and the writer holds one chunk of
+        # rows on top of it.  As lists, the listing and its encoding took
+        # 178 B an edge; sorted by key, the array peaked at 41.
         h = build_gadget(from_edges(3, [(0, 1), (0, 2), (1, 2)]), 30_001)
         edges = 3 * 30_001 + 3 * 2
         tracemalloc.start()
@@ -954,8 +971,8 @@ class TestJsonWriter:
 
 class TestNoGadgetGraph:
     def test_commands_build_no_gadget_adjacency(self, workdir, tmp_path, monkeypatch):
-        # the gadget modules may list edges through from_edges, but no command
-        # reads the adjacency of a Graph built there
+        # the gadget modules may list edges through from_edges or as a Graph,
+        # but no command reads the adjacency of a Graph built there
         from netembed import Graph, gadgets
 
         class Refused(Graph):
@@ -970,6 +987,7 @@ class TestNoGadgetGraph:
 
         build = gadgets.from_edges
         monkeypatch.setattr(gadgets, "from_edges", marked)
+        monkeypatch.setattr(gadgets, "Graph", Refused)  # the gadget's sorted listing
         g = str(workdir / "G.json")
         assert run_cli("pipeline", "--space", "lp:2:3", "--delta", "1",
                        "--r", "1.44", "--seed", "3", "--samples", "200",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -10,7 +11,7 @@ from netembed import (EmbedParams, Net, PlacementError, PolylineEmbedding,
                       ValidationError, audit_tg, build_net_graph, custom_space,
                       default_strict_params, embedding_from_json,
                       embedding_to_json, estimate_suitable_fraction,
-                      from_edges, lp_space, mg_positions, net_graph_from_net,
+                      from_edges, lp_space, net_graph_from_net,
                       norms, parse_space, place_edges, practical_params,
                       rescaled_unit, sample_ball_many,
                       subdivide, subdivision_tg_points, tg_distances,
@@ -458,6 +459,13 @@ class TestTwoStageTg:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def mg_positions(emb, M):
+    """(G_M, the points along the curves of all its vertices), in one read
+    of the points that PolylineEmbedding.mg_image computes on request."""
+    sub = subdivide(emb.netgraph.graph, M)
+    return sub, embeddings._mg_points(emb, sub, np.arange(sub.n))
+
+
 class TestSubdivisionPositions:
     def test_endpoints_exact(self, triangle_emb):
         sub, pos = mg_positions(triangle_emb, 4)
@@ -507,7 +515,7 @@ class TestSubdivisionPositions:
     def test_positions_match_scalar_arclength(self, ball_emb, at):
         emb = ball_emb
         if at is not None:  # a breakpoint on an endpoint: one zero-length segment
-            emb = PolylineEmbedding(**{**emb.__dict__, "breakpoints": emb.breakpoints.copy()})
+            emb = dataclasses.replace(emb, breakpoints=emb.breakpoints.copy())
             u, v = emb.ends[0]
             emb.breakpoints[0] = emb.netgraph.points[u if at == "u" else v]
         rng = np.random.default_rng(4)
@@ -529,8 +537,8 @@ class TestSubdivisionPositions:
     def test_requires_full_embedding(self, ball_emb):
         ng = build_net_graph(L23, 1.0, 2.0)
         partial = place_edges(ng, practical_params(beta=0.02, seed=3), edge_limit=3)
-        with pytest.raises(ValidationError):
-            mg_positions(partial, 4)
+        with pytest.raises(ValidationError, match="needs a fully placed embedding"):
+            partial.mg_image(4)
 
     def test_scaled_subdivision_metric_matches_tg(self):
         # (1/M) * d_MG  equals the thickened-graph distance on subdivision

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from netembed import embeddings, gadgets, graphs
 from netembed import (DistortionReport, FiniteMetric, InternalConsistencyError,
-                      ValidationError, anchor_map,
-                      audit_anchor_map, audit_product_map, bfs_from,
+                      Net, NetGraph, PolylineEmbedding, ValidationError, anchor_map,
+                      audit, audit_anchor_map, audit_product_map, bfs_from,
                       build_gadget, build_net_graph, from_edges,
                       custom_space, direct_sum_l1, gadget_to_json, graph_to_json,
-                      is_connected, lp_space, max_degree,
-                      mg_positions, norms, place_edges, practical_params,
-                      product_metric, subdivide, verify_product_cases)
+                      audit_tg, is_connected, lp_space, max_degree, net_graph_from_net,
+                      norms, place_edges, practical_params,
+                      product_metric, subdivide, subdivision_tg_points,
+                      verify_product_cases)
 
 
 def k2():
@@ -150,7 +151,6 @@ class TestGadgetRows:
         from netembed import graphs
         space, emb = triangle_embedding
         m_val = 2 * emb.netgraph.graph.edge_count + 1
-        sub, pos = mg_positions(emb, m_val)
         h = build_gadget(emb.netgraph.graph, m_val)
         bfs, rows = graphs.bfs_from, graphs._bfs_rows
 
@@ -168,9 +168,35 @@ class TestGadgetRows:
         monkeypatch.setattr(gadgets, "bfs_from", guarded, raising=False)
         monkeypatch.setattr(graphs, "_bfs_rows", guarded_rows)  # bfs_from and the hop table
         audit_anchor_map(h)
-        pa = audit_product_map(h, pos, space)
+        pa = audit_product_map(h, emb)
         assert pa.forward_ok and pa.inverse_ok
-        assert verify_product_cases(h, pos, space)
+        assert verify_product_cases(h, emb)
+
+
+def unsorted_listing(h):
+    """The gadget's unit edges as its layout listed them before they came
+    sorted: the short paths, then the chains."""
+    return np.concatenate([gadgets._chain_edges(h.short_ids), h.chain_edges()])
+
+
+class TestLayoutListing:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(g=connected_graphs().filter(lambda g: g.edge_count > 0),
+           m_pick=st.sampled_from(["1", "2", "3", "2e+1"]))
+    def test_listing_is_from_edges_order(self, g, m_pick):
+        m_val = {"1": 1, "2": 2, "3": 3, "2e+1": 2 * g.edge_count + 1}[m_pick]
+        h = build_gadget(g, m_val)
+        want = from_edges(h.n, unsorted_listing(h))
+        got = h.edge_ends()
+        assert got.dtype == np.int64 and np.array_equal(got, want.ends)
+        assert h.graph.n == want.n and np.array_equal(h.graph.ends, want.ends)
+
+    def test_gadget_to_json_sorts_nothing(self, monkeypatch):
+        h = build_gadget(star(3), 9)
+        want = from_edges(h.n, unsorted_listing(h))
+        monkeypatch.setattr(gadgets, "from_edges", None)  # no key sort, no Graph check
+        listing = gadget_to_json(h)["graph"]
+        assert listing["n"] == want.n and np.array_equal(listing["edges"], want.ends)
 
 
 def bits(x):
@@ -422,7 +448,6 @@ def small_embedding():
 def triangle_embedding():
     # hand 3-point unit-scale net in l2^3, so exhaustive pair checks on its
     # gadget stay tiny
-    from netembed import Net, net_graph_from_net
     space = lp_space(2, 3)
     pts = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 1.8, 0.0]])
     ng = net_graph_from_net(Net(space, 1.0, 2.1, pts, 1.0))
@@ -457,21 +482,40 @@ def loop_images(h, sub, pos):
     return np.column_stack([pos[loop_h_to_sub(h, sub)], loop_labels(h)])
 
 
-def reference_images(h, pos, space):
+def mg_positions(emb, M):
+    """Reference for the G_M points that PolylineEmbedding.mg_image computes
+    on request: (G_M, the (|V(G_M)|, dim) array of every vertex's point
+    along the curves), 4096 vertices a positions call, as the pipeline once
+    built it."""
+    sub = subdivide(emb.netgraph.graph, M)
+    out = np.empty((sub.n, emb.space.dim))
+    for start in range(0, sub.n, 4096):
+        ids = np.arange(start, min(start + 4096, sub.n))
+        out[start:start + len(ids)] = emb.positions(*subdivision_tg_points(sub, ids))
+    return sub, out
+
+
+def normalized_positions(emb, M):
+    """Reference for mg_image's normalization: (G_M, the mg_positions
+    divided by edge_list_factor when it exceeds 1, the factor)."""
+    sub, pos = mg_positions(emb, M)
+    factor = edge_list_factor(sub, pos, emb.space)
+    return sub, (pos / factor if factor > 1.0 else pos), factor
+
+
+def reference_images(h, emb):
     """loop_images of the normalized G_M positions, and their space."""
-    sub, scaled, _ = gadgets._normalized(h, pos, space)
-    return loop_images(h, sub, scaled), direct_sum_l1(space, lp_space(1, 1))
+    sub, scaled, _ = normalized_positions(emb, h.M)
+    return loop_images(h, sub, scaled), direct_sum_l1(emb.space, lp_space(1, 1))
 
 
 def product_instance_at(r, seed):
-    """The pipeline's gadget on lp:2:3 at delta 1: (H, G_M, the G_M
-    positions, the space), placed as pipeline --r r --seed seed places."""
-    space = lp_space(2, 3)
-    ng = build_net_graph(space, 1.0, r)
+    """The pipeline's gadget on lp:2:3 at delta 1: (H, G_M, the embedding),
+    placed as pipeline --r r --seed seed places."""
+    ng = build_net_graph(lp_space(2, 3), 1.0, r)
     emb = place_edges(ng, practical_params(beta=0.02, seed=seed))
     m_val = 2 * ng.graph.edge_count + 1
-    sub, pos = mg_positions(emb, m_val)
-    return build_gadget(ng.graph, m_val), sub, pos, space
+    return build_gadget(ng.graph, m_val), subdivide(ng.graph, m_val), emb
 
 
 def counted_reads(monkeypatch):
@@ -499,18 +543,16 @@ class TestProductMap:
             assert h.to_sub(i) == (mapping[i], labels[i])
 
     def test_labels_match_loop_reference(self, small_embedding):
-        # the normalized G_M positions, and product_metric's distances against
-        # the images built from the loop references
+        # product_metric over the normalized G_M image, against the images
+        # built from the loop references
         space, emb = small_embedding
         g = emb.netgraph.graph
         m_val = 2 * g.edge_count + 1
         h = build_gadget(g, m_val)
-        sub, pos = mg_positions(emb, m_val)
-        got_sub, scaled, factor = gadgets._normalized(h, pos, space)
-        assert got_sub == sub and factor >= 1.0
-        assert np.array_equal(scaled, pos / factor)
-        image = product_metric(h, FiniteMetric.from_points(space, scaled))
-        images, target = reference_images(h, pos, space)
+        sub, img, factor = gadgets._normalized(h, emb)
+        assert sub == subdivide(g, m_val) and factor >= 1.0
+        image = product_metric(h, img)
+        images, target = reference_images(h, emb)
         ref = FiniteMetric.from_points(target, images)
         ids = np.arange(h.n)
         for i in range(0, h.n, 97):
@@ -518,60 +560,57 @@ class TestProductMap:
 
     def test_needs_large_m(self, small_embedding):
         space, emb = small_embedding
-        g = emb.netgraph.graph
-        h = build_gadget(g, 2)  # M <= 2e
-        sub, pos = mg_positions(emb, 2)
+        h = build_gadget(emb.netgraph.graph, 2)  # M <= 2e
         for check in (audit_product_map, verify_product_cases):
             with pytest.raises(ValidationError, match="need M > 2"):
-                check(h, pos, space)
+                check(h, emb)
 
-    def test_positions_shape_checked(self, small_embedding):
+    def test_embedding_must_fit_the_gadget(self, small_embedding):
         space, emb = small_embedding
         g = emb.netgraph.graph
         m_val = 2 * g.edge_count + 1
-        sub, pos = mg_positions(emb, m_val)
-        with pytest.raises(ValidationError, match="does not match the subdivided graph"):
-            audit_product_map(build_gadget(g, m_val), pos[1:], space)
+        path = from_edges(g.n, [(u, u + 1) for u in range(g.n - 1)])
+        with pytest.raises(ValidationError, match="not the gadget's base graph"):
+            audit_product_map(build_gadget(path, m_val), emb)
+        partial = place_edges(emb.netgraph, practical_params(beta=0.02, seed=3), edge_limit=3)
+        with pytest.raises(ValidationError, match="needs a fully placed embedding"):
+            audit_product_map(build_gadget(g, m_val), partial)
 
     def test_adjacent_images_within_one(self, small_embedding):
         space, emb = small_embedding
         g = emb.netgraph.graph
-        m_val = 2 * g.edge_count + 1
-        h = build_gadget(g, m_val)
-        sub, pos = mg_positions(emb, m_val)
-        images, target = reference_images(h, pos, space)
+        h = build_gadget(g, 2 * g.edge_count + 1)
+        image = product_metric(h, gadgets._normalized(h, emb)[1])
         ends = h.graph.ends
-        assert np.all(norms(target, images[ends[:, 0]] - images[ends[:, 1]]) <= 1.0 + 1e-9)
+        for u in np.unique(ends[:, 0]):
+            assert np.all(image.at(u, ends[ends[:, 0] == u, 1]) <= 1.0 + 1e-9)
 
     def test_short_path_steps_are_unit(self, small_embedding):
         space, emb = small_embedding
         g = emb.netgraph.graph
-        m_val = 2 * g.edge_count + 1
-        h = build_gadget(g, m_val)
-        sub, pos = mg_positions(emb, m_val)
-        images, target = reference_images(h, pos, space)
-        gaps = np.diff(images[h.short_ids[0]], axis=0)
-        assert norms(target, gaps) == pytest.approx(np.ones(len(gaps)), abs=1e-12)
+        h = build_gadget(g, 2 * g.edge_count + 1)
+        image = product_metric(h, gadgets._normalized(h, emb)[1])
+        path = h.short_ids[0]
+        gaps = [image.at(int(a), np.array([b]))[0] for a, b in zip(path, path[1:])]
+        assert gaps == pytest.approx(np.ones(len(gaps)), abs=1e-12)
 
     def test_builds_no_subdivided_graph(self, small_embedding, monkeypatch):
         space, emb = small_embedding
         g = emb.netgraph.graph
         m_val = 2 * g.edge_count + 1
         h = build_gadget(g, m_val)
-        sub, pos = mg_positions(emb, m_val)
-        want = repr(audit_product_map(h, pos, space, pair_cap=300))
+        sub = subdivide(g, m_val)
+        want = repr(audit_product_map(h, emb, pair_cap=300))
         assert sorted(map(sorted, sub.edge_ends().tolist())) == sub.graph.ends.tolist()
         monkeypatch.setattr(gadgets, "from_edges", None)  # any Graph build fails
-        monkeypatch.setattr(gadgets, "subdivide", None)
-        assert repr(audit_product_map(h, pos, space, pair_cap=300)) == want
+        monkeypatch.setattr(gadgets, "Graph", None)
+        assert repr(audit_product_map(h, emb, pair_cap=300)) == want
 
     def test_audit_bounds(self, small_embedding):
         space, emb = small_embedding
         g = emb.netgraph.graph
-        m_val = 2 * g.edge_count + 1
-        h = build_gadget(g, m_val)
-        sub, pos = mg_positions(emb, m_val)
-        pa = audit_product_map(h, pos, space, pair_cap=4000)
+        h = build_gadget(g, 2 * g.edge_count + 1)
+        pa = audit_product_map(h, emb, pair_cap=4000)
         assert pa.report.exhaustive
         assert pa.forward_ok and pa.inverse_ok
 
@@ -580,10 +619,10 @@ class TestProductMap:
         # pairs their block bounds leave open, and the rows that read all
         # their partners lie at the end of the ids, where they fall on the
         # row's own chain (lower bound 0) and the last one
-        h, sub, pos, space = product_instance_at(1.44, 5)
+        h, sub, emb = product_instance_at(1.44, 5)
         reads = counted_reads(monkeypatch)
         monkeypatch.setattr(FiniteMetric, "row", None)  # the audits read no whole row
-        pa = audit_product_map(h, pos, space, pair_cap=3000)
+        pa = audit_product_map(h, emb, pair_cap=3000)
         assert pa.report.exhaustive and pa.forward_ok and pa.inverse_ok
         for n in (sub.n, h.n):
             calls = reads[n][::2]  # source and target alike: two calls a row
@@ -599,10 +638,9 @@ class TestProductMap:
         # pipeline-l2 (seed 3) the audits evaluate 51,098 G_M and 27,906 H
         # distances a metric, against 380,079 and 129,419 with bounds from
         # sup-norm factors and a first row read whole
-        h, sub, pos, space = product_instance_at(r, seed)
+        h, sub, emb = product_instance_at(r, seed)
         reads = counted_reads(monkeypatch)
-        pa = audit_product_map(h, pos, space, pair_cap=pair_cap,
-                               rng=np.random.default_rng([seed, 3]))
+        pa = audit_product_map(h, emb, pair_cap=pair_cap, rng=np.random.default_rng([seed, 3]))
         assert not pa.report.exhaustive
         for n in (sub.n, h.n):
             assert all(len(idx) < n - 1 for _, idx in reads[n])
@@ -612,26 +650,52 @@ class TestProductMap:
 
     def test_case_split_small_instance(self, triangle_embedding):
         space, emb = triangle_embedding
-        m_val = 2 * emb.netgraph.graph.edge_count + 1
-        sub, pos = mg_positions(emb, m_val)
-        h = build_gadget(emb.netgraph.graph, m_val)
-        assert verify_product_cases(h, pos, space)
+        h = build_gadget(emb.netgraph.graph, 2 * emb.netgraph.graph.edge_count + 1)
+        assert verify_product_cases(h, emb)
+
+    def test_audit_holds_no_position_array(self):
+        # pipeline-l2's curves at M = 8001: G_M has 1,224,018 vertices, whose
+        # positions would take 29.4 MB; the audit peaks at about 9.1 MB, in
+        # per-block arrays (bounds and boxes, 32 ids a block) and
+        # _POSITION_ROWS-row reads
+        h, sub, emb = product_instance_at(2.0, 3)
+        h = build_gadget(h.base, 8001)
+        emb.netgraph.graph.hops  # the base's hop table, cached on first use
+        tracemalloc.start()
+        try:
+            pa = audit_product_map(h, emb, rng=np.random.default_rng([3, 3]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pa.forward_ok and pa.inverse_ok
+        n = subdivide(h.base, h.M).n
+        assert n >= 40_000
+        assert peak < 0.5 * n * emb.space.dim * 8
 
 
 # The constants that chunk the whole-gadget passes, and one no pass reaches.
-CHUNK_CONSTANTS = [(embeddings, "_POSITION_ROWS"), (gadgets, "_ROWS"), (graphs, "_READ_IDS")]
+CHUNK_CONSTANTS = [(embeddings, "_POSITION_ROWS"), (graphs, "_READ_IDS")]
 UNCHUNKED = 1 << 40
 
 
 def place_hand(desc):
     """Curves placed on a 5-point unit-scale hand net, so that exhaustive
     audits of its gadget stay small: (space, embedding)."""
-    from netembed import Net, net_graph_from_net, parse_space
+    from netembed import parse_space
     space = parse_space(desc)
     pts = np.array([[0, 0, 0], [2, 0, 0], [1, 1.8, 0], [1, 0.6, 1.7], [-1.5, 1, 0.5]])
     ng = net_graph_from_net(Net(space, 1.0, 4.0, pts, 1.0))
     emb = place_edges(ng, practical_params(beta=0.02, seed=9))
     return space, emb
+
+
+def scaled_embedding(emb, scale):
+    """emb with its net and breakpoints scaled by scale: the same graph, with
+    curves scale times as long."""
+    net = emb.netgraph.net
+    ng = NetGraph(emb.netgraph.graph, Net(net.space, net.delta * scale, net.r * scale,
+                                          net.points * scale, net.rho * scale))
+    return PolylineEmbedding(ng, emb.params, emb.breakpoints * scale, emb.attempts, emb.scale)
 
 
 @pytest.fixture(scope="module", params=["lp:2:3", "lp:inf:3", "l1sum:lp:2:2+lp:1:1"])
@@ -642,75 +706,176 @@ def hand_embedding(request):
 class TestChunkedPasses:
     @pytest.mark.parametrize("pair_cap", [10**6, 60])  # exhaustive, sampled
     def test_chunks_keep_every_bit(self, hand_embedding, pair_cap):
+        # at scale 40 the gaps exceed 1, so the gap pass runs and scales
         space, emb = hand_embedding
         m_val = 2 * emb.netgraph.graph.edge_count + 1
         h = build_gadget(emb.netgraph.graph, m_val)
 
-        def passes(chunk):
+        def passes(emb, chunk):
             with contextlib.ExitStack() as stack:
                 for module, name in CHUNK_CONSTANTS:
                     stack.enter_context(mock.patch.object(module, name, chunk))
-                sub, pos = mg_positions(emb, m_val)
-                _, scaled, factor = gadgets._normalized(h, pos, space)
-                pa = audit_product_map(h, pos, space, pair_cap=pair_cap,
-                                       rng=np.random.default_rng(4))
-            return sub.n, [pos, scaled], factor, repr(pa)
+                sub, img, factor = gadgets._normalized(h, emb)
+                arrays = [x for i in range(0, sub.n, 11) for x in (img.row(i), *img.bounds(i))]
+                pa = audit_product_map(h, emb, pair_cap=pair_cap, rng=np.random.default_rng(4))
+            return sub.n, arrays, factor, repr(pa)
 
-        n, want_arrays, *want = passes(UNCHUNKED)
-        for chunk in (3, 7):
-            assert chunk < n
-            _, got_arrays, *got = passes(chunk)
-            assert got == want
-            for a, b in zip(got_arrays, want_arrays):
-                assert np.array_equal(bits(a), bits(b))
+        for scale in (1.0, 40.0):
+            n, want_arrays, *want = passes(scaled_embedding(emb, scale), UNCHUNKED)
+            assert (want[0] > 1.0) == (scale > 1.0)
+            for chunk in (3, 7):
+                assert chunk < n
+                _, got_arrays, *got = passes(scaled_embedding(emb, scale), chunk)
+                assert got == want
+                for a, b in zip(got_arrays, want_arrays):
+                    assert np.array_equal(bits(a), bits(b))
+
+
+def edge_list_gap(sub, pos, space):
+    """The largest gap pos[u] - pos[v] over G_M's whole unit-edge list."""
+    ends = sub.edge_ends()
+    return float(norms(space, pos[ends[:, 0]] - pos[ends[:, 1]]).max())
 
 
 def edge_list_factor(sub, pos, space):
-    """Reference for _normalized's factor: the largest gap pos[u] - pos[v]
-    over G_M's whole unit-edge list, or 1 when that is at most 1."""
-    ends = sub.edge_ends()
-    factor = float(norms(space, pos[ends[:, 0]] - pos[ends[:, 1]]).max())
+    """Reference for mg_image's factor: edge_list_gap, or 1 when that is at
+    most 1."""
+    factor = edge_list_gap(sub, pos, space)
     return factor if factor > 1.0 else 1.0
 
 
+FOUR_SPACES = ["lp:2:3", "lp:inf:3", "lp:1:3", "l1sum:lp:2:2+lp:1:1"]
+
+
 class TestNormalization:
-    @pytest.mark.parametrize("desc", ["lp:2:3", "lp:inf:3", "lp:1:3", "l1sum:lp:2:2+lp:1:1"])
+    @pytest.mark.parametrize("desc", FOUR_SPACES)
     @pytest.mark.parametrize("scale", [1.0, 40.0])
     def test_factor_matches_the_edge_list(self, desc, scale):
-        # scaled by 40, the positions' gaps exceed 1 and set the factor
+        # curves scaled by 40 take gaps over 1, which set the factor; the
+        # image's distances and block bounds are those of the normalized
+        # reference positions, bit for bit
         space, emb = place_hand(desc)
+        emb = scaled_embedding(emb, scale)
         m_val = 2 * emb.netgraph.graph.edge_count + 1
         h = build_gadget(emb.netgraph.graph, m_val)
-        pos = mg_positions(emb, m_val)[1] * scale
-        sub, scaled, factor = gadgets._normalized(h, pos, space)
-        want = edge_list_factor(sub, pos, space)
+        sub, img, factor = gadgets._normalized(h, emb)
+        _, pos, want = normalized_positions(emb, m_val)
         assert (want > 1.0) == (scale > 1.0)
         assert bits(factor) == bits(want)
-        assert np.array_equal(bits(scaled), bits(pos / want if want > 1.0 else pos))
+        ref = FiniteMetric.from_points(space, pos, sub.blocks)
+        ids = np.arange(sub.n)
+        for i in range(0, sub.n, 5):
+            assert np.array_equal(bits(img.at(i, ids)), bits(ref.at(i, ids)))
+            for got, exp in zip(img.bounds(i), ref.bounds(i)):
+                assert np.array_equal(bits(got), bits(exp))
+
+    @pytest.mark.parametrize("desc", FOUR_SPACES)
+    @pytest.mark.parametrize("m_pick", ["1", "2", "2e+1"])
+    def test_gaps_within_the_longest_curve_over_m(self, desc, m_pick):
+        # a unit edge spans 1/M of its curve's norm length: the factor that
+        # the gap pass may find is at most max_curve_length / M
+        space, emb = place_hand(desc)
+        e = emb.netgraph.graph.edge_count
+        m_val = {"1": 1, "2": 2, "2e+1": 2 * e + 1}[m_pick]
+        sub, pos = mg_positions(emb, m_val)
+        longest = audit_tg(emb, 0, np.random.default_rng(0)).max_curve_length
+        assert edge_list_gap(sub, pos, space) <= longest / m_val * (1 + 1e-12)
+
+    def test_one_long_curve_takes_a_factor_over_one(self):
+        # one edge at M = 3 > 2e, its breakpoint 5 off the line: the curve is
+        # 10.2 long and its unit edges' images 3.4, so the audit divides
+        # them by that factor and still finds the bounds
+        space = lp_space(2, 3)
+        ng = net_graph_from_net(Net(space, 1.0, 2.5, np.array([[0.0, 0, 0], [2.0, 0, 0]]), 1.0))
+        emb = PolylineEmbedding(ng, practical_params(beta=0.02), np.array([[1.0, 5.0, 0.0]]),
+                                np.array([1]), 1.0)
+        h = build_gadget(ng.graph, 3)
+        pa = audit_product_map(h, emb)
+        sub, pos, factor = normalized_positions(emb, 3)
+        assert factor > 3.0 and bits(pa.normalization_factor) == bits(factor)
+        ref = audit(sub.hop_metric(), FiniteMetric.from_points(space, pos, sub.blocks))
+        assert bits(pa.lip_positions_inverse) == bits(ref.lip_inverse)
+        assert pa.report.lip_forward <= 1.0 and pa.forward_ok and pa.inverse_ok
 
     def test_memory_stays_far_under_the_edge_list(self):
-        # G_M of a 400-edge path at M = 801: its unit-edge list alone is 5.1 MB
-        base = from_edges(401, [(i, i + 1) for i in range(400)])
-        h = build_gadget(base, 801)
-        pos = np.random.default_rng(0).uniform(0.0, 0.5, (subdivide(base, 801).n, 3))
+        # G_M of a 400-edge path at M = 801: its unit-edge list alone is 5.1
+        # MB.  The curves, 500 long, are long enough that the gap pass runs
+        space = lp_space(2, 3)
+        pts = np.zeros((401, 3))
+        pts[:, 0] = 2.0 * np.arange(401) - 400.0
+        ng = net_graph_from_net(Net(space, 1.0, 401.0, pts, 1.0))
+        assert ng.graph.edge_count == 400  # neighbours only: 2 apart, the next 4
+        ws = 0.5 * (pts[:-1] + pts[1:]) + [0.0, 250.0, 0.0]
+        emb = PolylineEmbedding(ng, practical_params(beta=0.02), ws, np.ones(400, dtype=np.int64), 1.0)
+        sub = subdivide(ng.graph, 801)
+        assert np.max(np.add(*emb.curve_lengths)) >= 0.5 * 801
+        emb._segments  # cached on first use
         tracemalloc.start()
         try:
-            _, scaled, factor = gadgets._normalized(h, pos, lp_space(2, 3))
+            factor = embeddings._gap_factor(emb, sub)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert factor == 1.0 and scaled is pos
-        assert peak < 16 * base.edge_count * h.M / 8
+        assert factor == 1.0
+        assert peak < 16 * ng.graph.edge_count * sub.M / 8
 
 
-@pytest.fixture(scope="module", params=["lp:2:3", "lp:inf:3", "lp:1:3", "l1sum:lp:2:2+lp:1:1"])
+class TestRunBoxes:
+    @pytest.mark.parametrize("desc", FOUR_SPACES)
+    @pytest.mark.parametrize("m_pick", ["1", "2", "2e+1"])
+    @pytest.mark.parametrize("block", [3, 32])
+    def test_boxes_hold_every_point_and_are_exact(self, desc, m_pick, block):
+        # the closed-form box of each run holds each of its points, and its
+        # corners are points' coordinates: the box of the run
+        space, emb = place_hand(desc)
+        e = emb.netgraph.graph.edge_count
+        m_val = {"1": 1, "2": 2, "2e+1": 2 * e + 1}[m_pick]
+        sub, pos = mg_positions(emb, m_val)
+        with mock.patch.object(gadgets, "_BLOCK", block):
+            blocks = sub.blocks
+        lo, hi = embeddings._run_boxes(emb, sub, blocks)
+        owner = np.searchsorted(blocks, np.arange(sub.n), side="right") - 1
+        assert np.all(lo[owner] <= pos) and np.all(pos <= hi[owner])
+        assert np.array_equal(lo, np.minimum.reduceat(pos, blocks, axis=0))
+        assert np.array_equal(hi, np.maximum.reduceat(pos, blocks, axis=0))
+
+    @pytest.mark.parametrize("at", ["u", "v"])
+    def test_breakpoint_on_an_end(self, at):
+        # one zero-length segment: every step lies on the other one
+        space, emb = place_hand("lp:2:3")
+        emb = PolylineEmbedding(emb.netgraph, emb.params, emb.breakpoints.copy(),
+                                emb.attempts, emb.scale)
+        u, v = emb.ends[0]
+        emb.breakpoints[0] = emb.netgraph.points[u if at == "u" else v]
+        sub, pos = mg_positions(emb, 9)
+        lo, hi = embeddings._run_boxes(emb, sub, sub.blocks)
+        assert np.array_equal(lo, np.minimum.reduceat(pos, sub.blocks, axis=0))
+        assert np.array_equal(hi, np.maximum.reduceat(pos, sub.blocks, axis=0))
+
+
+class TestOnDemandPoints:
+    @pytest.mark.parametrize("desc", FOUR_SPACES)
+    @pytest.mark.parametrize("m_pick", ["1", "2", "2e+1"])
+    def test_points_equal_the_position_rows(self, desc, m_pick):
+        # any subset of ids, one id alone, and every id at once
+        space, emb = place_hand(desc)
+        e = emb.netgraph.graph.edge_count
+        m_val = {"1": 1, "2": 2, "2e+1": 2 * e + 1}[m_pick]
+        sub, pos = mg_positions(emb, m_val)
+        rng = np.random.default_rng(m_val)
+        for ids in (np.arange(sub.n), rng.integers(0, sub.n, 50), np.arange(sub.n)[::-3]):
+            assert np.array_equal(bits(embeddings._mg_points(emb, sub, ids)), bits(pos[ids]))
+        for i in range(sub.n):
+            assert np.array_equal(bits(embeddings._mg_points(emb, sub, i)), bits(pos[i:i + 1]))
+
+
+@pytest.fixture(scope="module", params=FOUR_SPACES)
 def hand_product(request):
     """The gadget of a placed hand net, its G_M and the normalized G_M
     positions: (h, sub, positions, space)."""
     space, emb = place_hand(request.param)
-    m_val = 2 * emb.netgraph.graph.edge_count + 1
-    h = build_gadget(emb.netgraph.graph, m_val)
-    sub, pos, _ = gadgets._normalized(h, mg_positions(emb, m_val)[1], space)
+    h = build_gadget(emb.netgraph.graph, 2 * emb.netgraph.graph.edge_count + 1)
+    sub, pos, _ = normalized_positions(emb, h.M)
     return h, sub, pos, space
 
 

@@ -9,8 +9,9 @@ from netembed import gadgets, graphs
 from netembed import (DistortionReport, FiniteMetric, Net, ValidationError, audit,
                       audit_pair_rows, bfs_from, build_gadget, custom_space,
                       direct_sum_l1, from_edges, graph_from_json, graph_to_dot, graph_to_json,
-                      is_connected, lp_space, max_degree, mg_positions, net_graph_from_net,
-                      norms, parse_space, place_edges, practical_params, write_audit_csv)
+                      is_connected, lp_space, max_degree, net_graph_from_net,
+                      norms, parse_space, place_edges, practical_params, subdivision_tg_points,
+                      write_audit_csv)
 
 
 def path_graph(n):
@@ -691,8 +692,8 @@ def product_instance(request):
     emb = place_edges(ng, practical_params(beta=0.02, seed=9))
     m_val = 2 * ng.graph.edge_count + 1
     h = build_gadget(ng.graph, m_val)
-    _, pos = mg_positions(emb, m_val)
-    sub, scaled, _ = gadgets._normalized(h, pos, space)
+    sub, _, factor = gadgets._normalized(h, emb)
+    scaled = emb.positions(*subdivision_tg_points(sub, np.arange(sub.n))) / factor
     m, labels = h.to_sub(np.arange(h.n))
     images = np.column_stack([scaled[m], labels])  # the points of product_metric
     return [(sub.hop_metric, scaled, space),
